@@ -25,7 +25,14 @@ from .errors import (
 )
 from .grids import SpatialGrid
 from .model import WellModel, energy, revival_times
-from .momentum import MomentumGrid, default_grid, solve, write_spectrum_csv
+from .momentum import (
+    DEFAULT_GRID_SIZE,
+    DEFAULT_WALL_HEIGHT_FACTOR,
+    MomentumGrid,
+    default_grid,
+    solve,
+    write_spectrum_csv,
+)
 from .observables import (
     autocorrelation,
     carpet,
@@ -62,6 +69,7 @@ _ENGINE_KEYS = {
     "split": {"kind", "grid_size", "dt", "wall_height_in_mc2", "wall_margin_over_L"},
     "diag": {"kind", "momentum_points", "p_max_in_mc", "wall_height_in_mc2"},
 }
+_ENGINE_INTEGERS = {"grid_intervals", "n_max", "grid_size", "momentum_points"}
 _BLOCK_KEYS = {"model", "packet", "engine", "times", "levels", "output"}
 
 DEFAULT_CONFIG = {
@@ -127,9 +135,23 @@ PRESETS: dict[str, dict] = {
 
 
 def _reject_unknown(block: dict, allowed: set, where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite int or float; bools, strings, None, NaN and infinities are not."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -166,10 +188,10 @@ class ResolvedConfig:
 
         model_block = document["model"]
         _reject_unknown(model_block, _MODEL_KEYS, "model")
-        for key in _MODEL_KEYS:
+        for key in sorted(_MODEL_KEYS):
             value = model_block.get(key)
-            if not isinstance(value, (int, float)) or value <= 0:
-                raise ConfigError(f"model.{key} must be a positive number")
+            if not _is_real(value) or value <= 0:
+                raise ConfigError(f"model.{key} must be a positive finite number")
         scale = (
             2.0
             * math.pi
@@ -185,6 +207,9 @@ class ResolvedConfig:
 
         packet_block = document["packet"]
         _reject_unknown(packet_block, _PACKET_KEYS, "packet")
+        for key in sorted(_PACKET_KEYS):
+            if not _is_real(packet_block.get(key)):
+                raise ConfigError(f"packet.{key} must be a finite number")
         L = self.model.well_width
         self.packet = WavepacketSpec(
             x0=packet_block["x0_over_L"] * L,
@@ -194,18 +219,26 @@ class ResolvedConfig:
         self.packet.validate_against(self.model)
 
         engine_block = document["engine"]
+        if not isinstance(engine_block, dict):
+            raise ConfigError("engine must be a JSON object")
         kind = engine_block.get("kind")
-        if kind not in _ENGINE_KEYS:
+        if not isinstance(kind, str) or kind not in _ENGINE_KEYS:
             raise ConfigError(f"engine.kind must be one of {sorted(_ENGINE_KEYS)}")
         _reject_unknown(engine_block, _ENGINE_KEYS[kind], f"engine ({kind})")
+        for key, value in engine_block.items():
+            if key in _ENGINE_INTEGERS and not _is_integer(value):
+                raise ConfigError(f"engine.{key} must be an integer")
+            if key != "kind" and not _is_real(value):
+                raise ConfigError(f"engine.{key} must be a finite number")
         self.engine = dict(engine_block)
 
         times_block = document["times"]
         _reject_unknown(times_block, _TIMES_KEYS, "times")
-        if times_block.get("t_max", 0) < 0:
-            raise ConfigError("times.t_max must be nonnegative")
+        t_max = times_block.get("t_max")
+        if not _is_real(t_max) or t_max < 0:
+            raise ConfigError("times.t_max must be a finite nonnegative number")
         samples = times_block.get("samples")
-        if not isinstance(samples, int) or samples < 1:
+        if not _is_integer(samples) or samples < 1:
             raise ConfigError("times.samples must be a positive integer")
         unit = times_block.get("unit", "classical")
         if unit not in ("natural", "classical", "revival"):
@@ -215,13 +248,15 @@ class ResolvedConfig:
         levels_block = document["levels"]
         _reject_unknown(levels_block, _LEVELS_KEYS, "levels")
         n_min, n_max = levels_block.get("n_min", 1), levels_block.get("n_max", 100)
-        if not (isinstance(n_min, int) and isinstance(n_max, int) and 1 <= n_min <= n_max):
+        if not (_is_integer(n_min) and _is_integer(n_max) and 1 <= n_min <= n_max):
             raise ConfigError("levels.n_min/n_max must be integers with 1 <= n_min <= n_max")
         self.levels = (n_min, n_max)
 
         output_block = document["output"]
         _reject_unknown(output_block, _OUTPUT_KEYS, "output")
         formats = output_block.get("formats", ["csv"])
+        if not isinstance(formats, list) or not all(isinstance(f, str) for f in formats):
+            raise ConfigError("output.formats must be a list of format names")
         bad = set(formats) - {"csv", "bin", "pgm"}
         if bad:
             raise ConfigError(f"unknown output formats: {sorted(bad)}")
@@ -261,6 +296,8 @@ class ResolvedConfig:
         else:
             rt = revival_times(self.model, n0)
             t_max = block["t_max"] * (rt.t_classical if unit == "classical" else rt.t_revival)
+            if not math.isfinite(t_max):
+                raise ConfigError(f"times.t_max of {block['t_max']!r} {unit} periods overflows")
         return np.linspace(0.0, t_max, block["samples"])
 
 
@@ -308,14 +345,15 @@ def cmd_spectrum(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
 
     if resolved.engine["kind"] == "diag":
         model = resolved.model
-        count = resolved.engine.get("momentum_points", 2048)
+        count = resolved.engine.get("momentum_points", DEFAULT_GRID_SIZE)
         p_max = resolved.engine.get("p_max_in_mc")
         grid = (
             default_grid(model, n_max, count)
             if p_max is None
             else MomentumGrid(p_max * model.momentum_scale, count)
         )
-        wall = resolved.engine.get("wall_height_in_mc2", 1.0e3) * model.energy_scale
+        wall_factor = resolved.engine.get("wall_height_in_mc2", DEFAULT_WALL_HEIGHT_FACTOR)
+        wall = wall_factor * model.energy_scale
         spectrum = solve(grid, model, wall, k_levels=n_max)
         diag_path = outdir / f"{resolved.basename}_spectrum_diag.csv"
         write_spectrum_csv(spectrum, model, diag_path)
@@ -478,7 +516,11 @@ def main(argv=None) -> int:
     try:
         document = load_config(args.preset, args.config)
         if args.engine is not None:
-            document["engine"] = {"kind": args.engine}
+            # keep the preset's settings that the overriding engine understands
+            engine = document["engine"] if isinstance(document["engine"], dict) else {}
+            allowed = _ENGINE_KEYS[args.engine]
+            document["engine"] = {k: v for k, v in engine.items() if k in allowed}
+            document["engine"]["kind"] = args.engine
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         resolved = ResolvedConfig(document)

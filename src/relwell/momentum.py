@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.signal
 
 from .errors import EigensolverError, HermiticityError
 from .model import WellModel, energy
@@ -170,6 +168,8 @@ def solve(
     """
     if not 1 <= k_levels <= grid.count:
         raise ValueError("k_levels must lie in 1..count")
+    import scipy.linalg
+
     h = build_hamiltonian(grid, model, wall_height, kinetic)
     try:
         vals, vecs = scipy.linalg.eigh(h, subset_by_index=(0, k_levels - 1))
@@ -195,6 +195,16 @@ def solve(
             "kinetic": kinetic,
         },
     )
+
+
+def _convolve_valid(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
+    """Entries of the linear convolution kernel * signal that see all of
+    ``signal`` (len(kernel) - len(signal) + 1 of them), by zero-padded FFTs."""
+    from scipy.fft import fft, ifft, next_fast_len
+
+    size = next_fast_len(kernel.size + signal.size - 1)
+    full = ifft(fft(kernel, size) * fft(signal, size))
+    return full[signal.size - 1 : kernel.size]
 
 
 def residual_integral_equation(model: WellModel, n: int, grid: MomentumGrid) -> float:
@@ -223,7 +233,7 @@ def residual_integral_equation(model: WellModel, n: int, grid: MomentumGrid) -> 
     kernel[reg] = (1.0 - np.exp(-1j * L * lags[reg] / hbar)) / lags[reg]
     kernel[small] = 1j * L / hbar
 
-    conv = scipy.signal.fftconvolve(kernel, phi, mode="valid")  # length count
+    conv = _convolve_valid(kernel, phi)  # length count
     integral = dp / (2.0j * math.pi) * conv
     residual = phi - integral
     return float(

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst
-from scipy.special import erfc
 
 from .errors import AliasingError, EmptyStateError, ResolutionError
 from .grids import GridState, SpatialGrid
@@ -95,6 +93,8 @@ def gaussian_state(spec: WavepacketSpec, grid: SpatialGrid, model: WellModel) ->
     zeroing) is recorded in ``metadata['discarded_mass']`` from the closed-form
     tail integral.
     """
+    from scipy.special import erfc
+
     spec.validate_against(model)
     if grid.well_width != model.well_width:
         raise ValueError("grid and model disagree on the well width")
@@ -122,6 +122,8 @@ def gaussian_state(spec: WavepacketSpec, grid: SpatialGrid, model: WellModel) ->
 
 def _sine_coefficients(values: np.ndarray, grid: SpatialGrid, n_levels: int) -> np.ndarray:
     """a_n = sum_i phi_n(x_i) psi(x_i) dx for n = 1..n_levels via a DST-I."""
+    from scipy.fft import dst
+
     interior = values[1:-1]
     scale = math.sqrt(2.0 / grid.well_width) * grid.spacing * 0.5
     transformed = scale * (dst(interior.real, type=1) + 1j * dst(interior.imag, type=1))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import dst
 
 from .errors import AliasingError
 from .grids import GridState, SpatialGrid
@@ -45,6 +44,8 @@ def evolve(coeffs: CoefficientVector, t: float) -> CoefficientVector:
 
 def reconstruct(coeffs: CoefficientVector, grid: SpatialGrid) -> GridState:
     """psi(x_i) = sum_n a_n sqrt(2/L) sin(n pi x_i / L) via an inverse DST."""
+    from scipy.fft import dst
+
     if grid.well_width != coeffs.model.well_width:
         raise ValueError("grid and model disagree on the well width")
     if coeffs.n_max > grid.nyquist_level:
@@ -92,6 +93,8 @@ def density_rows(
     Batches the per-row phase rotations and sine transforms; identical output
     regardless of ``workers``.
     """
+    from scipy.fft import dst
+
     times = np.asarray(times, dtype=float)
     if coeffs.n_max > grid.nyquist_level:
         raise AliasingError(

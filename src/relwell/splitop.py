@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import fft, ifft
 
 from .errors import NumericalBlowupError
 from .grids import BoxGrid, GridState
@@ -136,7 +135,7 @@ def _operators(config: PropagationConfig):
     return half_v, kin
 
 
-def _strang(psi: np.ndarray, half_v: np.ndarray, kin: np.ndarray) -> np.ndarray:
+def _strang(psi: np.ndarray, half_v: np.ndarray, kin: np.ndarray, fft, ifft) -> np.ndarray:
     psi = half_v * psi
     psi = ifft(kin * fft(psi))
     psi *= half_v
@@ -149,10 +148,12 @@ def step(state: GridState, config: PropagationConfig) -> GridState:
     Norm-conserving to rounding; second-order accurate in dt for smooth
     states.  Raises NumericalBlowupError if the result stops being finite.
     """
+    from scipy.fft import fft, ifft
+
     if state.values.shape != (config.grid_size,):
         raise ValueError("state is not defined on the config grid")
     half_v, kin = _operators(config)
-    out = _strang(state.values, half_v, kin)
+    out = _strang(state.values, half_v, kin, fft, ifft)
     index = int(state.metadata.get("steps_taken", 0)) + 1
     if not np.all(np.isfinite(out.view(float))):
         raise NumericalBlowupError("non-finite amplitudes after split step", index)
@@ -175,6 +176,8 @@ def propagate(
     sampled state's metadata.  Sample times outside [0, t_final] are
     rejected.  Deterministic for a fixed config.
     """
+    from scipy.fft import fft, ifft
+
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
     if t_final == 0.0:
@@ -212,7 +215,7 @@ def propagate(
     cursor = 0
     for target in sample_steps:
         for _ in range(target - cursor):
-            psi = _strang(psi, half_v, kin)
+            psi = _strang(psi, half_v, kin, fft, ifft)
         cursor = target
         emit(cursor)
     return samples

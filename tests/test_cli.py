@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relwell
+import relwell.cli as cli
 from relwell import WellModel, energy
 from relwell.cli import PRESETS, load_config, main
 
@@ -72,6 +78,26 @@ class TestValidation:
     def test_diag_engine_rejected_for_carpet(self, tmp_path):
         config = small_config(engine={"kind": "diag"})
         assert run(tmp_path, "carpet", config) == 2
+
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [
+            ("times", "t_max", "1"),
+            ("times", "t_max", math.inf),
+            ("times", "t_max", math.nan),
+            ("model", "mass", math.nan),
+            ("model", "mass", True),
+            ("packet", "x0_over_L", "a"),
+            ("output", "formats", "csv"),
+        ],
+    )
+    def test_malformed_value_exits_2_without_files(self, tmp_path, capsys, block, key, value):
+        config = small_config()
+        config.setdefault(block, {})[key] = value
+        assert run(tmp_path, "carpet", config) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and f"{block}.{key}" in err[0]
 
 
 class TestSpectrum:
@@ -246,5 +272,28 @@ class TestConfigPlumbing:
         )
         assert code == 0
 
+    def test_engine_override_keeps_preset_engine_keys(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "carpet", lambda resolved, *_: seen.append(resolved))
+        assert main(["carpet", "--preset", "fig3", "--engine", "exact", "--out", str(tmp_path)]) == 0
+        assert seen[0].spatial_grid().intervals == 1 << 20
+        # keys the overriding engine does not take are dropped, not rejected
+        assert main(["carpet", "--preset", "fig3", "--engine", "split", "--out", str(tmp_path)]) == 0
+        assert seen[1].engine == {"kind": "split"}
+
     def test_threads_validated(self, tmp_path):
         assert run(tmp_path, "spectrum", extra=("--threads", "0")) == 2
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy modules load inside the functions that compute with them
+        env = dict(os.environ, PYTHONPATH=str(Path(relwell.__file__).parents[1]))
+        code = (
+            "import relwell.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

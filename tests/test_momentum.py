@@ -19,7 +19,7 @@ from relwell import (
     solve,
     well_window_transform,
 )
-from relwell.momentum import write_spectrum_csv
+from relwell.momentum import _convolve_valid, write_spectrum_csv
 
 
 def aligned_l2(v, w, dp):
@@ -220,6 +220,16 @@ class TestSolve:
         assert grid.count == 2048
 
 
+def hard_wall_kernel(model, grid):
+    """(1 - exp(-i L q)) / q over every lag q of the grid (hbar = 1)."""
+    lags = grid.spacing * np.arange(-(grid.count - 1), grid.count)
+    kernel = np.empty(lags.shape, complex)
+    small = np.abs(lags) * model.well_width < 1e-12
+    kernel[~small] = (1.0 - np.exp(-1j * model.well_width * lags[~small])) / lags[~small]
+    kernel[small] = 1j * model.well_width
+    return kernel
+
+
 class TestResidual:
     def test_analytic_eigenfunctions(self):
         model = WellModel(well_width=math.pi)
@@ -231,20 +241,28 @@ class TestResidual:
         # a smooth normalized packet that is not an eigenfunction
         model = WellModel(well_width=math.pi)
         grid = MomentumGrid(100.0, 4096)
-        import relwell.momentum as momentum_mod
         import scipy.signal
 
         p = grid.nodes
         phi = np.exp(-((p - 1.3) ** 2) / 2.0).astype(complex)
-        lags = grid.spacing * np.arange(-(grid.count - 1), grid.count)
-        kernel = np.empty(lags.shape, complex)
-        small = np.abs(lags) * model.well_width < 1e-12
-        kernel[~small] = (1.0 - np.exp(-1j * model.well_width * lags[~small])) / lags[~small]
-        kernel[small] = 1j * model.well_width
+        kernel = hard_wall_kernel(model, grid)
         conv = scipy.signal.fftconvolve(kernel, phi, mode="valid")
         res = phi - grid.spacing / (2j * math.pi) * conv
         rel = math.sqrt(float(np.sum(np.abs(res) ** 2) / np.sum(np.abs(phi) ** 2)))
         assert rel > 0.1
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_convolution_matches_fftconvolve(self, n):
+        import scipy.signal
+
+        model = WellModel(well_width=math.pi)
+        grid = MomentumGrid(100.0, 4096)
+        phi = eigenfunction_momentum(model, n, grid.nodes)
+        kernel = hard_wall_kernel(model, grid)
+        want = scipy.signal.fftconvolve(kernel, phi, mode="valid")
+        got = _convolve_valid(kernel, phi)
+        assert got.shape == want.shape == (grid.count,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_residual_decreases_with_resolution(self):
         model = WellModel(well_width=math.pi)
