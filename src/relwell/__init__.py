@@ -11,6 +11,7 @@ from .errors import (
     EigensolverError,
     EmptyStateError,
     HermiticityError,
+    NonFiniteOutputError,
     NumericalBlowupError,
     ResolutionError,
     SimulationError,

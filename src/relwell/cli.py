@@ -23,7 +23,7 @@ from .errors import (
     ResolutionError,
     SimulationError,
 )
-from .grids import SpatialGrid
+from .grids import SpatialGrid, write_table
 from .model import WellModel, energy, revival_times
 from .momentum import (
     DEFAULT_GRID_SIZE,
@@ -71,6 +71,9 @@ _ENGINE_KEYS = {
 }
 _ENGINE_INTEGERS = {"grid_intervals", "n_max", "grid_size", "momentum_points"}
 _BLOCK_KEYS = {"model", "packet", "engine", "times", "levels", "output"}
+# Strang steps x grid points above which a split carpet is refused before it
+# starts: one to three hours at 0.03-0.1 us per point and step (N = 2048 to 256)
+SPLIT_WORK_LIMIT = 1e11
 
 DEFAULT_CONFIG = {
     "model": {"mass": 1.0, "light_speed": 1.0, "hbar": 1.0, "well_width_in_compton": 10.0},
@@ -192,15 +195,11 @@ class ResolvedConfig:
             value = model_block.get(key)
             if not _is_real(value) or value <= 0:
                 raise ConfigError(f"model.{key} must be a positive finite number")
-        scale = (
-            2.0
-            * math.pi
-            * model_block["hbar"]
-            / (model_block["mass"] * model_block["light_speed"])
-        )
+        mass, light_speed = model_block["mass"], model_block["light_speed"]
+        scale = 2.0 * math.pi * model_block["hbar"] / (mass * light_speed)
         self.model = WellModel(
-            mass=model_block["mass"],
-            light_speed=model_block["light_speed"],
+            mass=mass,
+            light_speed=light_speed,
             hbar=model_block["hbar"],
             well_width=model_block["well_width_in_compton"] * scale,
         )
@@ -337,10 +336,7 @@ def cmd_spectrum(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     levels = np.arange(n_min, n_max + 1)
     energies = energy(resolved.model, levels)
     path = outdir / f"{resolved.basename}_spectrum.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write("n,energy\n")
-        for n, e in zip(levels, energies):
-            fh.write(f"{n},{e:.17g}\n")
+    write_table(path, ("n", "energy"), (levels, energies))
     extra: dict = {"files": [path.name]}
 
     if resolved.engine["kind"] == "diag":
@@ -376,24 +372,24 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
             coeffs, grid, times, engine="exact-spectral", packet=resolved.packet, workers=threads
         )
     else:
+        engine, model = resolved.engine, resolved.model
+        wall, margin = engine.get("wall_height_in_mc2"), engine.get("wall_margin_over_L")
         config = default_config(
-            resolved.model,
+            model,
             n0=summary["n0"],
             p0=resolved.packet.p0,
             sigma=resolved.packet.sigma,
-            dt=resolved.engine.get("dt"),
-            grid_size=resolved.engine.get("grid_size"),
-            wall_height=(
-                None
-                if resolved.engine.get("wall_height_in_mc2") is None
-                else resolved.engine["wall_height_in_mc2"] * resolved.model.energy_scale
-            ),
-            wall_margin=(
-                None
-                if resolved.engine.get("wall_margin_over_L") is None
-                else resolved.engine["wall_margin_over_L"] * resolved.model.well_width
-            ),
+            dt=engine.get("dt"),
+            grid_size=engine.get("grid_size"),
+            wall_height=None if wall is None else wall * model.energy_scale,
+            wall_margin=None if margin is None else margin * model.well_width,
         )
+        steps = round(float(times.max()) / config.dt)
+        if steps * config.grid_size > SPLIT_WORK_LIMIT:
+            raise ConfigError(
+                f"the split engine would take {steps:.3g} steps on {config.grid_size} points; "
+                "lower times.t_max or use the exact engine"
+            )
         result = carpet(
             coeffs, grid, times, engine="split-operator", config=config, packet=resolved.packet
         )
@@ -402,18 +398,12 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
         summary["wall_height"] = config.wall_height
 
     files = []
-    if "csv" in resolved.formats:
-        path = outdir / f"{resolved.basename}_carpet.csv"
-        write_carpet_csv(result, path)
-        files.append(path.name)
-    if "bin" in resolved.formats:
-        path = outdir / f"{resolved.basename}_carpet.bin"
-        write_carpet_binary(result, path)
-        files.append(path.name)
-    if "pgm" in resolved.formats:
-        path = outdir / f"{resolved.basename}_carpet.pgm"
-        write_carpet_pgm(result, path)
-        files.append(path.name)
+    writers = {"csv": write_carpet_csv, "bin": write_carpet_binary, "pgm": write_carpet_pgm}
+    for suffix, write in writers.items():
+        if suffix in resolved.formats:
+            path = outdir / f"{resolved.basename}_carpet.{suffix}"
+            write(result, path)
+            files.append(path.name)
 
     summary["engine"] = kind
     summary["files"] = files
@@ -425,13 +415,10 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
 def cmd_revivals(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     n_min, n_max = resolved.levels
     path = outdir / f"{resolved.basename}_revivals.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write("n,t_classical,t_revival,t_super\n")
-        for n in range(n_min, n_max + 1):
-            rt = revival_times(resolved.model, n)
-            fh.write(
-                f"{n},{rt.t_classical:.17g},{rt.t_revival:.17g},{rt.t_super:.17g}\n"
-            )
+    levels = np.arange(n_min, n_max + 1)
+    header = ("n", "t_classical", "t_revival", "t_super")
+    rts = [revival_times(resolved.model, n) for n in levels.tolist()]
+    write_table(path, header, (levels, *([getattr(rt, h) for rt in rts] for h in header[1:])))
     coeffs, _ = resolved.coefficients()
     summary = _revival_summary(resolved, coeffs)
     summary["files"] = [path.name]
@@ -465,17 +452,9 @@ def cmd_spacing(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     stats = level_spacing(resolved.model, n_max)
     path = outdir / f"{resolved.basename}_spacing.csv"
     write_spacing_csv(stats, path)
-    _write_sidecar(
-        outdir / f"{resolved.basename}_spacing.meta.json",
-        resolved,
-        "spacing",
-        {
-            "files": [path.name],
-            "mean": stats.mean,
-            "variance": stats.variance,
-            "asymptote_gap": stats.asymptote_gap,
-        },
-    )
+    summary = {key: getattr(stats, key) for key in ("mean", "variance", "asymptote_gap")}
+    summary["files"] = [path.name]
+    _write_sidecar(outdir / f"{resolved.basename}_spacing.meta.json", resolved, "spacing", summary)
 
 
 def cmd_coeffs(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:

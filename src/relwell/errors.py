@@ -39,3 +39,7 @@ class HermiticityError(SimulationError):
 
 class EigensolverError(SimulationError):
     """The dense eigensolver did not converge."""
+
+
+class NonFiniteOutputError(SimulationError):
+    """An output file would have held NaN or infinite values."""

@@ -1,10 +1,14 @@
-"""Spatial grids and the sampled wavefunction container."""
+"""Spatial grids, the sampled wavefunction container and the CSV table writer."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import NonFiniteOutputError
+
+_BLOCK_LINES = 2048  # lines formatted per write: bounds the text held at once
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,30 @@ class GridState:
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
 
-    def normalized(self) -> "GridState":
-        norm = np.sqrt(self.norm_squared())
-        if norm == 0.0:
-            raise ValueError("cannot normalize a zero state")
-        return GridState(self.values / norm, self.grid, self.time_tag, dict(self.metadata))
+
+def require_finite(path, name: str, values) -> None:
+    """Refuse, before anything is written, to put non-finite ``values`` in ``path``."""
+    if not np.isfinite(values).all():
+        raise NonFiniteOutputError(f"refusing to write non-finite {name} to {path}")
+
+
+def write_table(path, header, columns) -> None:
+    """CSV: a header line, then line k holds element k (C order) of each
+    equal-shaped column: floats as ``.17g``, integers in decimal, text as is.
+    Float columns must be finite, which is checked before the file is opened."""
+    columns = [np.asarray(column) for column in columns]
+    kinds = [column.dtype.kind for column in columns]
+    for name, column, kind in zip(header, columns, kinds):
+        if kind == "f":
+            require_finite(path, name, column)
+    line = ",".join({"f": "%.17g", "i": "%d", "u": "%d"}.get(k, "%s") for k in kinds) + "\n"
+    size = columns[0].size
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, size, _BLOCK_LINES):
+            stop = min(start + _BLOCK_LINES, size)
+            cells = np.empty((stop - start, len(columns)), dtype=object)
+            for j, column in enumerate(columns):
+                cells[:, j] = column.flat[start:stop]
+            # one % call fills the repeated line template from the row-major cells
+            fh.write((line * len(cells)) % tuple(cells.ravel().tolist()))

@@ -64,10 +64,6 @@ class WellModel:
         return self.mass * self.light_speed
 
     @property
-    def time_scale(self) -> float:
-        return self.hbar / self.energy_scale
-
-    @property
     def width_natural(self) -> float:
         """Box width in reduced Compton wavelengths."""
         return self.well_width / self.length_scale

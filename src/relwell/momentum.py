@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EigensolverError, HermiticityError
+from .grids import write_table
 from .model import WellModel, energy
 
 HERMITICITY_TOL = 1e-13  # relative to the largest matrix entry
@@ -94,13 +95,6 @@ def potential_fourier(q, wall_height: float, well_width: float, hbar: float = 1.
     return PotentialTransform(diagonal_shift=wall_height, window=window)
 
 
-def _well_window_integral(q, well_width: float, hbar: float) -> np.ndarray:
-    """integral_0^L exp(-i q x / hbar) dx with the exact q -> 0 limit."""
-    return math.sqrt(2.0 * math.pi * hbar) * np.asarray(
-        well_window_transform(q, well_width, hbar)
-    )
-
-
 def build_hamiltonian(
     grid: MomentumGrid,
     model: WellModel,
@@ -121,7 +115,9 @@ def build_hamiltonian(
         raise ValueError(f"unknown kinetic form {kinetic!r}")
 
     q = p[:, None] - p[None, :]
-    window = _well_window_integral(q, model.well_width, model.hbar)
+    window = math.sqrt(2.0 * math.pi * model.hbar) * well_window_transform(
+        q, model.well_width, model.hbar
+    )
     h = -wall_height * grid.spacing / (2.0 * math.pi * model.hbar) * window
     idx = np.arange(grid.count)
     h[idx, idx] += diag_kinetic + wall_height
@@ -236,18 +232,13 @@ def residual_integral_equation(model: WellModel, n: int, grid: MomentumGrid) -> 
     conv = _convolve_valid(kernel, phi)  # length count
     integral = dp / (2.0j * math.pi) * conv
     residual = phi - integral
-    return float(
-        math.sqrt(np.sum(np.abs(residual) ** 2) / np.sum(np.abs(phi) ** 2))
-    )
+    return math.sqrt(np.sum(np.abs(residual) ** 2) / np.sum(np.abs(phi) ** 2))
 
 
 def write_spectrum_csv(spectrum: EigenSpectrum, model: WellModel, path) -> None:
     """CSV comparing numeric levels with the closed-form spectrum."""
-    analytic = energy(model, np.arange(1, spectrum.levels.size + 1))
-    with open(path, "w", newline="") as fh:
-        fh.write("n,e_numeric,e_analytic,abs_error,rel_error\n")
-        for i, (num, ana) in enumerate(zip(spectrum.levels, analytic), start=1):
-            abs_err = abs(num - ana)
-            fh.write(
-                f"{i},{num:.17g},{ana:.17g},{abs_err:.17g},{abs_err / ana:.17g}\n"
-            )
+    n = np.arange(1, spectrum.levels.size + 1)
+    analytic = energy(model, n)
+    abs_err = np.abs(spectrum.levels - analytic)
+    header = ("n", "e_numeric", "e_analytic", "abs_error", "rel_error")
+    write_table(path, header, (n, spectrum.levels, analytic, abs_err, abs_err / analytic))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .grids import GridState, SpatialGrid
+from .grids import GridState, SpatialGrid, require_finite, write_table
 from .model import WellModel, energy, level_velocity
 from .packets import CoefficientVector, WavepacketSpec
 from .spectral import _TWO_PI, density_rows, reconstruct_at
@@ -259,17 +259,23 @@ def level_spacing(model: WellModel, n_max: int) -> SpacingStatistics:
 
 
 def write_carpet_csv(carpet_grid: CarpetGrid, path) -> None:
-    """Long-format CSV with columns t, x, density."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,x,density\n")
-        for t, row in zip(carpet_grid.times, carpet_grid.density):
-            for x, d in zip(carpet_grid.positions, row):
-                fh.write(f"{t:.17g},{x:.17g},{d:.17g}\n")
+    """Long-format CSV with columns t, x, density.  Each time and each position
+    is formatted once and repeated; only the densities are formatted per line."""
+    require_finite(path, "t", carpet_grid.times)
+    require_finite(path, "x", carpet_grid.positions)
+    t, x = (
+        np.array(["%.17g" % v for v in axis.tolist()], dtype=object)
+        for axis in (carpet_grid.times, carpet_grid.positions)
+    )
+    shape = carpet_grid.density.shape
+    columns = (np.broadcast_to(t[:, None], shape), np.broadcast_to(x, shape), carpet_grid.density)
+    write_table(path, ("t", "x", "density"), columns)
 
 
 def write_carpet_binary(carpet_grid: CarpetGrid, path) -> None:
     """Little-endian binary: magic 'CRPT', u32 version, u64 rows, u64 cols,
     f64 t0, f64 t1, f64 x0, f64 x1, then row-major f64 densities."""
+    require_finite(path, "density", carpet_grid.density)
     rows, cols = carpet_grid.density.shape
     with open(path, "wb") as fh:
         fh.write(
@@ -313,6 +319,7 @@ def write_carpet_pgm(carpet_grid: CarpetGrid, path) -> None:
     the format requires.
     """
     density = carpet_grid.density
+    require_finite(path, "density", density)
     peak = density.max()
     scaled = np.zeros_like(density) if peak <= 0 else density / peak
     pixels = np.round(scaled * 65535.0).astype(">u2")
@@ -323,21 +330,16 @@ def write_carpet_pgm(carpet_grid: CarpetGrid, path) -> None:
 
 
 def write_autocorrelation_csv(series: AutocorrelationSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,re_a,im_a,abs_a\n")
-        for t, a in zip(series.times, series.values):
-            fh.write(f"{t:.17g},{a.real:.17g},{a.imag:.17g},{abs(a):.17g}\n")
+    a = series.values
+    # hypot rounds |a| exactly as the scalar abs(a) does; np.abs does not
+    modulus = np.hypot(a.real, a.imag)
+    write_table(path, ("t", "re_a", "im_a", "abs_a"), (series.times, a.real, a.imag, modulus))
 
 
 def write_levels_csv(estimates: LevelEstimates, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("energy,weight\n")
-        for e, w in zip(estimates.energies, estimates.weights):
-            fh.write(f"{e:.17g},{w:.17g}\n")
+    write_table(path, ("energy", "weight"), (estimates.energies, estimates.weights))
 
 
 def write_spacing_csv(stats: SpacingStatistics, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("n,spacing,regime\n")
-        for i, (s, label) in enumerate(zip(stats.spacings, stats.labels), start=1):
-            fh.write(f"{i},{s:.17g},{label}\n")
+    n = np.arange(1, stats.spacings.size + 1)
+    write_table(path, ("n", "spacing", "regime"), (n, stats.spacings, stats.labels))

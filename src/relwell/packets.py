@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AliasingError, EmptyStateError, ResolutionError
-from .grids import GridState, SpatialGrid
+from .grids import GridState, SpatialGrid, write_table
 from .model import WellModel
 
 # auto-truncation: cut once |a_n|^2 stays below this for TAIL_RUN consecutive levels
@@ -224,9 +224,8 @@ def gaussian_overlap_coefficients(
 
 def write_coefficients_csv(coeffs: CoefficientVector, path) -> None:
     """CSV with columns n, Re(a_n), Im(a_n), |a_n|^2."""
-    with open(path, "w", newline="") as fh:
-        fh.write("n,re_a,im_a,weight\n")
-        for i, a in enumerate(coeffs.coefficients, start=1):
-            fh.write(
-                f"{i},{a.real:.17g},{a.imag:.17g},{abs(a) ** 2:.17g}\n"
-            )
+    a = coeffs.coefficients
+    # scalar |a| ** 2 (C pow), not array squaring, which rounds some weights differently
+    weight = [m**2 for m in np.hypot(a.real, a.imag).tolist()]
+    columns = (np.arange(1, a.size + 1), a.real, a.imag, np.asarray(weight, dtype=float))
+    write_table(path, ("n", "re_a", "im_a", "weight"), columns)

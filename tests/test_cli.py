@@ -171,6 +171,37 @@ class TestCarpet:
         assert meta["engine"] == "split"
         assert meta["split_grid_size"] == 256
 
+    def test_non_finite_carpet_exits_3_without_files(self, tmp_path, monkeypatch, capsys):
+        real_carpet = cli.carpet
+
+        def poisoned(*args, **kwargs):
+            result = real_carpet(*args, **kwargs)
+            result.density[-1, 1] = np.nan
+            return result
+
+        monkeypatch.setattr(cli, "carpet", poisoned)
+        for formats in (["csv"], ["bin"], ["pgm"]):
+            config = small_config(output={"basename": "t", "formats": formats})
+            assert run(tmp_path, "carpet", config) == 3
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("numerical error:")
+            assert "density" in err[0]
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_over_budget_split_run_refused_before_stepping(self, tmp_path, monkeypatch, capsys):
+        import relwell.observables
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("propagate must not be called for an over-budget run")
+
+        monkeypatch.setattr(relwell.observables, "propagate", refuse)
+        code = main(["carpet", "--preset", "fig2c", "--engine", "split", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "steps on 256 points" in err[0] and "times.t_max" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRevivals:
     def test_identity_column_check(self, tmp_path):
