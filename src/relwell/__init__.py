@@ -1,8 +1,8 @@
 """Relativistic (Salpeter) particle in a box: spectra, revivals, carpets.
 
-Two independent numerical engines — exact evolution in the analytic
-eigenbasis and a split-operator grid propagator — cross-validate each other
-and the closed-form results.
+Three independent numerical routes — exact evolution in the analytic
+eigenbasis, a split-operator grid propagator and momentum-space
+diagonalization — cross-validate each other and the closed-form results.
 """
 
 from .errors import (
@@ -35,7 +35,6 @@ from .momentum import (
     MomentumGrid,
     build_hamiltonian,
     default_grid,
-    potential_fourier,
     residual_integral_equation,
     solve,
     well_window_transform,
@@ -60,14 +59,13 @@ from .packets import (
     gaussian_overlap_coefficients,
     gaussian_state,
 )
-from .spectral import density_at, density_rows, evolve, reconstruct, reconstruct_at
+from .spectral import density_rows, evolve, reconstruct, reconstruct_at
 from .splitop import (
     PropagationConfig,
     default_config,
     kinetic_phase,
     propagate,
     read_checkpoint,
-    step,
     write_checkpoint,
 )
 

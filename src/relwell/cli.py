@@ -46,6 +46,7 @@ from .observables import (
     write_spacing_csv,
 )
 from .packets import (
+    MIN_POINTS_PER_SIGMA,
     WavepacketSpec,
     decompose,
     dominant_level,
@@ -146,7 +147,9 @@ def _reject_unknown(block: dict, allowed: set, where: str) -> None:
 
 
 def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An int below 2^62 in magnitude, so that it and its successor can size
+    or index a numpy array; bools are not."""
+    return isinstance(value, int) and not isinstance(value, bool) and abs(value) < 2**62
 
 
 def _is_real(value) -> bool:
@@ -226,7 +229,7 @@ class ResolvedConfig:
         _reject_unknown(engine_block, _ENGINE_KEYS[kind], f"engine ({kind})")
         for key, value in engine_block.items():
             if key in _ENGINE_INTEGERS and not _is_integer(value):
-                raise ConfigError(f"engine.{key} must be an integer")
+                raise ConfigError(f"engine.{key} must be an integer below 2^62")
             if key != "kind" and not _is_real(value):
                 raise ConfigError(f"engine.{key} must be a finite number")
         self.engine = dict(engine_block)
@@ -238,7 +241,7 @@ class ResolvedConfig:
             raise ConfigError("times.t_max must be a finite nonnegative number")
         samples = times_block.get("samples")
         if not _is_integer(samples) or samples < 1:
-            raise ConfigError("times.samples must be a positive integer")
+            raise ConfigError("times.samples must be a positive integer below 2^62")
         unit = times_block.get("unit", "classical")
         if unit not in ("natural", "classical", "revival"):
             raise ConfigError("times.unit must be natural, classical or revival")
@@ -248,7 +251,7 @@ class ResolvedConfig:
         _reject_unknown(levels_block, _LEVELS_KEYS, "levels")
         n_min, n_max = levels_block.get("n_min", 1), levels_block.get("n_max", 100)
         if not (_is_integer(n_min) and _is_integer(n_max) and 1 <= n_min <= n_max):
-            raise ConfigError("levels.n_min/n_max must be integers with 1 <= n_min <= n_max")
+            raise ConfigError("levels.n_min/n_max must be integers with 1 <= n_min <= n_max < 2^62")
         self.levels = (n_min, n_max)
 
         output_block = document["output"]
@@ -271,9 +274,11 @@ class ResolvedConfig:
         if intervals is None:
             k_top = abs(self.packet.p0) / self.model.hbar + 4.0 / sigma
             needed = max(1024.0, 16.0 * L / sigma, 4.0 * k_top * L / math.pi)
+            if not needed <= 2**61:
+                raise ConfigError(f"the packet needs {needed:.3g} grid intervals, beyond any array")
             intervals = 1 << max(10, math.ceil(math.log2(needed)))
         else:
-            minimum = math.ceil(8.0 * L / sigma)
+            minimum = math.ceil(MIN_POINTS_PER_SIGMA * L / sigma)
             if intervals < minimum:
                 raise ResolutionError(
                     f"engine.grid_intervals={intervals} under-resolves the packet; "
@@ -317,9 +322,11 @@ def _write_sidecar(path: Path, resolved: ResolvedConfig, command: str, extra: di
 def _revival_summary(resolved: ResolvedConfig, coeffs) -> dict:
     n0 = dominant_level(coeffs)
     rt = revival_times(resolved.model, n0)
+    weights = coeffs.weights()
+    expectation = float(np.dot(coeffs.levels, weights) / float(weights.sum()))
     return {
         "n0": n0,
-        "expectation_level": coeffs.metadata.get("expectation_level"),
+        "expectation_level": int(round(expectation)),
         "t_classical": rt.t_classical,
         "t_revival": rt.t_revival,
         "t_super": rt.t_super,
@@ -514,7 +521,7 @@ def main(argv=None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](resolved, outdir, args.threads)
-    except (ConfigError, ResolutionError, AliasingError, ValueError) as exc:
+    except (ConfigError, ResolutionError, AliasingError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimulationError as exc:

@@ -1,4 +1,5 @@
-"""Spatial grids, the sampled wavefunction container and the CSV table writer."""
+"""Spatial grids, the sampled wavefunction container, the sine transform and
+the CSV table writer."""
 
 from __future__ import annotations
 
@@ -100,6 +101,19 @@ class GridState:
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
+
+
+def sine_transform(values: np.ndarray, workers: int = 1) -> np.ndarray:
+    """Unnormalized DST-I of complex ``values`` along the last axis.
+
+    The real and imaginary parts go through separate real transforms: scipy's
+    complex DST rounds differently and can turn zero parts into -0.
+    """
+    from scipy.fft import dst
+
+    return dst(values.real, type=1, workers=workers) + 1j * dst(
+        values.imag, type=1, workers=workers
+    )
 
 
 def require_finite(path, name: str, values) -> None:

@@ -76,25 +76,6 @@ def well_window_transform(q, well_width: float, hbar: float = 1.0) -> complex | 
     return complex(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class PotentialTransform:
-    """Fourier transform of V0*[theta(-x) + theta(x-L)] split into a singular
-    and a sampled part.
-
-    The delta(q) piece is never sampled; it acts as the uniform diagonal
-    shift ``diagonal_shift`` (= V0).  The full transform is
-    sqrt(2*pi*hbar)*V0*delta(q) minus ``window``.
-    """
-
-    diagonal_shift: float
-    window: np.ndarray
-
-
-def potential_fourier(q, wall_height: float, well_width: float, hbar: float = 1.0) -> PotentialTransform:
-    window = wall_height * np.atleast_1d(well_window_transform(q, well_width, hbar))
-    return PotentialTransform(diagonal_shift=wall_height, window=window)
-
-
 def build_hamiltonian(
     grid: MomentumGrid,
     model: WellModel,

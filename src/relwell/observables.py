@@ -13,7 +13,7 @@ from .errors import DomainError
 from .grids import GridState, SpatialGrid, require_finite, write_table
 from .model import WellModel, energy, level_velocity
 from .packets import CoefficientVector, WavepacketSpec
-from .spectral import _TWO_PI, density_rows, reconstruct_at
+from .spectral import density_rows, phases, reconstruct_at
 from .splitop import PropagationConfig, propagate
 
 PEAK_THRESHOLD = 1e-4  # local maxima below this fraction of the tallest peak are noise
@@ -41,18 +41,15 @@ class AutocorrelationSeries:
 def autocorrelation(coeffs: CoefficientVector, times) -> AutocorrelationSeries:
     """A(t) = sum_n |a_n|^2 exp(-i E_n t / hbar).
 
-    Phases are accumulated in extended precision so revivals survive at the
-    very large t where they happen.
+    Phases are reduced in extended precision so revivals survive at the very
+    large t where they happen.  Levels are added one at a time, in order,
+    which bounds the workspace to a few arrays of len(times).
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     model = coeffs.model
-    weights = coeffs.weights()
-    energies = energy(model, coeffs.levels).astype(np.longdouble) / np.longdouble(model.hbar)
     values = np.zeros(ts.shape, dtype=np.complex128)
-    ts_ld = ts.astype(np.longdouble)
-    for w, e in zip(weights, energies):
-        theta = np.mod(e * ts_ld, _TWO_PI).astype(np.float64)
-        values += w * np.exp(-1j * theta)
+    for w, e in zip(coeffs.weights(), energy(model, coeffs.levels)):
+        values += w * np.exp(-1j * phases(e, ts, model.hbar))
     uniform = ts.size < 3 or bool(
         np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9, atol=0.0)
     )

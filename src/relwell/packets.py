@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AliasingError, EmptyStateError, ResolutionError
-from .grids import GridState, SpatialGrid, write_table
+from .grids import GridState, SpatialGrid, sine_transform, write_table
 from .model import WellModel
 
 # auto-truncation: cut once |a_n|^2 stays below this for TAIL_RUN consecutive levels
@@ -122,12 +122,8 @@ def gaussian_state(spec: WavepacketSpec, grid: SpatialGrid, model: WellModel) ->
 
 def _sine_coefficients(values: np.ndarray, grid: SpatialGrid, n_levels: int) -> np.ndarray:
     """a_n = sum_i phi_n(x_i) psi(x_i) dx for n = 1..n_levels via a DST-I."""
-    from scipy.fft import dst
-
-    interior = values[1:-1]
     scale = math.sqrt(2.0 / grid.well_width) * grid.spacing * 0.5
-    transformed = scale * (dst(interior.real, type=1) + 1j * dst(interior.imag, type=1))
-    return transformed[:n_levels]
+    return (scale * sine_transform(values[1:-1]))[:n_levels]
 
 
 def decompose(state: GridState, model: WellModel, n_max: int | None = None) -> CoefficientVector:
@@ -181,21 +177,11 @@ def decompose(state: GridState, model: WellModel, n_max: int | None = None) -> C
 
 
 def dominant_level(coeffs: CoefficientVector) -> int:
-    """Level with the largest population |a_n|^2; ties break toward smaller n.
-
-    The rounded expectation value <n> is stored in
-    ``metadata['expectation_level']`` as the alternative selector, and the
-    choice made here under ``metadata['dominant_selector']``.
-    """
+    """Level with the largest population |a_n|^2; ties break toward smaller n."""
     weights = coeffs.weights()
-    total = float(weights.sum())
-    if total == 0.0:
+    if float(weights.sum()) == 0.0:
         raise EmptyStateError("all coefficients vanish")
-    n0 = int(np.argmax(weights)) + 1  # argmax returns the first (smallest) maximizer
-    expectation = float(np.dot(coeffs.levels, weights) / total)
-    coeffs.metadata["expectation_level"] = int(round(expectation))
-    coeffs.metadata["dominant_selector"] = "argmax"
-    return n0
+    return int(np.argmax(weights)) + 1  # argmax returns the first (smallest) maximizer
 
 
 def gaussian_overlap_coefficients(

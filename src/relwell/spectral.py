@@ -12,24 +12,25 @@ import math
 import numpy as np
 
 from .errors import AliasingError
-from .grids import GridState, SpatialGrid
-from .model import WellModel, energy
+from .grids import GridState, SpatialGrid, sine_transform
+from .model import energy
 from .packets import CoefficientVector
 
-# 2*pi at extended precision; the reduction below can wrap ~1e11 times, which
-# would amplify a float64-rounded period into ~1e-5 phase errors
-_TWO_PI = np.longdouble("6.28318530717958647692528676655900577")
 
+def phases(energies, times, hbar: float) -> np.ndarray:
+    """(E_n / hbar) * t reduced mod 2*pi in extended precision, as float64.
 
-def _phases(energies: np.ndarray, t: float, hbar: float) -> np.ndarray:
-    """E_n * t / hbar reduced mod 2*pi in extended precision.
-
-    Revival times grow like L^2 (and worse for super-revivals), so the raw
-    phase can reach 1e12..1e15 radians where float64 products lose the
-    fractional part that carries the physics.
+    ``energies`` and ``times`` broadcast against each other.  Revival times
+    grow like L^2 (and worse for super-revivals), so the raw phase can reach
+    1e12..1e15 radians where float64 products lose the fractional part that
+    carries the physics.
     """
-    theta = energies.astype(np.longdouble) * (np.longdouble(t) / np.longdouble(hbar))
-    return np.mod(theta, _TWO_PI).astype(np.float64)
+    # 2*pi at extended precision; the reduction can wrap ~1e11 times, which
+    # would amplify a float64-rounded period into ~1e-5 phase errors
+    two_pi = np.longdouble("6.28318530717958647692528676655900577")
+    omega = np.asarray(energies, dtype=np.longdouble) / np.longdouble(hbar)
+    theta = omega * np.asarray(times, dtype=np.longdouble)
+    return np.mod(theta, two_pi).astype(np.float64)
 
 
 def evolve(coeffs: CoefficientVector, t: float) -> CoefficientVector:
@@ -38,26 +39,34 @@ def evolve(coeffs: CoefficientVector, t: float) -> CoefficientVector:
         raise ValueError("time must be finite")
     model = coeffs.model
     energies = energy(model, coeffs.levels)
-    rotated = coeffs.coefficients * np.exp(-1j * _phases(energies, t, model.hbar))
+    rotated = coeffs.coefficients * np.exp(-1j * phases(energies, t, model.hbar))
     return CoefficientVector(rotated, model, coeffs.time_tag + t, dict(coeffs.metadata))
+
+
+def _synthesize(rows, count: int, n_max: int, grid: SpatialGrid, workers: int = 1) -> np.ndarray:
+    """psi(x_i) = sum_n a_n sqrt(2/L) sin(n pi x_i / L) at every grid point,
+    zero on the walls, for each of ``count`` coefficient rows a_1..a_n_max.
+
+    Mode n and grid point n share an index, so the output buffer holds the
+    zero-padded coefficients until one inverse DST-I overwrites its interior,
+    in place: a copy would cost one more pass over the largest array.
+    """
+    if n_max > grid.nyquist_level:
+        raise AliasingError(f"grid with {grid.intervals} intervals cannot represent level {n_max}")
+    values = np.zeros((count, grid.intervals + 1), dtype=np.complex128)
+    interior = values[:, 1:-1]
+    for r, row in enumerate(rows):
+        interior[r, :n_max] = row
+    scale = 0.5 * math.sqrt(2.0 / grid.well_width)
+    np.multiply(scale, sine_transform(interior, workers), out=interior)
+    return values
 
 
 def reconstruct(coeffs: CoefficientVector, grid: SpatialGrid) -> GridState:
     """psi(x_i) = sum_n a_n sqrt(2/L) sin(n pi x_i / L) via an inverse DST."""
-    from scipy.fft import dst
-
     if grid.well_width != coeffs.model.well_width:
         raise ValueError("grid and model disagree on the well width")
-    if coeffs.n_max > grid.nyquist_level:
-        raise AliasingError(
-            f"grid with {grid.intervals} intervals cannot represent level {coeffs.n_max}"
-        )
-    padded = np.zeros(grid.nyquist_level, dtype=np.complex128)
-    padded[: coeffs.n_max] = coeffs.coefficients
-    scale = 0.5 * math.sqrt(2.0 / grid.well_width)
-    interior = scale * (dst(padded.real, type=1) + 1j * dst(padded.imag, type=1))
-    values = np.zeros(grid.intervals + 1, dtype=np.complex128)
-    values[1:-1] = interior
+    values = _synthesize([coeffs.coefficients], 1, coeffs.n_max, grid)[0]
     return GridState(values, grid, coeffs.time_tag)
 
 
@@ -77,11 +86,6 @@ def reconstruct_at(coeffs: CoefficientVector, x) -> np.ndarray:
     return values
 
 
-def density_at(coeffs: CoefficientVector, grid: SpatialGrid, t: float) -> np.ndarray:
-    """|psi(x, t)|^2 on the grid; rows at different t are independent."""
-    return reconstruct(evolve(coeffs, t), grid).density()
-
-
 def density_rows(
     coeffs: CoefficientVector,
     grid: SpatialGrid,
@@ -90,35 +94,19 @@ def density_rows(
 ) -> np.ndarray:
     """Stack of |psi(x, t)|^2 rows, one per requested time.
 
-    Batches the per-row phase rotations and sine transforms; identical output
-    regardless of ``workers``.
+    Rows are phased one at a time and transformed in batches; identical
+    output regardless of ``workers``.
     """
-    from scipy.fft import dst
-
     times = np.asarray(times, dtype=float)
-    if coeffs.n_max > grid.nyquist_level:
-        raise AliasingError(
-            f"grid with {grid.intervals} intervals cannot represent level {coeffs.n_max}"
-        )
-    model = coeffs.model
-    energies = energy(model, coeffs.levels)
+    energies = energy(coeffs.model, coeffs.levels)
     rows = np.empty((times.size, grid.intervals + 1), dtype=float)
-    scale = 0.5 * math.sqrt(2.0 / grid.well_width)
-
     # chunk so the (rows x basis) workspace stays below ~64M complex entries
     chunk = max(1, (1 << 26) // max(grid.nyquist_level, 1))
     for start in range(0, times.size, chunk):
         ts = times[start : start + chunk]
-        block = np.zeros((ts.size, grid.nyquist_level), dtype=np.complex128)
-        for r, t in enumerate(ts):
-            block[r, : coeffs.n_max] = coeffs.coefficients * np.exp(
-                -1j * _phases(energies, t, model.hbar)
-            )
-        interior = scale * (
-            dst(block.real, type=1, axis=1, workers=workers)
-            + 1j * dst(block.imag, type=1, axis=1, workers=workers)
+        phased = (
+            coeffs.coefficients * np.exp(-1j * phases(energies, t, coeffs.model.hbar)) for t in ts
         )
-        rows[start : start + chunk, 0] = 0.0
-        rows[start : start + chunk, -1] = 0.0
-        rows[start : start + chunk, 1:-1] = np.abs(interior) ** 2
+        values = _synthesize(phased, ts.size, coeffs.n_max, grid, workers)
+        rows[start : start + chunk] = np.abs(values) ** 2
     return rows

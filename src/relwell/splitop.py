@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -125,43 +124,6 @@ def kinetic_phase(model: WellModel, p, dt: float) -> complex | np.ndarray:
     return complex(phase) if scalar else phase
 
 
-@lru_cache(maxsize=8)
-def _operators(config: PropagationConfig):
-    model = config.model
-    half_v = np.exp(-0.5j * config.potential() * config.dt / model.hbar)
-    kin = kinetic_phase(model, config.grid.momenta(model.hbar), config.dt)
-    half_v.setflags(write=False)
-    kin.setflags(write=False)
-    return half_v, kin
-
-
-def _strang(psi: np.ndarray, half_v: np.ndarray, kin: np.ndarray, fft, ifft) -> np.ndarray:
-    psi = half_v * psi
-    psi = ifft(kin * fft(psi))
-    psi *= half_v
-    return psi
-
-
-def step(state: GridState, config: PropagationConfig) -> GridState:
-    """One Strang step exp(-iV dt/2) F^-1 K F exp(-iV dt/2).
-
-    Norm-conserving to rounding; second-order accurate in dt for smooth
-    states.  Raises NumericalBlowupError if the result stops being finite.
-    """
-    from scipy.fft import fft, ifft
-
-    if state.values.shape != (config.grid_size,):
-        raise ValueError("state is not defined on the config grid")
-    half_v, kin = _operators(config)
-    out = _strang(state.values, half_v, kin, fft, ifft)
-    index = int(state.metadata.get("steps_taken", 0)) + 1
-    if not np.all(np.isfinite(out.view(float))):
-        raise NumericalBlowupError("non-finite amplitudes after split step", index)
-    meta = dict(state.metadata)
-    meta["steps_taken"] = index
-    return GridState(out, state.grid, state.time_tag + config.dt, meta)
-
-
 def propagate(
     state: GridState,
     config: PropagationConfig,
@@ -174,10 +136,17 @@ def propagate(
     t_final must be an integer number of steps; otherwise dt is adjusted to
     the nearest commensurate value and the adjustment reported in each
     sampled state's metadata.  Sample times outside [0, t_final] are
-    rejected.  Deterministic for a fixed config.
+    rejected.  Deterministic for a fixed config.  Raises
+    NumericalBlowupError, carrying the same step count as the metadata, if
+    a sampled state stops being finite.
     """
     from scipy.fft import fft, ifft
 
+    if state.values.shape != (config.grid_size,):
+        raise ValueError(
+            f"state has {state.values.size} samples, not the {config.grid_size} of the "
+            f"config grid on [{config.x_min:g}, {config.x_max:g})"
+        )
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
     if t_final == 0.0:
@@ -196,15 +165,20 @@ def propagate(
             raise ValueError("sample times must lie inside [0, t_final]")
         sample_steps = sorted(set(int(round(t / dt_used)) if dt_used > 0 else 0 for t in requested))
 
-    half_v, kin = _operators(run_config)
+    model = run_config.model
+    half_v = np.exp(-0.5j * run_config.potential() * run_config.dt / model.hbar)
+    kin = kinetic_phase(model, run_config.grid.momenta(model.hbar), run_config.dt)
     psi = state.values.copy()
     samples: list[GridState] = []
+    steps_before = int(state.metadata.get("steps_taken", 0))
 
     def emit(step_index: int):
         if not np.all(np.isfinite(psi.view(float))):
-            raise NumericalBlowupError("non-finite amplitudes during propagation", step_index)
+            raise NumericalBlowupError(
+                "non-finite amplitudes during propagation", steps_before + step_index
+            )
         meta = dict(state.metadata)
-        meta["steps_taken"] = int(state.metadata.get("steps_taken", 0)) + step_index
+        meta["steps_taken"] = steps_before + step_index
         if adjusted:
             meta["dt_adjusted"] = dt_used
         snap = GridState(psi.copy(), state.grid, state.time_tag + step_index * dt_used, meta)
@@ -215,7 +189,10 @@ def propagate(
     cursor = 0
     for target in sample_steps:
         for _ in range(target - cursor):
-            psi = _strang(psi, half_v, kin, fft, ifft)
+            # one Strang step exp(-iV dt/2) F^-1 K F exp(-iV dt/2)
+            psi = half_v * psi
+            psi = ifft(kin * fft(psi))
+            psi *= half_v
         cursor = target
         emit(cursor)
     return samples

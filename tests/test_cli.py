@@ -1,19 +1,23 @@
 """Command-line interface: validation, outputs, determinism, presets."""
 
+import copy
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relwell
 import relwell.cli as cli
 from relwell import WellModel, energy
-from relwell.cli import PRESETS, load_config, main
+from relwell.cli import DEFAULT_CONFIG, PRESETS, load_config, main
 
 
 def run(tmp_path, command, config=None, preset=None, extra=()):
@@ -26,6 +30,10 @@ def run(tmp_path, command, config=None, preset=None, extra=()):
         args += ["--preset", preset]
     args += list(extra)
     return main(args)
+
+
+# a sample count no host can allocate: numpy refuses it without touching memory
+TOO_LARGE = 10**13
 
 
 def small_config(**overrides):
@@ -89,6 +97,7 @@ class TestValidation:
             ("model", "mass", True),
             ("packet", "x0_over_L", "a"),
             ("output", "formats", "csv"),
+            ("times", "samples", TOO_LARGE),
         ],
     )
     def test_malformed_value_exits_2_without_files(self, tmp_path, capsys, block, key, value):
@@ -97,7 +106,9 @@ class TestValidation:
         assert run(tmp_path, "carpet", config) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and f"{block}.{key}" in err[0]
+        # a config too large to allocate is reported by numpy's message
+        reason = "Unable to allocate" if value == TOO_LARGE else f"{block}.{key}"
+        assert len(err) == 1 and err[0].startswith("error:") and reason in err[0]
 
 
 class TestSpectrum:
@@ -328,3 +339,83 @@ class TestColdStart:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+
+# Leaves of DEFAULT_CONFIG, any one or two of which the property test replaces.
+CONFIG_FIELDS = [(block, key) for block, fields in DEFAULT_CONFIG.items() for key in fields]
+
+# Arbitrary JSON, except that finite floats are a few harmless values and
+# integers are either small or far beyond any allocation: mid-size integers
+# and tiny packet widths would really allocate gigabytes.
+json_scalars = st.one_of(
+    st.text(st.characters(exclude_characters="/"), max_size=8),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0, 0.5]),
+    st.integers(min_value=-(2**10), max_value=2**10),
+    st.integers(min_value=2**62),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def assert_written_values_finite(path: Path) -> None:
+    """Every number in a CSV, and every value a sidecar computed (its echo of
+    the config aside), is finite."""
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text())
+        del payload["config"]
+        json.dumps(payload, allow_nan=False)  # raises ValueError on NaN or an infinity
+        return
+    for line in path.read_text().splitlines()[1:]:
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # a text cell
+            assert math.isfinite(value), f"{path.name}: {line}"
+
+
+class TestInputContract:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        fields=st.lists(st.sampled_from(CONFIG_FIELDS), min_size=1, max_size=2, unique=True),
+        data=st.data(),
+    )
+    def test_any_json_ends_in_a_documented_exit_code(self, fields, data):
+        config = copy.deepcopy(DEFAULT_CONFIG)
+        for block, key in fields:
+            config[block][key] = data.draw(json_values, label=f"{block}.{key}")
+        for command in ("spacing", "coeffs", "revivals"):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "config.json"
+                path.write_text(json.dumps(config))
+                out = Path(tmp) / "out"
+                code = main([command, "--config", str(path), "--out", str(out)])
+                assert code in (0, 2, 3, 4)
+                if code == 0:
+                    for written in out.iterdir():
+                        assert_written_values_finite(written)
+
+
+class TestTracedBenchmark:
+    def test_traced_job_wraps_every_name(self, tmp_path):
+        # bench/traced_job.py resolves each function it wraps before the job
+        # runs, so a renamed or deleted function fails here, not only in the bench
+        root = Path(__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        spans = tmp_path / "spans.json"
+        argv = ["spacing", "--preset", "default", "--out", str(tmp_path)]
+        job = subprocess.run(
+            [sys.executable, str(root / "bench" / "traced_job.py"), str(spans), "--", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert job.returncode == 0, job.stderr
+        names = {span["name"] for span in json.loads(spans.read_text())["spans"]}
+        assert "cli.command" in names

@@ -14,7 +14,6 @@ from relwell import (
     default_grid,
     eigenfunction_momentum,
     energy,
-    potential_fourier,
     residual_integral_equation,
     solve,
     well_window_transform,
@@ -44,12 +43,6 @@ class TestWellWindowTransform:
         minus = well_window_transform(-q, 2.0, 1.0)
         assert np.max(np.abs(minus - np.conj(plus))) < 1e-14
 
-    def test_zero_wall_height(self):
-        q = np.linspace(-5, 5, 11)
-        transform = potential_fourier(q, 0.0, 2.0, 1.0)
-        assert transform.diagonal_shift == 0.0
-        assert np.all(transform.window == 0.0)
-
 
 class TestBuildHamiltonian:
     def test_diagonal_entries(self):
@@ -64,6 +57,15 @@ class TestBuildHamiltonian:
             - v0 * grid.spacing * model.well_width / (2 * math.pi * model.hbar)
         )
         assert np.max(np.abs(np.diag(h) - expected)) < 1e-12
+
+    def test_zero_wall_height(self):
+        # no wall: no diagonal shift and no window coupling, only the dispersion
+        model = WellModel(well_width=2.0)
+        grid = MomentumGrid(5.0, 64)
+        h = build_hamiltonian(grid, model, 0.0)
+        assert np.all(h - np.diag(np.diag(h)) == 0.0)
+        dispersion = np.hypot(model.energy_scale, grid.nodes * model.light_speed)
+        assert np.array_equal(np.diag(h), dispersion)
 
     def test_hermitian(self):
         model = WellModel(well_width=5.0)

@@ -135,9 +135,10 @@ class TestCarpet:
         coeffs, grid, spec = fig2_coefficients(512)
         times = np.linspace(0.0, 100.0, 4)
         result = carpet(coeffs, grid, times, packet=spec)
-        from relwell import density_at
+        from relwell import evolve, reconstruct
 
-        assert np.max(np.abs(result.density[0] - density_at(coeffs, grid, 0.0))) < 1e-14
+        initial = reconstruct(evolve(coeffs, 0.0), grid).density()
+        assert np.max(np.abs(result.density[0] - initial)) < 1e-14
 
     def test_row_normalization(self):
         coeffs, grid, spec = fig2_coefficients(1024)

@@ -160,14 +160,17 @@ class TestDominantLevel:
         p0 = 120.0 * math.pi / lw
         spec = WavepacketSpec(x0=lw / 2, sigma=lw / 25, p0=p0)
         coeffs = decompose(gaussian_state(spec, SpatialGrid(lw, 2048), model), model)
+        before = dict(coeffs.metadata)
         n0 = dominant_level(coeffs)
+        assert coeffs.metadata == before  # a query, not a mutation
         expected = p0 * lw / (math.pi * model.hbar)
         assert abs(n0 - expected) <= 2
         # independent path: brute-force argmax of the closed-form overlaps
         closed = gaussian_overlap_coefficients(spec, model, coeffs.n_max)
         assert n0 == int(np.argmax(closed.weights())) + 1
-        assert coeffs.metadata["dominant_selector"] == "argmax"
-        assert abs(coeffs.metadata["expectation_level"] - expected) <= 2
+        # the expectation <n> the sidecars report sits at the same level
+        weights = coeffs.weights()
+        assert abs(round(np.dot(coeffs.levels, weights) / weights.sum()) - expected) <= 2
 
     def test_empty_vector_rejected(self):
         with pytest.raises(EmptyStateError):

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from relwell import (
+    autocorrelation,
     AliasingError,
     CoefficientVector,
     SpatialGrid,
     WavepacketSpec,
     WellModel,
     decompose,
-    density_at,
     density_rows,
     dominant_level,
     energy,
@@ -22,6 +22,7 @@ from relwell import (
     reconstruct_at,
     revival_times,
 )
+from relwell.spectral import phases
 
 MODEL = WellModel(well_width=125.0 * 2.0 * math.pi)
 L = MODEL.well_width
@@ -81,6 +82,46 @@ class TestEvolve:
         assert abs(rotated - expected) < 1e-6
 
 
+class TestPhaseKernel:
+    """The one phase kernel against 40-digit reduction, through each caller."""
+
+    MODEL = WellModel(well_width=math.pi)
+
+    def rotation(self, n, t):
+        """exp(-i E_n t / hbar) from a 40-digit reduction of the phase."""
+        import mpmath as mp
+
+        mp.mp.dps = 40
+        theta = mp.mpf(energy(self.MODEL, n)) * t % (2 * mp.pi)
+        return complex(mp.cos(-theta), mp.sin(-theta))
+
+    @pytest.mark.parametrize("t", [1e3, 1e6, 1e9, 1e12])
+    def test_phases(self, t):
+        theta = phases(energy(self.MODEL, np.array([1])), t, self.MODEL.hbar)[0]
+        assert abs(np.exp(-1j * theta) - self.rotation(1, t)) < 1e-6
+
+    @pytest.mark.parametrize("t", [1e3, 1e6, 1e9, 1e12])
+    def test_autocorrelation(self, t):
+        coeffs = CoefficientVector(np.array([1.0 + 0.0j]), self.MODEL)
+        value = autocorrelation(coeffs, [t]).values[0]
+        assert abs(value - self.rotation(1, t)) < 1e-6
+
+    @pytest.mark.parametrize("t", [1e3, 1e6, 1e9, 1e12])
+    def test_density_rows(self, t):
+        # a single mode's density carries no phase, so the row holds two modes
+        # and its shape follows their relative phase
+        grid = SpatialGrid(self.MODEL.well_width, 64)
+        raw = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+        row = density_rows(CoefficientVector(raw, self.MODEL), grid, [t])[0]
+        x = grid.points
+        L = grid.well_width
+        psi = sum(
+            a * self.rotation(n, t) * math.sqrt(2.0 / L) * np.sin(n * np.pi * x / L)
+            for n, a in zip((1, 2), raw)
+        )
+        assert np.max(np.abs(row - np.abs(psi) ** 2)) < 1e-6
+
+
 class TestReconstruct:
     def test_single_mode(self):
         grid = SpatialGrid(L, 256)
@@ -120,7 +161,7 @@ class TestReconstruct:
 class TestDensity:
     def test_initial_row(self):
         coeffs, grid = fig2_coefficients(512)
-        row = density_at(coeffs, grid, 0.0)
+        row = density_rows(coeffs, grid, [0.0])[0]
         # exact identity against the truncated state the engine evolves
         truncated = reconstruct(coeffs, grid)
         assert np.max(np.abs(row - truncated.density())) < 1e-14
@@ -134,16 +175,15 @@ class TestDensity:
         raw = np.zeros(4, dtype=complex)
         raw[3] = 1.0
         coeffs = CoefficientVector(raw, MODEL)
-        base = density_at(coeffs, grid, 0.0)
-        for t in (10.0, 1e5):
-            assert np.max(np.abs(density_at(coeffs, grid, t) - base)) < 1e-12
+        base, *later = density_rows(coeffs, grid, [0.0, 10.0, 1e5])
+        for row in later:
+            assert np.max(np.abs(row - base)) < 1e-12
 
     def test_full_revival_row(self):
         # after one revival time the density returns to the initial profile
         coeffs, grid = fig2_coefficients(2048)
         t_rev = revival_times(MODEL, dominant_level(coeffs)).t_revival
-        row0 = density_at(coeffs, grid, 0.0)
-        row1 = density_at(coeffs, grid, t_rev)
+        row0, row1 = density_rows(coeffs, grid, [0.0, t_rev])
         l1 = np.sum(np.abs(row1 - row0)) * grid.spacing
         assert l1 < 0.05
 
@@ -152,7 +192,8 @@ class TestDensity:
         times = np.array([0.0, 17.3, 9910.0])
         rows = density_rows(coeffs, grid, times)
         for i, t in enumerate(times):
-            assert np.max(np.abs(rows[i] - density_at(coeffs, grid, t))) < 1e-14
+            single = reconstruct(evolve(coeffs, t), grid).density()
+            assert np.max(np.abs(rows[i] - single)) < 1e-14
 
     def test_norm_conserved_under_evolution(self):
         coeffs, grid = fig2_coefficients(512)
@@ -164,8 +205,6 @@ class TestDensity:
 
 class TestAutocorrelationPeaks:
     def test_revival_and_fractional_peaks(self):
-        from relwell import autocorrelation
-
         coeffs, _ = fig2_coefficients(2048)
         rt = revival_times(MODEL, dominant_level(coeffs))
         value = abs(autocorrelation(coeffs, [rt.t_revival]).values[0])

@@ -26,7 +26,6 @@ from relwell import (
     reconstruct_at,
     revival_times,
     solve,
-    step,
     write_checkpoint,
 )
 
@@ -112,7 +111,7 @@ class TestStep:
         grid = config.grid
         k = 2 * math.pi * 8 / grid.length
         psi = np.exp(1j * k * (grid.points - grid.x_min)) / math.sqrt(grid.length)
-        out = step(GridState(psi, grid), config)
+        out = propagate(GridState(psi, grid), config, config.dt)[0]
         p = MODEL.hbar * k
         omega = math.hypot(MODEL.energy_scale, p * MODEL.light_speed) / MODEL.hbar
         assert np.max(np.abs(out.values - psi * np.exp(-1j * omega * config.dt))) < 1e-14
@@ -125,18 +124,21 @@ class TestStep:
         assert abs(out.norm_squared() - 1.0) < 1e-9
 
     def test_blowup_detection_carries_step_index(self):
+        # the error counts steps as the snapshots' metadata does: from the
+        # input state's steps_taken, not from the start of this call
         config = default_config(MODEL, n0=1, sigma=L / 16)
         bad = np.full(config.grid_size, np.nan, dtype=complex)
         state = GridState(bad, config.grid, metadata={"steps_taken": 41})
         with pytest.raises(NumericalBlowupError) as err:
-            step(state, config)
+            propagate(state, config, config.dt)
         assert err.value.step_index == 42
 
     def test_wrong_grid_rejected(self):
         config = default_config(MODEL, n0=1, sigma=L / 16)
         state = GridState(np.zeros(16, complex), BoxGrid(-1.0, 1.0, 16))
-        with pytest.raises(ValueError):
-            step(state, config)
+        for t_final in (0.0, config.dt):
+            with pytest.raises(ValueError, match="config grid"):
+                propagate(state, config, t_final)
 
 
 class TestPropagate:
