@@ -21,10 +21,7 @@ from .grids import BoxGrid, GridState, SpatialGrid
 from .model import (
     RevivalTimes,
     WellModel,
-    eigenfunction_momentum,
-    eigenfunction_position,
     energy,
-    energy_above_rest,
     energy_derivative,
     level_velocity,
     lorentz_gamma,
@@ -35,7 +32,6 @@ from .momentum import (
     MomentumGrid,
     build_hamiltonian,
     default_grid,
-    residual_integral_equation,
     solve,
     well_window_transform,
 )
@@ -56,7 +52,6 @@ from .packets import (
     WavepacketSpec,
     decompose,
     dominant_level,
-    gaussian_overlap_coefficients,
     gaussian_state,
 )
 from .spectral import density_rows, evolve, reconstruct, reconstruct_at
@@ -65,8 +60,6 @@ from .splitop import (
     default_config,
     kinetic_phase,
     propagate,
-    read_checkpoint,
-    write_checkpoint,
 )
 
 __version__ = "0.1.0"

@@ -242,27 +242,33 @@ class ResolvedConfig:
         samples = times_block.get("samples")
         if not _is_integer(samples) or samples < 1:
             raise ConfigError("times.samples must be a positive integer below 2^62")
-        unit = times_block.get("unit", "classical")
-        if unit not in ("natural", "classical", "revival"):
+        if times_block["unit"] not in ("natural", "classical", "revival"):
             raise ConfigError("times.unit must be natural, classical or revival")
-        self.times_block = dict(times_block, unit=unit)
+        self.times_block = times_block
 
         levels_block = document["levels"]
         _reject_unknown(levels_block, _LEVELS_KEYS, "levels")
-        n_min, n_max = levels_block.get("n_min", 1), levels_block.get("n_max", 100)
+        n_min, n_max = levels_block["n_min"], levels_block["n_max"]
         if not (_is_integer(n_min) and _is_integer(n_max) and 1 <= n_min <= n_max):
             raise ConfigError("levels.n_min/n_max must be integers with 1 <= n_min <= n_max < 2^62")
         self.levels = (n_min, n_max)
 
         output_block = document["output"]
         _reject_unknown(output_block, _OUTPUT_KEYS, "output")
-        formats = output_block.get("formats", ["csv"])
+        formats = output_block["formats"]
         if not isinstance(formats, list) or not all(isinstance(f, str) for f in formats):
             raise ConfigError("output.formats must be a list of format names")
         bad = set(formats) - {"csv", "bin", "pgm"}
         if bad:
             raise ConfigError(f"unknown output formats: {sorted(bad)}")
-        self.basename = str(output_block.get("basename", "run"))
+        basename = output_block["basename"]
+        if (
+            not isinstance(basename, str)
+            or basename in ("", ".", "..")
+            or any(c in basename for c in "/\\\0")
+        ):
+            raise ConfigError("output.basename must be a non-empty file name without a path")
+        self.basename = basename
         self.formats = list(formats)
 
     # -- derived helpers ---------------------------------------------------
@@ -443,7 +449,7 @@ def cmd_autocorr(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     write_autocorrelation_csv(series, path)
     files = [path.name]
 
-    if times.size >= 8:
+    if times.size >= 8 and times[-1] > 0:
         estimates = extract_levels(series, hbar=resolved.model.hbar)
         levels_path = outdir / f"{resolved.basename}_levels.csv"
         write_levels_csv(estimates, levels_path)

@@ -17,13 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedOrderError
+from .errors import UnsupportedOrderError
 
 MAX_DERIVATIVE_ORDER = 6
-
-# relative half-width of the Taylor window around the removable poles of the
-# momentum-space eigenfunction, in units of hbar/L
-_POLE_WINDOW = 1e-6
 
 
 @dataclass(frozen=True)
@@ -68,14 +64,6 @@ class WellModel:
         """Box width in reduced Compton wavelengths."""
         return self.well_width / self.length_scale
 
-    def wavenumber(self, n) -> float | np.ndarray:
-        """k_n = n*pi/L."""
-        return np.pi * np.asarray(n, dtype=float) / self.well_width
-
-    def momentum(self, n) -> float | np.ndarray:
-        """p_n = hbar*k_n."""
-        return self.hbar * self.wavenumber(n)
-
 
 def _momentum_ratio(model: WellModel, n) -> np.ndarray:
     """p_n / (m c), the dimensionless knob that selects the regime."""
@@ -104,14 +92,6 @@ def energy(model: WellModel, n) -> float | np.ndarray:
     return _as_scalar(model.energy_scale * np.hypot(1.0, x), scalar)
 
 
-def energy_above_rest(model: WellModel, n) -> float | np.ndarray:
-    """E_n - m c^2 evaluated without cancellation, stable deep in the
-    non-relativistic regime where the difference is tiny."""
-    scalar = np.isscalar(n)
-    x = _momentum_ratio(model, _check_level(n))
-    return _as_scalar(model.energy_scale * x * x / (1.0 + np.hypot(1.0, x)), scalar)
-
-
 def lorentz_gamma(model: WellModel, n) -> float | np.ndarray:
     """gamma_n = E_n / m c^2."""
     scalar = np.isscalar(n)
@@ -124,66 +104,6 @@ def level_velocity(model: WellModel, n) -> float | np.ndarray:
     scalar = np.isscalar(n)
     x = _momentum_ratio(model, _check_level(n))
     return _as_scalar(model.light_speed * x / np.hypot(1.0, x), scalar)
-
-
-def eigenfunction_position(model: WellModel, n: int, x) -> float | np.ndarray:
-    """Real-space eigenfunction sqrt(2/L) * sin(n*pi*x/L) on [0, L].
-
-    Raises DomainError for coordinates outside the box; the state is
-    identically zero there and asking for it usually indicates a grid bug.
-    """
-    _check_level(n)
-    scalar = np.isscalar(x)
-    xs = np.asarray(x, dtype=float)
-    L = model.well_width
-    if np.any(xs < 0.0) or np.any(xs > L):
-        raise DomainError("position outside the box [0, L]")
-    amp = math.sqrt(2.0 / L) * np.sin(n * np.pi * xs / L)
-    return _as_scalar(amp, scalar)
-
-
-def eigenfunction_momentum(model: WellModel, n: int, p) -> complex | np.ndarray:
-    """Momentum-space eigenfunction, normalized as the unitary Fourier
-    transform of ``eigenfunction_position`` so that its |.|^2 integrates to 1.
-
-    The closed form is
-
-        phi_n(p) = sqrt(2/L) / sqrt(2*pi*hbar) * k_n
-                   * ((-1)^n * exp(-i p L / hbar) - 1) / ((p/hbar)^2 - k_n^2)
-
-    with removable singularities at p = +/- hbar*k_n; inside a small window
-    around the poles the numerator is replaced by its second-order Taylor
-    expansion to avoid catastrophic cancellation.
-    """
-    _check_level(n)
-    scalar = np.isscalar(p)
-    ps = np.atleast_1d(np.asarray(p, dtype=float))
-    L = model.well_width
-    hbar = model.hbar
-    k = n * np.pi / L
-    q = ps / hbar
-    sign = -1.0 if n % 2 else 1.0
-    prefac = math.sqrt(2.0 / L) / math.sqrt(2.0 * np.pi * hbar) * k
-
-    out = np.empty(ps.shape, dtype=np.complex128)
-    window = _POLE_WINDOW / L
-    near_pos = np.abs(q - k) < window
-    near_neg = np.abs(q + k) < window
-    regular = ~(near_pos | near_neg)
-
-    qr = q[regular]
-    out[regular] = (sign * np.exp(-1j * L * qr) - 1.0) / (qr * qr - k * k)
-
-    # Taylor-expanded numerator about each pole; exact denominator factor kept.
-    # About q = +k:  N(q) ~ -iL u - L^2 u^2 / 2,  u = q - k
-    u = q[near_pos] - k
-    out[near_pos] = (-1j * L - 0.5 * L * L * u) / (u + 2.0 * k)
-    # About q = -k:  same expansion with u = q + k
-    u = q[near_neg] + k
-    out[near_neg] = (-1j * L - 0.5 * L * L * u) / (u - 2.0 * k)
-
-    out *= prefac
-    return complex(out[0]) if scalar else out
 
 
 @lru_cache(maxsize=None)

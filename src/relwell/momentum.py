@@ -126,10 +126,6 @@ class EigenSpectrum:
     grid: MomentumGrid
     metadata: dict = field(default_factory=dict)
 
-    def eigenfunction(self, n: int) -> np.ndarray:
-        """Discretized phi_n(p) for 1-based level n."""
-        return self.vectors[:, n - 1]
-
 
 def solve(
     grid: MomentumGrid,
@@ -150,7 +146,7 @@ def solve(
     h = build_hamiltonian(grid, model, wall_height, kinetic)
     try:
         vals, vecs = scipy.linalg.eigh(h, subset_by_index=(0, k_levels - 1))
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except scipy.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
 
     # dp-weighted normalization and the positive-real phase gauge
@@ -172,48 +168,6 @@ def solve(
             "kinetic": kinetic,
         },
     )
-
-
-def _convolve_valid(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
-    """Entries of the linear convolution kernel * signal that see all of
-    ``signal`` (len(kernel) - len(signal) + 1 of them), by zero-padded FFTs."""
-    from scipy.fft import fft, ifft, next_fast_len
-
-    size = next_fast_len(kernel.size + signal.size - 1)
-    full = ifft(fft(kernel, size) * fft(signal, size))
-    return full[signal.size - 1 : kernel.size]
-
-
-def residual_integral_equation(model: WellModel, n: int, grid: MomentumGrid) -> float:
-    """Relative L2 residual of the hard-wall momentum integral equation
-    phi(p) = (1/2 pi i) * integral dp' (1 - exp(-i L (p-p')/hbar))/(p-p') phi(p')
-    for the analytic eigenfunction of level n.
-
-    The coincidence limit of the kernel bracket is i L / hbar.  The quadrature
-    uses uniform weights; the grid must resolve the kernel oscillation of
-    period 2*pi*hbar/L.
-    """
-    from .model import eigenfunction_momentum
-
-    p = grid.nodes
-    dp = grid.spacing
-    L = model.well_width
-    hbar = model.hbar
-
-    phi = eigenfunction_momentum(model, n, p)
-
-    # kernel over all lags of the uniform grid; Toeplitz-apply via FFT convolution
-    lags = dp * np.arange(-(grid.count - 1), grid.count)
-    kernel = np.empty(lags.shape, dtype=np.complex128)
-    small = np.abs(lags) * L < 1e-12 * hbar
-    reg = ~small
-    kernel[reg] = (1.0 - np.exp(-1j * L * lags[reg] / hbar)) / lags[reg]
-    kernel[small] = 1j * L / hbar
-
-    conv = _convolve_valid(kernel, phi)  # length count
-    integral = dp / (2.0j * math.pi) * conv
-    residual = phi - integral
-    return math.sqrt(np.sum(np.abs(residual) ** 2) / np.sum(np.abs(phi) ** 2))
 
 
 def write_spectrum_csv(spectrum: EigenSpectrum, model: WellModel, path) -> None:

@@ -130,9 +130,6 @@ class CarpetGrid:
     def spacing(self) -> float:
         return float(self.positions[1] - self.positions[0])
 
-    def row_norms(self) -> np.ndarray:
-        return self.density.sum(axis=1) * self.spacing
-
 
 def carpet(
     coeffs: CoefficientVector,
@@ -288,25 +285,6 @@ def write_carpet_binary(carpet_grid: CarpetGrid, path) -> None:
             )
         )
         fh.write(np.ascontiguousarray(carpet_grid.density, dtype="<f8").tobytes())
-
-
-def read_carpet_binary(path) -> CarpetGrid:
-    with open(path, "rb") as fh:
-        magic, version, rows, cols, t0, t1, x0, x1 = _CARPET_HEADER.unpack(
-            fh.read(_CARPET_HEADER.size)
-        )
-        if magic != _CARPET_MAGIC:
-            raise ValueError("not a carpet file")
-        if version != _CARPET_VERSION:
-            raise ValueError(f"unsupported carpet version {version}")
-        data = np.frombuffer(fh.read(8 * rows * cols), dtype="<f8")
-    if data.size != rows * cols:
-        raise ValueError("truncated carpet payload")
-    return CarpetGrid(
-        data.reshape(rows, cols),
-        np.linspace(t0, t1, rows),
-        np.linspace(x0, x1, cols),
-    )
 
 
 def write_carpet_pgm(carpet_grid: CarpetGrid, path) -> None:

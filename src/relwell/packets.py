@@ -75,15 +75,6 @@ class CoefficientVector:
     def weights(self) -> np.ndarray:
         return np.abs(self.coefficients) ** 2
 
-    def renormalized(self) -> "CoefficientVector":
-        """Scale to unit norm; the renormalization is flagged in metadata."""
-        norm = math.sqrt(self.norm_squared())
-        if norm == 0.0:
-            raise EmptyStateError("cannot renormalize an all-zero coefficient vector")
-        meta = dict(self.metadata)
-        meta["renormalized"] = True
-        return CoefficientVector(self.coefficients / norm, self.model, self.time_tag, meta)
-
 
 def gaussian_state(spec: WavepacketSpec, grid: SpatialGrid, model: WellModel) -> GridState:
     """Sample the Gaussian packet on the grid, zero it outside [0, L] and
@@ -182,30 +173,6 @@ def dominant_level(coeffs: CoefficientVector) -> int:
     if float(weights.sum()) == 0.0:
         raise EmptyStateError("all coefficients vanish")
     return int(np.argmax(weights)) + 1  # argmax returns the first (smallest) maximizer
-
-
-def gaussian_overlap_coefficients(
-    spec: WavepacketSpec, model: WellModel, n_max: int
-) -> CoefficientVector:
-    """Closed-form a_n under the tail-negligible approximation.
-
-    Treats the Gaussian as extending over the whole line (valid when the walls
-    sit many sigma away from x0); used as an independent cross-check of the
-    quadrature path, not as its replacement.
-    """
-    spec.validate_against(model)
-    L = model.well_width
-    n = np.arange(1, n_max + 1)
-    k = n * np.pi / L
-    q0 = spec.p0 / model.hbar
-    amp = (2.0 * np.pi * spec.sigma**2) ** -0.25
-    prefac = amp * math.sqrt(2.0 / L) * spec.sigma * math.sqrt(np.pi)
-    plus = np.exp(1j * (q0 + k) * spec.x0 - (q0 + k) ** 2 * spec.sigma**2)
-    minus = np.exp(1j * (q0 - k) * spec.x0 - (q0 - k) ** 2 * spec.sigma**2)
-    coeffs = prefac * (plus - minus) / 1j
-    return CoefficientVector(
-        coeffs, model, 0.0, {"method": "closed-form-overlap", "n_max": int(n_max)}
-    )
 
 
 def write_coefficients_csv(coeffs: CoefficientVector, path) -> None:

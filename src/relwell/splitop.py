@@ -14,7 +14,6 @@ is the second-order Strang splitting.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,10 +27,6 @@ DEFAULT_MARGIN_FRACTION = 1.0 / 8.0  # wall margin delta in units of L
 MIN_GRID_SIZE = 256
 WALL_PHASE_CAP = math.pi / 8.0       # upper bound on V0 * dt / hbar
 MOMENTUM_CUTOFF_FACTOR = 8.0         # max |p| >= this * (p0 + hbar/sigma)
-
-_CHECKPOINT_MAGIC = b"SALP"
-_CHECKPOINT_VERSION = 1
-_HEADER = struct.Struct("<4sIQddd")
 
 
 @dataclass(frozen=True)
@@ -197,40 +192,3 @@ def propagate(
         emit(cursor)
     return samples
 
-
-def write_checkpoint(state: GridState, path) -> None:
-    """Binary snapshot: little-endian header (magic 'SALP', u32 version,
-    u64 N, f64 x_min, f64 x_max, f64 time) then N interleaved (Re, Im) f64."""
-    grid = state.grid
-    if not isinstance(grid, BoxGrid):
-        raise ValueError("checkpoints are defined for box-grid states")
-    interleaved = np.empty(2 * grid.size, dtype="<f8")
-    interleaved[0::2] = state.values.real
-    interleaved[1::2] = state.values.imag
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _CHECKPOINT_MAGIC,
-                _CHECKPOINT_VERSION,
-                grid.size,
-                grid.x_min,
-                grid.x_max,
-                state.time_tag,
-            )
-        )
-        fh.write(interleaved.tobytes())
-
-
-def read_checkpoint(path) -> GridState:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        magic, version, size, x_min, x_max, time_tag = _HEADER.unpack(header)
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValueError("not a propagation checkpoint")
-        if version != _CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        payload = np.frombuffer(fh.read(16 * size), dtype="<f8")
-    if payload.size != 2 * size:
-        raise ValueError("truncated checkpoint payload")
-    values = payload[0::2] + 1j * payload[1::2]
-    return GridState(values, BoxGrid(x_min, x_max, int(size)), time_tag)

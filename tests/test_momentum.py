@@ -7,18 +7,23 @@ import pytest
 from scipy.optimize import brentq
 
 from relwell import (
+    EigensolverError,
     HermiticityError,
     MomentumGrid,
     WellModel,
     build_hamiltonian,
     default_grid,
-    eigenfunction_momentum,
     energy,
-    residual_integral_equation,
     solve,
     well_window_transform,
 )
-from relwell.momentum import _convolve_valid, write_spectrum_csv
+from relwell.momentum import write_spectrum_csv
+from oracles import (
+    convolve_valid,
+    eigenfunction_momentum,
+    hard_wall_kernel,
+    residual_integral_equation,
+)
 
 
 def aligned_l2(v, w, dp):
@@ -156,7 +161,7 @@ class TestSolve:
         phi = eigenfunction_momentum(model, 1, grid.nodes)
         phi /= math.sqrt(float(np.sum(np.abs(phi) ** 2) * grid.spacing))
         err = math.sqrt(
-            float(np.sum((np.abs(spectrum.eigenfunction(1)) - np.abs(phi)) ** 2) * grid.spacing)
+            float(np.sum((np.abs(spectrum.vectors[:, 0]) - np.abs(phi)) ** 2) * grid.spacing)
         )
         assert err < 1e-2
 
@@ -168,7 +173,7 @@ class TestSolve:
         galilean = solve(grid, model, 1e4, k_levels=3, kinetic="nonrelativistic")
         for n in (1, 2, 3):
             err = aligned_l2(
-                relativistic.eigenfunction(n), galilean.eigenfunction(n), grid.spacing
+                relativistic.vectors[:, n - 1], galilean.vectors[:, n - 1], grid.spacing
             )
             assert err < 1e-2
         assert np.max(np.abs(relativistic.levels - galilean.levels)) > 1e-6
@@ -211,6 +216,16 @@ class TestSolve:
         numeric = spectrum.levels - model.energy_scale  # drop the rest energy
         assert np.max(np.abs(numeric - exact) / exact) < 1e-3
 
+    def test_lapack_failure_raises_eigensolver_error(self, monkeypatch):
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        with pytest.raises(EigensolverError, match="did not converge"):
+            solve(MomentumGrid(5.0, 16), WellModel(), 1.0, k_levels=2)
+
     def test_k_levels_validated(self):
         with pytest.raises(ValueError):
             solve(MomentumGrid(5.0, 16), WellModel(), 1.0, k_levels=17)
@@ -218,18 +233,8 @@ class TestSolve:
     def test_default_grid_covers_target(self):
         model = WellModel(well_width=3.0)
         grid = default_grid(model, n_target=12)
-        assert grid.p_max >= 4.0 * model.momentum(12)
+        assert grid.p_max >= 4.0 * model.hbar * 12 * math.pi / model.well_width
         assert grid.count == 2048
-
-
-def hard_wall_kernel(model, grid):
-    """(1 - exp(-i L q)) / q over every lag q of the grid (hbar = 1)."""
-    lags = grid.spacing * np.arange(-(grid.count - 1), grid.count)
-    kernel = np.empty(lags.shape, complex)
-    small = np.abs(lags) * model.well_width < 1e-12
-    kernel[~small] = (1.0 - np.exp(-1j * model.well_width * lags[~small])) / lags[~small]
-    kernel[small] = 1j * model.well_width
-    return kernel
 
 
 class TestResidual:
@@ -262,7 +267,7 @@ class TestResidual:
         phi = eigenfunction_momentum(model, n, grid.nodes)
         kernel = hard_wall_kernel(model, grid)
         want = scipy.signal.fftconvolve(kernel, phi, mode="valid")
-        got = _convolve_valid(kernel, phi)
+        got = convolve_valid(kernel, phi)
         assert got.shape == want.shape == (grid.count,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

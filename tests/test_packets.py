@@ -17,12 +17,11 @@ from relwell import (
     WellModel,
     decompose,
     dominant_level,
-    eigenfunction_position,
-    gaussian_overlap_coefficients,
     gaussian_state,
     reconstruct,
 )
 from relwell.packets import write_coefficients_csv
+from oracles import eigenfunction_position, gaussian_overlap_coefficients
 
 MODEL = WellModel(well_width=125.0 * 2.0 * math.pi)
 L = MODEL.well_width
@@ -190,12 +189,6 @@ class TestClosedFormOverlap:
 
 
 class TestCoefficientVector:
-    def test_renormalized_is_flagged(self):
-        raw = np.array([0.6, 0.6], dtype=complex)
-        scaled = CoefficientVector(raw, MODEL).renormalized()
-        assert scaled.norm_squared() == pytest.approx(1.0, rel=1e-14)
-        assert scaled.metadata["renormalized"] is True
-
     def test_csv_export(self, tmp_path):
         raw = np.array([0.5 + 0.25j, -0.5j], dtype=complex)
         path = tmp_path / "coeffs.csv"

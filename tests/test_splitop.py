@@ -22,11 +22,9 @@ from relwell import (
     gaussian_state,
     kinetic_phase,
     propagate,
-    read_checkpoint,
     reconstruct_at,
     revival_times,
     solve,
-    write_checkpoint,
 )
 
 MODEL = WellModel(well_width=2.0 * math.pi)
@@ -175,38 +173,6 @@ class TestPropagate:
         a = propagate(state, config, 500 * config.dt)[0]
         b = propagate(state, config, 500 * config.dt)[0]
         assert np.array_equal(a.values, b.values)
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        coeffs = packet_coefficients()
-        config = default_config(MODEL, n0=1, sigma=L / 16)
-        state = boxed_initial_state(config, coeffs)
-        state.time_tag = 3.25
-        path = tmp_path / "state.salp"
-        write_checkpoint(state, path)
-        back = read_checkpoint(path)
-        assert np.array_equal(back.values, state.values)
-        assert back.time_tag == 3.25
-        assert back.grid.size == config.grid_size
-        assert back.grid.x_min == config.x_min
-
-    def test_header_layout(self, tmp_path):
-        config = PropagationConfig(MODEL, -L / 8, L + L / 8, 256, 1e-4, 1e4, L / 8)
-        state = GridState(np.zeros(256, complex), config.grid, time_tag=1.5)
-        path = tmp_path / "state.salp"
-        write_checkpoint(state, path)
-        blob = path.read_bytes()
-        assert blob[:4] == b"SALP"
-        assert int.from_bytes(blob[4:8], "little") == 1
-        assert int.from_bytes(blob[8:16], "little") == 256
-        assert len(blob) == 40 + 16 * 256
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + bytes(60))
-        with pytest.raises(ValueError):
-            read_checkpoint(path)
 
 
 class TestEngineAgreement:
