@@ -10,7 +10,6 @@ from .errors import (
     DomainError,
     EigensolverError,
     EmptyStateError,
-    HermiticityError,
     NonFiniteOutputError,
     NumericalBlowupError,
     ResolutionError,
@@ -33,7 +32,6 @@ from .momentum import (
     build_hamiltonian,
     default_grid,
     solve,
-    well_window_transform,
 )
 from .observables import (
     AutocorrelationSeries,

@@ -320,9 +320,9 @@ def _write_sidecar(path: Path, resolved: ResolvedConfig, command: str, extra: di
         "compton_wavelength": resolved.model.compton_wavelength,
     }
     payload.update(extra)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _revival_summary(resolved: ResolvedConfig, coeffs) -> dict:
@@ -445,12 +445,20 @@ def cmd_autocorr(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     summary = _revival_summary(resolved, coeffs)
     times = resolved.resolve_times(summary["n0"])
     series = autocorrelation(coeffs, times)
+    # level extraction is settled before a file is opened, so a record too
+    # short to resolve levels leaves nothing behind
+    estimates = None
+    if times.size >= 8 and times[-1] > 0:
+        estimates = extract_levels(series, hbar=resolved.model.hbar)
+        if not (math.isfinite(estimates.resolution) and np.isfinite(estimates.energies).all()):
+            raise ConfigError(
+                f"times.t_max of {times[-1]!r} is too short for a finite Fourier resolution"
+            )
     path = outdir / f"{resolved.basename}_autocorr.csv"
     write_autocorrelation_csv(series, path)
     files = [path.name]
 
-    if times.size >= 8 and times[-1] > 0:
-        estimates = extract_levels(series, hbar=resolved.model.hbar)
+    if estimates is not None:
         levels_path = outdir / f"{resolved.basename}_levels.csv"
         write_levels_csv(estimates, levels_path)
         files.append(levels_path.name)

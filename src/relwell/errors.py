@@ -33,10 +33,6 @@ class NumericalBlowupError(SimulationError):
         self.step_index = step_index
 
 
-class HermiticityError(SimulationError):
-    """A matrix that must be Hermitian failed the symmetry tolerance."""
-
-
 class EigensolverError(SimulationError):
     """The dense eigensolver did not converge."""
 

@@ -1,10 +1,13 @@
 """Momentum-space eigensolver for the finite square well.
 
-Discretizes the bound-state integral equation on a uniform momentum grid and
-diagonalizes the resulting Hermitian matrix.  The delta-singular part of the
-step potential's Fourier transform is folded into a uniform +V0 diagonal
-shift (complement decomposition V = V0 * (1 - window)), which stays well
-conditioned at large V0; only the smooth well-window transform is sampled.
+Discretizes the bound-state integral equation on a uniform momentum grid.  The
+delta-singular part of the step potential's Fourier transform is folded into a
+uniform +V0 diagonal shift (complement decomposition V = V0 * (1 - window)),
+which stays well conditioned at large V0; only the smooth well-window
+transform W(q) = exp(-i q L / 2 hbar) * 2 hbar sin(q L / 2 hbar) / q is
+sampled.  Conjugating by D = diag(exp(-i p L / 2 hbar)) removes its phase and
+leaves a real symmetric matrix; E(p) is even and the nodes are mirror images,
+so that matrix splits into even and odd blocks of half the size.
 """
 
 from __future__ import annotations
@@ -14,11 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EigensolverError, HermiticityError
+from .errors import EigensolverError
 from .grids import write_table
 from .model import WellModel, energy
-
-HERMITICITY_TOL = 1e-13  # relative to the largest matrix entry
 
 DEFAULT_GRID_SIZE = 2048
 DEFAULT_WALL_HEIGHT_FACTOR = 1.0e3
@@ -28,7 +29,8 @@ DEFAULT_WALL_HEIGHT_FACTOR = 1.0e3
 class MomentumGrid:
     """Uniform momentum nodes on [-p_max, p_max], symmetric about zero.
 
-    ``count`` must be even, which places no node exactly at p = 0.
+    ``count`` must be even, which places no node exactly at p = 0.  Node k is
+    (k - (count - 1)/2) * spacing, so nodes k and count-1-k are exact negatives.
     """
 
     p_max: float
@@ -42,7 +44,7 @@ class MomentumGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(-self.p_max, self.p_max, self.count)
+        return (np.arange(self.count) - 0.5 * (self.count - 1)) * self.spacing
 
     @property
     def spacing(self) -> float:
@@ -58,35 +60,20 @@ def default_grid(model: WellModel, n_target: int, count: int = DEFAULT_GRID_SIZE
     return MomentumGrid(p_max, count)
 
 
-def well_window_transform(q, well_width: float, hbar: float = 1.0) -> complex | np.ndarray:
-    """(1/sqrt(2*pi*hbar)) * integral_0^L exp(-i q x / hbar) dx.
-
-    Equals i*hbar*(exp(-i q L / hbar) - 1)/(q*sqrt(2*pi*hbar)) away from q = 0
-    and L/sqrt(2*pi*hbar) in the limit, with conjugate symmetry
-    f(-q) = conj(f(q)).
-    """
-    scalar = np.isscalar(q)
-    qs = np.atleast_1d(np.asarray(q, dtype=float))
-    out = np.empty(qs.shape, dtype=np.complex128)
-    small = np.abs(qs) * well_width < 1e-12 * hbar
-    reg = ~small
-    out[reg] = 1j * hbar * (np.exp(-1j * qs[reg] * well_width / hbar) - 1.0) / qs[reg]
-    out[small] = well_width
-    out /= math.sqrt(2.0 * math.pi * hbar)
-    return complex(out[0]) if scalar else out
-
-
 def build_hamiltonian(
     grid: MomentumGrid,
     model: WellModel,
     wall_height: float,
     kinetic: str = "relativistic",
 ) -> np.ndarray:
-    """Dense Hermitian H_ij = [E(p_i) + V0] delta_ij - (V0 dp / 2 pi hbar) W(p_i - p_j).
+    """Real symmetric H' = D^dagger H D, where
+    H_ij = [E(p_i) + V0] delta_ij - (V0 dp / 2 pi hbar) W(p_i - p_j).
 
-    W is the well-window integral over [0, L].  The matrix is symmetrized
-    after assembly; an asymmetry beyond tolerance aborts construction.
+    H' keeps the diagonal; its coupling is the Toeplitz matrix
+    -(V0 dp / 2 pi hbar) L sinc((i - j) dp L / 2 pi hbar).
     """
+    import scipy.linalg
+
     p = grid.nodes
     if kinetic == "relativistic":
         diag_kinetic = np.hypot(model.energy_scale, p * model.light_speed)
@@ -95,21 +82,12 @@ def build_hamiltonian(
     else:
         raise ValueError(f"unknown kinetic form {kinetic!r}")
 
-    q = p[:, None] - p[None, :]
-    window = math.sqrt(2.0 * math.pi * model.hbar) * well_window_transform(
-        q, model.well_width, model.hbar
-    )
-    h = -wall_height * grid.spacing / (2.0 * math.pi * model.hbar) * window
+    lags = np.arange(grid.count) * grid.spacing
+    window = model.well_width * np.sinc(lags * model.well_width / (2.0 * math.pi * model.hbar))
+    h = scipy.linalg.toeplitz(-wall_height * grid.spacing / (2.0 * math.pi * model.hbar) * window)
     idx = np.arange(grid.count)
     h[idx, idx] += diag_kinetic + wall_height
-
-    scale = float(np.abs(h).max())
-    asymmetry = float(np.abs(h - h.conj().T).max())
-    if scale > 0 and asymmetry > HERMITICITY_TOL * scale:
-        raise HermiticityError(
-            f"assembled matrix asymmetry {asymmetry:.3e} exceeds tolerance"
-        )
-    return 0.5 * (h + h.conj().T)
+    return h
 
 
 @dataclass
@@ -117,7 +95,8 @@ class EigenSpectrum:
     """Ascending bound-level energies with their momentum-space eigenvectors.
 
     Eigenvectors are columns of ``vectors`` (one per level), orthonormal under
-    the dp-weighted inner product, with the largest-modulus component of each
+    the dp-weighted inner product.  Each has mirrored components of equal
+    modulus; the largest-modulus component with index below count/2 is
     rotated to the positive real axis.
     """
 
@@ -136,29 +115,46 @@ def solve(
 ) -> EigenSpectrum:
     """Lowest ``k_levels`` eigenpairs of the discretized Hamiltonian.
 
-    Energies below V0 are bound-state candidates.  Deterministic up to the
-    eigenvector phase, which is fixed by the positive-real gauge.
+    Energies below V0 are bound-state candidates.  The even and odd blocks
+    A +- B of H' are solved apart and merged by a stable sort, so a level
+    both blocks share lists the even one first.
     """
     if not 1 <= k_levels <= grid.count:
         raise ValueError("k_levels must lie in 1..count")
     import scipy.linalg
 
     h = build_hamiltonian(grid, model, wall_height, kinetic)
+    half = grid.count // 2
+    upper = h[:half, :half]
+    mirrored = h[:half, half:][:, ::-1]
+    per_block = min(k_levels, half)
     try:
-        vals, vecs = scipy.linalg.eigh(h, subset_by_index=(0, k_levels - 1))
+        (even_vals, even_vecs), (odd_vals, odd_vecs) = (
+            scipy.linalg.eigh(upper + sign * mirrored, subset_by_index=(0, per_block - 1))
+            for sign in (1.0, -1.0)
+        )
     except scipy.linalg.LinAlgError as exc:
         raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
 
-    # dp-weighted normalization and the positive-real phase gauge
-    vecs = vecs / math.sqrt(grid.spacing)
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        lead = col[np.argmax(np.abs(col))]
-        if lead != 0:
-            vecs[:, j] = col * (abs(lead) / lead)
+    vals = np.concatenate([even_vals, odd_vals])
+    order = np.argsort(vals, kind="stable")[:k_levels]
+    top = np.concatenate([even_vecs, odd_vecs], axis=1)[:, order]
+    parity = np.where(order < per_block, 1.0, -1.0)
+
+    # embed u as [u; +-J u] / sqrt(2) with the dp weight and undo D relative to
+    # the largest component of u, which thus comes out exactly real and positive.
+    # Its mirror matches its modulus only to rounding; the lead takes the larger
+    # of the two, so it stays the first maximum of |v|.
+    theta = grid.nodes * (0.5 * model.well_width / model.hbar)
+    cols = np.arange(k_levels)
+    lead = np.argmax(np.abs(top), axis=0)
+    scale = np.sign(top[lead, cols]) / math.sqrt(2.0 * grid.spacing)
+    vecs = np.concatenate([top, top[::-1] * parity], axis=0) * scale
+    vecs = vecs * np.exp(-1j * (theta[:, None] - theta[lead]))
+    vecs[lead, cols] = np.abs(vecs).max(axis=0)
 
     return EigenSpectrum(
-        levels=vals,
+        levels=vals[order],
         vectors=vecs,
         grid=grid,
         metadata={

@@ -1,8 +1,9 @@
 """Closed forms of the Salpeter box that the tests check the engines against.
 
 The hard-wall eigenfunctions in position and momentum space, the momentum
-integral equation they solve, the Gaussian overlap coefficients and a reader
-for the carpet binary layout documented in the README.  None of these runs in
+integral equation they solve, the complex momentum-space Hamiltonian of the
+finite well, the Gaussian overlap coefficients and a reader for the carpet
+binary layout documented in the README.  None of these runs in
 the CLI; each is an independent oracle for something that does.
 """
 
@@ -75,6 +76,39 @@ def eigenfunction_momentum(model: WellModel, n: int, p) -> complex | np.ndarray:
 
     out *= prefac
     return complex(out[0]) if scalar else out
+
+
+def well_window_transform(q, well_width: float, hbar: float = 1.0) -> complex | np.ndarray:
+    """(1/sqrt(2*pi*hbar)) * integral_0^L exp(-i q x / hbar) dx.
+
+    Equals i*hbar*(exp(-i q L / hbar) - 1)/(q*sqrt(2*pi*hbar)) away from q = 0
+    and L/sqrt(2*pi*hbar) in the limit, with conjugate symmetry
+    f(-q) = conj(f(q)).
+    """
+    scalar = np.isscalar(q)
+    qs = np.atleast_1d(np.asarray(q, dtype=float))
+    out = np.empty(qs.shape, dtype=np.complex128)
+    small = np.abs(qs) * well_width < 1e-12 * hbar
+    reg = ~small
+    out[reg] = 1j * hbar * (np.exp(-1j * qs[reg] * well_width / hbar) - 1.0) / qs[reg]
+    out[small] = well_width
+    out /= math.sqrt(2.0 * math.pi * hbar)
+    return complex(out[0]) if scalar else out
+
+
+def complex_hamiltonian(grid: MomentumGrid, model: WellModel, wall_height: float) -> np.ndarray:
+    """Dense Hermitian H_ij = [E(p_i) + V0] delta_ij - (V0 dp / 2 pi hbar) W(p_i - p_j)
+    with the relativistic E(p), assembled from the complex window transform
+    over every node difference, without the phase conjugation or the parity
+    split that ``build_hamiltonian`` and ``solve`` use."""
+    p = grid.nodes
+    window = math.sqrt(2.0 * math.pi * model.hbar) * well_window_transform(
+        p[:, None] - p[None, :], model.well_width, model.hbar
+    )
+    h = -wall_height * grid.spacing / (2.0 * math.pi * model.hbar) * window
+    idx = np.arange(grid.count)
+    h[idx, idx] += np.hypot(model.energy_scale, p * model.light_speed) + wall_height
+    return 0.5 * (h + h.conj().T)
 
 
 def hard_wall_kernel(model: WellModel, grid: MomentumGrid) -> np.ndarray:

@@ -298,6 +298,15 @@ class TestAutocorrAndSpacing:
         meta = json.loads((tmp_path / "t_autocorr.meta.json").read_text())
         assert meta["files"] == ["t_autocorr.csv"]
 
+    @pytest.mark.parametrize("t_max", [1e-310, 1e-320])
+    def test_subnormal_duration_exits_2_without_files(self, tmp_path, capsys, t_max):
+        # 1e-310 gives an infinite Fourier resolution, 1e-320 unequal steps
+        config = small_config()
+        config["times"] = {"t_max": t_max, "samples": 16, "unit": "natural"}
+        assert run(tmp_path, "autocorr", config) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_spacing_tail(self, tmp_path):
         config = small_config(levels={"n_min": 1, "n_max": 400})
         assert run(tmp_path, "spacing", config) == 0

@@ -8,21 +8,21 @@ from scipy.optimize import brentq
 
 from relwell import (
     EigensolverError,
-    HermiticityError,
     MomentumGrid,
     WellModel,
     build_hamiltonian,
     default_grid,
     energy,
     solve,
-    well_window_transform,
 )
 from relwell.momentum import write_spectrum_csv
 from oracles import (
+    complex_hamiltonian,
     convolve_valid,
     eigenfunction_momentum,
     hard_wall_kernel,
     residual_integral_equation,
+    well_window_transform,
 )
 
 
@@ -31,6 +31,19 @@ def aligned_l2(v, w, dp):
     overlap = np.vdot(v, w)
     phase = overlap / abs(overlap) if overlap != 0 else 1.0
     return math.sqrt(float(np.sum(np.abs(w - phase * v) ** 2) * dp))
+
+
+def conjugation(grid, model):
+    """Diagonal of D = diag(exp(-i p L / 2 hbar)), which makes H real."""
+    return np.exp(-0.5j * grid.nodes * model.well_width / model.hbar)
+
+
+def parities(spectrum, model):
+    """+1 for each level whose D-conjugated vector is mirror-even, -1 if odd."""
+    half = spectrum.grid.count // 2
+    real = spectrum.vectors * conjugation(spectrum.grid, model).conj()[:, None]
+    overlap = np.sum(real[:half].conj() * real[::-1][:half], axis=0)
+    return np.sign(overlap.real).astype(int)
 
 
 class TestWellWindowTransform:
@@ -139,7 +152,7 @@ class TestSolve:
         model = WellModel(well_width=10.0)
         grid = MomentumGrid(20.0, 512)
         spectrum = solve(grid, model, 1e3, k_levels=4)
-        h = build_hamiltonian(grid, model, 1e3)
+        h = complex_hamiltonian(grid, model, 1e3)
         for j in range(4):
             v = spectrum.vectors[:, j] * math.sqrt(grid.spacing)
             quotient = float(np.real(v.conj() @ h @ v))
@@ -237,6 +250,115 @@ class TestSolve:
         assert grid.count == 2048
 
 
+class TestComplexOracle:
+    """The real parity-split solve against the complex assembly it replaced."""
+
+    MODEL = WellModel(well_width=10.0)
+    GRID = MomentumGrid(20.0, 512)
+    V0 = 1e3
+    K = 24
+
+    def reference(self):
+        import scipy.linalg
+
+        h = complex_hamiltonian(self.GRID, self.MODEL, self.V0)
+        return h, scipy.linalg.eigh(h, subset_by_index=(0, self.K - 1))
+
+    def test_hamiltonian_is_phase_conjugate(self):
+        h, _ = self.reference()
+        d = conjugation(self.GRID, self.MODEL)
+        conjugated = d.conj()[:, None] * h * d[None, :]
+        real = build_hamiltonian(self.GRID, self.MODEL, self.V0)
+        assert real.dtype == np.float64
+        assert np.max(np.abs(real - conjugated)) <= 1e-13 * np.max(np.abs(h))
+
+    def test_levels_match_complex_eigh(self):
+        _, (levels, _) = self.reference()
+        spectrum = solve(self.GRID, self.MODEL, self.V0, k_levels=self.K)
+        assert np.max(np.abs(spectrum.levels - levels) / np.abs(levels)) <= 1e-10
+
+    def test_vectors_match_complex_eigh(self):
+        _, (_, vectors) = self.reference()
+        spectrum = solve(self.GRID, self.MODEL, self.V0, k_levels=self.K)
+        overlaps = np.abs(np.sum(vectors.conj() * spectrum.vectors, axis=0))
+        overlaps *= math.sqrt(self.GRID.spacing)
+        assert np.min(overlaps) >= 1.0 - 1e-12
+
+
+class TestParityMerge:
+    MODEL = WellModel(well_width=10.0)
+    GRID = MomentumGrid(20.0, 128)
+    V0 = 50.0
+
+    def full_levels(self, grid, model, wall_height):
+        return np.linalg.eigvalsh(build_hamiltonian(grid, model, wall_height))
+
+    def test_single_level(self):
+        spectrum = solve(self.GRID, self.MODEL, self.V0, k_levels=1)
+        want = self.full_levels(self.GRID, self.MODEL, self.V0)[0]
+        assert spectrum.levels.shape == (1,) and spectrum.vectors.shape == (128, 1)
+        assert abs(spectrum.levels[0] - want) <= 1e-12 * abs(want)
+        norm = float(np.sum(np.abs(spectrum.vectors) ** 2) * self.GRID.spacing)
+        assert norm == pytest.approx(1.0, abs=1e-12)
+
+    def test_odd_level_count(self):
+        # 7 levels take 4 from one block and 3 from the other
+        seven = solve(self.GRID, self.MODEL, self.V0, k_levels=7)
+        eight = solve(self.GRID, self.MODEL, self.V0, k_levels=8)
+        want = self.full_levels(self.GRID, self.MODEL, self.V0)[:7]
+        assert np.max(np.abs(seven.levels - want) / np.abs(want)) <= 1e-12
+        assert np.max(np.abs(seven.levels - eight.levels[:7]) / np.abs(want)) <= 1e-12
+        assert np.sort(parities(seven, self.MODEL)).tolist() == [-1, -1, -1, 1, 1, 1, 1]
+        assert np.max(np.abs(seven.vectors - eight.vectors[:, :7])) * math.sqrt(
+            self.GRID.spacing
+        ) <= 1e-10
+
+    @pytest.mark.parametrize("count", [4, 16, 128])
+    def test_every_level(self, count):
+        grid = MomentumGrid(20.0, count)
+        spectrum = solve(grid, self.MODEL, self.V0, k_levels=count)
+        want = self.full_levels(grid, self.MODEL, self.V0)
+        assert np.max(np.abs(spectrum.levels - want)) <= 1e-12 * np.max(np.abs(want))
+        gram = spectrum.vectors.conj().T @ spectrum.vectors * grid.spacing
+        assert np.max(np.abs(gram - np.eye(count))) <= 1e-12
+        assert np.sum(parities(spectrum, self.MODEL) > 0) == count // 2
+
+    def test_blocks_cross(self):
+        # above V0 the even and odd ladders no longer alternate: two
+        # consecutive levels come from the same block
+        model, grid, v0 = WellModel(well_width=5.0), MomentumGrid(10.0, 64), 3.0
+        spectrum = solve(grid, model, v0, k_levels=64)
+        signs = parities(spectrum, model)
+        assert np.any(signs[1:] == signs[:-1])
+        h = build_hamiltonian(grid, model, v0)
+        upper, mirrored = h[:32, :32], h[:32, 32:][:, ::-1]
+        even, odd = np.linalg.eigvalsh(upper + mirrored), np.linalg.eigvalsh(upper - mirrored)
+        assert np.max(np.abs(spectrum.levels[signs > 0] - even)) <= 1e-12 * np.max(even)
+        assert np.max(np.abs(spectrum.levels[signs < 0] - odd)) <= 1e-12 * np.max(odd)
+        want = self.full_levels(grid, model, v0)
+        assert np.max(np.abs(spectrum.levels - want)) <= 1e-12 * np.max(want)
+
+    def test_tied_levels_list_even_first(self):
+        # without a wall H' is the even dispersion: every level is shared by
+        # both blocks and the stable merge lists the even one first
+        spectrum = solve(self.GRID, self.MODEL, 0.0, k_levels=9)
+        assert np.array_equal(spectrum.levels[0:8:2], spectrum.levels[1:9:2])
+        assert parities(spectrum, self.MODEL).tolist() == [1, -1] * 4 + [1]
+
+    def test_gauge_at_lower_mirror_component(self):
+        # mirrored components share their modulus; the gauge sits on the lower
+        # index of the largest pair and is the first maximum of |v|
+        first = solve(self.GRID, self.MODEL, self.V0, k_levels=12)
+        again = solve(self.GRID, self.MODEL, self.V0, k_levels=12)
+        assert np.array_equal(first.vectors, again.vectors)
+        moduli = np.abs(first.vectors)
+        assert np.max(np.abs(moduli - moduli[::-1])) <= 1e-14 * np.max(moduli)
+        lead = np.argmax(moduli, axis=0)
+        assert np.all(lead < self.GRID.count // 2)
+        values = first.vectors[lead, np.arange(12)]
+        assert np.all(values.imag == 0.0) and np.all(values.real > 0.0)
+
+
 class TestResidual:
     def test_analytic_eigenfunctions(self):
         model = WellModel(well_width=math.pi)
@@ -298,7 +420,7 @@ class TestExports:
 class TestMomentumGrid:
     def test_symmetric_nodes(self):
         grid = MomentumGrid(7.0, 64)
-        assert np.max(np.abs(grid.nodes + grid.nodes[::-1])) < 1e-14
+        assert np.array_equal(grid.nodes, -grid.nodes[::-1])
         assert 0.0 not in grid.nodes
 
     def test_odd_count_rejected(self):
