@@ -18,11 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    AliasingError,
-    ResolutionError,
-    SimulationError,
-)
+from .errors import ResolutionError, SimulationError
 from .grids import SpatialGrid, write_table
 from .model import WellModel, energy, revival_times
 from .momentum import (
@@ -60,18 +56,13 @@ class ConfigError(ValueError):
     """A configuration document failed validation."""
 
 
-_MODEL_KEYS = {"mass", "light_speed", "hbar", "well_width_in_compton"}
-_PACKET_KEYS = {"x0_over_L", "sigma_over_L", "p0_in_hbar_over_L"}
-_TIMES_KEYS = {"t_max", "samples", "unit"}
-_LEVELS_KEYS = {"n_min", "n_max"}
-_OUTPUT_KEYS = {"basename", "formats"}
+# engine keys other than kind have no defaults, so DEFAULT_CONFIG cannot list them
 _ENGINE_KEYS = {
     "exact": {"kind", "grid_intervals", "n_max"},
     "split": {"kind", "grid_size", "dt", "wall_height_in_mc2", "wall_margin_over_L"},
     "diag": {"kind", "momentum_points", "p_max_in_mc", "wall_height_in_mc2"},
 }
 _ENGINE_INTEGERS = {"grid_intervals", "n_max", "grid_size", "momentum_points"}
-_BLOCK_KEYS = {"model", "packet", "engine", "times", "levels", "output"}
 # Strang steps x grid points above which a split carpet is refused before it
 # starts: one to three hours at 0.03-0.1 us per point and step (N = 2048 to 256)
 SPLIT_WORK_LIMIT = 1e11
@@ -138,10 +129,10 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def _reject_unknown(block: dict, allowed: set, where: str) -> None:
+def _reject_unknown(block: dict, allowed, where: str) -> None:
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(block) - allowed
+    unknown = set(block).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
@@ -189,12 +180,12 @@ class ResolvedConfig:
     """Validated configuration with all quantities in absolute units."""
 
     def __init__(self, document: dict):
-        _reject_unknown(document, _BLOCK_KEYS, "config")
+        _reject_unknown(document, DEFAULT_CONFIG, "config")
         self.document = document
 
         model_block = document["model"]
-        _reject_unknown(model_block, _MODEL_KEYS, "model")
-        for key in sorted(_MODEL_KEYS):
+        _reject_unknown(model_block, DEFAULT_CONFIG["model"], "model")
+        for key in sorted(DEFAULT_CONFIG["model"]):
             value = model_block.get(key)
             if not _is_real(value) or value <= 0:
                 raise ConfigError(f"model.{key} must be a positive finite number")
@@ -208,8 +199,8 @@ class ResolvedConfig:
         )
 
         packet_block = document["packet"]
-        _reject_unknown(packet_block, _PACKET_KEYS, "packet")
-        for key in sorted(_PACKET_KEYS):
+        _reject_unknown(packet_block, DEFAULT_CONFIG["packet"], "packet")
+        for key in sorted(DEFAULT_CONFIG["packet"]):
             if not _is_real(packet_block.get(key)):
                 raise ConfigError(f"packet.{key} must be a finite number")
         L = self.model.well_width
@@ -235,7 +226,7 @@ class ResolvedConfig:
         self.engine = dict(engine_block)
 
         times_block = document["times"]
-        _reject_unknown(times_block, _TIMES_KEYS, "times")
+        _reject_unknown(times_block, DEFAULT_CONFIG["times"], "times")
         t_max = times_block.get("t_max")
         if not _is_real(t_max) or t_max < 0:
             raise ConfigError("times.t_max must be a finite nonnegative number")
@@ -247,14 +238,14 @@ class ResolvedConfig:
         self.times_block = times_block
 
         levels_block = document["levels"]
-        _reject_unknown(levels_block, _LEVELS_KEYS, "levels")
+        _reject_unknown(levels_block, DEFAULT_CONFIG["levels"], "levels")
         n_min, n_max = levels_block["n_min"], levels_block["n_max"]
         if not (_is_integer(n_min) and _is_integer(n_max) and 1 <= n_min <= n_max):
             raise ConfigError("levels.n_min/n_max must be integers with 1 <= n_min <= n_max < 2^62")
         self.levels = (n_min, n_max)
 
         output_block = document["output"]
-        _reject_unknown(output_block, _OUTPUT_KEYS, "output")
+        _reject_unknown(output_block, DEFAULT_CONFIG["output"], "output")
         formats = output_block["formats"]
         if not isinstance(formats, list) or not all(isinstance(f, str) for f in formats):
             raise ConfigError("output.formats must be a list of format names")
@@ -302,7 +293,7 @@ class ResolvedConfig:
         block = self.times_block
         unit = block["unit"]
         if unit == "natural":
-            t_max = block["t_max"]
+            t_max = float(block["t_max"])  # an int beyond int64 would make linspace fail
         else:
             rt = revival_times(self.model, n0)
             t_max = block["t_max"] * (rt.t_classical if unit == "classical" else rt.t_revival)
@@ -311,7 +302,7 @@ class ResolvedConfig:
         return np.linspace(0.0, t_max, block["samples"])
 
 
-def _write_sidecar(path: Path, resolved: ResolvedConfig, command: str, extra: dict) -> None:
+def _write_sidecar(outdir: Path, resolved: ResolvedConfig, command: str, extra: dict) -> None:
     payload = {
         "command": command,
         "version": __version__,
@@ -321,7 +312,7 @@ def _write_sidecar(path: Path, resolved: ResolvedConfig, command: str, extra: di
     }
     payload.update(extra)
     text = json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False)
-    with open(path, "w") as fh:
+    with open(outdir / f"{resolved.basename}_{command}.meta.json", "w") as fh:
         fh.write(text + "\n")
 
 
@@ -345,15 +336,12 @@ def _revival_summary(resolved: ResolvedConfig, coeffs) -> dict:
 
 
 def cmd_spectrum(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
+    model = resolved.model
     n_min, n_max = resolved.levels
     levels = np.arange(n_min, n_max + 1)
-    energies = energy(resolved.model, levels)
-    path = outdir / f"{resolved.basename}_spectrum.csv"
-    write_table(path, ("n", "energy"), (levels, energies))
-    extra: dict = {"files": [path.name]}
-
+    energies = energy(model, levels)
+    spectrum = None
     if resolved.engine["kind"] == "diag":
-        model = resolved.model
         count = resolved.engine.get("momentum_points", DEFAULT_GRID_SIZE)
         p_max = resolved.engine.get("p_max_in_mc")
         grid = (
@@ -364,12 +352,16 @@ def cmd_spectrum(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
         wall_factor = resolved.engine.get("wall_height_in_mc2", DEFAULT_WALL_HEIGHT_FACTOR)
         wall = wall_factor * model.energy_scale
         spectrum = solve(grid, model, wall, k_levels=n_max)
+
+    path = outdir / f"{resolved.basename}_spectrum.csv"
+    write_table(path, ("n", "energy"), (levels, energies))
+    extra: dict = {"files": [path.name]}
+    if spectrum is not None:
         diag_path = outdir / f"{resolved.basename}_spectrum_diag.csv"
         write_spectrum_csv(spectrum, model, diag_path)
         extra["files"].append(diag_path.name)
         extra["diag_metadata"] = spectrum.metadata
-
-    _write_sidecar(outdir / f"{resolved.basename}_spectrum.meta.json", resolved, "spectrum", extra)
+    _write_sidecar(outdir, resolved, "spectrum", extra)
 
 
 def cmd_carpet(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
@@ -380,11 +372,8 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     summary = _revival_summary(resolved, coeffs)
     times = resolved.resolve_times(summary["n0"])
 
-    if kind == "exact":
-        result = carpet(
-            coeffs, grid, times, engine="exact-spectral", packet=resolved.packet, workers=threads
-        )
-    else:
+    config = None
+    if kind == "split":
         engine, model = resolved.engine, resolved.model
         wall, margin = engine.get("wall_height_in_mc2"), engine.get("wall_margin_over_L")
         config = default_config(
@@ -397,18 +386,16 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
             wall_height=None if wall is None else wall * model.energy_scale,
             wall_margin=None if margin is None else margin * model.well_width,
         )
-        steps = round(float(times.max()) / config.dt)
+        steps = config.steps(float(times.max()))
         if steps * config.grid_size > SPLIT_WORK_LIMIT:
             raise ConfigError(
                 f"the split engine would take {steps:.3g} steps on {config.grid_size} points; "
                 "lower times.t_max or use the exact engine"
             )
-        result = carpet(
-            coeffs, grid, times, engine="split-operator", config=config, packet=resolved.packet
-        )
         summary["dt"] = config.dt
         summary["split_grid_size"] = config.grid_size
         summary["wall_height"] = config.wall_height
+    result = carpet(coeffs, grid, times, config=config, workers=threads)
 
     files = []
     writers = {"csv": write_carpet_csv, "bin": write_carpet_binary, "pgm": write_carpet_pgm}
@@ -422,20 +409,20 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     summary["files"] = files
     summary["rows"] = int(result.times.size)
     summary["columns"] = int(result.positions.size)
-    _write_sidecar(outdir / f"{resolved.basename}_carpet.meta.json", resolved, "carpet", summary)
+    _write_sidecar(outdir, resolved, "carpet", summary)
 
 
 def cmd_revivals(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     n_min, n_max = resolved.levels
-    path = outdir / f"{resolved.basename}_revivals.csv"
     levels = np.arange(n_min, n_max + 1)
     header = ("n", "t_classical", "t_revival", "t_super")
     rts = [revival_times(resolved.model, n) for n in levels.tolist()]
-    write_table(path, header, (levels, *([getattr(rt, h) for rt in rts] for h in header[1:])))
     coeffs, _ = resolved.coefficients()
     summary = _revival_summary(resolved, coeffs)
+    path = outdir / f"{resolved.basename}_revivals.csv"
+    write_table(path, header, (levels, *([getattr(rt, h) for rt in rts] for h in header[1:])))
     summary["files"] = [path.name]
-    _write_sidecar(outdir / f"{resolved.basename}_revivals.meta.json", resolved, "revivals", summary)
+    _write_sidecar(outdir, resolved, "revivals", summary)
 
 
 def cmd_autocorr(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
@@ -465,7 +452,7 @@ def cmd_autocorr(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
         summary["fourier_resolution"] = estimates.resolution
 
     summary["files"] = files
-    _write_sidecar(outdir / f"{resolved.basename}_autocorr.meta.json", resolved, "autocorr", summary)
+    _write_sidecar(outdir, resolved, "autocorr", summary)
 
 
 def cmd_spacing(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
@@ -475,7 +462,7 @@ def cmd_spacing(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     write_spacing_csv(stats, path)
     summary = {key: getattr(stats, key) for key in ("mean", "variance", "asymptote_gap")}
     summary["files"] = [path.name]
-    _write_sidecar(outdir / f"{resolved.basename}_spacing.meta.json", resolved, "spacing", summary)
+    _write_sidecar(outdir, resolved, "spacing", summary)
 
 
 def cmd_coeffs(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
@@ -484,7 +471,7 @@ def cmd_coeffs(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     path = outdir / f"{resolved.basename}_coeffs.csv"
     write_coefficients_csv(coeffs, path)
     summary["files"] = [path.name]
-    _write_sidecar(outdir / f"{resolved.basename}_coeffs.meta.json", resolved, "coeffs", summary)
+    _write_sidecar(outdir, resolved, "coeffs", summary)
 
 
 _COMMANDS = {
@@ -524,18 +511,10 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         resolved = ResolvedConfig(document)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-
-    try:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](resolved, outdir, args.threads)
-    except (ConfigError, ResolutionError, AliasingError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimulationError as exc:

@@ -9,11 +9,12 @@ class DomainError(SimulationError):
     """A coordinate or time lies outside the region an operation is defined on."""
 
 
-class ResolutionError(SimulationError):
+# also ValueErrors: each reports an input the grid cannot represent
+class ResolutionError(SimulationError, ValueError):
     """A grid is too coarse to represent the requested state or dynamics."""
 
 
-class AliasingError(SimulationError):
+class AliasingError(SimulationError, ValueError):
     """A basis index exceeds what the grid can represent without aliasing."""
 
 

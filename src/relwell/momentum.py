@@ -121,6 +121,8 @@ def solve(
     """
     if not 1 <= k_levels <= grid.count:
         raise ValueError("k_levels must lie in 1..count")
+    if wall_height < 0:
+        raise ValueError("wall_height must be nonnegative")
     import scipy.linalg
 
     h = build_hamiltonian(grid, model, wall_height, kinetic)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,7 +117,6 @@ class CarpetGrid:
     density: np.ndarray
     times: np.ndarray
     positions: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.density = np.asarray(self.density, dtype=float)
@@ -135,12 +134,11 @@ def carpet(
     coeffs: CoefficientVector,
     grid: SpatialGrid,
     times,
-    engine: str = "exact-spectral",
     config: PropagationConfig | None = None,
-    packet: WavepacketSpec | None = None,
     workers: int = 1,
 ) -> CarpetGrid:
-    """Assemble the space-time density for the requested engine.
+    """Space-time density by split-operator propagation when ``config`` is
+    given, by the exact engine on ``grid`` otherwise.
 
     The exact engine computes rows independently (and therefore in parallel);
     the split-operator engine necessarily walks through time sequentially.
@@ -149,29 +147,15 @@ def carpet(
     wavefunction and the carpet covers the full box including the walls.
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
-    meta = {
-        "engine": engine,
-        "model": coeffs.model,
-        "packet": packet,
-        "n_levels": coeffs.n_max,
-    }
-    if engine == "exact-spectral":
-        rows = density_rows(coeffs, grid, ts, workers=workers)
-        return CarpetGrid(rows, ts, grid.points, meta)
-    if engine == "split-operator":
-        if config is None:
-            raise ValueError("split-operator carpets need a PropagationConfig")
-        x = config.grid.points
-        psi0 = reconstruct_at(coeffs, x)
-        norm = math.sqrt(float(np.sum(np.abs(psi0) ** 2) * config.grid.spacing))
-        state0 = GridState(psi0 / norm, config.grid)
-        t_final = float(ts.max())
-        samples = propagate(state0, config, t_final, sample_times=ts)
-        rows = np.stack([s.density() for s in samples])
-        actual = np.asarray([s.time_tag for s in samples])
-        meta["dt"] = config.dt
-        return CarpetGrid(rows, actual, x, meta)
-    raise ValueError(f"unknown engine {engine!r}")
+    if config is None:
+        return CarpetGrid(density_rows(coeffs, grid, ts, workers=workers), ts, grid.points)
+    x = config.grid.points
+    psi0 = reconstruct_at(coeffs, x)
+    norm = math.sqrt(float(np.sum(np.abs(psi0) ** 2) * config.grid.spacing))
+    state0 = GridState(psi0 / norm, config.grid)
+    samples = propagate(state0, config, float(ts.max()), sample_times=ts)
+    rows = np.stack([s.density() for s in samples])
+    return CarpetGrid(rows, [s.time_tag for s in samples], x)
 
 
 @dataclass
@@ -183,22 +167,20 @@ class LightconeReport:
     max_fraction: float
 
 
-def lightcone_leakage(carpet_grid: CarpetGrid, x0: float) -> LightconeReport:
-    """Mass beyond the light cone emanating from x0, for rows before the
-    first wall reflection (t < min(x0, L - x0)/c).
+def lightcone_leakage(
+    carpet_grid: CarpetGrid, packet: WavepacketSpec, model: WellModel
+) -> LightconeReport:
+    """Mass beyond the light cone emanating from the packet center x0, for
+    rows before the first wall reflection (t < min(x0, L - x0)/c).
 
-    The 3 sigma margin accounts for the initial packet width; sigma and the
-    model are read from the carpet metadata.  The Salpeter evolution is
-    non-local, so for packets holding both momentum signs (a resting packet,
-    say) the figure includes the 1/x tails of the two chiral halves: about a
-    tenth of the mass for a narrow resting Gaussian, with no wall involved.
-    Only a chirally clean packet is confined to its own Gaussian tail.
+    The 3 sigma margin accounts for the initial packet width.  The Salpeter
+    evolution is non-local, so for packets holding both momentum signs (a
+    resting packet, say) the figure includes the 1/x tails of the two chiral
+    halves: about a tenth of the mass for a narrow resting Gaussian, with no
+    wall involved.  Only a chirally clean packet is confined to its own
+    Gaussian tail.
     """
-    model: WellModel = carpet_grid.metadata.get("model")
-    packet: WavepacketSpec = carpet_grid.metadata.get("packet")
-    if model is None or packet is None:
-        raise ValueError("carpet metadata must carry the model and packet")
-    c = model.light_speed
+    c, x0 = model.light_speed, packet.x0
     horizon = min(x0, model.well_width - x0) / c
     mask = carpet_grid.times < horizon
     if not mask.any():

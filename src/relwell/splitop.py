@@ -59,6 +59,14 @@ class PropagationConfig:
         if self.wall_height < 0:
             raise ValueError("wall_height must be nonnegative")
 
+    def steps(self, t: float) -> int:
+        """Strang steps that reach time t >= 0: none at t = 0, otherwise the
+        nearest whole number of dt, and at least one."""
+        ratio = t / self.dt
+        if not math.isfinite(ratio):
+            raise ValueError(f"time {t!r} is beyond any step count at dt = {self.dt!r}")
+        return max(1, round(ratio)) if t else 0
+
     @property
     def grid(self) -> BoxGrid:
         return BoxGrid(self.x_min, self.x_max, self.grid_size)
@@ -130,7 +138,8 @@ def propagate(
 
     t_final must be an integer number of steps; otherwise dt is adjusted to
     the nearest commensurate value and the adjustment reported in each
-    sampled state's metadata.  Sample times outside [0, t_final] are
+    sampled state's metadata.  Each requested time gets one snapshot, at
+    its nearest step, in time order; times outside [0, t_final] are
     rejected.  Deterministic for a fixed config.  Raises
     NumericalBlowupError, carrying the same step count as the metadata, if
     a sampled state stops being finite.
@@ -144,11 +153,8 @@ def propagate(
         )
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
-    if t_final == 0.0:
-        steps_total, dt_used = 0, config.dt
-    else:
-        steps_total = max(1, int(round(t_final / config.dt)))
-        dt_used = t_final / steps_total
+    steps_total = config.steps(t_final)
+    dt_used = t_final / steps_total if steps_total else config.dt
     adjusted = not math.isclose(dt_used, config.dt, rel_tol=1e-12)
     run_config = replace(config, dt=dt_used) if adjusted else config
 
@@ -158,7 +164,7 @@ def propagate(
         requested = np.atleast_1d(np.asarray(sample_times, dtype=float))
         if np.any(requested < 0.0) or np.any(requested > t_final * (1 + 1e-12)):
             raise ValueError("sample times must lie inside [0, t_final]")
-        sample_steps = sorted(set(int(round(t / dt_used)) if dt_used > 0 else 0 for t in requested))
+        sample_steps = sorted(round(t / dt_used) for t in requested.tolist())
 
     model = run_config.model
     half_v = np.exp(-0.5j * run_config.potential() * run_config.dt / model.hbar)

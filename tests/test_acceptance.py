@@ -293,7 +293,7 @@ def test_criterion_07_light_cone():
     coeffs = decompose(gaussian_state(spec, grid, model), model)
     horizon = min(spec.x0, box - spec.x0) / model.light_speed
     times = np.linspace(0.0, 0.9, 6) * horizon
-    resting = lightcone_leakage(carpet(coeffs, grid, times, packet=spec), spec.x0)
+    resting = lightcone_leakage(carpet(coeffs, grid, times), spec, model)
     free = free_line_leakage(spec, model, grid.spacing, 2.0 * box, resting.times)
     deviation = float(np.max(np.abs(resting.fractions - free)))
 
@@ -301,8 +301,9 @@ def test_criterion_07_light_cone():
     boosted_coeffs = decompose(gaussian_state(boosted_spec, grid, model), model)
     boosted_horizon = min(boosted_spec.x0, box - boosted_spec.x0) / model.light_speed
     boosted = lightcone_leakage(
-        carpet(boosted_coeffs, grid, np.linspace(0.0, 0.9, 4) * boosted_horizon, packet=boosted_spec),
-        boosted_spec.x0,
+        carpet(boosted_coeffs, grid, np.linspace(0.0, 0.9, 4) * boosted_horizon),
+        boosted_spec,
+        model,
     )
     # the t = 0 row of any Gaussian holds erfc(3/sqrt 2) ~ 2.7e-3 beyond
     # 3 sigma; the propagation-confinement figure is the max over t > 0
@@ -379,7 +380,7 @@ def test_criterion_10_intermediate_regime_substitute():
 
     # the carpet's mean position bounces at the classical period
     times = np.linspace(0.0, 3.0 * rt.t_classical, 128)
-    result = carpet(coeffs, grid, times, packet=spec)
+    result = carpet(coeffs, grid, times)
     mean_x = result.density @ result.positions * grid.spacing
     crossings = int(np.sum(np.diff(np.sign(mean_x - box / 2)) != 0))
 

@@ -1,6 +1,5 @@
 """Command-line interface: validation, outputs, determinism, presets."""
 
-import copy
 import json
 import math
 import os
@@ -9,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -120,6 +120,29 @@ class TestValidation:
         reason = "Unable to allocate" if value == TOO_LARGE else f"{block}.{key}"
         assert len(err) == 1 and err[0].startswith("error:") and reason in err[0]
 
+    @pytest.mark.parametrize(
+        "command, engine",
+        [
+            ("spectrum", {"kind": "diag", "momentum_points": 5}),
+            ("spectrum", {"kind": "diag", "p_max_in_mc": -1.0}),
+            ("spectrum", {"kind": "diag", "wall_height_in_mc2": -5.0}),
+            ("revivals", {"kind": "exact", "grid_intervals": 16}),
+            ("revivals", {"kind": "exact", "n_max": 5000}),
+            ("carpet", {"kind": "split", "grid_size": 256, "dt": 1e-320}),
+        ],
+        ids=["diag-points", "diag-p_max", "diag-wall", "intervals", "n_max", "split-dt"],
+    )
+    def test_input_the_engine_rejects_exits_2_without_files(
+        self, tmp_path, capsys, command, engine
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"engine": engine}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestSpectrum:
     def test_default_levels_match_closed_form(self, tmp_path):
@@ -181,6 +204,14 @@ class TestCarpet:
         # single row is the initial probability density, unit normalized
         assert result.density[0].sum() * result.spacing == pytest.approx(1.0, abs=1e-9)
 
+    def test_integer_t_max_beyond_int64(self, tmp_path):
+        # JSON integers keep their size: 2^64 natural units must resolve as a float
+        config = small_config()
+        config["times"] = {"t_max": 2**64, "samples": 2, "unit": "natural"}
+        config["output"]["formats"] = ["bin"]
+        assert run(tmp_path, "carpet", config) == 0
+        assert read_carpet_binary(tmp_path / "t_carpet.bin").times[-1] == 2.0**64
+
     def test_byte_identical_reruns(self, tmp_path):
         config = small_config()
         first = tmp_path / "a"
@@ -202,6 +233,20 @@ class TestCarpet:
         meta = json.loads((tmp_path / "t_carpet.meta.json").read_text())
         assert meta["engine"] == "split"
         assert meta["split_grid_size"] == 256
+
+    def test_split_carpet_keeps_every_requested_row(self, tmp_path):
+        # 16 samples within 3 Strang steps: many share their nearest step
+        config = {
+            "engine": {"kind": "split", "grid_size": 256},
+            "times": {"t_max": 1e-4, "samples": 16, "unit": "natural"},
+            "output": {"basename": "t", "formats": ["csv", "bin"]},
+        }
+        assert run(tmp_path, "carpet", config) == 0
+        meta = json.loads((tmp_path / "t_carpet.meta.json").read_text())
+        assert meta["rows"] == 16
+        assert read_carpet_binary(tmp_path / "t_carpet.bin").density.shape == (16, 256)
+        rows = (tmp_path / "t_carpet.csv").read_text().splitlines()[1:]
+        assert len(rows) == 16 * 256
 
     def test_non_finite_carpet_exits_3_without_files(self, tmp_path, monkeypatch, capsys):
         real_carpet = cli.carpet
@@ -394,8 +439,28 @@ class TestReadme:
         assert job.returncode == 0, job.stderr
 
 
-# Leaves of DEFAULT_CONFIG, any one or two of which the property test replaces.
-CONFIG_FIELDS = [(block, key) for block, fields in DEFAULT_CONFIG.items() for key in fields]
+# Per engine kind, the changes to DEFAULT_CONFIG that keep an example quick:
+# 64 momentum points for diag, about a hundred Strang steps at N = 256 for split.
+ENGINE_BASES = {
+    "exact": {},
+    "diag": {"engine": {"kind": "diag", "momentum_points": 64}, "levels": {"n_max": 16}},
+    "split": {
+        "engine": {"kind": "split", "grid_size": 256},
+        "times": {"t_max": 4e-3, "samples": 16, "unit": "natural"},
+    },
+}
+# The property test lowers the CLI's SPLIT_WORK_LIMIT (Strang steps x grid
+# points) to this: a drawn t_max or wall height can ask for an hour of
+# stepping that the real limit of 1e11 still lets run.
+FUZZ_SPLIT_WORK_LIMIT = 1e6
+
+
+def config_fields(kind):
+    """Leaves the property test may replace: those of DEFAULT_CONFIG and the
+    engine keys of the example's kind."""
+    leaves = [(block, key) for block, fields in DEFAULT_CONFIG.items() for key in fields]
+    return leaves + [("engine", key) for key in sorted(cli._ENGINE_KEYS[kind] - {"kind"})]
+
 
 # Arbitrary JSON, except that finite floats are a few harmless values and
 # integers are either small or far beyond any allocation: mid-size integers
@@ -435,12 +500,11 @@ def assert_written_values_finite(path: Path) -> None:
 
 class TestInputContract:
     @settings(deadline=None, max_examples=1000)
-    @given(
-        fields=st.lists(st.sampled_from(CONFIG_FIELDS), min_size=1, max_size=2, unique=True),
-        data=st.data(),
-    )
-    def test_any_json_ends_in_a_documented_exit_code(self, fields, data):
-        config = copy.deepcopy(DEFAULT_CONFIG)
+    @given(kind=st.sampled_from(sorted(ENGINE_BASES)), data=st.data())
+    def test_any_json_ends_in_a_documented_exit_code(self, kind, data):
+        config = cli._merge(DEFAULT_CONFIG, ENGINE_BASES[kind])
+        leaves = st.sampled_from(config_fields(kind))
+        fields = data.draw(st.lists(leaves, min_size=1, max_size=2, unique=True), label="fields")
         for block, key in fields:
             config[block][key] = data.draw(json_values, label=f"{block}.{key}")
         for command in ("spacing", "coeffs", "revivals", "carpet", "autocorr", "spectrum"):
@@ -448,11 +512,14 @@ class TestInputContract:
                 path = Path(tmp) / "config.json"
                 path.write_text(json.dumps(config))
                 out = Path(tmp) / "out"
-                code = main([command, "--config", str(path), "--out", str(out)])
+                with mock.patch.object(cli, "SPLIT_WORK_LIMIT", FUZZ_SPLIT_WORK_LIMIT):
+                    code = main([command, "--config", str(path), "--out", str(out)])
                 assert code in (0, 2, 3, 4)
                 if code == 0:
                     for written in out.iterdir():
                         assert_written_values_finite(written)
+                if code == 2:
+                    assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestTracedBenchmark:

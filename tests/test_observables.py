@@ -134,7 +134,7 @@ class TestCarpet:
     def test_first_row_is_initial_density(self):
         coeffs, grid, spec = fig2_coefficients(512)
         times = np.linspace(0.0, 100.0, 4)
-        result = carpet(coeffs, grid, times, packet=spec)
+        result = carpet(coeffs, grid, times)
         from relwell import evolve, reconstruct
 
         initial = reconstruct(evolve(coeffs, 0.0), grid).density()
@@ -144,7 +144,7 @@ class TestCarpet:
         coeffs, grid, spec = fig2_coefficients(1024)
         t_rev = revival_times(MODEL, 1).t_revival
         times = np.linspace(0.0, t_rev, 12)
-        result = carpet(coeffs, grid, times, packet=spec)
+        result = carpet(coeffs, grid, times)
         assert np.max(np.abs(result.density.sum(axis=1) * result.spacing - 1.0)) < 1e-6
 
     def test_workers_do_not_change_output(self):
@@ -159,7 +159,7 @@ class TestCarpet:
         coeffs, grid, spec = fig2_coefficients(2048)
         t_rev = revival_times(MODEL, dominant_level(coeffs)).t_revival
         times = np.array([0.0, 0.25 * t_rev])
-        result = carpet(coeffs, grid, times, packet=spec)
+        result = carpet(coeffs, grid, times)
         row0, row1 = result.density
         dx = grid.spacing
         direct = float(np.sum(np.abs(row1 - row0)) * dx)
@@ -176,16 +176,6 @@ class TestCarpet:
         rt = revival_times(model, dominant_level(coeffs))
         assert 750.0 < rt.t_revival / rt.t_classical < 3000.0
 
-    def test_split_engine_requires_config(self):
-        coeffs, grid, spec = fig2_coefficients(512)
-        with pytest.raises(ValueError):
-            carpet(coeffs, grid, [0.0], engine="split-operator")
-
-    def test_unknown_engine_rejected(self):
-        coeffs, grid, spec = fig2_coefficients(512)
-        with pytest.raises(ValueError):
-            carpet(coeffs, grid, [0.0], engine="magic")
-
     def test_split_engine_rows(self):
         model = WellModel(well_width=2.0 * math.pi)
         lw = model.well_width
@@ -194,12 +184,11 @@ class TestCarpet:
         coeffs = decompose(gaussian_state(spec, grid, model), model)
         config = default_config(model, n0=1, sigma=spec.sigma)
         times = np.linspace(0.0, 400 * config.dt, 3)
-        result = carpet(
-            coeffs, grid, times, engine="split-operator", config=config, packet=spec
-        )
+        result = carpet(coeffs, grid, times, config=config)
         assert result.density.shape == (3, config.grid_size)
         assert np.max(np.abs(result.density.sum(axis=1) * result.spacing - 1.0)) < 1e-6
-        assert result.metadata["engine"] == "split-operator"
+        # the config, not the spectral grid, sets the positions
+        assert np.array_equal(result.positions, config.grid.points)
 
 
 class TestLightcone:
@@ -211,18 +200,18 @@ class TestLightcone:
         coeffs = decompose(gaussian_state(spec, grid, model), model)
         horizon = min(spec.x0, lw - spec.x0) / model.light_speed
         times = np.array(t_fracs) * horizon
-        return carpet(coeffs, grid, times, packet=spec), spec, model
+        return carpet(coeffs, grid, times), spec, model
 
     def test_initial_row_matches_gaussian_tail(self):
         # the mass beyond 3 sigma of a Gaussian is erfc(3/sqrt(2)), not zero
-        result, spec, _ = self.narrow_carpet()
-        report = lightcone_leakage(result, spec.x0)
+        result, spec, model = self.narrow_carpet()
+        report = lightcone_leakage(result, spec, model)
         assert report.fractions[0] == pytest.approx(erfc(3.0 / math.sqrt(2.0)), rel=5e-2)
 
     def test_moving_narrow_packet_confined(self):
         # chirally clean packet: everything stays behind the front
-        result, spec, _ = self.narrow_carpet(p0=8.0 / (1e-5 * 2.0 * math.pi), x0_frac=0.25)
-        report = lightcone_leakage(result, spec.x0)
+        result, spec, model = self.narrow_carpet(p0=8.0 / (1e-5 * 2.0 * math.pi), x0_frac=0.25)
+        report = lightcone_leakage(result, spec, model)
         assert report.max_fraction < 1e-2
 
     def test_resting_packet_tails_follow_inverse_margin(self):
@@ -247,7 +236,7 @@ class TestLightcone:
         grid = SpatialGrid(lw, 2048)
         coeffs = decompose(gaussian_state(spec, grid, model), model)
         times = np.array([0.0, 1e-4 * lw / model.light_speed])
-        result = carpet(coeffs, grid, times, packet=spec)
+        result = carpet(coeffs, grid, times)
         x = result.positions
         dx = result.spacing
         row = result.density[-1]
@@ -257,15 +246,9 @@ class TestLightcone:
     def test_no_pre_reflection_rows(self):
         coeffs, grid, spec = fig2_coefficients(512)
         t_late = 2.0 * L / MODEL.light_speed
-        result = carpet(coeffs, grid, [t_late], packet=spec)
+        result = carpet(coeffs, grid, [t_late])
         with pytest.raises(DomainError):
-            lightcone_leakage(result, spec.x0)
-
-    def test_missing_metadata_rejected(self):
-        coeffs, grid, _ = fig2_coefficients(512)
-        result = carpet(coeffs, grid, [0.0])
-        with pytest.raises(ValueError):
-            lightcone_leakage(result, L / 2)
+            lightcone_leakage(result, spec, MODEL)
 
 
 class TestLevelSpacing:
@@ -321,7 +304,7 @@ class TestExports:
     def build_small_carpet(self):
         coeffs, grid, spec = fig2_coefficients(512)
         times = np.linspace(0.0, 50.0, 3)
-        return carpet(coeffs, grid, times, packet=spec)
+        return carpet(coeffs, grid, times)
 
     def test_carpet_csv(self, tmp_path):
         result = self.build_small_carpet()

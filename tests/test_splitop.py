@@ -157,6 +157,22 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(state, config, 10 * config.dt, sample_times=[-config.dt])
 
+    def test_repeated_sample_times_each_get_a_snapshot(self):
+        coeffs = packet_coefficients()
+        config = default_config(MODEL, n0=1, sigma=L / 16)
+        state = boxed_initial_state(config, coeffs)
+        # the middle three times round to step 2; none of them is dropped
+        times = np.array([0.0, 2.0, 2.0, 2.1, 4.0]) * config.dt
+        out = propagate(state, config, 4 * config.dt, sample_times=times)
+        assert [s.metadata["steps_taken"] for s in out] == [0, 2, 2, 2, 4]
+        assert np.array_equal(out[1].values, out[3].values)
+
+    def test_steps_round_to_whole_strang_steps(self):
+        config = default_config(MODEL, n0=1, sigma=L / 16)
+        assert [config.steps(f * config.dt) for f in (0.0, 0.2, 2.4, 2.6)] == [0, 1, 2, 3]
+        with pytest.raises(ValueError, match="beyond any step count"):
+            replace(config, dt=1e-320).steps(1.0)
+
     def test_incommensurate_horizon_adjusts_dt(self):
         coeffs = packet_coefficients()
         config = default_config(MODEL, n0=1, sigma=L / 16)
