@@ -9,16 +9,16 @@ the standard figure-class workloads.  Exit codes: 0 success, 2 validation,
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ResolutionError, SimulationError
+from .errors import NonFiniteOutputError, ResolutionError, SimulationError
 from .grids import SpatialGrid, write_table
 from .model import WellModel, energy, revival_times
 from .momentum import (
@@ -38,7 +38,6 @@ from .observables import (
     write_carpet_binary,
     write_carpet_csv,
     write_carpet_pgm,
-    write_levels_csv,
     write_spacing_csv,
 )
 from .packets import (
@@ -56,13 +55,15 @@ class ConfigError(ValueError):
     """A configuration document failed validation."""
 
 
-# engine keys other than kind have no defaults, so DEFAULT_CONFIG cannot list them
+# the type of each key an engine kind takes besides kind: these keys have no
+# defaults, so DEFAULT_CONFIG cannot give their types
 _ENGINE_KEYS = {
-    "exact": {"kind", "grid_intervals", "n_max"},
-    "split": {"kind", "grid_size", "dt", "wall_height_in_mc2", "wall_margin_over_L"},
-    "diag": {"kind", "momentum_points", "p_max_in_mc", "wall_height_in_mc2"},
+    "exact": {"grid_intervals": int, "n_max": int},
+    "split": {
+        "grid_size": int, "dt": float, "wall_height_in_mc2": float, "wall_margin_over_L": float
+    },
+    "diag": {"momentum_points": int, "p_max_in_mc": float, "wall_height_in_mc2": float},
 }
-_ENGINE_INTEGERS = {"grid_intervals", "n_max", "grid_size", "momentum_points"}
 # Strang steps x grid points above which a split carpet is refused before it
 # starts: one to three hours at 0.03-0.1 us per point and step (N = 2048 to 256)
 SPLIT_WORK_LIMIT = 1e11
@@ -129,20 +130,6 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def _reject_unknown(block: dict, allowed, where: str) -> None:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(block).difference(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _is_integer(value) -> bool:
-    """An int below 2^62 in magnitude, so that it and its successor can size
-    or index a numpy array; bools are not."""
-    return isinstance(value, int) and not isinstance(value, bool) and abs(value) < 2**62
-
-
 def _is_real(value) -> bool:
     """A finite int or float; bools, strings, None, NaN and infinities are not."""
     try:
@@ -151,14 +138,54 @@ def _is_real(value) -> bool:
         return False
 
 
+# field type -> (the JSON values it accepts, how an error names it); an integer
+# stays below 2^62 so that it and its successor can size or index an array
+_FIELD_TYPES = {
+    float: (_is_real, "a finite number"),
+    int: (lambda v: type(v) is int and abs(v) < 2**62, "an integer below 2^62"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v), "a list of names"),
+    dict: (lambda v: isinstance(v, dict), "a JSON object"),
+}
+
+
+def _check_block(block, types: dict, name: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(block).difference(types)
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}; known: {sorted(types)}")
+    for key, value in block.items():
+        accepts, description = _FIELD_TYPES[types[key]]
+        if not accepts(value):
+            raise ConfigError(f"{name}.{key} must be {description}")
+
+
+def _check_fields(document) -> None:
+    """Each block is a JSON object with only known keys, each holding a value
+    of its key's type: DEFAULT_CONFIG's values give the types, and
+    _ENGINE_KEYS those of the engine keys other than kind."""
+    _check_block(document, dict.fromkeys(DEFAULT_CONFIG, dict), "config")
+    for name, defaults in DEFAULT_CONFIG.items():
+        types = {key: type(value) for key, value in defaults.items()}
+        if name == "engine":
+            kind = document[name].get("kind")
+            if not isinstance(kind, str) or kind not in _ENGINE_KEYS:
+                raise ConfigError(f"engine.kind must be one of {sorted(_ENGINE_KEYS)}")
+            types.update(_ENGINE_KEYS[kind])
+        _check_block(document[name], types, name)
+
+
 def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+    """The config's two levels: each block of ``override`` updates a copy of
+    the same block of ``base``, and anything else replaces what it names."""
+    merged = {name: dict(block) for name, block in base.items()}
+    for name, block in override.items():
+        if isinstance(block, dict) and name in merged:
+            merged[name].update(block)
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            merged[name] = block
+    return merged
 
 
 def load_config(preset: str | None, config_path: str | None) -> dict:
@@ -166,7 +193,10 @@ def load_config(preset: str | None, config_path: str | None) -> dict:
         raise ConfigError("give either --preset or --config, not both")
     if config_path is not None:
         with open(config_path) as fh:
-            document = json.load(fh)
+            try:
+                document = json.load(fh)
+            except RecursionError:
+                raise ConfigError(f"{config_path} is nested too deeply to parse") from None
         if not isinstance(document, dict):
             raise ConfigError("config document must be a JSON object")
         return _merge(DEFAULT_CONFIG, document)
@@ -180,15 +210,13 @@ class ResolvedConfig:
     """Validated configuration with all quantities in absolute units."""
 
     def __init__(self, document: dict):
-        _reject_unknown(document, DEFAULT_CONFIG, "config")
+        _check_fields(document)
         self.document = document
 
         model_block = document["model"]
-        _reject_unknown(model_block, DEFAULT_CONFIG["model"], "model")
-        for key in sorted(DEFAULT_CONFIG["model"]):
-            value = model_block.get(key)
-            if not _is_real(value) or value <= 0:
-                raise ConfigError(f"model.{key} must be a positive finite number")
+        for key in sorted(model_block):
+            if model_block[key] <= 0:
+                raise ConfigError(f"model.{key} must be positive")
         mass, light_speed = model_block["mass"], model_block["light_speed"]
         scale = 2.0 * math.pi * model_block["hbar"] / (mass * light_speed)
         self.model = WellModel(
@@ -199,10 +227,6 @@ class ResolvedConfig:
         )
 
         packet_block = document["packet"]
-        _reject_unknown(packet_block, DEFAULT_CONFIG["packet"], "packet")
-        for key in sorted(DEFAULT_CONFIG["packet"]):
-            if not _is_real(packet_block.get(key)):
-                raise ConfigError(f"packet.{key} must be a finite number")
         L = self.model.well_width
         self.packet = WavepacketSpec(
             x0=packet_block["x0_over_L"] * L,
@@ -210,54 +234,27 @@ class ResolvedConfig:
             p0=packet_block["p0_in_hbar_over_L"] * self.model.hbar / L,
         )
         self.packet.validate_against(self.model)
-
-        engine_block = document["engine"]
-        if not isinstance(engine_block, dict):
-            raise ConfigError("engine must be a JSON object")
-        kind = engine_block.get("kind")
-        if not isinstance(kind, str) or kind not in _ENGINE_KEYS:
-            raise ConfigError(f"engine.kind must be one of {sorted(_ENGINE_KEYS)}")
-        _reject_unknown(engine_block, _ENGINE_KEYS[kind], f"engine ({kind})")
-        for key, value in engine_block.items():
-            if key in _ENGINE_INTEGERS and not _is_integer(value):
-                raise ConfigError(f"engine.{key} must be an integer below 2^62")
-            if key != "kind" and not _is_real(value):
-                raise ConfigError(f"engine.{key} must be a finite number")
-        self.engine = dict(engine_block)
+        self.engine = dict(document["engine"])
 
         times_block = document["times"]
-        _reject_unknown(times_block, DEFAULT_CONFIG["times"], "times")
-        t_max = times_block.get("t_max")
-        if not _is_real(t_max) or t_max < 0:
-            raise ConfigError("times.t_max must be a finite nonnegative number")
-        samples = times_block.get("samples")
-        if not _is_integer(samples) or samples < 1:
-            raise ConfigError("times.samples must be a positive integer below 2^62")
+        if times_block["t_max"] < 0:
+            raise ConfigError("times.t_max must be nonnegative")
+        if times_block["samples"] < 1:
+            raise ConfigError("times.samples must be positive")
         if times_block["unit"] not in ("natural", "classical", "revival"):
             raise ConfigError("times.unit must be natural, classical or revival")
         self.times_block = times_block
 
-        levels_block = document["levels"]
-        _reject_unknown(levels_block, DEFAULT_CONFIG["levels"], "levels")
-        n_min, n_max = levels_block["n_min"], levels_block["n_max"]
-        if not (_is_integer(n_min) and _is_integer(n_max) and 1 <= n_min <= n_max):
-            raise ConfigError("levels.n_min/n_max must be integers with 1 <= n_min <= n_max < 2^62")
+        n_min, n_max = document["levels"]["n_min"], document["levels"]["n_max"]
+        if not 1 <= n_min <= n_max:
+            raise ConfigError("levels.n_min/n_max must satisfy 1 <= n_min <= n_max")
         self.levels = (n_min, n_max)
 
-        output_block = document["output"]
-        _reject_unknown(output_block, DEFAULT_CONFIG["output"], "output")
-        formats = output_block["formats"]
-        if not isinstance(formats, list) or not all(isinstance(f, str) for f in formats):
-            raise ConfigError("output.formats must be a list of format names")
+        formats, basename = document["output"]["formats"], document["output"]["basename"]
         bad = set(formats) - {"csv", "bin", "pgm"}
         if bad:
             raise ConfigError(f"unknown output formats: {sorted(bad)}")
-        basename = output_block["basename"]
-        if (
-            not isinstance(basename, str)
-            or basename in ("", ".", "..")
-            or any(c in basename for c in "/\\\0")
-        ):
+        if basename in ("", ".", "..") or any(c in basename for c in "/\\\0"):
             raise ConfigError("output.basename must be a non-empty file name without a path")
         self.basename = basename
         self.formats = list(formats)
@@ -302,17 +299,34 @@ class ResolvedConfig:
         return np.linspace(0.0, t_max, block["samples"])
 
 
-def _write_sidecar(outdir: Path, resolved: ResolvedConfig, command: str, extra: dict) -> None:
+def _write_outputs(
+    outdir: Path, resolved: ResolvedConfig, command: str, summary: dict, products: dict
+) -> None:
+    """Write each product to ``<basename>_<suffix>``, one at a time, and then
+    the sidecar ``<basename>_<command>.meta.json`` holding ``summary``.
+
+    ``products`` maps a file suffix to the writer that takes that file's
+    path.  The sidecar is serialized before the first file is opened, so a
+    value it cannot hold ends the run with nothing written.
+    """
+    paths = {suffix: outdir / f"{resolved.basename}_{suffix}" for suffix in products}
+    sidecar = outdir / f"{resolved.basename}_{command}.meta.json"
     payload = {
         "command": command,
         "version": __version__,
         "config": resolved.document,
         "well_width": resolved.model.well_width,
         "compton_wavelength": resolved.model.compton_wavelength,
+        "files": [path.name for path in paths.values()],
+        **summary,
     }
-    payload.update(extra)
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False)
-    with open(outdir / f"{resolved.basename}_{command}.meta.json", "w") as fh:
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutputError(f"refusing to write {sidecar}: {exc}") from None
+    for suffix, write in products.items():
+        write(paths[suffix])
+    with open(sidecar, "w") as fh:
         fh.write(text + "\n")
 
 
@@ -340,7 +354,8 @@ def cmd_spectrum(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     n_min, n_max = resolved.levels
     levels = np.arange(n_min, n_max + 1)
     energies = energy(model, levels)
-    spectrum = None
+    products = {"spectrum.csv": lambda path: write_table(path, ("n", "energy"), (levels, energies))}
+    summary = {}
     if resolved.engine["kind"] == "diag":
         count = resolved.engine.get("momentum_points", DEFAULT_GRID_SIZE)
         p_max = resolved.engine.get("p_max_in_mc")
@@ -352,16 +367,9 @@ def cmd_spectrum(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
         wall_factor = resolved.engine.get("wall_height_in_mc2", DEFAULT_WALL_HEIGHT_FACTOR)
         wall = wall_factor * model.energy_scale
         spectrum = solve(grid, model, wall, k_levels=n_max)
-
-    path = outdir / f"{resolved.basename}_spectrum.csv"
-    write_table(path, ("n", "energy"), (levels, energies))
-    extra: dict = {"files": [path.name]}
-    if spectrum is not None:
-        diag_path = outdir / f"{resolved.basename}_spectrum_diag.csv"
-        write_spectrum_csv(spectrum, model, diag_path)
-        extra["files"].append(diag_path.name)
-        extra["diag_metadata"] = spectrum.metadata
-    _write_sidecar(outdir, resolved, "spectrum", extra)
+        products["spectrum_diag.csv"] = partial(write_spectrum_csv, spectrum, model)
+        summary["diag_metadata"] = spectrum.metadata
+    _write_outputs(outdir, resolved, "spectrum", summary, products)
 
 
 def cmd_carpet(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
@@ -397,19 +405,16 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
         summary["wall_height"] = config.wall_height
     result = carpet(coeffs, grid, times, config=config, workers=threads)
 
-    files = []
     writers = {"csv": write_carpet_csv, "bin": write_carpet_binary, "pgm": write_carpet_pgm}
-    for suffix, write in writers.items():
-        if suffix in resolved.formats:
-            path = outdir / f"{resolved.basename}_carpet.{suffix}"
-            write(result, path)
-            files.append(path.name)
-
+    products = {
+        f"carpet.{suffix}": partial(write, result)
+        for suffix, write in writers.items()
+        if suffix in resolved.formats
+    }
     summary["engine"] = kind
-    summary["files"] = files
     summary["rows"] = int(result.times.size)
     summary["columns"] = int(result.positions.size)
-    _write_sidecar(outdir, resolved, "carpet", summary)
+    _write_outputs(outdir, resolved, "carpet", summary, products)
 
 
 def cmd_revivals(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
@@ -419,10 +424,11 @@ def cmd_revivals(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     rts = [revival_times(resolved.model, n) for n in levels.tolist()]
     coeffs, _ = resolved.coefficients()
     summary = _revival_summary(resolved, coeffs)
-    path = outdir / f"{resolved.basename}_revivals.csv"
-    write_table(path, header, (levels, *([getattr(rt, h) for rt in rts] for h in header[1:])))
-    summary["files"] = [path.name]
-    _write_sidecar(outdir, resolved, "revivals", summary)
+
+    def write(path):
+        write_table(path, header, (levels, *([getattr(rt, h) for rt in rts] for h in header[1:])))
+
+    _write_outputs(outdir, resolved, "revivals", summary, {"revivals.csv": write})
 
 
 def cmd_autocorr(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
@@ -432,46 +438,33 @@ def cmd_autocorr(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     summary = _revival_summary(resolved, coeffs)
     times = resolved.resolve_times(summary["n0"])
     series = autocorrelation(coeffs, times)
-    # level extraction is settled before a file is opened, so a record too
-    # short to resolve levels leaves nothing behind
-    estimates = None
+    products = {"autocorr.csv": partial(write_autocorrelation_csv, series)}
     if times.size >= 8 and times[-1] > 0:
         estimates = extract_levels(series, hbar=resolved.model.hbar)
         if not (math.isfinite(estimates.resolution) and np.isfinite(estimates.energies).all()):
             raise ConfigError(
                 f"times.t_max of {times[-1]!r} is too short for a finite Fourier resolution"
             )
-    path = outdir / f"{resolved.basename}_autocorr.csv"
-    write_autocorrelation_csv(series, path)
-    files = [path.name]
-
-    if estimates is not None:
-        levels_path = outdir / f"{resolved.basename}_levels.csv"
-        write_levels_csv(estimates, levels_path)
-        files.append(levels_path.name)
+        products["levels.csv"] = lambda path: write_table(
+            path, ("energy", "weight"), (estimates.energies, estimates.weights)
+        )
         summary["fourier_resolution"] = estimates.resolution
-
-    summary["files"] = files
-    _write_sidecar(outdir, resolved, "autocorr", summary)
+    _write_outputs(outdir, resolved, "autocorr", summary, products)
 
 
 def cmd_spacing(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     _, n_max = resolved.levels
     stats = level_spacing(resolved.model, n_max)
-    path = outdir / f"{resolved.basename}_spacing.csv"
-    write_spacing_csv(stats, path)
     summary = {key: getattr(stats, key) for key in ("mean", "variance", "asymptote_gap")}
-    summary["files"] = [path.name]
-    _write_sidecar(outdir, resolved, "spacing", summary)
+    products = {"spacing.csv": partial(write_spacing_csv, stats)}
+    _write_outputs(outdir, resolved, "spacing", summary, products)
 
 
 def cmd_coeffs(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     coeffs, _ = resolved.coefficients()
     summary = _revival_summary(resolved, coeffs)
-    path = outdir / f"{resolved.basename}_coeffs.csv"
-    write_coefficients_csv(coeffs, path)
-    summary["files"] = [path.name]
-    _write_sidecar(outdir, resolved, "coeffs", summary)
+    products = {"coeffs.csv": partial(write_coefficients_csv, coeffs)}
+    _write_outputs(outdir, resolved, "coeffs", summary, products)
 
 
 _COMMANDS = {
@@ -498,6 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# numpy's warnings on the way to a non-finite value would add lines to stderr;
+# the value is reported once, by the check or the error it ends in
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -517,7 +513,7 @@ def main(argv=None) -> int:
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SimulationError as exc:
+    except (SimulationError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

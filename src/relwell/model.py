@@ -196,7 +196,6 @@ class RevivalTimes:
     """
 
     n0: int
-    omega0: float
     t_classical: float
     t_revival: float
     t_super: float
@@ -225,7 +224,6 @@ def revival_times(model: WellModel, n0: int) -> RevivalTimes:
     d3 = energy_derivative(model, n0, 3)
     return RevivalTimes(
         n0=int(n0),
-        omega0=energy(model, n0) / model.hbar,
         t_classical=two_pi_hbar / abs(d1),
         t_revival=two_pi_hbar / (abs(d2) / 2.0),
         t_super=two_pi_hbar / (abs(d3) / 6.0),

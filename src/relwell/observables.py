@@ -68,7 +68,6 @@ class LevelEstimates:
     energies: np.ndarray
     weights: np.ndarray
     resolution: float
-    window: str = "hann"
 
 
 def extract_levels(series: AutocorrelationSeries, hbar: float = 1.0) -> LevelEstimates:
@@ -291,10 +290,6 @@ def write_autocorrelation_csv(series: AutocorrelationSeries, path) -> None:
     # hypot rounds |a| exactly as the scalar abs(a) does; np.abs does not
     modulus = np.hypot(a.real, a.imag)
     write_table(path, ("t", "re_a", "im_a", "abs_a"), (series.times, a.real, a.imag, modulus))
-
-
-def write_levels_csv(estimates: LevelEstimates, path) -> None:
-    write_table(path, ("energy", "weight"), (estimates.energies, estimates.weights))
 
 
 def write_spacing_csv(stats: SpacingStatistics, path) -> None:

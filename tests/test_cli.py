@@ -52,6 +52,34 @@ def small_config(**overrides):
     return base
 
 
+def run_refused(tmp_path, capsys, command, text):
+    """Run ``command`` on the config ``text``; return the exit code and the
+    stderr lines, after checking that --out was left without files."""
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    assert not out.exists() or list(out.iterdir()) == []
+    return code, capsys.readouterr().err.strip().splitlines()
+
+
+# model values whose arithmetic overflows, with the commands that reach it
+EXTREME_SCALES = [
+    (key, value, command)
+    for (key, value), commands in {
+        ("mass", 1e-300): ("coeffs", "revivals", "autocorr"),
+        ("light_speed", 1e-300): ("coeffs", "revivals", "autocorr"),
+        ("light_speed", 1e300): ("spacing", "coeffs", "revivals", "autocorr", "spectrum"),
+        ("hbar", 1e300): ("coeffs", "revivals", "autocorr"),
+        ("well_width_in_compton", 1e-150): ("coeffs", "revivals", "autocorr"),
+        ("well_width_in_compton", 1e-300): ("coeffs", "revivals", "autocorr"),
+        ("well_width_in_compton", 1e150): ("coeffs", "revivals", "autocorr"),
+        ("well_width_in_compton", 1e300): ("coeffs", "revivals", "autocorr"),
+    }.items()
+    for command in commands
+]
+
+
 class TestValidation:
     def test_invalid_width_exits_2_without_files(self, tmp_path):
         config = small_config(model={"well_width_in_compton": -3.0})
@@ -119,6 +147,47 @@ class TestValidation:
         # a config too large to allocate is reported by numpy's message
         reason = "Unable to allocate" if value == TOO_LARGE else f"{block}.{key}"
         assert len(err) == 1 and err[0].startswith("error:") and reason in err[0]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200_000, '{"output": {"formats": ' + "[" * 600 + "]" * 600 + "}}"],
+        ids=["past-the-parser", "past-the-merge"],
+    )
+    def test_config_nested_too_deeply_exits_2_without_files(self, tmp_path, capsys, text):
+        code, err = run_refused(tmp_path, capsys, "spacing", text)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("key, value, command", EXTREME_SCALES)
+    def test_arithmetic_overflow_exits_3_without_files(
+        self, tmp_path, capsys, key, value, command
+    ):
+        code, err = run_refused(tmp_path, capsys, command, json.dumps({"model": {key: value}}))
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("numerical error:")
+
+    def test_one_stderr_line_in_a_fresh_interpreter(self, tmp_path):
+        # pytest records numpy's warnings itself, so only a fresh interpreter
+        # shows the stderr a user gets: here an overflow warns on its way
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {"mass": 1e-300}}))
+        env = dict(os.environ, PYTHONPATH=str(Path(relwell.__file__).parents[1]))
+        argv = ["coeffs", "--config", str(config), "--out", str(tmp_path / "out")]
+        job = subprocess.run(
+            [sys.executable, "-m", "relwell.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert job.returncode == 3
+        assert len(job.stderr.splitlines()) == 1 and job.stderr.startswith("numerical error:")
+
+    @pytest.mark.parametrize(
+        "key, value", [("mass", 1e300), ("light_speed", 1e150), ("well_width_in_compton", 1e-300)]
+    )
+    def test_non_finite_sidecar_exits_3_without_files(self, tmp_path, capsys, key, value):
+        # the spacing table is finite, but its mean spacing is not
+        code, err = run_refused(tmp_path, capsys, "spacing", json.dumps({"model": {key: value}}))
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("numerical error:")
+        assert "run_spacing.meta.json" in err[0]
 
     @pytest.mark.parametrize(
         "command, engine",
@@ -326,9 +395,9 @@ class TestAutocorrAndSpacing:
         meta = json.loads((tmp_path / "t_autocorr.meta.json").read_text())
         resolution = meta["fourier_resolution"]
         model = WellModel(well_width=2.0 * 2.0 * math.pi)
-        found = np.array(
-            [float(r.split(",")[0]) for r in (tmp_path / "t_levels.csv").read_text().splitlines()[1:]]
-        )
+        levels = (tmp_path / "t_levels.csv").read_text().splitlines()
+        assert levels[0] == "energy,weight"
+        found = np.array([float(r.split(",")[0]) for r in levels[1:]])
         for n in (1, 3, 5):
             e_true = energy(model, n)
             assert np.min(np.abs(found - e_true)) < resolution
@@ -459,17 +528,21 @@ def config_fields(kind):
     """Leaves the property test may replace: those of DEFAULT_CONFIG and the
     engine keys of the example's kind."""
     leaves = [(block, key) for block, fields in DEFAULT_CONFIG.items() for key in fields]
-    return leaves + [("engine", key) for key in sorted(cli._ENGINE_KEYS[kind] - {"kind"})]
+    return leaves + [("engine", key) for key in sorted(set(cli._ENGINE_KEYS[kind]) - {"kind"})]
 
 
-# Arbitrary JSON, except that finite floats are a few harmless values and
-# integers are either small or far beyond any allocation: mid-size integers
-# and tiny packet widths would really allocate gigabytes.
+# Arbitrary JSON, except that finite floats are a few harmless values and the
+# extremes of the double range, and integers are either small or far beyond
+# any allocation: mid-size integers and moderately small packet widths would
+# really allocate gigabytes.
 json_scalars = st.one_of(
     st.text(max_size=8),
     st.booleans(),
     st.none(),
-    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0, 0.5]),
+    st.sampled_from(
+        [math.inf, -math.inf, math.nan, 0.0, -1.0, 0.5]
+        + [1e-300, 1e300, 5e-324, 1.7976931348623157e308]
+    ),
     st.integers(min_value=-(2**10), max_value=2**10),
     st.integers(min_value=2**62),
 )

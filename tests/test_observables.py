@@ -25,12 +25,12 @@ from relwell import (
     lightcone_leakage,
     revival_times,
 )
+from relwell.grids import write_table
 from relwell.observables import (
     write_autocorrelation_csv,
     write_carpet_binary,
     write_carpet_csv,
     write_carpet_pgm,
-    write_levels_csv,
     write_spacing_csv,
 )
 from oracles import read_carpet_binary
@@ -348,7 +348,8 @@ class TestExports:
         assert float(row[1]) == pytest.approx(1.0, abs=1e-12)
 
         estimates = extract_levels(series, hbar=MODEL.hbar)
-        write_levels_csv(estimates, tmp_path / "l.csv")
+        columns = (estimates.energies, estimates.weights)
+        write_table(tmp_path / "l.csv", ("energy", "weight"), columns)
         assert (tmp_path / "l.csv").read_text().splitlines()[0] == "energy,weight"
 
         stats = level_spacing(MODEL, 10)

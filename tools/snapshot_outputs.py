@@ -6,12 +6,17 @@ each leaves behind, so two trees can be compared with ``diff -r``.
     python tools/snapshot_outputs.py src snap_change
     diff -r snap_parent snap_change
 
-Each job runs ``python -m relwell.cli`` in a fresh interpreter with
-``PYTHONPATH=SRC``.  ``OUT/<job>/`` receives the job's output files, its
-stderr as ``stderr.txt`` and its exit code as ``exit_code.txt``.  The jobs are
-every preset under every command, ``spectrum --engine diag`` on every preset,
-and one 16-row split-engine carpet at N = 256 in all three carpet formats:
-64 runs, one at a time, about 45 s and 150 MB of output on a two-core host.
+Each job runs ``python -m relwell.cli --out .`` in a fresh interpreter with
+``PYTHONPATH=SRC``, inside its own directory ``OUT/<job>/``, which receives
+the job's config as ``config.json`` if it has one, its output files, its
+stderr as ``stderr.txt`` and its exit code as ``exit_code.txt``.  The first
+64 jobs are every preset under every command, ``spectrum --engine diag`` on
+every preset, and one 16-row split-engine carpet at N = 256 in all three
+carpet formats.  The other 31 are error paths, each of which must end in one
+stderr line and no output file: two configs nested too deeply (exit 2),
+extreme model scales whose arithmetic overflows (exit 3), and ``spacing`` runs
+whose sidecar would hold an infinity (exit 3).  All 95 run one at a time in
+about 60 s, with 150 MB of output, on a two-core host.
 """
 
 from __future__ import annotations
@@ -35,20 +40,42 @@ SPLIT_CARPET = {
 }
 
 
-def jobs(out: Path) -> list[tuple[str, list[str]]]:
-    """(directory name, CLI arguments before --out) for every job."""
+# model values whose arithmetic overflows, and the commands that reach it
+EXTREME_MODELS = {
+    ("mass", 1e-300): ("coeffs", "revivals", "autocorr"),
+    ("light_speed", 1e-300): ("coeffs", "revivals", "autocorr"),
+    ("light_speed", 1e300): ("spacing", "coeffs", "revivals", "autocorr", "spectrum"),
+    ("hbar", 1e300): ("coeffs", "revivals", "autocorr"),
+    ("well_width_in_compton", 1e-150): ("coeffs", "revivals", "autocorr"),
+    ("well_width_in_compton", 1e-300): ("coeffs", "revivals", "autocorr"),
+    ("well_width_in_compton", 1e150): ("coeffs", "revivals", "autocorr"),
+    ("well_width_in_compton", 1e300): ("coeffs", "revivals", "autocorr"),
+}
+# model values that give spacing's sidecar an infinity
+INFINITE_SIDECARS = (("mass", 1e300), ("light_speed", 1e150), ("well_width_in_compton", 1e-300))
+
+
+def jobs() -> list[tuple[str, list[str], str | None]]:
+    """(directory name, CLI arguments before --out, config text) for every job."""
     listed = [
-        (f"{preset}_{command}", [command, "--preset", preset])
+        (f"{preset}_{command}", [command, "--preset", preset], None)
         for preset in PRESETS
         for command in COMMANDS
     ]
     listed += [
-        (f"{preset}_spectrum_diag", ["spectrum", "--preset", preset, "--engine", "diag"])
+        (f"{preset}_spectrum_diag", ["spectrum", "--preset", preset, "--engine", "diag"], None)
         for preset in PRESETS
     ]
-    config = out / "split16.json"
-    config.write_text(json.dumps(SPLIT_CARPET))
-    listed.append(("split16_carpet", ["carpet", "--config", str(config)]))
+    listed.append(("split16_carpet", ["carpet"], json.dumps(SPLIT_CARPET)))
+    listed.append(("deep_parse_spacing", ["spacing"], "[" * 200_000))
+    formats = "[" * 600 + "]" * 600
+    listed.append(("deep_formats_spacing", ["spacing"], f'{{"output": {{"formats": {formats}}}}}'))
+    for (key, value), commands in EXTREME_MODELS.items():
+        config = json.dumps({"model": {key: value}})
+        listed += [(f"{key}_{value:g}_{command}", [command], config) for command in commands]
+    for key, value in INFINITE_SIDECARS:
+        config = json.dumps({"model": {key: value}})
+        listed.append((f"infinite_sidecar_{key}_{value:g}_spacing", ["spacing"], config))
     return listed
 
 
@@ -58,11 +85,16 @@ def main() -> None:
     src, out = Path(sys.argv[1]).resolve(), Path(sys.argv[2])
     out.mkdir(parents=True, exist_ok=False)
     env = dict(os.environ, PYTHONPATH=str(src))
-    for name, args in jobs(out):
+    for name, args, config in jobs():
         jobdir = out / name
         jobdir.mkdir()
+        if config is not None:
+            (jobdir / "config.json").write_text(config)
+            args = [*args, "--config", "config.json"]
+        # run inside the job's directory, so that no message names OUT
         job = subprocess.run(
-            [sys.executable, "-m", "relwell.cli", *args, "--out", str(jobdir)],
+            [sys.executable, "-m", "relwell.cli", *args, "--out", "."],
+            cwd=jobdir,
             env=env,
             capture_output=True,
             text=True,
