@@ -5,17 +5,7 @@ eigenbasis, a split-operator grid propagator and momentum-space
 diagonalization — cross-validate each other and the closed-form results.
 """
 
-from .errors import (
-    AliasingError,
-    DomainError,
-    EigensolverError,
-    EmptyStateError,
-    NonFiniteOutputError,
-    NumericalBlowupError,
-    ResolutionError,
-    SimulationError,
-    UnsupportedOrderError,
-)
+from .errors import SimulationError
 from .grids import BoxGrid, GridState, SpatialGrid
 from .model import (
     RevivalTimes,

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NonFiniteOutputError, ResolutionError, SimulationError
+from .errors import SimulationError
 from .grids import SpatialGrid, write_table
-from .model import WellModel, energy, revival_times
+from .model import SCALE_FIELDS, WellModel, energy, revival_times
 from .momentum import (
     DEFAULT_GRID_SIZE,
     DEFAULT_WALL_HEIGHT_FACTOR,
@@ -274,7 +274,7 @@ class ResolvedConfig:
         else:
             minimum = math.ceil(MIN_POINTS_PER_SIGMA * L / sigma)
             if intervals < minimum:
-                raise ResolutionError(
+                raise ConfigError(
                     f"engine.grid_intervals={intervals} under-resolves the packet; "
                     f"need at least {minimum} intervals"
                 )
@@ -323,7 +323,7 @@ def _write_outputs(
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False)
     except ValueError as exc:
-        raise NonFiniteOutputError(f"refusing to write {sidecar}: {exc}") from None
+        raise SimulationError(f"refusing to write {sidecar}: {exc}") from None
     for suffix, write in products.items():
         write(paths[suffix])
     with open(sidecar, "w") as fh:
@@ -366,6 +366,8 @@ def cmd_spectrum(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
         )
         wall_factor = resolved.engine.get("wall_height_in_mc2", DEFAULT_WALL_HEIGHT_FACTOR)
         wall = wall_factor * model.energy_scale
+        if n_max > grid.count:
+            raise ConfigError(f"levels.n_max={n_max} exceeds engine.momentum_points={grid.count}")
         spectrum = solve(grid, model, wall, k_levels=n_max)
         products["spectrum_diag.csv"] = partial(write_spectrum_csv, spectrum, model)
         summary["diag_metadata"] = spectrum.metadata
@@ -513,8 +515,11 @@ def main(argv=None) -> int:
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationError, ArithmeticError) as exc:
+    except SimulationError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"numerical error: {exc}; bring {SCALE_FIELDS} closer to 1", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

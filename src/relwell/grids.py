@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteOutputError
+from .errors import SimulationError
 
 _BLOCK_LINES = 2048  # lines formatted per write: bounds the text held at once
 
@@ -119,7 +119,7 @@ def sine_transform(values: np.ndarray, workers: int = 1) -> np.ndarray:
 def require_finite(path, name: str, values) -> None:
     """Refuse, before anything is written, to put non-finite ``values`` in ``path``."""
     if not np.isfinite(values).all():
-        raise NonFiniteOutputError(f"refusing to write non-finite {name} to {path}")
+        raise SimulationError(f"refusing to write non-finite {name} to {path}")
 
 
 def write_table(path, header, columns) -> None:

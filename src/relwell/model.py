@@ -17,9 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UnsupportedOrderError
-
 MAX_DERIVATIVE_ORDER = 6
+# the config fields that set the model's scales, named by errors at extreme scales
+SCALE_FIELDS = "model.mass, model.light_speed, model.hbar or model.well_width_in_compton"
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def energy_derivative(model: WellModel, n0: float, order: int) -> float:
     and order 2 to (hbar*pi/L)^2 / (gamma^3 * m).
     """
     if not isinstance(order, int) or not 1 <= order <= MAX_DERIVATIVE_ORDER:
-        raise UnsupportedOrderError(
+        raise ValueError(
             f"derivative order must be an integer in 1..{MAX_DERIVATIVE_ORDER}, got {order!r}"
         )
     if n0 <= 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EigensolverError
+from .errors import SimulationError
 from .grids import write_table
 from .model import WellModel, energy
 
@@ -136,7 +136,7 @@ def solve(
             for sign in (1.0, -1.0)
         )
     except scipy.linalg.LinAlgError as exc:
-        raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
+        raise SimulationError(f"dense eigensolver failed: {exc}") from exc
 
     vals = np.concatenate([even_vals, odd_vals])
     order = np.argsort(vals, kind="stable")[:k_levels]

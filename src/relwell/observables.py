@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .grids import GridState, SpatialGrid, require_finite, write_table
 from .model import WellModel, energy, level_velocity
 from .packets import CoefficientVector, WavepacketSpec
@@ -183,7 +182,7 @@ def lightcone_leakage(
     horizon = min(x0, model.well_width - x0) / c
     mask = carpet_grid.times < horizon
     if not mask.any():
-        raise DomainError("no carpet rows precede the first wall reflection")
+        raise ValueError("no carpet rows precede the first wall reflection")
 
     x = carpet_grid.positions
     dx = carpet_grid.spacing

@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AliasingError, EmptyStateError, ResolutionError
+from .errors import SimulationError
 from .grids import GridState, SpatialGrid, sine_transform, write_table
-from .model import WellModel
+from .model import SCALE_FIELDS, WellModel
 
 # auto-truncation: cut once |a_n|^2 stays below this for TAIL_RUN consecutive levels
 TAIL_THRESHOLD = 1e-14
@@ -91,7 +91,7 @@ def gaussian_state(spec: WavepacketSpec, grid: SpatialGrid, model: WellModel) ->
         raise ValueError("grid and model disagree on the well width")
     if grid.spacing > spec.sigma / MIN_POINTS_PER_SIGMA:
         needed = math.ceil(MIN_POINTS_PER_SIGMA * model.well_width / spec.sigma)
-        raise ResolutionError(
+        raise ValueError(
             f"grid too coarse for sigma={spec.sigma:g}: need at least "
             f"{needed} intervals, got {grid.intervals}"
         )
@@ -107,6 +107,12 @@ def gaussian_state(spec: WavepacketSpec, grid: SpatialGrid, model: WellModel) ->
     discarded = 0.5 * (erfc(spec.x0 / s) + erfc((model.well_width - spec.x0) / s))
 
     norm = math.sqrt(float(np.sum(np.abs(psi) ** 2) * grid.spacing))
+    # a NaN or infinite sample makes the norm NaN or infinite too
+    if not 0.0 < norm < math.inf:
+        raise SimulationError(
+            f"the packet of sigma={spec.sigma:g} samples to a state of norm {norm}; "
+            f"sigma**2 leaves double range at these scales: bring {SCALE_FIELDS} closer to 1"
+        )
     state = GridState(psi / norm, grid, 0.0, {"discarded_mass": float(discarded)})
     return state
 
@@ -133,9 +139,7 @@ def decompose(state: GridState, model: WellModel, n_max: int | None = None) -> C
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
         if n_max > nyquist:
-            raise AliasingError(
-                f"n_max={n_max} exceeds the grid Nyquist level {nyquist}"
-            )
+            raise ValueError(f"n_max={n_max} exceeds the grid Nyquist level {nyquist}")
 
     coeffs_full = _sine_coefficients(state.values, grid, nyquist)
     if n_max is None:
@@ -171,7 +175,7 @@ def dominant_level(coeffs: CoefficientVector) -> int:
     """Level with the largest population |a_n|^2; ties break toward smaller n."""
     weights = coeffs.weights()
     if float(weights.sum()) == 0.0:
-        raise EmptyStateError("all coefficients vanish")
+        raise SimulationError("all coefficients vanish")
     return int(np.argmax(weights)) + 1  # argmax returns the first (smallest) maximizer
 
 

@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from .errors import AliasingError
 from .grids import GridState, SpatialGrid, sine_transform
 from .model import energy
 from .packets import CoefficientVector
@@ -52,7 +51,7 @@ def _synthesize(rows, count: int, n_max: int, grid: SpatialGrid, workers: int = 
     in place: a copy would cost one more pass over the largest array.
     """
     if n_max > grid.nyquist_level:
-        raise AliasingError(f"grid with {grid.intervals} intervals cannot represent level {n_max}")
+        raise ValueError(f"grid with {grid.intervals} intervals cannot represent level {n_max}")
     values = np.zeros((count, grid.intervals + 1), dtype=np.complex128)
     interior = values[:, 1:-1]
     for r, row in enumerate(rows):

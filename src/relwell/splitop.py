@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalBlowupError
+from .errors import SimulationError
 from .grids import BoxGrid, GridState
 from .model import WellModel, revival_times
 
@@ -140,9 +140,9 @@ def propagate(
     the nearest commensurate value and the adjustment reported in each
     sampled state's metadata.  Each requested time gets one snapshot, at
     its nearest step, in time order; times outside [0, t_final] are
-    rejected.  Deterministic for a fixed config.  Raises
-    NumericalBlowupError, carrying the same step count as the metadata, if
-    a sampled state stops being finite.
+    rejected.  Deterministic for a fixed config.  Raises SimulationError,
+    naming the same step count as the metadata, if a sampled state stops
+    being finite.
     """
     from scipy.fft import fft, ifft
 
@@ -175,8 +175,8 @@ def propagate(
 
     def emit(step_index: int):
         if not np.all(np.isfinite(psi.view(float))):
-            raise NumericalBlowupError(
-                "non-finite amplitudes during propagation", steps_before + step_index
+            raise SimulationError(
+                f"non-finite amplitudes during propagation (step {steps_before + step_index})"
             )
         meta = dict(state.metadata)
         meta["steps_taken"] = steps_before + step_index

@@ -2,17 +2,19 @@
 
 The hard-wall eigenfunctions in position and momentum space, the momentum
 integral equation they solve, the complex momentum-space Hamiltonian of the
-finite well, the Gaussian overlap coefficients and a reader for the carpet
-binary layout documented in the README.  None of these runs in
-the CLI; each is an independent oracle for something that does.
+finite well, the Gaussian overlap coefficients, finite differences of the
+closed-form energy and a reader for the carpet binary layout documented in
+the README.  None of these runs in the CLI; each is an independent oracle for
+something that does.
 """
 
 import math
 import struct
 
+import mpmath as mp
 import numpy as np
 
-from relwell import CoefficientVector, DomainError, MomentumGrid, WavepacketSpec, WellModel
+from relwell import CoefficientVector, MomentumGrid, WavepacketSpec, WellModel
 from relwell.observables import CarpetGrid
 
 # relative half-width of the Taylor window around the removable poles of the
@@ -23,14 +25,14 @@ _POLE_WINDOW = 1e-6
 def eigenfunction_position(model: WellModel, n: int, x) -> float | np.ndarray:
     """Real-space eigenfunction sqrt(2/L) * sin(n*pi*x/L) on [0, L].
 
-    Raises DomainError for coordinates outside the box; the state is
+    Raises ValueError for coordinates outside the box; the state is
     identically zero there and asking for it usually indicates a grid bug.
     """
     scalar = np.isscalar(x)
     xs = np.asarray(x, dtype=float)
     L = model.well_width
     if np.any(xs < 0.0) or np.any(xs > L):
-        raise DomainError("position outside the box [0, L]")
+        raise ValueError("position outside the box [0, L]")
     amp = math.sqrt(2.0 / L) * np.sin(n * np.pi * xs / L)
     return float(amp) if scalar else amp
 
@@ -190,3 +192,26 @@ def read_carpet_binary(path) -> CarpetGrid:
         np.linspace(t0, t1, rows),
         np.linspace(x0, x1, cols),
     )
+
+
+def fd_energy_derivative(model: WellModel, n0, order: int, h=1e-4) -> float:
+    """Central finite differences of the closed-form energy at 50-digit
+    precision; the independent oracle for the derivative formula."""
+    with mp.workdps(50):
+        ratio = mp.pi / mp.mpf(model.width_natural)
+        scale = mp.mpf(model.energy_scale)
+
+        def e(n):
+            return scale * mp.sqrt(1 + (ratio * n) ** 2)
+
+        n0, h = mp.mpf(n0), mp.mpf(h)
+        stencils = {
+            1: ((-1, -0.5), (1, 0.5)),
+            2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+            3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
+            4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
+        }
+        total = mp.mpf(0)
+        for offset, coeff in stencils[order]:
+            total += mp.mpf(coeff) * e(n0 + offset * h)
+        return float(total / h**order)

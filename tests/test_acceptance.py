@@ -19,7 +19,6 @@ import math
 import time
 from dataclasses import replace
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -47,32 +46,11 @@ from relwell import (
     revival_times,
     solve,
 )
-
-mp.mp.dps = 50
+from oracles import fd_energy_derivative
 
 
 def report(index, ok, detail):
     print(f"ACCEPTANCE {index:2d} {'PASS' if ok else 'FAIL'}: {detail}")
-
-
-def fd_energy_derivative(model, n0, order, h=1e-4):
-    ratio = mp.pi / mp.mpf(model.width_natural)
-    scale = mp.mpf(model.energy_scale)
-
-    def e(n):
-        return scale * mp.sqrt(1 + (ratio * n) ** 2)
-
-    n0, h = mp.mpf(n0), mp.mpf(h)
-    stencils = {
-        1: ((-1, -0.5), (1, 0.5)),
-        2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-        3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-        4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
-    }
-    total = mp.mpf(0)
-    for offset, coeff in stencils[order]:
-        total += mp.mpf(coeff) * e(n0 + offset * h)
-    return float(total / h**order)
 
 
 def test_criterion_01_spectrum_equivalence():

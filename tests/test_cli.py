@@ -63,11 +63,13 @@ def run_refused(tmp_path, capsys, command, text):
     return code, capsys.readouterr().err.strip().splitlines()
 
 
-# model values whose arithmetic overflows, with the commands that reach it
+# model values whose arithmetic overflows or underflows, with the commands
+# that reach it
 EXTREME_SCALES = [
     (key, value, command)
     for (key, value), commands in {
         ("mass", 1e-300): ("coeffs", "revivals", "autocorr"),
+        ("mass", 1e300): ("coeffs", "revivals", "autocorr", "carpet"),
         ("light_speed", 1e-300): ("coeffs", "revivals", "autocorr"),
         ("light_speed", 1e300): ("spacing", "coeffs", "revivals", "autocorr", "spectrum"),
         ("hbar", 1e300): ("coeffs", "revivals", "autocorr"),
@@ -165,6 +167,7 @@ class TestValidation:
         code, err = run_refused(tmp_path, capsys, command, json.dumps({"model": {key: value}}))
         assert code == 3
         assert len(err) == 1 and err[0].startswith("numerical error:")
+        assert "model." in err[0]
 
     def test_one_stderr_line_in_a_fresh_interpreter(self, tmp_path):
         # pytest records numpy's warnings itself, so only a fresh interpreter
@@ -190,19 +193,28 @@ class TestValidation:
         assert "run_spacing.meta.json" in err[0]
 
     @pytest.mark.parametrize(
-        "command, engine",
+        "command, engine, fields",
         [
-            ("spectrum", {"kind": "diag", "momentum_points": 5}),
-            ("spectrum", {"kind": "diag", "p_max_in_mc": -1.0}),
-            ("spectrum", {"kind": "diag", "wall_height_in_mc2": -5.0}),
-            ("revivals", {"kind": "exact", "grid_intervals": 16}),
-            ("revivals", {"kind": "exact", "n_max": 5000}),
-            ("carpet", {"kind": "split", "grid_size": 256, "dt": 1e-320}),
+            ("spectrum", {"kind": "diag", "momentum_points": 5}, ()),
+            ("spectrum", {"kind": "diag", "p_max_in_mc": -1.0}, ()),
+            ("spectrum", {"kind": "diag", "wall_height_in_mc2": -5.0}, ()),
+            # the default levels.n_max of 100 asks for more levels than 64 points hold
+            (
+                "spectrum",
+                {"kind": "diag", "momentum_points": 64},
+                ("levels.n_max", "engine.momentum_points"),
+            ),
+            ("revivals", {"kind": "exact", "grid_intervals": 16}, ()),
+            ("revivals", {"kind": "exact", "n_max": 5000}, ()),
+            ("carpet", {"kind": "split", "grid_size": 256, "dt": 1e-320}, ()),
         ],
-        ids=["diag-points", "diag-p_max", "diag-wall", "intervals", "n_max", "split-dt"],
+        ids=[
+            "diag-points", "diag-p_max", "diag-wall", "diag-levels",
+            "intervals", "n_max", "split-dt",
+        ],
     )
     def test_input_the_engine_rejects_exits_2_without_files(
-        self, tmp_path, capsys, command, engine
+        self, tmp_path, capsys, command, engine, fields
     ):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"engine": engine}))
@@ -211,6 +223,7 @@ class TestValidation:
         assert list(out.iterdir()) == []
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert all(field in err[0] for field in fields)
 
 
 class TestSpectrum:

@@ -2,14 +2,11 @@
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from relwell import (
-    DomainError,
-    UnsupportedOrderError,
     WellModel,
     energy,
     energy_derivative,
@@ -17,32 +14,7 @@ from relwell import (
     lorentz_gamma,
     revival_times,
 )
-from oracles import eigenfunction_momentum, eigenfunction_position
-
-mp.mp.dps = 50
-
-
-def fd_energy_derivative(model, n0, order, h=1e-4):
-    """Central finite differences of the closed-form energy at 50-digit
-    precision; the independent oracle for the derivative formula."""
-    ratio = mp.pi / mp.mpf(model.width_natural)
-    scale = mp.mpf(model.energy_scale)
-
-    def e(n):
-        return scale * mp.sqrt(1 + (ratio * n) ** 2)
-
-    n0 = mp.mpf(n0)
-    h = mp.mpf(h)
-    stencils = {
-        1: ((-1, -0.5), (1, 0.5)),
-        2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-        3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-        4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
-    }
-    total = mp.mpf(0)
-    for offset, coeff in stencils[order]:
-        total += mp.mpf(coeff) * e(n0 + offset * h)
-    return float(total / h**order)
+from oracles import eigenfunction_momentum, eigenfunction_position, fd_energy_derivative
 
 
 class TestEnergy:
@@ -138,7 +110,7 @@ class TestEigenfunctionPosition:
 
     def test_outside_box_rejected(self):
         model = WellModel(well_width=1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError):
             eigenfunction_position(model, 1, 1.2)
 
 
@@ -238,7 +210,7 @@ class TestEnergyDerivative:
 
     @pytest.mark.parametrize("order", [0, 7, -1])
     def test_unsupported_order(self, order):
-        with pytest.raises(UnsupportedOrderError):
+        with pytest.raises(ValueError):
             energy_derivative(WellModel(), 1.0, order)
 
 

@@ -7,8 +7,8 @@ import pytest
 from scipy.optimize import brentq
 
 from relwell import (
-    EigensolverError,
     MomentumGrid,
+    SimulationError,
     WellModel,
     build_hamiltonian,
     default_grid,
@@ -236,7 +236,7 @@ class TestSolve:
             raise scipy.linalg.LinAlgError("eigenvalues did not converge")
 
         monkeypatch.setattr(scipy.linalg, "eigh", fail)
-        with pytest.raises(EigensolverError, match="did not converge"):
+        with pytest.raises(SimulationError, match="did not converge"):
             solve(MomentumGrid(5.0, 16), WellModel(), 1.0, k_levels=2)
 
     def test_k_levels_validated(self):

@@ -9,7 +9,6 @@ from scipy.special import erfc
 from relwell import (
     AutocorrelationSeries,
     CoefficientVector,
-    DomainError,
     SpatialGrid,
     WavepacketSpec,
     WellModel,
@@ -247,7 +246,7 @@ class TestLightcone:
         coeffs, grid, spec = fig2_coefficients(512)
         t_late = 2.0 * L / MODEL.light_speed
         result = carpet(coeffs, grid, [t_late])
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError):
             lightcone_leakage(result, spec, MODEL)
 
 

@@ -7,11 +7,9 @@ import pytest
 from scipy.special import erfc
 
 from relwell import (
-    AliasingError,
     CoefficientVector,
-    EmptyStateError,
     GridState,
-    ResolutionError,
+    SimulationError,
     SpatialGrid,
     WavepacketSpec,
     WellModel,
@@ -58,7 +56,7 @@ class TestGaussianState:
 
     def test_coarse_grid_rejected(self):
         grid = SpatialGrid(L, 64)  # fewer than 8 points per sigma at sigma=L/20
-        with pytest.raises(ResolutionError):
+        with pytest.raises(ValueError):
             gaussian_state(centered_packet(), grid, MODEL)
 
     def test_center_outside_box_rejected(self):
@@ -97,7 +95,7 @@ class TestDecompose:
     def test_beyond_nyquist_rejected(self):
         grid = SpatialGrid(L, 256)
         state = gaussian_state(centered_packet(sigma=L / 10), grid, MODEL)
-        with pytest.raises(AliasingError):
+        with pytest.raises(ValueError):
             decompose(state, MODEL, n_max=256)
 
     def test_auto_truncation_bookkeeping(self):
@@ -172,7 +170,7 @@ class TestDominantLevel:
         assert abs(round(np.dot(coeffs.levels, weights) / weights.sum()) - expected) <= 2
 
     def test_empty_vector_rejected(self):
-        with pytest.raises(EmptyStateError):
+        with pytest.raises(SimulationError):
             dominant_level(CoefficientVector(np.zeros(5, dtype=complex), MODEL))
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from relwell import (
     autocorrelation,
-    AliasingError,
     CoefficientVector,
     SpatialGrid,
     WavepacketSpec,
@@ -154,7 +153,7 @@ class TestReconstruct:
     def test_under_resolved_grid_rejected(self):
         raw = np.zeros(300, dtype=complex)
         raw[-1] = 1.0
-        with pytest.raises(AliasingError):
+        with pytest.raises(ValueError):
             reconstruct(CoefficientVector(raw, MODEL), SpatialGrid(L, 256))
 
 

@@ -10,8 +10,8 @@ from relwell import (
     BoxGrid,
     GridState,
     MomentumGrid,
-    NumericalBlowupError,
     PropagationConfig,
+    SimulationError,
     SpatialGrid,
     WavepacketSpec,
     WellModel,
@@ -127,9 +127,8 @@ class TestStep:
         config = default_config(MODEL, n0=1, sigma=L / 16)
         bad = np.full(config.grid_size, np.nan, dtype=complex)
         state = GridState(bad, config.grid, metadata={"steps_taken": 41})
-        with pytest.raises(NumericalBlowupError) as err:
+        with pytest.raises(SimulationError, match=r"\(step 42\)$"):
             propagate(state, config, config.dt)
-        assert err.value.step_index == 42
 
     def test_wrong_grid_rejected(self):
         config = default_config(MODEL, n0=1, sigma=L / 16)

@@ -12,11 +12,13 @@ the job's config as ``config.json`` if it has one, its output files, its
 stderr as ``stderr.txt`` and its exit code as ``exit_code.txt``.  The first
 64 jobs are every preset under every command, ``spectrum --engine diag`` on
 every preset, and one 16-row split-engine carpet at N = 256 in all three
-carpet formats.  The other 31 are error paths, each of which must end in one
+carpet formats.  The other 36 are error paths, each of which must end in one
 stderr line and no output file: two configs nested too deeply (exit 2),
-extreme model scales whose arithmetic overflows (exit 3), and ``spacing`` runs
-whose sidecar would hold an infinity (exit 3).  All 95 run one at a time in
-about 60 s, with 150 MB of output, on a two-core host.
+extreme model scales whose arithmetic overflows or underflows (exit 3),
+``spacing`` runs whose sidecar would hold an infinity (exit 3), and a diag
+``spectrum`` asking for more levels than it has momentum points (exit 2).
+All 100 run one at a time in about 60 s, with 150 MB of output, on a
+two-core host.
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ SPLIT_CARPET = {
 }
 
 
-# model values whose arithmetic overflows, and the commands that reach it
+# model values whose arithmetic overflows or underflows, and the commands
+# that reach it
 EXTREME_MODELS = {
     ("mass", 1e-300): ("coeffs", "revivals", "autocorr"),
+    ("mass", 1e300): ("coeffs", "revivals", "autocorr", "carpet"),
     ("light_speed", 1e-300): ("coeffs", "revivals", "autocorr"),
     ("light_speed", 1e300): ("spacing", "coeffs", "revivals", "autocorr", "spectrum"),
     ("hbar", 1e300): ("coeffs", "revivals", "autocorr"),
@@ -76,6 +80,9 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
     for key, value in INFINITE_SIDECARS:
         config = json.dumps({"model": {key: value}})
         listed.append((f"infinite_sidecar_{key}_{value:g}_spacing", ["spacing"], config))
+    # the default levels.n_max of 100 is more than 64 momentum points hold
+    config = json.dumps({"engine": {"kind": "diag", "momentum_points": 64}})
+    listed.append(("diag_levels_spectrum", ["spectrum"], config))
     return listed
 
 
