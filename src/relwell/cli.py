@@ -349,7 +349,7 @@ def _revival_summary(resolved: ResolvedConfig, coeffs) -> dict:
 # -- commands ---------------------------------------------------------------
 
 
-def cmd_spectrum(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
+def cmd_spectrum(resolved: ResolvedConfig, outdir: Path) -> None:
     model = resolved.model
     n_min, n_max = resolved.levels
     levels = np.arange(n_min, n_max + 1)
@@ -374,7 +374,7 @@ def cmd_spectrum(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     _write_outputs(outdir, resolved, "spectrum", summary, products)
 
 
-def cmd_carpet(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
+def cmd_carpet(resolved: ResolvedConfig, outdir: Path) -> None:
     kind = resolved.engine["kind"]
     if kind == "diag":
         raise ConfigError("carpet supports the exact and split engines only")
@@ -405,7 +405,7 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
         summary["dt"] = config.dt
         summary["split_grid_size"] = config.grid_size
         summary["wall_height"] = config.wall_height
-    result = carpet(coeffs, grid, times, config=config, workers=threads)
+    result = carpet(coeffs, grid, times, config=config)
 
     writers = {"csv": write_carpet_csv, "bin": write_carpet_binary, "pgm": write_carpet_pgm}
     products = {
@@ -419,7 +419,7 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     _write_outputs(outdir, resolved, "carpet", summary, products)
 
 
-def cmd_revivals(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
+def cmd_revivals(resolved: ResolvedConfig, outdir: Path) -> None:
     n_min, n_max = resolved.levels
     levels = np.arange(n_min, n_max + 1)
     header = ("n", "t_classical", "t_revival", "t_super")
@@ -433,7 +433,7 @@ def cmd_revivals(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     _write_outputs(outdir, resolved, "revivals", summary, {"revivals.csv": write})
 
 
-def cmd_autocorr(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
+def cmd_autocorr(resolved: ResolvedConfig, outdir: Path) -> None:
     if resolved.engine["kind"] != "exact":
         raise ConfigError("autocorr uses the exact engine")
     coeffs, _ = resolved.coefficients()
@@ -454,7 +454,7 @@ def cmd_autocorr(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     _write_outputs(outdir, resolved, "autocorr", summary, products)
 
 
-def cmd_spacing(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
+def cmd_spacing(resolved: ResolvedConfig, outdir: Path) -> None:
     _, n_max = resolved.levels
     stats = level_spacing(resolved.model, n_max)
     summary = {key: getattr(stats, key) for key in ("mean", "variance", "asymptote_gap")}
@@ -462,7 +462,7 @@ def cmd_spacing(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
     _write_outputs(outdir, resolved, "spacing", summary, products)
 
 
-def cmd_coeffs(resolved: ResolvedConfig, outdir: Path, threads: int) -> None:
+def cmd_coeffs(resolved: ResolvedConfig, outdir: Path) -> None:
     coeffs, _ = resolved.coefficients()
     summary = _revival_summary(resolved, coeffs)
     products = {"coeffs.csv": partial(write_coefficients_csv, coeffs)}
@@ -489,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--preset", help="named built-in workload (e.g. fig2c)")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--engine", choices=["exact", "split", "diag"], help="engine override")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for carpet rows")
     return parser
 
 
@@ -506,12 +505,10 @@ def main(argv=None) -> int:
             allowed = _ENGINE_KEYS[args.engine]
             document["engine"] = {k: v for k, v in engine.items() if k in allowed}
             document["engine"]["kind"] = args.engine
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         resolved = ResolvedConfig(document)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](resolved, outdir, args.threads)
+        _COMMANDS[args.command](resolved, outdir)
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

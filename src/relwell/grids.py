@@ -103,17 +103,29 @@ class GridState:
         return np.abs(self.values) ** 2
 
 
-def sine_transform(values: np.ndarray, workers: int = 1) -> np.ndarray:
+def sine_transform(values: np.ndarray) -> np.ndarray:
     """Unnormalized DST-I of complex ``values`` along the last axis.
 
-    The real and imaginary parts go through separate real transforms: scipy's
-    complex DST rounds differently and can turn zero parts into -0.
+    A real row x of length n is odd-extended to [0, x, 0, -x reversed] and its
+    DST-I is -Im of the extension's real FFT at 1..n.  That is the route,
+    length-2(n+1) plan and all, of pocketfft's own DST-I, so the bits match it.
+    Rows go through one reused extension buffer; a batched extension would
+    hold a second, larger copy of each batch.  The real and imaginary parts go
+    through separate real transforms: a complex DST rounds differently and
+    can turn zero parts into -0.
     """
-    from scipy.fft import dst
+    n = values.shape[-1]
+    extension = np.zeros(2 * (n + 1))
 
-    return dst(values.real, type=1, workers=workers) + 1j * dst(
-        values.imag, type=1, workers=workers
-    )
+    def real_dst(part: np.ndarray) -> np.ndarray:
+        out = np.empty(part.shape)
+        for row, target in zip(part.reshape(-1, n), out.reshape(-1, n)):
+            extension[1 : n + 1] = row
+            np.negative(row[::-1], out=extension[n + 2 :])
+            np.negative(np.fft.rfft(extension).imag[1 : n + 1], out=target)
+        return out
+
+    return real_dst(values.real) + 1j * real_dst(values.imag)
 
 
 def require_finite(path, name: str, values) -> None:

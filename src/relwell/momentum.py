@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SimulationError
 from .grids import write_table
@@ -72,8 +73,6 @@ def build_hamiltonian(
     H' keeps the diagonal; its coupling is the Toeplitz matrix
     -(V0 dp / 2 pi hbar) L sinc((i - j) dp L / 2 pi hbar).
     """
-    import scipy.linalg
-
     p = grid.nodes
     if kinetic == "relativistic":
         diag_kinetic = np.hypot(model.energy_scale, p * model.light_speed)
@@ -84,7 +83,11 @@ def build_hamiltonian(
 
     lags = np.arange(grid.count) * grid.spacing
     window = model.well_width * np.sinc(lags * model.well_width / (2.0 * math.pi * model.hbar))
-    h = scipy.linalg.toeplitz(-wall_height * grid.spacing / (2.0 * math.pi * model.hbar) * window)
+    coupling = -wall_height * grid.spacing / (2.0 * math.pi * model.hbar) * window
+    # row i is the length-n window starting at n-1-i in [c_{n-1}..c_1, c_0, c_1..c_{n-1}],
+    # that is c_|i-j|, with no n x n index array
+    mirrored = np.concatenate([coupling[:0:-1], coupling])
+    h = sliding_window_view(mirrored, grid.count)[::-1].copy()
     idx = np.arange(grid.count)
     h[idx, idx] += diag_kinetic + wall_height
     return h

@@ -133,20 +133,19 @@ def carpet(
     grid: SpatialGrid,
     times,
     config: PropagationConfig | None = None,
-    workers: int = 1,
 ) -> CarpetGrid:
     """Space-time density by split-operator propagation when ``config`` is
     given, by the exact engine on ``grid`` otherwise.
 
-    The exact engine computes rows independently (and therefore in parallel);
-    the split-operator engine necessarily walks through time sequentially.
-    For the split engine the initial state is the eigenbasis reconstruction of
-    ``coeffs`` sampled on the config box, so both engines start from the same
-    wavefunction and the carpet covers the full box including the walls.
+    The exact engine computes rows independently; the split-operator engine
+    necessarily walks through time sequentially.  For the split engine the
+    initial state is the eigenbasis reconstruction of ``coeffs`` sampled on
+    the config box, so both engines start from the same wavefunction and the
+    carpet covers the full box including the walls.
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     if config is None:
-        return CarpetGrid(density_rows(coeffs, grid, ts, workers=workers), ts, grid.points)
+        return CarpetGrid(density_rows(coeffs, grid, ts), ts, grid.points)
     x = config.grid.points
     psi0 = reconstruct_at(coeffs, x)
     norm = math.sqrt(float(np.sum(np.abs(psi0) ** 2) * config.grid.spacing))

@@ -84,8 +84,6 @@ def gaussian_state(spec: WavepacketSpec, grid: SpatialGrid, model: WellModel) ->
     zeroing) is recorded in ``metadata['discarded_mass']`` from the closed-form
     tail integral.
     """
-    from scipy.special import erfc
-
     spec.validate_against(model)
     if grid.well_width != model.well_width:
         raise ValueError("grid and model disagree on the well width")
@@ -104,7 +102,7 @@ def gaussian_state(spec: WavepacketSpec, grid: SpatialGrid, model: WellModel) ->
 
     # tail mass of the unit-norm free Gaussian outside [0, L]
     s = spec.sigma * math.sqrt(2.0)
-    discarded = 0.5 * (erfc(spec.x0 / s) + erfc((model.well_width - spec.x0) / s))
+    discarded = 0.5 * (math.erfc(spec.x0 / s) + math.erfc((model.well_width - spec.x0) / s))
 
     norm = math.sqrt(float(np.sum(np.abs(psi) ** 2) * grid.spacing))
     # a NaN or infinite sample makes the norm NaN or infinite too

@@ -42,7 +42,7 @@ def evolve(coeffs: CoefficientVector, t: float) -> CoefficientVector:
     return CoefficientVector(rotated, model, coeffs.time_tag + t, dict(coeffs.metadata))
 
 
-def _synthesize(rows, count: int, n_max: int, grid: SpatialGrid, workers: int = 1) -> np.ndarray:
+def _synthesize(rows, count: int, n_max: int, grid: SpatialGrid) -> np.ndarray:
     """psi(x_i) = sum_n a_n sqrt(2/L) sin(n pi x_i / L) at every grid point,
     zero on the walls, for each of ``count`` coefficient rows a_1..a_n_max.
 
@@ -57,7 +57,7 @@ def _synthesize(rows, count: int, n_max: int, grid: SpatialGrid, workers: int = 
     for r, row in enumerate(rows):
         interior[r, :n_max] = row
     scale = 0.5 * math.sqrt(2.0 / grid.well_width)
-    np.multiply(scale, sine_transform(interior, workers), out=interior)
+    np.multiply(scale, sine_transform(interior), out=interior)
     return values
 
 
@@ -85,16 +85,10 @@ def reconstruct_at(coeffs: CoefficientVector, x) -> np.ndarray:
     return values
 
 
-def density_rows(
-    coeffs: CoefficientVector,
-    grid: SpatialGrid,
-    times,
-    workers: int = 1,
-) -> np.ndarray:
+def density_rows(coeffs: CoefficientVector, grid: SpatialGrid, times) -> np.ndarray:
     """Stack of |psi(x, t)|^2 rows, one per requested time.
 
-    Rows are phased one at a time and transformed in batches; identical
-    output regardless of ``workers``.
+    Rows are phased one at a time and transformed in batches.
     """
     times = np.asarray(times, dtype=float)
     energies = energy(coeffs.model, coeffs.levels)
@@ -106,6 +100,6 @@ def density_rows(
         phased = (
             coeffs.coefficients * np.exp(-1j * phases(energies, t, coeffs.model.hbar)) for t in ts
         )
-        values = _synthesize(phased, ts.size, coeffs.n_max, grid, workers)
+        values = _synthesize(phased, ts.size, coeffs.n_max, grid)
         rows[start : start + chunk] = np.abs(values) ** 2
     return rows

@@ -22,7 +22,7 @@ from relwell.cli import DEFAULT_CONFIG, PRESETS, load_config, main
 from oracles import read_carpet_binary
 
 
-def run(tmp_path, command, config=None, preset=None, extra=()):
+def run(tmp_path, command, config=None, preset=None):
     args = [command, "--out", str(tmp_path)]
     if config is not None:
         path = tmp_path / "config.json"
@@ -30,7 +30,6 @@ def run(tmp_path, command, config=None, preset=None, extra=()):
         args += ["--config", str(path)]
     if preset is not None:
         args += ["--preset", preset]
-    args += list(extra)
     return main(args)
 
 
@@ -490,9 +489,6 @@ class TestConfigPlumbing:
         assert main(["carpet", "--preset", "fig3", "--engine", "split", "--out", str(tmp_path)]) == 0
         assert seen[1].engine == {"kind": "split"}
 
-    def test_threads_validated(self, tmp_path):
-        assert run(tmp_path, "spectrum", extra=("--threads", "0")) == 2
-
 
 class TestColdStart:
     def test_cli_import_loads_no_scipy(self):
@@ -506,6 +502,20 @@ class TestColdStart:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["coeffs", "autocorr", "revivals", "carpet"])
+    def test_exact_engine_runs_load_no_scipy(self, command, tmp_path):
+        # only the split engine's FFT and the diag eigensolver import scipy
+        env = dict(os.environ, PYTHONPATH=str(Path(relwell.__file__).parents[1]))
+        code = (
+            "import sys, relwell.cli; "
+            f"code = relwell.cli.main([{command!r}, '--preset', 'default', '--out', '.']); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        job = subprocess.run(
+            [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True
+        )
+        assert job.stdout.strip() == "0 []", job.stderr
 
 
 class TestReadme:

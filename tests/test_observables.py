@@ -146,13 +146,6 @@ class TestCarpet:
         result = carpet(coeffs, grid, times)
         assert np.max(np.abs(result.density.sum(axis=1) * result.spacing - 1.0)) < 1e-6
 
-    def test_workers_do_not_change_output(self):
-        coeffs, grid, spec = fig2_coefficients(512)
-        times = np.linspace(0.0, 1e4, 6)
-        a = carpet(coeffs, grid, times, workers=1)
-        b = carpet(coeffs, grid, times, workers=4)
-        assert np.array_equal(a.density, b.density)
-
     def test_quarter_revival_row(self):
         # centered packet: a revival (possibly mirrored) near T_rev/4
         coeffs, grid, spec = fig2_coefficients(2048)

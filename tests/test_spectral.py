@@ -21,6 +21,7 @@ from relwell import (
     reconstruct_at,
     revival_times,
 )
+from relwell.grids import sine_transform
 from relwell.spectral import phases
 
 MODEL = WellModel(well_width=125.0 * 2.0 * math.pi)
@@ -119,6 +120,47 @@ class TestPhaseKernel:
             for n, a in zip((1, 2), raw)
         )
         assert np.max(np.abs(row - np.abs(psi) ** 2)) < 1e-6
+
+
+class TestSineTransform:
+    """The numpy DST-I against scipy.fft.dst(type=1), bit for bit."""
+
+    @staticmethod
+    def reference(values):
+        from scipy.fft import dst
+
+        return dst(values.real, type=1) + 1j * dst(values.imag, type=1)
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 777, 1000, 1023, 2047, 4095])
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    def test_matches_scipy(self, n, rows):
+        rng = np.random.default_rng(n)
+        shape = (*rows, n)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        self.assert_same_bits(sine_transform(values), self.reference(values))
+
+    @pytest.mark.parametrize("n", [1, 2, 1023])
+    def test_zero_rows_keep_their_signs(self, n):
+        values = np.zeros((2, n), dtype=np.complex128)
+        got, want = sine_transform(values), self.reference(values)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+        self.assert_same_bits(got, want)
+
+    def test_interior_slice_views(self):
+        # the strided .real and .imag of a complex interior slice, as the
+        # carpet synthesis passes them, with a zero-padded tail
+        rng = np.random.default_rng(7)
+        padded = np.zeros((4, 1026), dtype=np.complex128)
+        padded[:, 1:400] = rng.standard_normal((4, 399)) + 1j * rng.standard_normal((4, 399))
+        interior = padded[:, 1:-1]
+        assert not interior.real.flags.c_contiguous
+        self.assert_same_bits(sine_transform(interior), self.reference(interior))
 
 
 class TestReconstruct:
