@@ -17,6 +17,10 @@ from .splitop import PropagationConfig, propagate
 
 PEAK_THRESHOLD = 1e-4  # local maxima below this fraction of the tallest peak are noise
 
+_BLOCK = 256  # autocorrelation samples per block of the two matrix products
+_TAYLOR_LIMIT = 1e-3  # largest |E r / hbar| the residual series corrects
+_WORKSPACE = 1 << 16  # complex entries per chunk of autocorrelation anchors
+
 _CARPET_MAGIC = b"CRPT"
 _CARPET_VERSION = 1
 _CARPET_HEADER = struct.Struct("<4sIQQdddd")
@@ -40,19 +44,69 @@ class AutocorrelationSeries:
 def autocorrelation(coeffs: CoefficientVector, times) -> AutocorrelationSeries:
     """A(t) = sum_n |a_n|^2 exp(-i E_n t / hbar).
 
-    Phases are reduced in extended precision so revivals survive at the very
-    large t where they happen.  Levels are added one at a time, in order,
-    which bounds the workspace to a few arrays of len(times).
+    The samples are cut into blocks of ``_BLOCK``; sample j of the block
+    anchored at t_a sits at t_a + j dt + r, with a residual r of a few ulp
+    of t on a uniform grid.  Then
+
+        A = M T + sum_{m >= 1} (M diag((-i E / hbar)^m / m!)) T * r^m,
+
+    with M[b, n] = |a_n|^2 exp(-i E_n t_a(b) / hbar) and
+    T[n, j] = exp(-i E_n j dt / hbar): two complex matrix products, and
+    n_max * (K / B + B) phases in place of n_max * K.  Correction terms are
+    added until the next one is below 1e-17.  Where some |E r / hbar|
+    exceeds ``_TAYLOR_LIMIT`` (non-uniform or inexact grids, K < 3) the
+    block length is 1, so M is the whole sum and T is ones.  M is built in
+    chunks of blocks, which bounds the workspace for every block length.
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     model = coeffs.model
-    values = np.zeros(ts.shape, dtype=np.complex128)
-    for w, e in zip(coeffs.weights(), energy(model, coeffs.levels)):
-        values += w * np.exp(-1j * phases(e, ts, model.hbar))
+    energies = energy(model, coeffs.levels)
+    rates = energies / model.hbar
+    offsets, residuals, x = _blocks(ts, float(np.max(np.abs(rates))))
+    order = 0
+    while x ** (order + 1) / math.factorial(order + 1) >= 1e-17:
+        order += 1
+
+    weights = coeffs.weights()
+    steps = np.exp(-1j * phases(energies[:, None], offsets, model.hbar))
+    anchors = ts[:: offsets.size]
+    values = np.empty(residuals.shape, dtype=np.complex128)
+    rows = max(1, _WORKSPACE // energies.size)
+    for start in range(0, anchors.size, rows):
+        chunk = slice(start, start + rows)
+        m_rows = weights * np.exp(-1j * phases(energies, anchors[chunk, None], model.hbar))
+        values[chunk] = m_rows @ steps
+        for m in range(1, order + 1):
+            factor = (-1j * rates) ** m / math.factorial(m)
+            values[chunk] += ((m_rows * factor) @ steps) * residuals[chunk] ** m
     uniform = ts.size < 3 or bool(
         np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9, atol=0.0)
     )
-    return AutocorrelationSeries(ts, values, uniform)
+    return AutocorrelationSeries(ts, values.reshape(-1)[: ts.size], uniform)
+
+
+def _blocks(ts: np.ndarray, rate: float):
+    """In-block offsets j*dt (one per column), residuals r of shape
+    (blocks, B) with t[b*B + j] = t[b*B] + j*dt + r[b, j], and the largest
+    |rate * r|.
+
+    Both subtractions in r = (t_k - t_a) - j*dt are exact (Sterbenz) on a
+    uniform grid, so r holds what the offsets miss and nothing else.  The
+    padding after the last sample has r = 0.  Where some |rate * r| exceeds
+    ``_TAYLOR_LIMIT``, or K < 3, the block length is 1 and r = 0.
+    """
+    if ts.size >= 3:
+        block = min(_BLOCK, ts.size)
+        offsets = np.arange(block) * ((ts[-1] - ts[0]) / (ts.size - 1))
+        padded = np.full(-(-ts.size // block) * block, ts[-1])
+        padded[: ts.size] = ts
+        grid = padded.reshape(-1, block)
+        residuals = (grid - grid[:, :1]) - offsets
+        residuals.reshape(-1)[ts.size :] = 0.0
+        x = rate * float(np.max(np.abs(residuals)))
+        if x <= _TAYLOR_LIMIT:
+            return offsets, residuals, x
+    return np.zeros(1), np.zeros((ts.size, 1)), 0.0
 
 
 @dataclass

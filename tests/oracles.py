@@ -3,8 +3,8 @@
 The hard-wall eigenfunctions in position and momentum space, the momentum
 integral equation they solve, the complex momentum-space Hamiltonian of the
 finite well, the Gaussian overlap coefficients, finite differences of the
-closed-form energy and a reader for the carpet binary layout documented in
-the README.  None of these runs in the CLI; each is an independent oracle for
+closed-form energy, the autocorrelation summed level by level and a reader
+for the carpet binary layout documented in the README.  None of these runs in the CLI; each is an independent oracle for
 something that does.
 """
 
@@ -14,8 +14,9 @@ import struct
 import mpmath as mp
 import numpy as np
 
-from relwell import CoefficientVector, MomentumGrid, WavepacketSpec, WellModel
+from relwell import CoefficientVector, MomentumGrid, WavepacketSpec, WellModel, energy
 from relwell.observables import CarpetGrid
+from relwell.spectral import phases
 
 # relative half-width of the Taylor window around the removable poles of the
 # momentum-space eigenfunction, in units of hbar/L
@@ -173,6 +174,16 @@ def gaussian_overlap_coefficients(
 # README "Carpet binary": magic CRPT, u32 version, u64 rows, u64 cols,
 # f64 t0, t1, x0, x1, all little-endian, then row-major f64 densities
 _CARPET_LAYOUT = "<4sIQQ4d"
+
+
+def autocorrelation_direct(coeffs: CoefficientVector, times) -> np.ndarray:
+    """A(t) = sum_n |a_n|^2 exp(-i E_n t / hbar), one phase per level and
+    sample, levels added one at a time in order."""
+    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    values = np.zeros(ts.shape, dtype=np.complex128)
+    for w, e in zip(coeffs.weights(), energy(coeffs.model, coeffs.levels)):
+        values += w * np.exp(-1j * phases(e, ts, coeffs.model.hbar))
+    return values
 
 
 def read_carpet_binary(path) -> CarpetGrid:

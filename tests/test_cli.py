@@ -433,6 +433,15 @@ class TestAutocorrAndSpacing:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["autocorr", "carpet"])
+    @pytest.mark.parametrize("t_max", [1e302, 1e308])
+    def test_times_near_the_float_limit_exit_0(self, tmp_path, command, t_max):
+        # the phase kernel's two-product must not overflow on its way to a
+        # finite phase, or the writers refuse a non-finite column (exit 3)
+        config = small_config()
+        config["times"] = {"t_max": t_max, "samples": 16, "unit": "natural"}
+        assert run(tmp_path, command, config) == 0
+
     def test_spacing_tail(self, tmp_path):
         config = small_config(levels={"n_min": 1, "n_max": 400})
         assert run(tmp_path, "spacing", config) == 0

@@ -26,13 +26,14 @@ from relwell import (
 )
 from relwell.grids import write_table
 from relwell.observables import (
+    _BLOCK,
     write_autocorrelation_csv,
     write_carpet_binary,
     write_carpet_csv,
     write_carpet_pgm,
     write_spacing_csv,
 )
-from oracles import read_carpet_binary
+from oracles import autocorrelation_direct, read_carpet_binary
 
 MODEL = WellModel(well_width=125.0 * 2.0 * math.pi)
 L = MODEL.well_width
@@ -76,6 +77,44 @@ class TestAutocorrelation:
         mags = np.abs(autocorrelation(coeffs, ts).values)
         assert np.all(mags <= 1.0 + 1e-10)
         assert mags[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def oracle_grids():
+    """Sample grids for the blocked autocorrelation: every short length, one
+    and two blocks, degenerate and reversed grids, grids that are uniform
+    only to 1e-10 or not at all, and a uniform grid far from t = 0."""
+    rng = np.random.default_rng(12)
+    span = 1e6
+    jittered = np.linspace(0.0, span, 3000)
+    jittered[1:] *= 1.0 + 1e-10 * rng.standard_normal(2999)
+    return {
+        "K=1": np.array([0.37 * span]),
+        "K=2": np.array([0.0, 0.37 * span]),
+        "K=3": np.linspace(0.0, span, 3),
+        "K=B": np.linspace(0.0, span, _BLOCK),
+        "K=B+1": np.linspace(0.0, span, _BLOCK + 1),
+        "zeros": np.zeros(2 * _BLOCK + 5),
+        "descending": np.linspace(span, 0.0, 1001),
+        "mixed sign": np.linspace(-span, 0.5 * span, 1001),
+        "jitter 1e-10": jittered,
+        "random": rng.uniform(-span, span, 1500),
+        "offset 1e12": 1e12 + np.linspace(0.0, span, 2000),
+    }
+
+
+class TestBlockedAutocorrelation:
+    """The blocked matrix-product sum against the level-by-level sum it replaces."""
+
+    @pytest.mark.parametrize("name", sorted(oracle_grids()))
+    def test_matches_direct_sum(self, name):
+        # a boosted packet holds 149 levels, up to E = 1.16 mc^2
+        grid = SpatialGrid(L, 2048)
+        spec = WavepacketSpec(x0=0.4 * L, sigma=L / 40, p0=0.4)
+        coeffs = decompose(gaussian_state(spec, grid, MODEL), MODEL)
+        times = oracle_grids()[name]
+        got = autocorrelation(coeffs, times)
+        assert got.times.shape == got.values.shape == times.shape
+        assert np.max(np.abs(got.values - autocorrelation_direct(coeffs, times))) < 1e-13
 
 
 class TestExtractLevels:

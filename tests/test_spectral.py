@@ -1,9 +1,13 @@
 """Exact eigenbasis evolution: phase rotation, reconstruction, densities."""
 
 import math
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
+
+import relwell
 
 from relwell import (
     autocorrelation,
@@ -60,7 +64,7 @@ class TestEvolve:
             assert abs(evolve(coeffs, t).norm_squared() - base) < 1e-14
 
     def test_composition_at_large_times(self):
-        # extended-precision phases: evolving in two big steps must agree
+        # phases reduced in double-double: evolving in two big steps must agree
         # with a single combined step
         coeffs, _ = fig2_coefficients(512)
         t1, t2 = 3.1e9, 4.7e9
@@ -120,6 +124,74 @@ class TestPhaseKernel:
             for n, a in zip((1, 2), raw)
         )
         assert np.max(np.abs(row - np.abs(psi) ** 2)) < 1e-6
+
+
+class TestPhaseSweep:
+    """Double-double phases against 40-digit reduction of the same float64
+    energies and times, from t = 1e3 to 1e14 and from the rest mass to the
+    ultra-relativistic regime (E_1 = 1 + 2e-7 up to E = 1000, v/c = 1)."""
+
+    CASES = [
+        (WellModel(well_width=800.0 * 2.0 * math.pi), (1, 521, 5000)),
+        (WellModel(well_width=math.pi), (1, 10, 1000)),
+    ]
+    TIMES = np.geomspace(1e3, 1e14, 12)
+
+    @staticmethod
+    def reduced(e, t, hbar):
+        """E t / hbar mod 2 pi at 40 digits."""
+        with mp.workdps(40):
+            return mp.fmod(mp.mpf(float(e)) * mp.mpf(float(t)) / mp.mpf(hbar), 2 * mp.pi)
+
+    @staticmethod
+    def turn_distance(theta, exact):
+        with mp.workdps(40):
+            d = abs(mp.mpf(float(theta)) - exact)
+            return float(min(d, 2 * mp.pi - d))
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_phases(self, case):
+        model, levels = self.CASES[case]
+        energies = energy(model, np.array(levels))
+        worst = 0.0
+        for t in self.TIMES:
+            for e, theta in zip(energies, phases(energies, t, model.hbar)):
+                assert 0.0 <= theta < 2.0 * math.pi
+                worst = max(worst, self.turn_distance(theta, self.reduced(e, t, model.hbar)))
+        assert worst < 1e-14
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_evolve(self, case):
+        model, levels = self.CASES[case]
+        raw = np.ones(max(levels), dtype=complex)
+        for t in self.TIMES:
+            rotated = evolve(CoefficientVector(raw, model), t).coefficients
+            for n in levels:
+                theta = self.reduced(energy(model, n), t, model.hbar)
+                with mp.workdps(40):
+                    want = complex(mp.cos(theta), -mp.sin(theta))
+                assert abs(rotated[n - 1] - want) < 1e-14
+
+    def test_extreme_inputs_stay_in_range(self):
+        # two-products of operands near the float64 limits must not overflow
+        big = np.finfo(float).max
+        energies = np.array([5e-324, 1e-300, 1.0, 1e300, big])[:, None]
+        times = np.array([-big, -1e302, -1.0, 0.0, 5e-324, 1e302, 1e308, big])
+        theta = phases(energies, times, 1.0)
+        assert np.all(np.isfinite(theta))
+        assert np.all((theta >= 0.0) & (theta < 2.0 * math.pi))
+        assert theta[2, 2] == pytest.approx(2.0 * math.pi - 1.0, abs=1e-15)
+
+    def test_integer_hbar_beyond_int64(self):
+        # a JSON config can give hbar as an integer no fixed-width type holds
+        energies = energy(self.CASES[0][0], np.array([1, 2]))
+        assert np.array_equal(phases(energies, 1e9, 2**64), phases(energies, 1e9, 2.0**64))
+
+    def test_no_extended_precision_in_source(self):
+        # long double is float64 on some platforms, which costs 1e-4 rad at t = 1e12
+        package = Path(relwell.__file__).parent
+        mentions = [p.name for p in package.rglob("*.py") if "longdouble" in p.read_text()]
+        assert mentions == []
 
 
 class TestSineTransform:
