@@ -3,18 +3,29 @@
 The hard-wall eigenfunctions in position and momentum space, the momentum
 integral equation they solve, the complex momentum-space Hamiltonian of the
 finite well, the Gaussian overlap coefficients, finite differences of the
-closed-form energy, the autocorrelation summed level by level and a reader
-for the carpet binary layout documented in the README.  None of these runs in the CLI; each is an independent oracle for
-something that does.
+closed-form energy, the autocorrelation summed level by level, the
+split-operator engine's plain Strang step loop and a reader for the carpet
+binary layout documented in the README.  None of these runs in the CLI; each
+is an independent oracle for something that does.
 """
 
 import math
 import struct
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 
-from relwell import CoefficientVector, MomentumGrid, WavepacketSpec, WellModel, energy
+from relwell import (
+    CoefficientVector,
+    GridState,
+    MomentumGrid,
+    SimulationError,
+    WavepacketSpec,
+    WellModel,
+    energy,
+    kinetic_phase,
+)
 from relwell.observables import CarpetGrid
 from relwell.spectral import phases
 
@@ -226,3 +237,68 @@ def fd_energy_derivative(model: WellModel, n0, order: int, h=1e-4) -> float:
         for offset, coeff in stencils[order]:
             total += mp.mpf(coeff) * e(n0 + offset * h)
         return float(total / h**order)
+
+
+def strang_steps(
+    state: GridState, config, t_final: float, sample_times=None, callback=None
+) -> list[GridState]:
+    """``propagate`` as one Strang step after another, every gap stepped.
+
+    The split engine's step loop before it could power the one-step unitary,
+    kept as it was: the stepping path must reproduce it bit for bit, and the
+    powered path must agree with it to rounding.
+    """
+    # numpy.fft with out= buffers steps 15-20 % slower at N = 2048 and changes the bits
+    from scipy.fft import fft, ifft
+
+    if state.values.shape != (config.grid_size,):
+        raise ValueError(
+            f"state has {state.values.size} samples, not the {config.grid_size} of the "
+            f"config grid on [{config.x_min:g}, {config.x_max:g})"
+        )
+    if t_final < 0:
+        raise ValueError("t_final must be nonnegative")
+    steps_total = config.steps(t_final)
+    dt_used = t_final / steps_total if steps_total else config.dt
+    adjusted = not math.isclose(dt_used, config.dt, rel_tol=1e-12)
+    run_config = replace(config, dt=dt_used) if adjusted else config
+
+    if sample_times is None:
+        sample_steps = [steps_total]
+    else:
+        requested = np.atleast_1d(np.asarray(sample_times, dtype=float))
+        if np.any(requested < 0.0) or np.any(requested > t_final * (1 + 1e-12)):
+            raise ValueError("sample times must lie inside [0, t_final]")
+        sample_steps = sorted(round(t / dt_used) for t in requested.tolist())
+
+    model = run_config.model
+    half_v = np.exp(-0.5j * run_config.potential() * run_config.dt / model.hbar)
+    kin = kinetic_phase(model, run_config.grid.momenta(model.hbar), run_config.dt)
+    psi = state.values.copy()
+    samples: list[GridState] = []
+    steps_before = int(state.metadata.get("steps_taken", 0))
+
+    def emit(step_index: int):
+        if not np.all(np.isfinite(psi.view(float))):
+            raise SimulationError(
+                f"non-finite amplitudes during propagation (step {steps_before + step_index})"
+            )
+        meta = dict(state.metadata)
+        meta["steps_taken"] = steps_before + step_index
+        if adjusted:
+            meta["dt_adjusted"] = dt_used
+        snap = GridState(psi.copy(), state.grid, state.time_tag + step_index * dt_used, meta)
+        samples.append(snap)
+        if callback is not None:
+            callback(snap)
+
+    cursor = 0
+    for target in sample_steps:
+        for _ in range(target - cursor):
+            # one Strang step exp(-iV dt/2) F^-1 K F exp(-iV dt/2)
+            psi = half_v * psi
+            psi = ifft(kin * fft(psi))
+            psi *= half_v
+        cursor = target
+        emit(cursor)
+    return samples

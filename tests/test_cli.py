@@ -499,6 +499,45 @@ class TestConfigPlumbing:
         assert seen[1].engine == {"kind": "split"}
 
 
+class TestBlasThreads:
+    # 20000 Strang steps in 32 rows: the split engine powers the one-step unitary
+    POWERED = {
+        "model": {"well_width_in_compton": 2.0},
+        "packet": {"x0_over_L": 0.5, "sigma_over_L": 0.0625, "p0_in_hbar_over_L": 0.0},
+        "engine": {"kind": "split", "grid_size": 256},
+        "times": {"t_max": 0.7853981633974483, "samples": 32, "unit": "natural"},
+        "output": {"basename": "p", "formats": ["csv", "bin"]},
+    }
+
+    def test_powered_carpet_is_byte_identical_at_a_fixed_thread_count(self, tmp_path):
+        from relwell.splitop import power_plan
+
+        sample_steps = [round(t) for t in np.linspace(0.0, 20_000, 32).tolist()]
+        assert power_plan(256, np.diff(sample_steps, prepend=0).tolist()) is not None
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.POWERED))
+        outputs = []
+        for name, threads in (("one", "1"), ("again", "1"), ("two", "2")):
+            env = dict(os.environ, PYTHONPATH=str(Path(relwell.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads)
+            argv = ["carpet", "--config", str(config), "--out", str(tmp_path / name)]
+            job = subprocess.run(
+                [sys.executable, "-m", "relwell.cli", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert job.returncode == 0, job.stderr
+            outputs.append(tmp_path / name / "p_carpet")
+        one, again, two = outputs
+        for suffix in (".csv", ".bin"):
+            assert one.with_suffix(suffix).read_bytes() == again.with_suffix(suffix).read_bytes()
+        rho_one = read_carpet_binary(one.with_suffix(".bin")).density
+        rho_two = read_carpet_binary(two.with_suffix(".bin")).density
+        assert rho_one.shape == (32, 256)
+        assert np.max(np.abs(rho_one - rho_two)) <= 1e-12 * np.max(rho_one)
+
+
 class TestColdStart:
     def test_cli_import_loads_no_scipy(self):
         # scipy modules load inside the functions that compute with them

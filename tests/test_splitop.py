@@ -1,6 +1,7 @@
 """Split-operator engine: unitarity, convergence order, cross-validation."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,8 @@ from relwell import (
     revival_times,
     solve,
 )
+from relwell.splitop import power_plan
+from oracles import strang_steps
 
 MODEL = WellModel(well_width=2.0 * math.pi)
 L = MODEL.well_width
@@ -221,6 +224,30 @@ class TestEngineAgreement:
         d2 = math.sqrt(float(np.sum(np.abs(results[0.5] - results[0.25]) ** 2) * dx))
         assert 3.5 < d1 / d2 < 4.5
 
+    def test_second_order_in_dt_on_stepping_path(self):
+        # the Richardson triplet with a sample one step before the horizon,
+        # which power_plan always steps, so the step loop keeps its own check
+        # of convergence order and norm
+        coeffs = packet_coefficients()
+        n0 = dominant_level(coeffs)
+        config = default_config(MODEL, n0=n0, sigma=L / 16)
+        state = boxed_initial_state(config, coeffs)
+        horizon = revival_times(MODEL, n0).t_classical / 64.0
+        results = {}
+        for factor in (1.0, 0.5, 0.25):
+            run = replace(config, dt=config.dt * factor)
+            steps = run.steps(horizon)
+            assert power_plan(run.grid_size, [steps - 1, 1]) is None
+            times = [horizon * (steps - 1) / steps, horizon]
+            out = propagate(state, run, horizon, sample_times=times)
+            assert out[-1].metadata["steps_taken"] == steps
+            assert abs(out[-1].norm_squared() - 1.0) < 1e-9
+            results[factor] = out[-1].values
+        dx = config.grid.spacing
+        d1 = math.sqrt(float(np.sum(np.abs(results[1.0] - results[0.5]) ** 2) * dx))
+        d2 = math.sqrt(float(np.sum(np.abs(results[0.5] - results[0.25]) ** 2) * dx))
+        assert 3.5 < d1 / d2 < 4.5
+
     def test_against_momentum_solver_well(self):
         # both numerical engines solve the same finite-wall well; their
         # densities must agree far better than either agrees with the
@@ -271,3 +298,141 @@ class TestEngineAgreement:
         for snap in propagate(state, config, t_rev, sample_times=sample_times):
             worst = max(worst, float(snap.density()[outside].sum() * config.grid.spacing))
         assert worst < 1e-6
+
+
+def linspace_gaps(steps: int, rows: int) -> list[int]:
+    """Sample gaps of ``rows`` evenly spread times over ``steps`` steps, as
+    propagate rounds them."""
+    sample_steps = [round(t) for t in np.linspace(0.0, steps, rows).tolist()]
+    return [b - a for a, b in zip([0, *sample_steps], sample_steps)]
+
+
+class TestPowerPlan:
+    """The powered-or-stepped rule on the shapes that matter."""
+
+    def test_bench_split256_powers(self):
+        # linspace gaps of 1269 and 1270 steps: h is the smaller
+        assert power_plan(256, linspace_gaps(80_000, 64)) == 1269
+
+    def test_bench_split2048_steps(self):
+        assert power_plan(2048, linspace_gaps(25_000, 64)) is None
+
+    def test_snapshot_split16_steps(self):
+        # its dt of 2e-4 is capped at pi/(8 V0): 1273 steps, not 250
+        assert power_plan(256, linspace_gaps(1273, 16)) is None
+
+    def test_criterion_6_powers(self):
+        for steps in (2_000_000, 4_000_000):
+            assert power_plan(256, linspace_gaps(steps, 9)) is not None
+
+    def test_workspace_bounds_the_grid(self):
+        # three N x N complex matrices must fit: N = 1024 may power, 2048 never
+        assert power_plan(1024, linspace_gaps(10**7, 9)) is not None
+        assert power_plan(2048, linspace_gaps(10**9, 9)) is None
+
+    def test_short_and_empty_runs_step(self):
+        for gaps in ([], [0], [0, 0], [1], [0, 5, 5]):
+            assert power_plan(256, gaps) is None
+
+    def test_pure_function_of_its_arguments(self):
+        gaps = linspace_gaps(80_000, 64)
+        assert power_plan(256, gaps) == power_plan(256, list(gaps))
+
+
+class TestPoweredPropagator:
+    """The powered path against the plain Strang step loop of the oracle."""
+
+    @staticmethod
+    def start(**metadata):
+        config = default_config(MODEL, n0=1, sigma=L / 16)
+        return config, GridState(boxed_initial_state(config, packet_coefficients()).values,
+                                 config.grid, 0.25, metadata)
+
+    def test_matches_step_loop(self):
+        config, state = self.start(steps_taken=7)
+        # an incommensurate horizon: 20000 steps at an adjusted dt
+        t_final = 20_000.3 * config.dt
+        times = np.linspace(0.0, t_final, 64)
+        gaps = linspace_gaps(20_000, 64)
+        assert set(gaps) == {0, 317, 318} and power_plan(256, gaps) is not None
+        powered = propagate(state, config, t_final, sample_times=times)
+        stepped = strang_steps(state, config, t_final, sample_times=times)
+        assert len(powered) == len(stepped) == 64
+        for a, b in zip(powered, stepped):
+            assert np.max(np.abs(a.values - b.values)) <= 1e-11
+            assert a.metadata == b.metadata and "dt_adjusted" in a.metadata
+            assert a.time_tag == b.time_tag
+
+    def test_long_horizon_error_grows_at_most_n_eps(self):
+        # powering one rounded U^h adds its rounding up coherently, about
+        # eps per step crossed, where stepping's roundoff partly cancels
+        config, state = self.start()
+        steps = 1_000_000
+        t_final = steps * config.dt
+        times = np.linspace(0.0, t_final, 5)
+        assert power_plan(256, linspace_gaps(steps, 5)) == 250_000
+        powered = propagate(state, config, t_final, sample_times=times)
+        stepped = strang_steps(state, config, t_final, sample_times=times)
+        eps = np.finfo(float).eps
+        for a, b in zip(powered, stepped):
+            assert np.max(np.abs(a.values - b.values)) <= steps * eps
+            assert abs(a.norm_squared() - 1.0) <= steps * eps
+
+    def test_irregular_gaps_repeats_and_time_zero(self):
+        config, state = self.start()
+        sample_steps = [0, 0, 5000, 5000, 5003, 11_000, 11_000, 20_000, 3]
+        times = np.array(sample_steps) * config.dt
+        gaps = [b - a for a, b in zip([0, *sorted(sample_steps)], sorted(sample_steps))]
+        assert power_plan(256, gaps) is not None
+        powered = propagate(state, config, 20_000 * config.dt, sample_times=times)
+        stepped = strang_steps(state, config, 20_000 * config.dt, sample_times=times)
+        assert [s.metadata["steps_taken"] for s in powered] == sorted(sample_steps)
+        assert np.array_equal(powered[0].values, state.values)
+        assert np.array_equal(powered[1].values, state.values)
+        assert np.array_equal(powered[3].values, powered[4].values)
+        for a, b in zip(powered, stepped):
+            assert np.max(np.abs(a.values - b.values)) <= 1e-11
+            assert a.time_tag == b.time_tag
+
+    def test_non_finite_state_names_the_stepping_step(self):
+        config, state = self.start(steps_taken=41)
+        state.values[:] = np.nan
+        t_final = 20_000 * config.dt
+        times = [0.5 * t_final, t_final]
+        assert power_plan(256, [10_000, 10_000]) is not None
+        with pytest.raises(SimulationError) as stepped:
+            strang_steps(state, config, t_final, sample_times=times)
+        with pytest.raises(SimulationError) as powered:
+            propagate(state, config, t_final, sample_times=times)
+        assert str(powered.value) == str(stepped.value)
+        assert str(powered.value).endswith("(step 10041)")
+
+    def test_stepped_shape_is_bit_identical(self):
+        # the shape of the snapshot tool's split16 job: 1273 steps, 16 rows
+        config, state = self.start(steps_taken=3)
+        t_final = 1273 * config.dt
+        times = np.linspace(0.0, t_final, 16)
+        assert power_plan(256, linspace_gaps(1273, 16)) is None
+        seen = []
+        stepped = propagate(state, config, t_final, sample_times=times, callback=seen.append)
+        oracle = strang_steps(state, config, t_final, sample_times=times)
+        assert seen == stepped
+        for a, b in zip(stepped, oracle):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert (a.time_tag, a.metadata) == (b.time_tag, b.metadata)
+
+    def test_workspace_is_three_matrices(self):
+        config, state = self.start()
+        n = config.grid_size
+        t_final = 80_000 * config.dt
+        times = np.linspace(0.0, t_final, 64)
+        propagate(state, config, config.dt)  # load the FFT before tracing
+        tracemalloc.start()
+        try:
+            propagate(state, config, t_final, sample_times=times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = 16 * n * n
+        # at most three matrices, plus the 64 snapshots and a few vectors
+        assert matrix < peak < 3 * matrix + 80 * 16 * n

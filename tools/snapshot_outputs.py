@@ -10,15 +10,17 @@ Each job runs ``python -m relwell.cli --out .`` in a fresh interpreter with
 ``PYTHONPATH=SRC``, inside its own directory ``OUT/<job>/``, which receives
 the job's config as ``config.json`` if it has one, its output files, its
 stderr as ``stderr.txt`` and its exit code as ``exit_code.txt``.  The first
-64 jobs are every preset under every command, ``spectrum --engine diag`` on
-every preset, and one 16-row split-engine carpet at N = 256 in all three
-carpet formats.  The other 36 are error paths, each of which must end in one
+65 jobs are every preset under every command, ``spectrum --engine diag`` on
+every preset, and two split-engine carpets at N = 256 in all three carpet
+formats: a 16-row one that steps and a 32-row one that powers the Strang
+step.  The other 36 are error paths, each of which must end in one
 stderr line and no output file: two configs nested too deeply (exit 2),
 extreme model scales whose arithmetic overflows or underflows (exit 3),
 ``spacing`` runs whose sidecar would hold an infinity (exit 3), and a diag
 ``spectrum`` asking for more levels than it has momentum points (exit 2).
-All 100 run one at a time in about 60 s, with 150 MB of output, on a
-two-core host.
+All 101 run one at a time in about 60 s, with 150 MB of output, on a
+two-core host.  The powered carpet's bits depend on the BLAS thread count,
+so compare two trees at the same OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -32,13 +34,23 @@ from pathlib import Path
 COMMANDS = ("spectrum", "carpet", "revivals", "autocorr", "spacing", "coeffs")
 PRESETS = ("default", "fig1", "fig2a", "fig2b", "fig2c", "fig3", "fig4", "fig5a", "fig5b")
 
-# 250 Strang steps with sample times about 16 steps apart
+# the wall-phase cap pi/(8 V0) lowers dt to 3.9e-5: 1273 Strang steps with
+# sample times about 85 steps apart, which the split engine steps
 SPLIT_CARPET = {
     "model": {"well_width_in_compton": 2.0},
     "packet": {"x0_over_L": 0.5, "sigma_over_L": 0.0625, "p0_in_hbar_over_L": 0.0},
     "engine": {"kind": "split", "grid_size": 256, "dt": 2e-4},
     "times": {"t_max": 0.05, "samples": 16, "unit": "natural"},
     "output": {"basename": "split16", "formats": ["csv", "bin", "pgm"]},
+}
+# 20000 Strang steps at the capped dt, with sample times 645 or 646 steps
+# apart, which the split engine crosses by a power of the one-step unitary
+SPLIT_POWERED_CARPET = {
+    "model": {"well_width_in_compton": 2.0},
+    "packet": {"x0_over_L": 0.5, "sigma_over_L": 0.0625, "p0_in_hbar_over_L": 0.0},
+    "engine": {"kind": "split", "grid_size": 256},
+    "times": {"t_max": 0.7853981633974483, "samples": 32, "unit": "natural"},
+    "output": {"basename": "split32", "formats": ["csv", "bin", "pgm"]},
 }
 
 
@@ -71,6 +83,7 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
         for preset in PRESETS
     ]
     listed.append(("split16_carpet", ["carpet"], json.dumps(SPLIT_CARPET)))
+    listed.append(("split32_carpet", ["carpet"], json.dumps(SPLIT_POWERED_CARPET)))
     listed.append(("deep_parse_spacing", ["spacing"], "[" * 200_000))
     formats = "[" * 600 + "]" * 600
     listed.append(("deep_formats_spacing", ["spacing"], f'{{"output": {{"formats": {formats}}}}}'))
