@@ -398,13 +398,15 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path) -> None:
             wall_height=None if wall is None else wall * model.energy_scale,
             wall_margin=None if margin is None else margin * model.well_width,
         )
-        steps = config.steps(float(times.max()))
+        t_max = float(times.max())
+        steps = config.steps(t_max)
         if steps * config.grid_size > SPLIT_WORK_LIMIT:
             raise ConfigError(
                 f"the split engine would take {steps:.3g} steps on {config.grid_size} points; "
                 "lower times.t_max or use the exact engine"
             )
-        summary["dt"] = config.dt
+        summary["dt"] = config.step_dt(t_max)
+        summary["strang_steps"] = steps
         summary["split_grid_size"] = config.grid_size
         summary["wall_height"] = config.wall_height
     result = carpet(coeffs, grid, times, config=config)

@@ -104,26 +104,21 @@ class GridState:
 
 
 def sine_transform(values: np.ndarray) -> np.ndarray:
-    """Unnormalized DST-I of complex ``values`` along the last axis.
+    """Unnormalized DST-I of a complex vector.
 
-    A real row x of length n is odd-extended to [0, x, 0, -x reversed] and its
-    DST-I is -Im of the extension's real FFT at 1..n.  That is the route,
-    length-2(n+1) plan and all, of pocketfft's own DST-I, so the bits match it.
-    Rows go through one reused extension buffer; a batched extension would
-    hold a second, larger copy of each batch.  The real and imaginary parts go
-    through separate real transforms: a complex DST rounds differently and
-    can turn zero parts into -0.
+    A real vector x of length n is odd-extended to [0, x, 0, -x reversed] and
+    its DST-I is -Im of the extension's real FFT at 1..n.  That is the route,
+    length-2(n+1) plan and all, of pocketfft's own DST-I, so the bits match
+    it.  The real and imaginary parts go through separate real transforms: a
+    complex DST rounds differently and can turn zero parts into -0.
     """
-    n = values.shape[-1]
+    n = values.size
     extension = np.zeros(2 * (n + 1))
 
     def real_dst(part: np.ndarray) -> np.ndarray:
-        out = np.empty(part.shape)
-        for row, target in zip(part.reshape(-1, n), out.reshape(-1, n)):
-            extension[1 : n + 1] = row
-            np.negative(row[::-1], out=extension[n + 2 :])
-            np.negative(np.fft.rfft(extension).imag[1 : n + 1], out=target)
-        return out
+        extension[1 : n + 1] = part
+        np.negative(part[::-1], out=extension[n + 2 :])
+        return -np.fft.rfft(extension).imag[1 : n + 1]
 
     return real_dst(values.real) + 1j * real_dst(values.imag)
 

@@ -324,17 +324,21 @@ def write_carpet_pgm(carpet_grid: CarpetGrid, path) -> None:
     """16-bit binary PGM (P5, maxval 65535), normalized to the carpet maximum.
 
     Pixel rows are time samples, columns positions; samples are big-endian as
-    the format requires.
+    the format requires.  One float buffer is divided by the maximum, scaled
+    and rounded in place, so the writer holds one copy of the density and its
+    16-bit pixels.
     """
     density = carpet_grid.density
     require_finite(path, "density", density)
     peak = density.max()
     scaled = np.zeros_like(density) if peak <= 0 else density / peak
-    pixels = np.round(scaled * 65535.0).astype(">u2")
+    scaled *= 65535.0
+    np.round(scaled, out=scaled)
+    pixels = scaled.astype(">u2", order="C")
     rows, cols = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n65535\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+        fh.write(pixels)
 
 
 def write_autocorrelation_csv(series: AutocorrelationSeries, path) -> None:

@@ -98,30 +98,23 @@ def evolve(coeffs: CoefficientVector, t: float) -> CoefficientVector:
     return CoefficientVector(rotated, model, coeffs.time_tag + t, dict(coeffs.metadata))
 
 
-def _synthesize(rows, count: int, n_max: int, grid: SpatialGrid) -> np.ndarray:
+def reconstruct(coeffs: CoefficientVector, grid: SpatialGrid) -> GridState:
     """psi(x_i) = sum_n a_n sqrt(2/L) sin(n pi x_i / L) at every grid point,
-    zero on the walls, for each of ``count`` coefficient rows a_1..a_n_max.
+    zero on the walls, by one inverse DST-I.
 
     Mode n and grid point n share an index, so the output buffer holds the
-    zero-padded coefficients until one inverse DST-I overwrites its interior,
-    in place: a copy would cost one more pass over the largest array.
+    zero-padded coefficients until the transform overwrites its interior.
     """
-    if n_max > grid.nyquist_level:
-        raise ValueError(f"grid with {grid.intervals} intervals cannot represent level {n_max}")
-    values = np.zeros((count, grid.intervals + 1), dtype=np.complex128)
-    interior = values[:, 1:-1]
-    for r, row in enumerate(rows):
-        interior[r, :n_max] = row
-    scale = 0.5 * math.sqrt(2.0 / grid.well_width)
-    np.multiply(scale, sine_transform(interior), out=interior)
-    return values
-
-
-def reconstruct(coeffs: CoefficientVector, grid: SpatialGrid) -> GridState:
-    """psi(x_i) = sum_n a_n sqrt(2/L) sin(n pi x_i / L) via an inverse DST."""
     if grid.well_width != coeffs.model.well_width:
         raise ValueError("grid and model disagree on the well width")
-    values = _synthesize([coeffs.coefficients], 1, coeffs.n_max, grid)[0]
+    n_max = coeffs.n_max
+    if n_max > grid.nyquist_level:
+        raise ValueError(f"grid with {grid.intervals} intervals cannot represent level {n_max}")
+    values = np.zeros(grid.intervals + 1, dtype=np.complex128)
+    interior = values[1:-1]
+    interior[:n_max] = coeffs.coefficients
+    scale = 0.5 * math.sqrt(2.0 / grid.well_width)
+    np.multiply(scale, sine_transform(interior), out=interior)
     return GridState(values, grid, coeffs.time_tag)
 
 
@@ -144,18 +137,11 @@ def reconstruct_at(coeffs: CoefficientVector, x) -> np.ndarray:
 def density_rows(coeffs: CoefficientVector, grid: SpatialGrid, times) -> np.ndarray:
     """Stack of |psi(x, t)|^2 rows, one per requested time.
 
-    Rows are phased one at a time and transformed in batches.
+    Each row is evolved and reconstructed on its own, so a carpet holds its
+    output plus the few rows of workspace of one transform.
     """
     times = np.asarray(times, dtype=float)
-    energies = energy(coeffs.model, coeffs.levels)
     rows = np.empty((times.size, grid.intervals + 1), dtype=float)
-    # chunk so the (rows x basis) workspace stays below ~64M complex entries
-    chunk = max(1, (1 << 26) // max(grid.nyquist_level, 1))
-    for start in range(0, times.size, chunk):
-        ts = times[start : start + chunk]
-        phased = (
-            coeffs.coefficients * np.exp(-1j * phases(energies, t, coeffs.model.hbar)) for t in ts
-        )
-        values = _synthesize(phased, ts.size, coeffs.n_max, grid)
-        rows[start : start + chunk] = np.abs(values) ** 2
+    for row, t in zip(rows, times.tolist()):
+        row[:] = reconstruct(evolve(coeffs, t), grid).density()
     return rows

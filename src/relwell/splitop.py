@@ -70,6 +70,12 @@ class PropagationConfig:
             raise ValueError(f"time {t!r} is beyond any step count at dt = {self.dt!r}")
         return max(1, round(ratio)) if t else 0
 
+    def step_dt(self, t: float) -> float:
+        """The dt that steps(t) Strang steps take to reach t exactly: t over
+        the step count, and dt itself at t = 0."""
+        steps = self.steps(t)
+        return t / steps if steps else self.dt
+
     @property
     def grid(self) -> BoxGrid:
         return BoxGrid(self.x_min, self.x_max, self.grid_size)
@@ -228,7 +234,7 @@ def propagate(
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
     steps_total = config.steps(t_final)
-    dt_used = t_final / steps_total if steps_total else config.dt
+    dt_used = config.step_dt(t_final)
     adjusted = not math.isclose(dt_used, config.dt, rel_tol=1e-12)
     run_config = replace(config, dt=dt_used) if adjusted else config
 

@@ -315,6 +315,17 @@ class TestCarpet:
         assert meta["engine"] == "split"
         assert meta["split_grid_size"] == 256
 
+    def test_split_sidecar_records_the_stepped_dt(self, tmp_path):
+        # the wall-phase cap lowers dt = 2e-4 to 3.927e-5, and the run steps
+        # t_max over the nearest whole number of those
+        config = small_config(engine={"kind": "split", "grid_size": 256, "dt": 2e-4})
+        config["times"] = {"t_max": 0.05, "samples": 16, "unit": "natural"}
+        config["output"]["formats"] = ["bin"]
+        assert run(tmp_path, "carpet", config) == 0
+        meta = json.loads((tmp_path / "t_carpet.meta.json").read_text())
+        assert meta["strang_steps"] == 1273
+        assert meta["dt"] == 0.05 / 1273
+
     def test_split_carpet_keeps_every_requested_row(self, tmp_path):
         # 16 samples within 3 Strang steps: many share their nearest step
         config = {

@@ -1,6 +1,7 @@
 """Exact eigenbasis evolution: phase rotation, reconstruction, densities."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -209,28 +210,26 @@ class TestSineTransform:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 777, 1000, 1023, 2047, 4095])
-    @pytest.mark.parametrize("rows", [(), (3,)])
-    def test_matches_scipy(self, n, rows):
+    def test_matches_scipy(self, n):
         rng = np.random.default_rng(n)
-        shape = (*rows, n)
-        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         self.assert_same_bits(sine_transform(values), self.reference(values))
 
     @pytest.mark.parametrize("n", [1, 2, 1023])
     def test_zero_rows_keep_their_signs(self, n):
-        values = np.zeros((2, n), dtype=np.complex128)
+        values = np.zeros(n, dtype=np.complex128)
         got, want = sine_transform(values), self.reference(values)
         for part in ("real", "imag"):
             assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
         self.assert_same_bits(got, want)
 
     def test_interior_slice_views(self):
-        # the strided .real and .imag of a complex interior slice, as the
-        # carpet synthesis passes them, with a zero-padded tail
+        # the strided .real and .imag of a complex interior slice, as
+        # reconstruct passes them, with a zero-padded tail
         rng = np.random.default_rng(7)
-        padded = np.zeros((4, 1026), dtype=np.complex128)
-        padded[:, 1:400] = rng.standard_normal((4, 399)) + 1j * rng.standard_normal((4, 399))
-        interior = padded[:, 1:-1]
+        padded = np.zeros(1026, dtype=np.complex128)
+        padded[1:400] = rng.standard_normal(399) + 1j * rng.standard_normal(399)
+        interior = padded[1:-1]
         assert not interior.real.flags.c_contiguous
         self.assert_same_bits(sine_transform(interior), self.reference(interior))
 
@@ -307,6 +306,28 @@ class TestDensity:
         for i, t in enumerate(times):
             single = reconstruct(evolve(coeffs, t), grid).density()
             assert np.max(np.abs(rows[i] - single)) < 1e-14
+
+    def test_non_finite_time_rejected(self):
+        coeffs, grid = fig2_coefficients(512)
+        with pytest.raises(ValueError, match="finite"):
+            density_rows(coeffs, grid, [0.0, math.inf])
+
+    def test_workspace_is_a_few_rows(self):
+        # 64 rows on 2^16 intervals: the output plus the workspace of one row
+        grid = SpatialGrid(L, 1 << 16)
+        rng = np.random.default_rng(3)
+        raw = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+        coeffs = CoefficientVector(raw, MODEL)
+        times = np.linspace(0.0, 100.0, 64)
+        density_rows(coeffs, grid, times[:1])  # load the FFT before tracing
+        tracemalloc.start()
+        try:
+            rows = density_rows(coeffs, grid, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        complex_row = 16 * (grid.intervals + 1)
+        assert peak <= rows.nbytes + 8 * complex_row
 
     def test_norm_conserved_under_evolution(self):
         coeffs, grid = fig2_coefficients(512)

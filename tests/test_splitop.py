@@ -97,6 +97,16 @@ class TestPropagationConfig:
         assert p_grid_max >= 8.0 * (3.0 + MODEL.hbar / sigma)
         assert config.grid_size >= 256 and config.grid_size & (config.grid_size - 1) == 0
 
+    @pytest.mark.parametrize("t", [0.0, 0.05, 1e4])
+    def test_step_dt_reaches_t_in_whole_steps(self, t):
+        # the nearest whole number of steps, each t over that count
+        config = default_config(MODEL, n0=1, sigma=L / 16)
+        steps, dt = config.steps(t), config.step_dt(t)
+        if t:
+            assert dt == t / steps and abs(t - steps * config.dt) <= 0.5 * config.dt
+        else:
+            assert (steps, dt) == (0, config.dt)
+
     def test_potential_is_zero_inside_well(self):
         config = default_config(MODEL, n0=1, sigma=L / 16)
         v = config.potential()

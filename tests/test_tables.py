@@ -1,6 +1,8 @@
 """The one CSV table writer: bytes against the per-cell ``.17g`` formula,
 refusal of non-finite output, and the writers built on it."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,33 @@ class TestCarpetWriters:
         path = tmp_path / "c.csv"
         write_carpet_csv(grid, path)
         assert path.read_text() == old_carpet_csv(grid)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_carpet_pgm_pixels(self, tmp_path, order, zero):
+        # scaled and rounded in place, the pixels are those of
+        # round(density / max * 65535), written in C order
+        density = np.zeros((3, 7)) if zero else self.small_carpet(7).density
+        grid = CarpetGrid(np.asarray(density, order=order), [0.0, 1.0, 2.0], np.arange(7.0))
+        path = tmp_path / "c.pgm"
+        write_carpet_pgm(grid, path)
+        peak = density.max()
+        scaled = np.zeros_like(density) if peak <= 0 else density / peak
+        want = np.round(scaled * 65535.0).astype(">u2").tobytes()
+        assert path.read_bytes() == b"P5\n7 3\n65535\n" + want
+
+    def test_carpet_pgm_workspace(self, tmp_path):
+        # one float copy of the density and its 16-bit pixels
+        rng = np.random.default_rng(5)
+        grid = CarpetGrid(rng.random((64, 1 << 16)), np.arange(64.0), np.arange(65536.0))
+        path = tmp_path / "c.pgm"
+        tracemalloc.start()
+        try:
+            write_carpet_pgm(grid, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * grid.density.nbytes
 
     @pytest.mark.parametrize("writer", [write_carpet_csv, write_carpet_binary, write_carpet_pgm])
     def test_nan_density_refused_without_file(self, tmp_path, writer):
