@@ -35,8 +35,13 @@ class SpatialGrid:
         return self.well_width / self.intervals
 
     @property
+    def size(self) -> int:
+        """Number of grid points, the walls included."""
+        return self.intervals + 1
+
+    @property
     def points(self) -> np.ndarray:
-        return np.linspace(0.0, self.well_width, self.intervals + 1)
+        return np.linspace(0.0, self.well_width, self.size)
 
     @property
     def nyquist_level(self) -> int:
@@ -89,7 +94,7 @@ class GridState:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != self.grid.points.shape:
+        if self.values.shape != (self.grid.size,):
             raise ValueError("sample count does not match the grid")
 
     @property
@@ -103,24 +108,34 @@ class GridState:
         return np.abs(self.values) ** 2
 
 
-def sine_transform(values: np.ndarray) -> np.ndarray:
-    """Unnormalized DST-I of a complex vector.
+def sine_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The buffers of a length-n DST-I: the odd extension, 2(n + 1) doubles,
+    and its real FFT, n + 2 complex values.  ``sine_transform`` refills both
+    on every call, so one workspace serves any number of transforms."""
+    return np.zeros(2 * (n + 1)), np.empty(n + 2, dtype=np.complex128)
 
-    A real vector x of length n is odd-extended to [0, x, 0, -x reversed] and
-    its DST-I is -Im of the extension's real FFT at 1..n.  That is the route,
-    length-2(n+1) plan and all, of pocketfft's own DST-I, so the bits match
-    it.  The real and imaginary parts go through separate real transforms: a
-    complex DST rounds differently and can turn zero parts into -0.
+
+def sine_transform(part: np.ndarray, workspace, scale: float = 1.0, out=None) -> np.ndarray:
+    """``scale`` times the unnormalized DST-I of the real vector ``part``,
+    zero-padded to the length n of ``workspace``, written to ``out`` or to a
+    new array.
+
+    x is odd-extended to [0, x, 0, -x reversed] and its DST-I is -Im of the
+    extension's real FFT at 1..n.  That is the route, length-2(n+1) plan and
+    all, of pocketfft's own DST-I, so at scale 1 the bits match it, zero signs
+    included.  A complex vector goes through as its real and imaginary parts:
+    a complex DST rounds differently and can turn zero parts into -0.
     """
-    n = values.size
-    extension = np.zeros(2 * (n + 1))
-
-    def real_dst(part: np.ndarray) -> np.ndarray:
-        extension[1 : n + 1] = part
-        np.negative(part[::-1], out=extension[n + 2 :])
-        return -np.fft.rfft(extension).imag[1 : n + 1]
-
-    return real_dst(values.real) + 1j * real_dst(values.imag)
+    extension, spectrum = workspace
+    n, k = spectrum.size - 2, part.size
+    if k > n:
+        raise ValueError(f"a DST-I of length {n} cannot take {k} values")
+    extension[1 : k + 1] = part
+    extension[k + 1 : n + 2] = 0.0
+    extension[n + 2 : 2 * n + 2 - k] = -0.0
+    np.negative(part[::-1], out=extension[2 * n + 2 - k :])
+    np.fft.rfft(extension, out=spectrum)
+    return np.multiply(spectrum.imag[1 : n + 1], -scale, out=out)
 
 
 def require_finite(path, name: str, values) -> None:

@@ -317,24 +317,29 @@ def write_carpet_binary(carpet_grid: CarpetGrid, path) -> None:
                 float(carpet_grid.positions[-1]),
             )
         )
-        fh.write(np.ascontiguousarray(carpet_grid.density, dtype="<f8").tobytes())
+        # the array itself, not a bytes copy of it
+        fh.write(np.ascontiguousarray(carpet_grid.density, dtype="<f8"))
 
 
 def write_carpet_pgm(carpet_grid: CarpetGrid, path) -> None:
     """16-bit binary PGM (P5, maxval 65535), normalized to the carpet maximum.
 
     Pixel rows are time samples, columns positions; samples are big-endian as
-    the format requires.  One float buffer is divided by the maximum, scaled
-    and rounded in place, so the writer holds one copy of the density and its
-    16-bit pixels.
+    the format requires.  Each row is divided by the maximum, scaled and
+    rounded in one reused float row, then cast into the pixels, so the writer
+    holds the density, its 16-bit pixels and one float row.
     """
     density = carpet_grid.density
     require_finite(path, "density", density)
     peak = density.max()
-    scaled = np.zeros_like(density) if peak <= 0 else density / peak
-    scaled *= 65535.0
-    np.round(scaled, out=scaled)
-    pixels = scaled.astype(">u2", order="C")
+    pixels = np.zeros(density.shape, dtype=">u2")
+    if peak > 0:
+        scaled = np.empty(density.shape[1])
+        for source, target in zip(density, pixels):
+            np.divide(source, peak, out=scaled)
+            scaled *= 65535.0
+            np.round(scaled, out=scaled)
+            target[:] = scaled
     rows, cols = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n65535\n".encode("ascii"))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SimulationError
-from .grids import GridState, SpatialGrid, sine_transform, write_table
+from .grids import GridState, SpatialGrid, sine_transform, sine_workspace, write_table
 from .model import SCALE_FIELDS, WellModel
 
 # auto-truncation: cut once |a_n|^2 stays below this for TAIL_RUN consecutive levels
@@ -115,10 +115,16 @@ def gaussian_state(spec: WavepacketSpec, grid: SpatialGrid, model: WellModel) ->
     return state
 
 
-def _sine_coefficients(values: np.ndarray, grid: SpatialGrid, n_levels: int) -> np.ndarray:
-    """a_n = sum_i phi_n(x_i) psi(x_i) dx for n = 1..n_levels via a DST-I."""
-    scale = math.sqrt(2.0 / grid.well_width) * grid.spacing * 0.5
-    return (scale * sine_transform(values[1:-1]))[:n_levels]
+def _sine_coefficients(values: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """a_n = sum_i phi_n(x_i) psi(x_i) dx for n = 1..nyquist via a DST-I of each part."""
+    interior = values[1:-1]
+    workspace = sine_workspace(grid.nyquist_level)
+    re = sine_transform(interior.real, workspace)
+    im = sine_transform(interior.imag, workspace)
+    del workspace  # free its two buffers before the complex sum
+    coefficients = re + 1j * im
+    coefficients *= math.sqrt(2.0 / grid.well_width) * grid.spacing * 0.5
+    return coefficients
 
 
 def decompose(state: GridState, model: WellModel, n_max: int | None = None) -> CoefficientVector:
@@ -127,7 +133,8 @@ def decompose(state: GridState, model: WellModel, n_max: int | None = None) -> C
     With ``n_max=None`` the truncation level is chosen automatically: the
     smallest n past which |a_n|^2 stays below 1e-14 for 10 consecutive levels,
     capped at the grid's sine-basis size.  The Parseval defect
-    1 - sum |a_n|^2 is reported in metadata.
+    1 - sum |a_n|^2 is reported in metadata.  The n_max amplitudes are a copy,
+    so the grid-length transform they are cut from is freed on return.
     """
     grid = state.grid
     if not isinstance(grid, SpatialGrid):
@@ -139,7 +146,7 @@ def decompose(state: GridState, model: WellModel, n_max: int | None = None) -> C
         if n_max > nyquist:
             raise ValueError(f"n_max={n_max} exceeds the grid Nyquist level {nyquist}")
 
-    coeffs_full = _sine_coefficients(state.values, grid, nyquist)
+    coeffs_full = _sine_coefficients(state.values, grid)
     if n_max is None:
         weights = np.abs(coeffs_full) ** 2
         below = weights < TAIL_THRESHOLD
@@ -154,7 +161,7 @@ def decompose(state: GridState, model: WellModel, n_max: int | None = None) -> C
                 n_max = i - TAIL_RUN + 1 + 1  # index of first level of the quiet run
                 break
         n_max = max(1, min(n_max, nyquist))
-    coeffs = coeffs_full[:n_max]
+    coeffs = coeffs_full[:n_max].copy()
 
     weights = np.abs(coeffs) ** 2
     peak = float(weights.max()) if weights.size else 0.0

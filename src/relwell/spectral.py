@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .grids import GridState, SpatialGrid, sine_transform
+from .grids import GridState, SpatialGrid, sine_transform, sine_workspace
 from .model import energy
 from .packets import CoefficientVector
 
@@ -98,23 +98,25 @@ def evolve(coeffs: CoefficientVector, t: float) -> CoefficientVector:
     return CoefficientVector(rotated, model, coeffs.time_tag + t, dict(coeffs.metadata))
 
 
-def reconstruct(coeffs: CoefficientVector, grid: SpatialGrid) -> GridState:
-    """psi(x_i) = sum_n a_n sqrt(2/L) sin(n pi x_i / L) at every grid point,
-    zero on the walls, by one inverse DST-I.
-
-    Mode n and grid point n share an index, so the output buffer holds the
-    zero-padded coefficients until the transform overwrites its interior.
-    """
+def _synthesis_scale(coeffs: CoefficientVector, grid: SpatialGrid) -> float:
+    """The factor of the inverse DST-I that puts ``coeffs`` on ``grid``,
+    once the grid is checked to hold them."""
     if grid.well_width != coeffs.model.well_width:
         raise ValueError("grid and model disagree on the well width")
-    n_max = coeffs.n_max
-    if n_max > grid.nyquist_level:
-        raise ValueError(f"grid with {grid.intervals} intervals cannot represent level {n_max}")
-    values = np.zeros(grid.intervals + 1, dtype=np.complex128)
-    interior = values[1:-1]
-    interior[:n_max] = coeffs.coefficients
-    scale = 0.5 * math.sqrt(2.0 / grid.well_width)
-    np.multiply(scale, sine_transform(interior), out=interior)
+    if coeffs.n_max > grid.nyquist_level:
+        raise ValueError(f"grid with {grid.intervals} intervals cannot represent level {coeffs.n_max}")
+    return 0.5 * math.sqrt(2.0 / grid.well_width)
+
+
+def reconstruct(coeffs: CoefficientVector, grid: SpatialGrid) -> GridState:
+    """psi(x_i) = sum_n a_n sqrt(2/L) sin(n pi x_i / L) at every grid point,
+    zero on the walls, by one inverse DST-I of each part."""
+    scale = _synthesis_scale(coeffs, grid)
+    a = coeffs.coefficients
+    workspace = sine_workspace(grid.nyquist_level)
+    values = np.zeros(grid.size, dtype=np.complex128)
+    sine_transform(a.real, workspace, scale, out=values.real[1:-1])
+    sine_transform(a.imag, workspace, scale, out=values.imag[1:-1])
     return GridState(values, grid, coeffs.time_tag)
 
 
@@ -137,11 +139,27 @@ def reconstruct_at(coeffs: CoefficientVector, x) -> np.ndarray:
 def density_rows(coeffs: CoefficientVector, grid: SpatialGrid, times) -> np.ndarray:
     """Stack of |psi(x, t)|^2 rows, one per requested time.
 
-    Each row is evolved and reconstructed on its own, so a carpet holds its
-    output plus the few rows of workspace of one transform.
+    Each row is evolved and synthesized on its own through one transform
+    workspace that the whole carpet reuses, and its density is written
+    straight into its output row.  A carpet thus holds its output, two
+    complex rows and the per-level arrays of one ``evolve``.  The rows are
+    bit for bit those of ``reconstruct(evolve(coeffs, t), grid).density()``.
     """
+    scale = _synthesis_scale(coeffs, grid)
     times = np.asarray(times, dtype=float)
-    rows = np.empty((times.size, grid.intervals + 1), dtype=float)
+    rows = np.zeros((times.size, grid.size))
+    workspace = sine_workspace(grid.nyquist_level)
+    # slots 1..n of the spectrum, where each transform leaves its result
+    psi = workspace[1][1 : grid.intervals]
     for row, t in zip(rows, times.tolist()):
-        row[:] = reconstruct(evolve(coeffs, t), grid).density()
+        a = evolve(coeffs, t).coefficients
+        interior = row[1:-1]
+        # the real part waits in the output row while the imaginary part's
+        # transform overwrites the spectrum with its own result
+        sine_transform(a.real, workspace, scale, out=interior)
+        sine_transform(a.imag, workspace, scale, out=psi.imag)
+        psi.real = interior
+        # the complex abs, which rounds differently from np.hypot of the parts
+        np.abs(psi, out=interior)
+        np.square(interior, out=interior)
     return rows

@@ -1,12 +1,14 @@
 """Gaussian states, eigenbasis decomposition, dominant-level selection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
 from relwell import (
+    BoxGrid,
     CoefficientVector,
     GridState,
     SimulationError,
@@ -122,6 +124,56 @@ class TestDecompose:
         cb = decompose(gaussian_state(centered_packet(), grid_a, heavy), heavy)
         n = min(ca.n_max, cb.n_max)
         assert np.max(np.abs(ca.coefficients[:n] - cb.coefficients[:n])) < 1e-14
+
+    @pytest.mark.parametrize("case", ["off-center", "mirrored", "boosted"])
+    def test_bits_of_the_two_part_transform(self, case):
+        # every bit, zero signs included, of scale * (DST re + 1j * DST im).
+        # An exactly mirror-symmetric packet has zeros at every even level,
+        # most of them -0.
+        from scipy.fft import dst
+
+        grid = SpatialGrid(L, 1024)
+        x0 = 2.0 * L / 3.0 if case == "off-center" else L / 2.0
+        p0 = 40.0 * math.pi / L if case == "boosted" else 0.0
+        state = gaussian_state(centered_packet(x0=x0, p0=p0), grid, MODEL)
+        if case == "mirrored":
+            state.values[513:] = state.values[:512][::-1]
+        coeffs = decompose(state, MODEL, n_max=grid.nyquist_level)
+        v = state.values[1:-1]
+        scale = math.sqrt(2.0 / L) * grid.spacing * 0.5
+        want = scale * (dst(v.real, type=1) + 1j * dst(v.imag, type=1))
+        assert np.array_equal(coeffs.coefficients.view(np.uint64), want.view(np.uint64))
+
+    def test_coefficients_let_go_of_the_full_transform(self):
+        grid = SpatialGrid(L, 1 << 16)
+        state = gaussian_state(centered_packet(), grid, MODEL)
+        tracemalloc.start()
+        try:
+            coeffs = decompose(state, MODEL)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert coeffs.coefficients.base is None
+        assert held < 16 * grid.nyquist_level / 8
+
+
+class TestGridState:
+    def test_no_grid_sized_allocation(self):
+        grid = SpatialGrid(L, 1 << 16)
+        values = np.zeros(grid.size, dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            GridState(values, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.size
+
+    @pytest.mark.parametrize("grid", [SpatialGrid(L, 64), BoxGrid(0.0, L, 64)])
+    def test_sample_count_checked(self, grid):
+        assert GridState(np.zeros(grid.size), grid).values.shape == (grid.size,)
+        with pytest.raises(ValueError, match="sample count"):
+            GridState(np.zeros(grid.size + 1), grid)
 
 
 class TestRoundTrip:

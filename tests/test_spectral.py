@@ -26,7 +26,7 @@ from relwell import (
     reconstruct_at,
     revival_times,
 )
-from relwell.grids import sine_transform
+from relwell.grids import sine_transform, sine_workspace
 from relwell.spectral import phases
 
 MODEL = WellModel(well_width=125.0 * 2.0 * math.pi)
@@ -199,10 +199,10 @@ class TestSineTransform:
     """The numpy DST-I against scipy.fft.dst(type=1), bit for bit."""
 
     @staticmethod
-    def reference(values):
+    def reference(part):
         from scipy.fft import dst
 
-        return dst(values.real, type=1) + 1j * dst(values.imag, type=1)
+        return dst(part, type=1)
 
     @staticmethod
     def assert_same_bits(got, want):
@@ -213,25 +213,53 @@ class TestSineTransform:
     def test_matches_scipy(self, n):
         rng = np.random.default_rng(n)
         values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        self.assert_same_bits(sine_transform(values), self.reference(values))
+        workspace = sine_workspace(n)
+        for part in (values.real, values.imag):
+            self.assert_same_bits(sine_transform(part, workspace), self.reference(part))
 
     @pytest.mark.parametrize("n", [1, 2, 1023])
     def test_zero_rows_keep_their_signs(self, n):
-        values = np.zeros(n, dtype=np.complex128)
-        got, want = sine_transform(values), self.reference(values)
-        for part in ("real", "imag"):
-            assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
-        self.assert_same_bits(got, want)
+        for zero in (0.0, -0.0):
+            part = np.full(n, zero)
+            got, want = sine_transform(part, sine_workspace(n)), self.reference(part)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            self.assert_same_bits(got, want)
 
     def test_interior_slice_views(self):
         # the strided .real and .imag of a complex interior slice, as
-        # reconstruct passes them, with a zero-padded tail
+        # decompose passes them
         rng = np.random.default_rng(7)
         padded = np.zeros(1026, dtype=np.complex128)
         padded[1:400] = rng.standard_normal(399) + 1j * rng.standard_normal(399)
         interior = padded[1:-1]
         assert not interior.real.flags.c_contiguous
-        self.assert_same_bits(sine_transform(interior), self.reference(interior))
+        workspace = sine_workspace(interior.size)
+        for part in (interior.real, interior.imag):
+            self.assert_same_bits(sine_transform(part, workspace), self.reference(part))
+
+    def test_short_part_is_zero_padded(self):
+        # a reused workspace forgets a longer earlier part: n_max amplitudes
+        # transform as the grid-length vector that holds them
+        rng = np.random.default_rng(9)
+        workspace = sine_workspace(1023)
+        sine_transform(rng.standard_normal(1023), workspace)
+        for k in (400, 0, 1023):
+            part = rng.standard_normal(k)
+            padded = np.zeros(1023)
+            padded[:k] = part
+            self.assert_same_bits(sine_transform(part, workspace), self.reference(padded))
+
+    def test_scale_into_strided_out(self):
+        rng = np.random.default_rng(4)
+        part = rng.standard_normal(777)
+        out = np.empty(777, dtype=np.complex128)
+        got = sine_transform(part, sine_workspace(777), 0.3, out=out.imag)
+        assert np.shares_memory(got, out)
+        self.assert_same_bits(out.imag, 0.3 * self.reference(part))
+
+    def test_part_longer_than_the_workspace_refused(self):
+        with pytest.raises(ValueError, match="length 4"):
+            sine_transform(np.ones(5), sine_workspace(4))
 
 
 class TestReconstruct:
@@ -305,7 +333,7 @@ class TestDensity:
         rows = density_rows(coeffs, grid, times)
         for i, t in enumerate(times):
             single = reconstruct(evolve(coeffs, t), grid).density()
-            assert np.max(np.abs(rows[i] - single)) < 1e-14
+            assert np.array_equal(rows[i], single)
 
     def test_non_finite_time_rejected(self):
         coeffs, grid = fig2_coefficients(512)
@@ -313,7 +341,8 @@ class TestDensity:
             density_rows(coeffs, grid, [0.0, math.inf])
 
     def test_workspace_is_a_few_rows(self):
-        # 64 rows on 2^16 intervals: the output plus the workspace of one row
+        # 64 rows on 2^16 intervals: the output, a transform workspace of two
+        # complex rows, and one evolve of 4000 levels
         grid = SpatialGrid(L, 1 << 16)
         rng = np.random.default_rng(3)
         raw = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
@@ -327,7 +356,7 @@ class TestDensity:
         finally:
             tracemalloc.stop()
         complex_row = 16 * (grid.intervals + 1)
-        assert peak <= rows.nbytes + 8 * complex_row
+        assert peak <= rows.nbytes + 3 * complex_row
 
     def test_norm_conserved_under_evolution(self):
         coeffs, grid = fig2_coefficients(512)

@@ -102,18 +102,28 @@ class TestCarpetWriters:
         want = np.round(scaled * 65535.0).astype(">u2").tobytes()
         assert path.read_bytes() == b"P5\n7 3\n65535\n" + want
 
-    def test_carpet_pgm_workspace(self, tmp_path):
-        # one float copy of the density and its 16-bit pixels
-        rng = np.random.default_rng(5)
-        grid = CarpetGrid(rng.random((64, 1 << 16)), np.arange(64.0), np.arange(65536.0))
-        path = tmp_path / "c.pgm"
+    @staticmethod
+    def traced_peak(writer, grid, path):
         tracemalloc.start()
         try:
-            write_carpet_pgm(grid, path)
+            writer(grid, path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * grid.density.nbytes
+        return peak
+
+    def test_carpet_pgm_workspace(self, tmp_path):
+        # the 16-bit pixels and one float row
+        rng = np.random.default_rng(5)
+        grid = CarpetGrid(rng.random((64, 1 << 16)), np.arange(64.0), np.arange(65536.0))
+        assert self.traced_peak(write_carpet_pgm, grid, tmp_path / "c.pgm") <= 0.5 * grid.density.nbytes
+
+    def test_carpet_binary_writes_the_density_uncopied(self, tmp_path):
+        rng = np.random.default_rng(6)
+        grid = CarpetGrid(rng.random((64, 1 << 16)), np.arange(64.0), np.arange(65536.0))
+        path = tmp_path / "c.bin"
+        assert self.traced_peak(write_carpet_binary, grid, path) <= 0.2 * grid.density.nbytes
+        assert path.read_bytes()[-grid.density.nbytes :] == grid.density.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("writer", [write_carpet_csv, write_carpet_binary, write_carpet_pgm])
     def test_nan_density_refused_without_file(self, tmp_path, writer):
