@@ -42,7 +42,7 @@ from .packets import (
     dominant_level,
     gaussian_state,
 )
-from .spectral import density_rows, evolve, reconstruct, reconstruct_at
+from .spectral import density_rows, evolve, reconstruct_at
 from .splitop import (
     PropagationConfig,
     default_config,

@@ -95,17 +95,10 @@ def build_hamiltonian(
 
 @dataclass
 class EigenSpectrum:
-    """Ascending bound-level energies with their momentum-space eigenvectors.
-
-    Eigenvectors are columns of ``vectors`` (one per level), orthonormal under
-    the dp-weighted inner product.  Each has mirrored components of equal
-    modulus; the largest-modulus component with index below count/2 is
-    rotated to the positive real axis.
-    """
+    """Ascending bound-level energies of the discretized Hamiltonian, with
+    the grid, wall height and kinetic form that produced them."""
 
     levels: np.ndarray
-    vectors: np.ndarray
-    grid: MomentumGrid
     metadata: dict = field(default_factory=dict)
 
 
@@ -116,11 +109,11 @@ def solve(
     k_levels: int,
     kinetic: str = "relativistic",
 ) -> EigenSpectrum:
-    """Lowest ``k_levels`` eigenpairs of the discretized Hamiltonian.
+    """Lowest ``k_levels`` eigenvalues of the discretized Hamiltonian.
 
     Energies below V0 are bound-state candidates.  The even and odd blocks
-    A +- B of H' are solved apart and merged by a stable sort, so a level
-    both blocks share lists the even one first.
+    A +- B of H' are solved apart, for eigenvalues only, and their levels
+    merged in ascending order.
     """
     if not 1 <= k_levels <= grid.count:
         raise ValueError("k_levels must lie in 1..count")
@@ -134,34 +127,17 @@ def solve(
     mirrored = h[:half, half:][:, ::-1]
     per_block = min(k_levels, half)
     try:
-        (even_vals, even_vecs), (odd_vals, odd_vecs) = (
-            scipy.linalg.eigh(upper + sign * mirrored, subset_by_index=(0, per_block - 1))
+        blocks = [
+            scipy.linalg.eigh(
+                upper + sign * mirrored, eigvals_only=True, subset_by_index=(0, per_block - 1)
+            )
             for sign in (1.0, -1.0)
-        )
+        ]
     except scipy.linalg.LinAlgError as exc:
         raise SimulationError(f"dense eigensolver failed: {exc}") from exc
 
-    vals = np.concatenate([even_vals, odd_vals])
-    order = np.argsort(vals, kind="stable")[:k_levels]
-    top = np.concatenate([even_vecs, odd_vecs], axis=1)[:, order]
-    parity = np.where(order < per_block, 1.0, -1.0)
-
-    # embed u as [u; +-J u] / sqrt(2) with the dp weight and undo D relative to
-    # the largest component of u, which thus comes out exactly real and positive.
-    # Its mirror matches its modulus only to rounding; the lead takes the larger
-    # of the two, so it stays the first maximum of |v|.
-    theta = grid.nodes * (0.5 * model.well_width / model.hbar)
-    cols = np.arange(k_levels)
-    lead = np.argmax(np.abs(top), axis=0)
-    scale = np.sign(top[lead, cols]) / math.sqrt(2.0 * grid.spacing)
-    vecs = np.concatenate([top, top[::-1] * parity], axis=0) * scale
-    vecs = vecs * np.exp(-1j * (theta[:, None] - theta[lead]))
-    vecs[lead, cols] = np.abs(vecs).max(axis=0)
-
     return EigenSpectrum(
-        levels=vals[order],
-        vectors=vecs,
-        grid=grid,
+        levels=np.sort(np.concatenate(blocks))[:k_levels],
         metadata={
             "wall_height": wall_height,
             "p_max": grid.p_max,

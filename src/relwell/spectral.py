@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .grids import GridState, SpatialGrid, sine_transform, sine_workspace
+from .grids import SpatialGrid, sine_transform, sine_workspace
 from .model import energy
 from .packets import CoefficientVector
 
@@ -98,28 +98,6 @@ def evolve(coeffs: CoefficientVector, t: float) -> CoefficientVector:
     return CoefficientVector(rotated, model, coeffs.time_tag + t, dict(coeffs.metadata))
 
 
-def _synthesis_scale(coeffs: CoefficientVector, grid: SpatialGrid) -> float:
-    """The factor of the inverse DST-I that puts ``coeffs`` on ``grid``,
-    once the grid is checked to hold them."""
-    if grid.well_width != coeffs.model.well_width:
-        raise ValueError("grid and model disagree on the well width")
-    if coeffs.n_max > grid.nyquist_level:
-        raise ValueError(f"grid with {grid.intervals} intervals cannot represent level {coeffs.n_max}")
-    return 0.5 * math.sqrt(2.0 / grid.well_width)
-
-
-def reconstruct(coeffs: CoefficientVector, grid: SpatialGrid) -> GridState:
-    """psi(x_i) = sum_n a_n sqrt(2/L) sin(n pi x_i / L) at every grid point,
-    zero on the walls, by one inverse DST-I of each part."""
-    scale = _synthesis_scale(coeffs, grid)
-    a = coeffs.coefficients
-    workspace = sine_workspace(grid.nyquist_level)
-    values = np.zeros(grid.size, dtype=np.complex128)
-    sine_transform(a.real, workspace, scale, out=values.real[1:-1])
-    sine_transform(a.imag, workspace, scale, out=values.imag[1:-1])
-    return GridState(values, grid, coeffs.time_tag)
-
-
 def reconstruct_at(coeffs: CoefficientVector, x) -> np.ndarray:
     """Direct sine summation at arbitrary positions inside [0, L].
 
@@ -137,15 +115,21 @@ def reconstruct_at(coeffs: CoefficientVector, x) -> np.ndarray:
 
 
 def density_rows(coeffs: CoefficientVector, grid: SpatialGrid, times) -> np.ndarray:
-    """Stack of |psi(x, t)|^2 rows, one per requested time.
+    """Stack of |psi(x, t)|^2 rows, one per requested time, where
+    psi(x_i) = sum_n a_n(t) sqrt(2/L) sin(n pi x_i / L), zero on the walls.
 
-    Each row is evolved and synthesized on its own through one transform
-    workspace that the whole carpet reuses, and its density is written
-    straight into its output row.  A carpet thus holds its output, two
-    complex rows and the per-level arrays of one ``evolve``.  The rows are
-    bit for bit those of ``reconstruct(evolve(coeffs, t), grid).density()``.
+    Each row is evolved and synthesized on its own, by one inverse DST-I of
+    each part, through one transform workspace that the whole carpet reuses,
+    and its density is written straight into its output row.  A carpet thus
+    holds its output, two complex rows and the per-level arrays of one
+    ``evolve``.
     """
-    scale = _synthesis_scale(coeffs, grid)
+    if grid.well_width != coeffs.model.well_width:
+        raise ValueError("grid and model disagree on the well width")
+    if coeffs.n_max > grid.nyquist_level:
+        raise ValueError(f"grid with {grid.intervals} intervals cannot represent level {coeffs.n_max}")
+    # the unnormalized DST-I sums 2 a_n sin(n pi i / N)
+    scale = 0.5 * math.sqrt(2.0 / grid.well_width)
     times = np.asarray(times, dtype=float)
     rows = np.zeros((times.size, grid.size))
     workspace = sine_workspace(grid.nyquist_level)

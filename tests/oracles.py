@@ -2,7 +2,8 @@
 
 The hard-wall eigenfunctions in position and momentum space, the momentum
 integral equation they solve, the complex momentum-space Hamiltonian of the
-finite well, the Gaussian overlap coefficients, finite differences of the
+finite well and its eigenpairs, the Gaussian overlap coefficients, the
+grid wavefunction of a coefficient vector, finite differences of the
 closed-form energy, the autocorrelation summed level by level, the
 split-operator engine's plain Strang step loop and a reader for the carpet
 binary layout documented in the README.  None of these runs in the CLI; each
@@ -21,11 +22,14 @@ from relwell import (
     GridState,
     MomentumGrid,
     SimulationError,
+    SpatialGrid,
     WavepacketSpec,
     WellModel,
+    build_hamiltonian,
     energy,
     kinetic_phase,
 )
+from relwell.grids import sine_transform, sine_workspace
 from relwell.observables import CarpetGrid
 from relwell.spectral import phases
 
@@ -125,6 +129,42 @@ def complex_hamiltonian(grid: MomentumGrid, model: WellModel, wall_height: float
     return 0.5 * (h + h.conj().T)
 
 
+def momentum_eigenpairs(
+    grid: MomentumGrid,
+    model: WellModel,
+    wall_height: float,
+    k_levels: int,
+    kinetic: str = "relativistic",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``k_levels`` levels and eigenvectors of the discretized
+    Hamiltonian, from ``eigh`` with vectors on the two real parity blocks.
+
+    A block eigenvector u becomes [u; +-J u] / sqrt(2 dp), J the reversal,
+    and D = diag(exp(-i p L / 2 hbar)) is undone, so the columns are
+    eigenvectors of the complex H, orthonormal under the dp-weighted inner
+    product, up to one phase each.  Levels are merged by a stable sort: a
+    level both blocks share lists the even one first.
+    """
+    import scipy.linalg
+
+    h = build_hamiltonian(grid, model, wall_height, kinetic)
+    half = grid.count // 2
+    upper = h[:half, :half]
+    mirrored = h[:half, half:][:, ::-1]
+    per_block = min(k_levels, half)
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = (
+        scipy.linalg.eigh(upper + sign * mirrored, subset_by_index=(0, per_block - 1))
+        for sign in (1.0, -1.0)
+    )
+    vals = np.concatenate([even_vals, odd_vals])
+    order = np.argsort(vals, kind="stable")[:k_levels]
+    top = np.concatenate([even_vecs, odd_vecs], axis=1)[:, order]
+    parity = np.where(order < per_block, 1.0, -1.0)
+    vecs = np.concatenate([top, top[::-1] * parity], axis=0) / math.sqrt(2.0 * grid.spacing)
+    theta = grid.nodes * (0.5 * model.well_width / model.hbar)
+    return vals[order], vecs * np.exp(-1j * theta)[:, None]
+
+
 def hard_wall_kernel(model: WellModel, grid: MomentumGrid) -> np.ndarray:
     """(1 - exp(-i L q / hbar)) / q over every lag q of the grid; the
     coincidence limit is i L / hbar."""
@@ -180,6 +220,23 @@ def gaussian_overlap_coefficients(
     plus = np.exp(1j * (q0 + k) * spec.x0 - (q0 + k) ** 2 * spec.sigma**2)
     minus = np.exp(1j * (q0 - k) * spec.x0 - (q0 - k) ** 2 * spec.sigma**2)
     return CoefficientVector(prefac * (plus - minus) / 1j, model)
+
+
+def reconstruct(coeffs: CoefficientVector, grid: SpatialGrid) -> GridState:
+    """psi(x_i) = sum_n a_n sqrt(2/L) sin(n pi x_i / L) at every grid point,
+    zero on the walls, by one inverse DST-I of each part: the synthesis that
+    ``density_rows`` runs for each of its rows."""
+    if grid.well_width != coeffs.model.well_width:
+        raise ValueError("grid and model disagree on the well width")
+    if coeffs.n_max > grid.nyquist_level:
+        raise ValueError(f"grid with {grid.intervals} intervals cannot represent level {coeffs.n_max}")
+    scale = 0.5 * math.sqrt(2.0 / grid.well_width)
+    a = coeffs.coefficients
+    workspace = sine_workspace(grid.nyquist_level)
+    values = np.zeros(grid.size, dtype=np.complex128)
+    sine_transform(a.real, workspace, scale, out=values.real[1:-1])
+    sine_transform(a.imag, workspace, scale, out=values.imag[1:-1])
+    return GridState(values, grid, coeffs.time_tag)
 
 
 # README "Carpet binary": magic CRPT, u32 version, u64 rows, u64 cols,

@@ -21,6 +21,7 @@ from oracles import (
     convolve_valid,
     eigenfunction_momentum,
     hard_wall_kernel,
+    momentum_eigenpairs,
     residual_integral_equation,
     well_window_transform,
 )
@@ -38,12 +39,12 @@ def conjugation(grid, model):
     return np.exp(-0.5j * grid.nodes * model.well_width / model.hbar)
 
 
-def parities(spectrum, model):
-    """+1 for each level whose D-conjugated vector is mirror-even, -1 if odd."""
-    half = spectrum.grid.count // 2
-    real = spectrum.vectors * conjugation(spectrum.grid, model).conj()[:, None]
-    overlap = np.sum(real[:half].conj() * real[::-1][:half], axis=0)
-    return np.sign(overlap.real).astype(int)
+def block_levels(grid, model, wall_height):
+    """Every level of the even and of the odd block A +- B of H'."""
+    h = build_hamiltonian(grid, model, wall_height)
+    half = grid.count // 2
+    upper, mirrored = h[:half, :half], h[:half, half:][:, ::-1]
+    return np.linalg.eigvalsh(upper + mirrored), np.linalg.eigvalsh(upper - mirrored)
 
 
 class TestWellWindowTransform:
@@ -144,52 +145,39 @@ class TestSolve:
     def test_orthonormal_under_dp_weight(self):
         model = WellModel(well_width=10.0)
         grid = MomentumGrid(20.0, 512)
-        spectrum = solve(grid, model, 1e3, k_levels=6)
-        gram = spectrum.vectors.conj().T @ spectrum.vectors * grid.spacing
+        _, vectors = momentum_eigenpairs(grid, model, 1e3, k_levels=6)
+        gram = vectors.conj().T @ vectors * grid.spacing
         assert np.max(np.abs(gram - np.eye(6))) < 1e-8
 
     def test_rayleigh_quotient_consistency(self):
         model = WellModel(well_width=10.0)
         grid = MomentumGrid(20.0, 512)
-        spectrum = solve(grid, model, 1e3, k_levels=4)
+        levels, vectors = momentum_eigenpairs(grid, model, 1e3, k_levels=4)
         h = complex_hamiltonian(grid, model, 1e3)
         for j in range(4):
-            v = spectrum.vectors[:, j] * math.sqrt(grid.spacing)
+            v = vectors[:, j] * math.sqrt(grid.spacing)
             quotient = float(np.real(v.conj() @ h @ v))
-            assert abs(quotient - spectrum.levels[j]) < 1e-10 * max(1.0, abs(spectrum.levels[j]))
-
-    def test_phase_gauge(self):
-        model = WellModel(well_width=10.0)
-        spectrum = solve(MomentumGrid(20.0, 512), model, 1e3, k_levels=4)
-        for j in range(4):
-            col = spectrum.vectors[:, j]
-            lead = col[np.argmax(np.abs(col))]
-            assert abs(lead.imag) < 1e-12 * abs(lead)
-            assert lead.real > 0
+            assert abs(quotient - levels[j]) < 1e-10 * max(1.0, abs(levels[j]))
 
     def test_ground_state_matches_analytic_modulus(self):
         model = WellModel(well_width=120.0)
         grid = MomentumGrid(6.0, 2048)
-        spectrum = solve(grid, model, 1e3, k_levels=1)
+        _, vectors = momentum_eigenpairs(grid, model, 1e3, k_levels=1)
         phi = eigenfunction_momentum(model, 1, grid.nodes)
         phi /= math.sqrt(float(np.sum(np.abs(phi) ** 2) * grid.spacing))
-        err = math.sqrt(
-            float(np.sum((np.abs(spectrum.vectors[:, 0]) - np.abs(phi)) ** 2) * grid.spacing)
-        )
+        err = math.sqrt(float(np.sum((np.abs(vectors[:, 0]) - np.abs(phi)) ** 2) * grid.spacing))
         assert err < 1e-2
 
     def test_kinetic_form_independence(self):
         # towards the hard-wall limit the eigenvectors forget the dispersion
         model = WellModel(well_width=120.0)
         grid = MomentumGrid(6.0, 2048)
-        relativistic = solve(grid, model, 1e4, k_levels=3)
-        galilean = solve(grid, model, 1e4, k_levels=3, kinetic="nonrelativistic")
+        relativistic = momentum_eigenpairs(grid, model, 1e4, k_levels=3)
+        galilean = momentum_eigenpairs(grid, model, 1e4, k_levels=3, kinetic="nonrelativistic")
         for n in (1, 2, 3):
-            err = aligned_l2(
-                relativistic.vectors[:, n - 1], galilean.vectors[:, n - 1], grid.spacing
-            )
+            err = aligned_l2(relativistic[1][:, n - 1], galilean[1][:, n - 1], grid.spacing)
             assert err < 1e-2
-        assert np.max(np.abs(relativistic.levels - galilean.levels)) > 1e-6
+        assert np.max(np.abs(relativistic[0] - galilean[0])) > 1e-6
 
     def test_level_count_grows_with_width(self):
         v0 = 8.0
@@ -251,7 +239,7 @@ class TestSolve:
 
 
 class TestComplexOracle:
-    """The real parity-split solve against the complex assembly it replaced."""
+    """The real parity-split route against the complex assembly it replaced."""
 
     MODEL = WellModel(well_width=10.0)
     GRID = MomentumGrid(20.0, 512)
@@ -279,8 +267,8 @@ class TestComplexOracle:
 
     def test_vectors_match_complex_eigh(self):
         _, (_, vectors) = self.reference()
-        spectrum = solve(self.GRID, self.MODEL, self.V0, k_levels=self.K)
-        overlaps = np.abs(np.sum(vectors.conj() * spectrum.vectors, axis=0))
+        _, split = momentum_eigenpairs(self.GRID, self.MODEL, self.V0, k_levels=self.K)
+        overlaps = np.abs(np.sum(vectors.conj() * split, axis=0))
         overlaps *= math.sqrt(self.GRID.spacing)
         assert np.min(overlaps) >= 1.0 - 1e-12
 
@@ -296,67 +284,86 @@ class TestParityMerge:
     def test_single_level(self):
         spectrum = solve(self.GRID, self.MODEL, self.V0, k_levels=1)
         want = self.full_levels(self.GRID, self.MODEL, self.V0)[0]
-        assert spectrum.levels.shape == (1,) and spectrum.vectors.shape == (128, 1)
+        assert spectrum.levels.shape == (1,)
         assert abs(spectrum.levels[0] - want) <= 1e-12 * abs(want)
-        norm = float(np.sum(np.abs(spectrum.vectors) ** 2) * self.GRID.spacing)
-        assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_odd_level_count(self):
-        # 7 levels take 4 from one block and 3 from the other
+        # 7 levels take 4 from the even block and 3 from the odd one
         seven = solve(self.GRID, self.MODEL, self.V0, k_levels=7)
         eight = solve(self.GRID, self.MODEL, self.V0, k_levels=8)
         want = self.full_levels(self.GRID, self.MODEL, self.V0)[:7]
         assert np.max(np.abs(seven.levels - want) / np.abs(want)) <= 1e-12
         assert np.max(np.abs(seven.levels - eight.levels[:7]) / np.abs(want)) <= 1e-12
-        assert np.sort(parities(seven, self.MODEL)).tolist() == [-1, -1, -1, 1, 1, 1, 1]
-        assert np.max(np.abs(seven.vectors - eight.vectors[:, :7])) * math.sqrt(
-            self.GRID.spacing
-        ) <= 1e-10
+        even, odd = block_levels(self.GRID, self.MODEL, self.V0)
+        assert np.max(np.abs(seven.levels[0::2] - even[:4]) / np.abs(even[:4])) <= 1e-12
+        assert np.max(np.abs(seven.levels[1::2] - odd[:3]) / np.abs(odd[:3])) <= 1e-12
 
     @pytest.mark.parametrize("count", [4, 16, 128])
     def test_every_level(self, count):
+        # k = count takes every level of both blocks
         grid = MomentumGrid(20.0, count)
         spectrum = solve(grid, self.MODEL, self.V0, k_levels=count)
         want = self.full_levels(grid, self.MODEL, self.V0)
         assert np.max(np.abs(spectrum.levels - want)) <= 1e-12 * np.max(np.abs(want))
-        gram = spectrum.vectors.conj().T @ spectrum.vectors * grid.spacing
-        assert np.max(np.abs(gram - np.eye(count))) <= 1e-12
-        assert np.sum(parities(spectrum, self.MODEL) > 0) == count // 2
+        merged = np.sort(np.concatenate(block_levels(grid, self.MODEL, self.V0)))
+        assert np.max(np.abs(spectrum.levels - merged)) <= 1e-12 * np.max(np.abs(want))
 
     def test_blocks_cross(self):
         # above V0 the even and odd ladders no longer alternate: two
         # consecutive levels come from the same block
         model, grid, v0 = WellModel(well_width=5.0), MomentumGrid(10.0, 64), 3.0
         spectrum = solve(grid, model, v0, k_levels=64)
-        signs = parities(spectrum, model)
+        even, odd = block_levels(grid, model, v0)
+        signs = np.concatenate([np.ones(32), -np.ones(32)])[np.argsort(np.concatenate([even, odd]))]
         assert np.any(signs[1:] == signs[:-1])
-        h = build_hamiltonian(grid, model, v0)
-        upper, mirrored = h[:32, :32], h[:32, 32:][:, ::-1]
-        even, odd = np.linalg.eigvalsh(upper + mirrored), np.linalg.eigvalsh(upper - mirrored)
         assert np.max(np.abs(spectrum.levels[signs > 0] - even)) <= 1e-12 * np.max(even)
         assert np.max(np.abs(spectrum.levels[signs < 0] - odd)) <= 1e-12 * np.max(odd)
         want = self.full_levels(grid, model, v0)
         assert np.max(np.abs(spectrum.levels - want)) <= 1e-12 * np.max(want)
 
-    def test_tied_levels_list_even_first(self):
-        # without a wall H' is the even dispersion: every level is shared by
-        # both blocks and the stable merge lists the even one first
+    def test_tied_levels_listed_twice(self):
+        # without a wall H' is the even dispersion: both blocks hold the same
+        # levels and the merge lists each one twice
         spectrum = solve(self.GRID, self.MODEL, 0.0, k_levels=9)
+        even, odd = block_levels(self.GRID, self.MODEL, 0.0)
+        assert np.array_equal(even, odd)
         assert np.array_equal(spectrum.levels[0:8:2], spectrum.levels[1:9:2])
-        assert parities(spectrum, self.MODEL).tolist() == [1, -1] * 4 + [1]
+        assert np.max(np.abs(spectrum.levels[0::2] - even[:5]) / even[:5]) <= 1e-15
 
-    def test_gauge_at_lower_mirror_component(self):
-        # mirrored components share their modulus; the gauge sits on the lower
-        # index of the largest pair and is the first maximum of |v|
-        first = solve(self.GRID, self.MODEL, self.V0, k_levels=12)
-        again = solve(self.GRID, self.MODEL, self.V0, k_levels=12)
-        assert np.array_equal(first.vectors, again.vectors)
-        moduli = np.abs(first.vectors)
-        assert np.max(np.abs(moduli - moduli[::-1])) <= 1e-14 * np.max(moduli)
-        lead = np.argmax(moduli, axis=0)
-        assert np.all(lead < self.GRID.count // 2)
-        values = first.vectors[lead, np.arange(12)]
-        assert np.all(values.imag == 0.0) and np.all(values.real > 0.0)
+
+class TestLevelsOnly:
+    """``solve``'s eigenvalue-only levels against the eigenpair route of
+    ``oracles.momentum_eigenpairs``, whose levels the CLI wrote before."""
+
+    MODEL = WellModel(well_width=10.0)
+
+    @pytest.mark.parametrize("wall_height", [50.0, 1e3])
+    @pytest.mark.parametrize("count, k_levels", [(4, 1), (16, 1), (16, 7), (128, 7), (128, 63)])
+    def test_bit_identical_while_blocks_are_solved_in_part(self, count, k_levels, wall_height):
+        # below count / 2 both routes find the levels by bisection
+        grid = MomentumGrid(20.0, count)
+        levels, _ = momentum_eigenpairs(grid, self.MODEL, wall_height, k_levels)
+        assert np.array_equal(solve(grid, self.MODEL, wall_height, k_levels).levels, levels)
+
+    @pytest.mark.parametrize("count", [4, 16, 128])
+    def test_tied_levels_bit_identical(self, count):
+        # V0 = 0: diagonal blocks, so every level is tied, and both routes
+        # return the diagonal itself however many levels are asked for
+        grid = MomentumGrid(20.0, count)
+        for k_levels in (1, count // 2 - 1, count // 2 + 1, count):
+            levels, _ = momentum_eigenpairs(grid, self.MODEL, 0.0, k_levels)
+            assert np.array_equal(solve(grid, self.MODEL, 0.0, k_levels).levels, levels)
+
+    @pytest.mark.parametrize("count", [4, 16, 128])
+    def test_full_blocks_agree_to_rounding(self, count):
+        # from count / 2 levels on, each block is solved in full, where LAPACK
+        # finds levels alone by QL iteration and levels with vectors by MRRR:
+        # both backward stable, equal to a few units in the last place
+        grid = MomentumGrid(20.0, count)
+        for k_levels in (count // 2, count - 1, count):
+            levels, _ = momentum_eigenpairs(grid, self.MODEL, 50.0, k_levels)
+            got = solve(grid, self.MODEL, 50.0, k_levels).levels
+            assert np.max(np.abs(got - levels)) <= 64 * np.finfo(float).eps * np.max(np.abs(levels))
 
 
 class TestResidual:

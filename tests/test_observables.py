@@ -33,7 +33,7 @@ from relwell.observables import (
     write_carpet_pgm,
     write_spacing_csv,
 )
-from oracles import autocorrelation_direct, read_carpet_binary
+from oracles import autocorrelation_direct, read_carpet_binary, reconstruct
 
 MODEL = WellModel(well_width=125.0 * 2.0 * math.pi)
 L = MODEL.well_width
@@ -173,7 +173,7 @@ class TestCarpet:
         coeffs, grid, spec = fig2_coefficients(512)
         times = np.linspace(0.0, 100.0, 4)
         result = carpet(coeffs, grid, times)
-        from relwell import evolve, reconstruct
+        from relwell import evolve
 
         initial = reconstruct(evolve(coeffs, 0.0), grid).density()
         assert np.max(np.abs(result.density[0] - initial)) < 1e-14

@@ -18,10 +18,9 @@ from relwell import (
     decompose,
     dominant_level,
     gaussian_state,
-    reconstruct,
 )
 from relwell.packets import write_coefficients_csv
-from oracles import eigenfunction_position, gaussian_overlap_coefficients
+from oracles import eigenfunction_position, gaussian_overlap_coefficients, reconstruct
 
 MODEL = WellModel(well_width=125.0 * 2.0 * math.pi)
 L = MODEL.well_width

@@ -22,12 +22,12 @@ from relwell import (
     energy,
     evolve,
     gaussian_state,
-    reconstruct,
     reconstruct_at,
     revival_times,
 )
 from relwell.grids import sine_transform, sine_workspace
 from relwell.spectral import phases
+from oracles import reconstruct
 
 MODEL = WellModel(well_width=125.0 * 2.0 * math.pi)
 L = MODEL.well_width
@@ -339,6 +339,14 @@ class TestDensity:
         coeffs, grid = fig2_coefficients(512)
         with pytest.raises(ValueError, match="finite"):
             density_rows(coeffs, grid, [0.0, math.inf])
+
+    def test_grid_must_hold_the_coefficients(self):
+        raw = np.zeros(300, dtype=complex)
+        raw[-1] = 1.0
+        with pytest.raises(ValueError, match="cannot represent level 300"):
+            density_rows(CoefficientVector(raw, MODEL), SpatialGrid(L, 256), [0.0])
+        with pytest.raises(ValueError, match="well width"):
+            density_rows(CoefficientVector(raw, MODEL), SpatialGrid(2.0 * L, 1024), [0.0])
 
     def test_workspace_is_a_few_rows(self):
         # 64 rows on 2^16 intervals: the output, a transform workspace of two
