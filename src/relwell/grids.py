@@ -1,15 +1,15 @@
-"""Spatial grids, the sampled wavefunction container, the sine transform and
-the CSV table writer."""
+"""Spatial grids, the sampled wavefunction container, the sine transform,
+Dekker's exact product and the CSV table writer."""
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SimulationError
-
-_BLOCK_LINES = 2048  # lines formatted per write: bounds the text held at once
 
 
 @dataclass(frozen=True)
@@ -138,29 +138,313 @@ def sine_transform(part: np.ndarray, workspace, scale: float = 1.0, out=None) ->
     return np.multiply(spectrum.imag[1 : n + 1], -scale, out=out)
 
 
+_SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's constant for float64
+
+
+def _split(m):
+    """Veltkamp's split of m into a 26-bit head and the exact remainder."""
+    c = _SPLITTER * m
+    head = c - (c - m)
+    return head, m - head
+
+
+def _mantissa_product(ma, mb):
+    """``_two_product`` for |ma|, |mb| < 1, where the split cannot overflow."""
+    (ah, al), (bh, bl) = _split(ma), _split(mb)
+    p = ma * mb
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _two_product(a, b):
+    """(p, e) with p + e = a * b exactly (Dekker 1971).
+
+    Veltkamp's split multiplies by 2^27 + 1, which overflows above about
+    1.3e300, so it acts on the mantissas in [0.5, 1) and the exponents are
+    restored by exact powers of two.  The error term of a product in the
+    subnormal range loses its last bits.
+    """
+    ma, ea = np.frexp(a)
+    mb, eb = np.frexp(b)
+    p, e = _mantissa_product(ma, mb)
+    scale = ea + eb
+    return np.ldexp(p, scale), np.ldexp(e, scale)
+
+
 def require_finite(path, name: str, values) -> None:
-    """Refuse, before anything is written, to put non-finite ``values`` in ``path``."""
-    if not np.isfinite(values).all():
+    """Refuse, before anything is written, to put non-finite ``values`` in ``path``.
+
+    NaN propagates through both extremes and an infinity is one of them, so
+    two reductions decide it without a mask the size of ``values``.
+    """
+    values = np.asarray(values)
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise SimulationError(f"refusing to write non-finite {name} to {path}")
 
 
+# -- exact .17g over arrays ---------------------------------------------------
+#
+# A float v != 0 prints as its 17 significant digits D = round-half-even(|v| *
+# 10^(16 - X)), an integer in [10^16, 10^17), where X is its decimal exponent,
+# laid out as C's %g: fixed notation for -4 <= X < 17, otherwise d.ddd with an
+# exponent of at least two digits, and trailing fraction zeros dropped.  Every
+# cell goes into a fixed-width slot of bytes, NUL wherever it has no character,
+# so a block of lines is a byte matrix that drops its NULs on the way out.
+
+_POWERS = range(-293, 342)  # 10^k for k = 16 - X, X in [-324, 308], one to spare
+_NEAR_TIE = 2.0**-30  # the scaled product is good to about 2^-47 of a unit
+_ZERO = 1000  # the exponent class of 0 and -0
+_FLOAT_SLOT = 28  # sign; body of up to 22 bytes; exponent of up to 5
+_INTEGER_SLOT = 21  # sign and 20 digits, enough for any 64-bit integer
+_GROUP = 10**4  # decimal digits come four at a time from a table
+_BLOCK_BYTES = 1 << 20  # line text formatted per write: bounds the temporaries
+
+
+@functools.cache
+def _decimal_tables():
+    """The formatter's read-only tables, built on first use from exact integers.
+
+    For each k in ``_POWERS``, 10^k = (head + tail) * 2^exponent with head in
+    [0.5, 1) correctly rounded and tail the rounded remainder, about 2^-107 of
+    10^k.  ``groups`` holds the 4-byte ASCII groups 0000..9999 four times
+    over: as they are, with trailing zeros as NUL, with leading zeros as NUL
+    (0 keeps its last digit), and one all-NUL entry at index 3 * 10^4.
+    """
+    heads, tails, exponents = [], [], []
+    for k in _POWERS:
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        e = num.bit_length() - den.bit_length() + 1
+        if e > 0:
+            den <<= e
+        else:
+            num <<= -e
+        if 2 * num < den:  # num / den in [0.25, 1): take it to [0.5, 1)
+            num <<= 1
+            e -= 1
+        head = num / den
+        h_num, h_den = head.as_integer_ratio()
+        heads.append(head)
+        tails.append((num * h_den - h_num * den) / (den * h_den))
+        exponents.append(e)
+    digits = np.arange(_GROUP)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    plain = (digits + ord("0")).astype(np.uint8)
+    zeros = digits == 0
+    trailing = np.where(np.logical_and.accumulate(zeros[:, ::-1], axis=1)[:, ::-1], 0, plain)
+    leading = np.where(np.logical_and.accumulate(zeros, axis=1), 0, plain)
+    leading[0, -1] = ord("0")
+    groups = np.concatenate([plain, trailing, leading, np.zeros((1, 4), np.uint8)])
+    groups = groups.view("<u4")[:, 0]
+    tables = np.array(heads), np.array(tails), np.array(exponents), groups
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a, x):
+    """|a| * 10^(16 - x) as an unevaluated sum hi + lo; hi is a whole number
+    when the product is at least 2^53."""
+    heads, tails, exponents, _ = _decimal_tables()
+    k = 16 - _POWERS.start - x
+    mantissa, e = np.frexp(a)
+    p, err = _mantissa_product(mantissa, heads[k])
+    scale = e + exponents[k]
+    return np.ldexp(p, scale), np.ldexp(err + mantissa * tails[k], scale)
+
+
+def _significands(a):
+    """(D, X, near_tie) for positive finite ``a``: the 17 significant digits
+    as an int64 in [10^16, 10^17), the decimal exponent, and where the scaled
+    value lies too close to a half for its rounding to be trusted."""
+    # log10 is within one of the exponent; the scaled value is at least 1.6e-3
+    # from 10^16 and 10^17 unless it equals one, so the pair's sign decides
+    x = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, x)
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    fix = np.flatnonzero(below | above)
+    if fix.size:
+        x[fix] += np.where(above[fix], 1, -1)
+        hi[fix], lo[fix] = _scaled(a[fix], x[fix])
+    whole = np.floor(lo)
+    fraction = lo - whole
+    digits = hi.astype(np.int64) + whole.astype(np.int64) + (fraction > 0.5)
+    carry = digits == 10**17  # rounded up to the next power of ten
+    digits[carry] = 10**16
+    x[carry] += 1
+    return digits, x, np.abs(fraction - 0.5) < _NEAR_TIE
+
+
+def _rows(matrix):
+    """The rows of a 2-D uint8 array whose rows are contiguous, as void items:
+    numpy copies and gathers those as one item each."""
+    return matrix.view(f"V{matrix.shape[1]}")[:, 0]
+
+
+def _groups_of_four(high, low, out):
+    """The 4-digit groups of two numbers below 10^8, high's first, as the
+    four rows of ``out``."""
+    np.floor_divide(high, _GROUP, out=out[0])
+    np.subtract(high, out[0] * _GROUP, out=out[1])
+    np.floor_divide(low, _GROUP, out=out[2])
+    np.subtract(low, out[2] * _GROUP, out=out[3])
+    return out
+
+
+def _float_slots(values, out) -> None:
+    """Write each finite float64 v, exactly as Python's ``.17g`` format
+    writes it, into its row of ``out``, _FLOAT_SLOT bytes wide, NUL-padded.
+
+    The cells are sorted by exponent, stably, so each layout is applied once
+    to a run of cells.  A cell within ``_NEAR_TIE`` of a rounding half is
+    written by Python's ``%``.
+    """
+    groups = _decimal_tables()[3]
+    n = values.size
+    a = np.abs(values)
+    zero = a == 0
+    a[zero] = 1.0
+    digits, exponent, near_tie = _significands(a)
+    exponent[zero] = _ZERO
+    order = np.argsort(exponent.astype(np.int16), kind="stable")
+    exponent, digits = exponent[order], digits[order]
+    # D = d0 then four groups of four digits
+    high = digits // 10**8
+    first = high // 10**8
+    index = _groups_of_four(high - first * 10**8, digits - high * 10**8, np.empty((4, n), np.intp))
+    # a group followed by zero groups only takes the copy whose trailing zeros are NUL
+    tail = np.ones(n, dtype=bool)
+    for group in index[::-1]:
+        zeros = group == 0
+        group += _GROUP * tail
+        tail &= zeros
+    fraction = np.take(groups, index.T).view(np.uint8)  # the 16 digits after d0
+    first = (first + 0x30).astype(np.uint8)
+    body = np.zeros((n, _FLOAT_SLOT - 1), dtype=np.uint8)
+    bounds = (np.flatnonzero(np.diff(exponent)) + 1).tolist()
+    for start, stop in zip([0, *bounds], [*bounds, n]):
+        x = int(exponent[start])
+        b, f = body[start:stop], fraction[start:stop]
+        if x == _ZERO:
+            b[:, 0] = ord("0")
+        elif -4 <= x < 0:
+            b[:, : 1 - x] = np.frombuffer(b"0.000"[: 1 - x], np.uint8)
+            b[:, 1 - x] = first[start:stop]
+            _rows(b[:, 2 - x : 18 - x])[:] = _rows(f)
+        else:
+            point = x if 0 <= x < 17 else 0  # digits before the point, after d0
+            b[:, 0] = first[start:stop]
+            # zeros before the point are digits, whatever the trailing-NUL copy says
+            np.bitwise_or(f[:, :point], ord("0"), out=b[:, 1 : point + 1])
+            if point < 16:
+                b[:, point + 1] = (f[:, point] != 0) * np.uint8(ord("."))
+                _rows(b[:, point + 2 : 18])[:] = _rows(f[:, point:])
+            if not 0 <= x < 17:
+                suffix = b"e%+03d" % x
+                b[:, 18 : 18 + len(suffix)] = np.frombuffer(suffix, np.uint8)
+    _rows(out[:, 1:])[order] = _rows(body)
+    out[:, 0] = np.signbit(values) * np.uint8(ord("-"))
+    for i in np.flatnonzero(near_tie).tolist():
+        text = b"%.17g" % values[i]
+        out[i] = 0
+        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+
+
+def _integer_slots(values, out) -> None:
+    """Write each 64-bit integer in decimal into its row of ``out``,
+    _INTEGER_SLOT bytes wide, NUL-padded."""
+    groups = _decimal_tables()[3]
+    n = values.size
+    magnitude = values.astype(np.uint64)
+    negative = values < 0
+    np.negative(magnitude, out=magnitude, where=negative)  # modulo 2^64: exact
+    high = magnitude // np.uint64(10**8)
+    low = (magnitude - high * np.uint64(10**8)).astype(np.intp)
+    top = high // np.uint64(10**8)
+    high = (high - top * np.uint64(10**8)).astype(np.intp)
+    index = np.empty((5, n), dtype=np.intp)
+    index[0] = top  # at most 1844
+    _groups_of_four(high, low, index[1:])
+    # before the first nonzero group: all NUL; that group: leading zeros NUL
+    lead = np.ones(n, dtype=bool)
+    for j, group in enumerate(index):
+        zeros = group == 0
+        group += lead * (2 * _GROUP + _GROUP * (zeros & (j < 4)))
+        lead &= zeros
+    out[:, 0] = negative * np.uint8(ord("-"))
+    _rows(out[:, 1:])[:] = _rows(np.take(groups, index.T).view(np.uint8))
+
+
+def _fill_slots(values, out) -> None:
+    """Write the cells of a float or integer column into the rows of ``out``."""
+    if values.dtype.kind == "f":
+        _float_slots(values.astype(np.float64, copy=False), out)
+    elif values.dtype.kind == "u":
+        _integer_slots(values.astype(np.uint64, copy=False), out)
+    else:
+        _integer_slots(values.astype(np.int64, copy=False), out)
+
+
+def _slots(values):
+    """All of a column's cells as the rows of a NUL-padded byte matrix, a
+    block at a time; text is each cell's str, UTF-8 encoded."""
+    values = values.reshape(-1)
+    kind = values.dtype.kind
+    if kind not in "fiu":
+        text = np.array([str(v).encode() for v in values.tolist()], dtype=bytes)
+        return text.view(np.uint8).reshape(text.size, text.itemsize)
+    out = np.empty((values.size, _FLOAT_SLOT if kind == "f" else _INTEGER_SLOT), dtype=np.uint8)
+    block = _BLOCK_BYTES // out.shape[1]
+    for start in range(0, values.size, block):
+        _fill_slots(values[start : start + block], out[start : start + block])
+    return out
+
+
 def write_table(path, header, columns) -> None:
-    """CSV: a header line, then line k holds element k (C order) of each
-    equal-shaped column: floats as ``.17g``, integers in decimal, text as is.
-    Float columns must be finite, which is checked before the file is opened."""
-    columns = [np.asarray(column) for column in columns]
-    kinds = [column.dtype.kind for column in columns]
-    for name, column, kind in zip(header, columns, kinds):
-        if kind == "f":
+    """CSV: a header line, then one line per element of the columns broadcast
+    against one another, in C order.  Floats are written exactly as Python's
+    ``.17g`` format writes them, integers in decimal and anything else as its
+    str.
+
+    Float columns must be finite, which is checked before the file is opened.
+    A column of the full broadcast size is formatted a block of lines at a
+    time, straight into the block's byte matrix.  A smaller column, and any
+    text column, is formatted once at its own size and its slots are repeated
+    by index, so a carpet can pass t[:, None], x[None, :] and its density.
+    """
+    columns = [np.atleast_1d(np.asarray(column)) for column in columns]
+    for name, column in zip(header, columns):
+        if column.dtype.kind == "f":
             require_finite(path, name, column)
-    line = ",".join({"f": "%.17g", "i": "%d", "u": "%d"}.get(k, "%s") for k in kinds) + "\n"
-    size = columns[0].size
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, size, _BLOCK_LINES):
-            stop = min(start + _BLOCK_LINES, size)
-            cells = np.empty((stop - start, len(columns)), dtype=object)
-            for j, column in enumerate(columns):
-                cells[:, j] = column.flat[start:stop]
-            # one % call fills the repeated line template from the row-major cells
-            fh.write((line * len(cells)) % tuple(cells.ravel().tolist()))
+    shape = np.broadcast_shapes(*(column.shape for column in columns))
+    size = math.prod(shape)
+    fields, width = [], 0
+    for column in columns:
+        own = (1,) * (len(shape) - column.ndim) + column.shape
+        kind = column.dtype.kind
+        if column.size == size and kind in "fiu":
+            values, slots = column.reshape(-1), None
+            span = _FLOAT_SLOT if kind == "f" else _INTEGER_SLOT
+        else:
+            values, slots = None, _slots(column)
+            span = slots.shape[1]
+        fields.append((values, slots, own, width, span))
+        width += span + 1
+    block = max(1, min(size, _BLOCK_BYTES // width))
+    lines = np.zeros((block, width), dtype=np.uint8)
+    lines[:, [offset + span for *_, offset, span in fields]] = ord(",")
+    lines[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, size, block):
+            stop = min(start + block, size)
+            text = lines[: stop - start]
+            where = None
+            for values, slots, own, offset, span in fields:
+                target = text[:, offset : offset + span]
+                if slots is None:
+                    _fill_slots(values[start:stop], target)
+                    continue
+                if where is None:
+                    where = np.unravel_index(np.arange(start, stop), shape)
+                index = np.ravel_multi_index([w if n > 1 else 0 for w, n in zip(where, own)], own)
+                _rows(target)[:] = np.take(_rows(slots), index)
+            fh.write(text[text != 0])

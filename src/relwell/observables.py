@@ -286,16 +286,12 @@ def level_spacing(model: WellModel, n_max: int) -> SpacingStatistics:
 
 
 def write_carpet_csv(carpet_grid: CarpetGrid, path) -> None:
-    """Long-format CSV with columns t, x, density.  Each time and each position
-    is formatted once and repeated; only the densities are formatted per line."""
-    require_finite(path, "t", carpet_grid.times)
-    require_finite(path, "x", carpet_grid.positions)
-    t, x = (
-        np.array(["%.17g" % v for v in axis.tolist()], dtype=object)
-        for axis in (carpet_grid.times, carpet_grid.positions)
-    )
-    shape = carpet_grid.density.shape
-    columns = (np.broadcast_to(t[:, None], shape), np.broadcast_to(x, shape), carpet_grid.density)
+    """Long-format CSV with columns t, x, density: one line per cell, times
+    outer, every value exactly as Python's ``.17g``.  The time and position axes go
+    to ``write_table`` as a column and a row that broadcast against the
+    density, so each is formatted once and repeated by index."""
+    times, positions = carpet_grid.times, carpet_grid.positions
+    columns = (times.reshape(-1, 1), positions.reshape(1, -1), carpet_grid.density)
     write_table(path, ("t", "x", "density"), columns)
 
 

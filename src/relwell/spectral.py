@@ -11,38 +11,13 @@ import math
 
 import numpy as np
 
-from .grids import SpatialGrid, sine_transform, sine_workspace
+from .grids import SpatialGrid, _two_product, sine_transform, sine_workspace
 from .model import energy
 from .packets import CoefficientVector
 
 
 # 2*pi as a double-double: float64(2*pi) and the remainder of the true value
 _TWO_PI = (6.283185307179586, 2.4492935982947064e-16)
-_SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's constant for float64
-
-
-def _split(m):
-    """Veltkamp's split of m into a 26-bit head and the exact remainder."""
-    c = _SPLITTER * m
-    head = c - (c - m)
-    return head, m - head
-
-
-def _two_product(a, b):
-    """(p, e) with p + e = a * b exactly (Dekker 1971).
-
-    Veltkamp's split multiplies by 2^27 + 1, which overflows above about
-    1.3e300, so it acts on the mantissas in [0.5, 1) and the exponents are
-    restored by exact powers of two.  The error term of a product in the
-    subnormal range loses its last bits.
-    """
-    ma, ea = np.frexp(a)
-    mb, eb = np.frexp(b)
-    (ah, al), (bh, bl) = _split(ma), _split(mb)
-    p = ma * mb
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    scale = ea + eb
-    return np.ldexp(p, scale), np.ldexp(e, scale)
 
 
 def _integer_period(nu):
@@ -52,6 +27,33 @@ def _integer_period(nu):
     period overflows to inf, where fmod leaves t alone, only for nu < 2^-970."""
     with np.errstate(over="ignore"):
         return np.ldexp(1.0, 53 - np.frexp(nu)[1])
+
+
+def _frequencies(energies, hbar: float):
+    """nu = E / (2 pi hbar) as a double-double (nu_hi, nu_lo): (E / hbar) and
+    then its quotient by 2 pi by double-double division, each remainder taken
+    from a product within a factor of two of its dividend (Sterbenz)."""
+    e = np.asarray(energies, dtype=float)
+    hbar = float(hbar)  # a config's integer hbar may exceed int64
+    q = e / hbar
+    p, p_err = _two_product(q, hbar)
+    q_lo = ((e - p) - p_err) / hbar
+    nu_hi = q / _TWO_PI[0]
+    p, p_err = _two_product(nu_hi, _TWO_PI[0])
+    nu_lo = (((q - p) - p_err) + q_lo - nu_hi * _TWO_PI[1]) / _TWO_PI[0]
+    return nu_hi, nu_lo
+
+
+def _reduced_phases(frequencies, times) -> np.ndarray:
+    """2 pi frac(nu * t) for a double-double nu from ``_frequencies``."""
+    nu_hi, nu_lo = frequencies
+    t = np.asarray(times, dtype=float)
+    whole, part = _two_product(nu_hi, np.fmod(t, _integer_period(nu_hi)))
+    low = nu_lo * np.fmod(t, _integer_period(nu_lo))
+    turns = (whole - np.rint(whole)) + part + (low - np.rint(low))
+    turns -= np.floor(turns)
+    # a tiny negative fraction rounds up to a whole turn
+    return _TWO_PI[0] * np.where(turns >= 1.0, 0.0, turns)
 
 
 def phases(energies, times, hbar: float) -> np.ndarray:
@@ -68,24 +70,12 @@ def phases(energies, times, hbar: float) -> np.ndarray:
     reduced by whole periods of its factor, which leaves the fraction alone
     and keeps every product finite wherever E / hbar is.
     """
-    e = np.asarray(energies, dtype=float)
-    t = np.asarray(times, dtype=float)
-    hbar = float(hbar)  # a config's integer hbar may exceed int64
-    # nu = (E / hbar) / (2 pi) by double-double division; each remainder is
-    # taken from a product within a factor of two of its dividend (Sterbenz)
-    q = e / hbar
-    p, p_err = _two_product(q, hbar)
-    q_lo = ((e - p) - p_err) / hbar
-    nu_hi = q / _TWO_PI[0]
-    p, p_err = _two_product(nu_hi, _TWO_PI[0])
-    nu_lo = (((q - p) - p_err) + q_lo - nu_hi * _TWO_PI[1]) / _TWO_PI[0]
+    return _reduced_phases(_frequencies(energies, hbar), times)
 
-    whole, part = _two_product(nu_hi, np.fmod(t, _integer_period(nu_hi)))
-    low = nu_lo * np.fmod(t, _integer_period(nu_lo))
-    turns = (whole - np.rint(whole)) + part + (low - np.rint(low))
-    turns -= np.floor(turns)
-    # a tiny negative fraction rounds up to a whole turn
-    return _TWO_PI[0] * np.where(turns >= 1.0, 0.0, turns)
+
+def _rotated(coefficients, frequencies, t: float) -> np.ndarray:
+    """Each coefficient times exp(-i E_n t / hbar)."""
+    return coefficients * np.exp(-1j * _reduced_phases(frequencies, t))
 
 
 def evolve(coeffs: CoefficientVector, t: float) -> CoefficientVector:
@@ -93,8 +83,8 @@ def evolve(coeffs: CoefficientVector, t: float) -> CoefficientVector:
     if not math.isfinite(t):
         raise ValueError("time must be finite")
     model = coeffs.model
-    energies = energy(model, coeffs.levels)
-    rotated = coeffs.coefficients * np.exp(-1j * phases(energies, t, model.hbar))
+    frequencies = _frequencies(energy(model, coeffs.levels), model.hbar)
+    rotated = _rotated(coeffs.coefficients, frequencies, t)
     return CoefficientVector(rotated, model, coeffs.time_tag + t, dict(coeffs.metadata))
 
 
@@ -118,11 +108,11 @@ def density_rows(coeffs: CoefficientVector, grid: SpatialGrid, times) -> np.ndar
     """Stack of |psi(x, t)|^2 rows, one per requested time, where
     psi(x_i) = sum_n a_n(t) sqrt(2/L) sin(n pi x_i / L), zero on the walls.
 
-    Each row is evolved and synthesized on its own, by one inverse DST-I of
-    each part, through one transform workspace that the whole carpet reuses,
-    and its density is written straight into its output row.  A carpet thus
-    holds its output, two complex rows and the per-level arrays of one
-    ``evolve``.
+    Each row is evolved as ``evolve`` does, from frequencies computed once
+    per carpet, and synthesized on its own, by one inverse DST-I of each
+    part, through one transform workspace that the whole carpet reuses; its
+    density is written straight into its output row.  A carpet thus holds its
+    output, two complex rows and a few per-level arrays.
     """
     if grid.well_width != coeffs.model.well_width:
         raise ValueError("grid and model disagree on the well width")
@@ -131,12 +121,18 @@ def density_rows(coeffs: CoefficientVector, grid: SpatialGrid, times) -> np.ndar
     # the unnormalized DST-I sums 2 a_n sin(n pi i / N)
     scale = 0.5 * math.sqrt(2.0 / grid.well_width)
     times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("time must be finite")
     rows = np.zeros((times.size, grid.size))
     workspace = sine_workspace(grid.nyquist_level)
+    # after the large buffers: computed before them, the frequencies'
+    # temporaries left fig3 16 MB more resident through the row loop
+    model = coeffs.model
+    frequencies = _frequencies(energy(model, coeffs.levels), model.hbar)
     # slots 1..n of the spectrum, where each transform leaves its result
     psi = workspace[1][1 : grid.intervals]
     for row, t in zip(rows, times.tolist()):
-        a = evolve(coeffs, t).coefficients
+        a = _rotated(coeffs.coefficients, frequencies, t)
         interior = row[1:-1]
         # the real part waits in the output row while the imaginary part's
         # transform overwrites the spectrum with its own result

@@ -335,6 +335,21 @@ class TestDensity:
             single = reconstruct(evolve(coeffs, t), grid).density()
             assert np.array_equal(rows[i], single)
 
+    def test_energies_computed_once_per_carpet(self, monkeypatch):
+        # the frequencies do not depend on t, so the row loop reuses them
+        import relwell.spectral as spectral
+
+        calls = []
+
+        def counted(model, n):
+            calls.append(n)
+            return energy(model, n)
+
+        monkeypatch.setattr(spectral, "energy", counted)
+        coeffs, grid = fig2_coefficients(512)
+        density_rows(coeffs, grid, np.linspace(0.0, 50.0, 7))
+        assert len(calls) == 1
+
     def test_non_finite_time_rejected(self):
         coeffs, grid = fig2_coefficients(512)
         with pytest.raises(ValueError, match="finite"):
