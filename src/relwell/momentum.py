@@ -119,7 +119,6 @@ def solve(
         raise ValueError("k_levels must lie in 1..count")
     if wall_height < 0:
         raise ValueError("wall_height must be nonnegative")
-    import scipy.linalg
 
     h = build_hamiltonian(grid, model, wall_height, kinetic)
     half = grid.count // 2
@@ -128,12 +127,9 @@ def solve(
     per_block = min(k_levels, half)
     try:
         blocks = [
-            scipy.linalg.eigh(
-                upper + sign * mirrored, eigvals_only=True, subset_by_index=(0, per_block - 1)
-            )
-            for sign in (1.0, -1.0)
+            np.linalg.eigvalsh(upper + sign * mirrored)[:per_block] for sign in (1.0, -1.0)
         ]
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise SimulationError(f"dense eigensolver failed: {exc}") from exc
 
     return EigenSpectrum(

@@ -218,12 +218,10 @@ class TestSolve:
         assert np.max(np.abs(numeric - exact) / exact) < 1e-3
 
     def test_lapack_failure_raises_eigensolver_error(self, monkeypatch):
-        import scipy.linalg
-
         def fail(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("eigenvalues did not converge")
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(SimulationError, match="did not converge"):
             solve(MomentumGrid(5.0, 16), WellModel(), 1.0, k_levels=2)
 
@@ -339,11 +337,13 @@ class TestLevelsOnly:
 
     @pytest.mark.parametrize("wall_height", [50.0, 1e3])
     @pytest.mark.parametrize("count, k_levels", [(4, 1), (16, 1), (16, 7), (128, 7), (128, 63)])
-    def test_bit_identical_while_blocks_are_solved_in_part(self, count, k_levels, wall_height):
-        # below count / 2 both routes find the levels by bisection
+    def test_agree_while_blocks_are_solved_in_part(self, count, k_levels, wall_height):
+        # below count / 2 the oracle solves part of each block and ``solve``
+        # all of it; measured at most 7.1e-14 of the largest level
         grid = MomentumGrid(20.0, count)
         levels, _ = momentum_eigenpairs(grid, self.MODEL, wall_height, k_levels)
-        assert np.array_equal(solve(grid, self.MODEL, wall_height, k_levels).levels, levels)
+        got = solve(grid, self.MODEL, wall_height, k_levels).levels
+        assert np.max(np.abs(got - levels)) <= 1e-12 * np.max(np.abs(levels))
 
     @pytest.mark.parametrize("count", [4, 16, 128])
     def test_tied_levels_bit_identical(self, count):

@@ -416,18 +416,22 @@ class TestPoweredPropagator:
         assert str(powered.value) == str(stepped.value)
         assert str(powered.value).endswith("(step 10041)")
 
-    def test_stepped_shape_is_bit_identical(self):
-        # the shape of the snapshot tool's split16 job: 1273 steps, 16 rows
+    def test_stepped_shape_matches_unfused_steps(self):
+        # the shape of the snapshot tool's split16 job: 1273 steps, 16 rows;
+        # the fused in-place loop against the oracle's unfused scipy.fft steps,
+        # within steps * eps * max|psi| (measured: 1.5e-14, 0.05 of it)
         config, state = self.start(steps_taken=3)
-        t_final = 1273 * config.dt
+        steps = 1273
+        t_final = steps * config.dt
         times = np.linspace(0.0, t_final, 16)
-        assert power_plan(256, linspace_gaps(1273, 16)) is None
+        assert power_plan(256, linspace_gaps(steps, 16)) is None
         seen = []
         stepped = propagate(state, config, t_final, sample_times=times, callback=seen.append)
         oracle = strang_steps(state, config, t_final, sample_times=times)
         assert seen == stepped
+        bound = steps * np.finfo(float).eps * max(np.max(np.abs(b.values)) for b in oracle)
         for a, b in zip(stepped, oracle):
-            assert a.values.tobytes() == b.values.tobytes()
+            assert np.max(np.abs(a.values - b.values)) <= bound
             assert (a.time_tag, a.metadata) == (b.time_tag, b.metadata)
 
     def test_workspace_is_three_matrices(self):
