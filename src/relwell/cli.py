@@ -65,9 +65,10 @@ _ENGINE_KEYS = {
     "diag": {"momentum_points": int, "p_max_in_mc": float, "wall_height_in_mc2": float},
 }
 # Strang steps x grid points above which a split carpet is refused before it
-# starts: one to three hours of stepping at 0.03-0.1 us per point and step
-# (N = 2048 to 256).  A run that splitop.power_plan powers counts the same
-# steps, though it may take far less time.
+# starts: about 20 to 50 minutes of stepping at 0.012-0.03 us per point and
+# step (N = 2048 to 256, one thread of a 2-vCPU AMD EPYC host).  A run that
+# splitop.power_plan powers counts the same steps, though it may take far
+# less time.
 SPLIT_WORK_LIMIT = 1e11
 
 DEFAULT_CONFIG = {

@@ -194,7 +194,6 @@ _POWERS = range(-293, 342)  # 10^k for k = 16 - X, X in [-324, 308], one to spar
 _NEAR_TIE = 2.0**-30  # the scaled product is good to about 2^-47 of a unit
 _ZERO = 1000  # the exponent class of 0 and -0
 _FLOAT_SLOT = 28  # sign; body of up to 22 bytes; exponent of up to 5
-_INTEGER_SLOT = 21  # sign and 20 digits, enough for any 64-bit integer
 _GROUP = 10**4  # decimal digits come four at a time from a table
 _BLOCK_BYTES = 1 << 20  # line text formatted per write: bounds the temporaries
 
@@ -205,9 +204,8 @@ def _decimal_tables():
 
     For each k in ``_POWERS``, 10^k = (head + tail) * 2^exponent with head in
     [0.5, 1) correctly rounded and tail the rounded remainder, about 2^-107 of
-    10^k.  ``groups`` holds the 4-byte ASCII groups 0000..9999 four times
-    over: as they are, with trailing zeros as NUL, with leading zeros as NUL
-    (0 keeps its last digit), and one all-NUL entry at index 3 * 10^4.
+    10^k.  ``groups`` holds the 4-byte ASCII groups 0000..9999 twice over:
+    as they are, and with trailing zeros as NUL.
     """
     heads, tails, exponents = [], [], []
     for k in _POWERS:
@@ -229,9 +227,7 @@ def _decimal_tables():
     plain = (digits + ord("0")).astype(np.uint8)
     zeros = digits == 0
     trailing = np.where(np.logical_and.accumulate(zeros[:, ::-1], axis=1)[:, ::-1], 0, plain)
-    leading = np.where(np.logical_and.accumulate(zeros, axis=1), 0, plain)
-    leading[0, -1] = ord("0")
-    groups = np.concatenate([plain, trailing, leading, np.zeros((1, 4), np.uint8)])
+    groups = np.concatenate([plain, trailing])
     groups = groups.view("<u4")[:, 0]
     tables = np.array(heads), np.array(tails), np.array(exponents), groups
     for table in tables:
@@ -279,16 +275,6 @@ def _rows(matrix):
     return matrix.view(f"V{matrix.shape[1]}")[:, 0]
 
 
-def _groups_of_four(high, low, out):
-    """The 4-digit groups of two numbers below 10^8, high's first, as the
-    four rows of ``out``."""
-    np.floor_divide(high, _GROUP, out=out[0])
-    np.subtract(high, out[0] * _GROUP, out=out[1])
-    np.floor_divide(low, _GROUP, out=out[2])
-    np.subtract(low, out[2] * _GROUP, out=out[3])
-    return out
-
-
 def _float_slots(values, out) -> None:
     """Write each finite float64 v, exactly as Python's ``.17g`` format
     writes it, into its row of ``out``, _FLOAT_SLOT bytes wide, NUL-padded.
@@ -308,8 +294,14 @@ def _float_slots(values, out) -> None:
     exponent, digits = exponent[order], digits[order]
     # D = d0 then four groups of four digits
     high = digits // 10**8
+    low = digits - high * 10**8
     first = high // 10**8
-    index = _groups_of_four(high - first * 10**8, digits - high * 10**8, np.empty((4, n), np.intp))
+    high -= first * 10**8
+    index = np.empty((4, n), np.intp)
+    np.floor_divide(high, _GROUP, out=index[0])
+    np.subtract(high, index[0] * _GROUP, out=index[1])
+    np.floor_divide(low, _GROUP, out=index[2])
+    np.subtract(low, index[2] * _GROUP, out=index[3])
     # a group followed by zero groups only takes the copy whose trailing zeros are NUL
     tail = np.ones(n, dtype=bool)
     for group in index[::-1]:
@@ -348,67 +340,32 @@ def _float_slots(values, out) -> None:
         out[i, : len(text)] = np.frombuffer(text, np.uint8)
 
 
-def _integer_slots(values, out) -> None:
-    """Write each 64-bit integer in decimal into its row of ``out``,
-    _INTEGER_SLOT bytes wide, NUL-padded."""
-    groups = _decimal_tables()[3]
-    n = values.size
-    magnitude = values.astype(np.uint64)
-    negative = values < 0
-    np.negative(magnitude, out=magnitude, where=negative)  # modulo 2^64: exact
-    high = magnitude // np.uint64(10**8)
-    low = (magnitude - high * np.uint64(10**8)).astype(np.intp)
-    top = high // np.uint64(10**8)
-    high = (high - top * np.uint64(10**8)).astype(np.intp)
-    index = np.empty((5, n), dtype=np.intp)
-    index[0] = top  # at most 1844
-    _groups_of_four(high, low, index[1:])
-    # before the first nonzero group: all NUL; that group: leading zeros NUL
-    lead = np.ones(n, dtype=bool)
-    for j, group in enumerate(index):
-        zeros = group == 0
-        group += lead * (2 * _GROUP + _GROUP * (zeros & (j < 4)))
-        lead &= zeros
-    out[:, 0] = negative * np.uint8(ord("-"))
-    _rows(out[:, 1:])[:] = _rows(np.take(groups, index.T).view(np.uint8))
-
-
-def _fill_slots(values, out) -> None:
-    """Write the cells of a float or integer column into the rows of ``out``."""
-    if values.dtype.kind == "f":
-        _float_slots(values.astype(np.float64, copy=False), out)
-    elif values.dtype.kind == "u":
-        _integer_slots(values.astype(np.uint64, copy=False), out)
-    else:
-        _integer_slots(values.astype(np.int64, copy=False), out)
-
-
 def _slots(values):
-    """All of a column's cells as the rows of a NUL-padded byte matrix, a
-    block at a time; text is each cell's str, UTF-8 encoded."""
+    """All of a column's cells as the rows of a NUL-padded byte matrix:
+    floats a block at a time, any other cell as its str, UTF-8 encoded."""
     values = values.reshape(-1)
-    kind = values.dtype.kind
-    if kind not in "fiu":
+    if values.dtype.kind != "f":
         text = np.array([str(v).encode() for v in values.tolist()], dtype=bytes)
         return text.view(np.uint8).reshape(text.size, text.itemsize)
-    out = np.empty((values.size, _FLOAT_SLOT if kind == "f" else _INTEGER_SLOT), dtype=np.uint8)
-    block = _BLOCK_BYTES // out.shape[1]
+    out = np.empty((values.size, _FLOAT_SLOT), dtype=np.uint8)
+    block = _BLOCK_BYTES // _FLOAT_SLOT
     for start in range(0, values.size, block):
-        _fill_slots(values[start : start + block], out[start : start + block])
+        part = values[start : start + block].astype(np.float64, copy=False)
+        _float_slots(part, out[start : start + block])
     return out
 
 
 def write_table(path, header, columns) -> None:
     """CSV: a header line, then one line per element of the columns broadcast
-    against one another, in C order.  Floats are written exactly as Python's
-    ``.17g`` format writes them, integers in decimal and anything else as its
-    str.
+    against one another, in C order.  Floats are formatted in bulk, exactly
+    as Python's ``.17g`` format writes them; every other cell, integers
+    included, is written as its str.
 
     Float columns must be finite, which is checked before the file is opened.
-    A column of the full broadcast size is formatted a block of lines at a
-    time, straight into the block's byte matrix.  A smaller column, and any
-    text column, is formatted once at its own size and its slots are repeated
-    by index, so a carpet can pass t[:, None], x[None, :] and its density.
+    A float column of the full broadcast size is formatted a block of lines
+    at a time, straight into the block's byte matrix.  Any other column is
+    formatted once at its own size and its slots are repeated by index, so a
+    carpet can pass t[:, None], x[None, :] and its density.
     """
     columns = [np.atleast_1d(np.asarray(column)) for column in columns]
     for name, column in zip(header, columns):
@@ -419,10 +376,8 @@ def write_table(path, header, columns) -> None:
     fields, width = [], 0
     for column in columns:
         own = (1,) * (len(shape) - column.ndim) + column.shape
-        kind = column.dtype.kind
-        if column.size == size and kind in "fiu":
-            values, slots = column.reshape(-1), None
-            span = _FLOAT_SLOT if kind == "f" else _INTEGER_SLOT
+        if column.size == size and column.dtype.kind == "f":
+            values, slots, span = column.reshape(-1), None, _FLOAT_SLOT
         else:
             values, slots = None, _slots(column)
             span = slots.shape[1]
@@ -441,7 +396,7 @@ def write_table(path, header, columns) -> None:
             for values, slots, own, offset, span in fields:
                 target = text[:, offset : offset + span]
                 if slots is None:
-                    _fill_slots(values[start:stop], target)
+                    _float_slots(values[start:stop].astype(np.float64, copy=False), target)
                     continue
                 if where is None:
                     where = np.unravel_index(np.arange(start, stop), shape)

@@ -46,11 +46,6 @@ class WellModel:
         return 2.0 * math.pi * self.hbar / (self.mass * self.light_speed)
 
     @property
-    def length_scale(self) -> float:
-        """Reduced Compton wavelength hbar/(m c): the internal unit of length."""
-        return self.hbar / (self.mass * self.light_speed)
-
-    @property
     def energy_scale(self) -> float:
         """Rest energy m c^2: the internal unit of energy."""
         return self.mass * self.light_speed**2
@@ -61,8 +56,9 @@ class WellModel:
 
     @property
     def width_natural(self) -> float:
-        """Box width in reduced Compton wavelengths."""
-        return self.well_width / self.length_scale
+        """Box width in reduced Compton wavelengths hbar/(m c), the internal
+        unit of length."""
+        return self.well_width / (self.hbar / (self.mass * self.light_speed))
 
 
 def _momentum_ratio(model: WellModel, n) -> np.ndarray:

@@ -162,7 +162,13 @@ class TestIntegerColumns:
     def test_64_bit_extremes(self, tmp_path_factory):
         signed = np.array([-(2**63), -(2**63) + 1, -1, 0, 1, 9999, 10**4, 10**16, 2**63 - 1])
         unsigned = np.array([0, 1, 10**19, 2**63, 2**64 - 1], dtype=np.uint64)
-        for column in (signed, unsigned):
+        narrow = [
+            np.array([-128, -127, -1, 0, 1, 10, 127], dtype=np.int8),
+            np.array([-(2**31), -1, 0, 9999, 10**4, 2**31 - 1], dtype=np.int32),
+            np.array([0, 1, 10, 255], dtype=np.uint8),
+            np.array([0, 1, 10**4, 2**31, 2**32 - 1], dtype=np.uint32),
+        ]
+        for column in (signed, unsigned, *narrow):
             expected = "n\n" + "".join(f"{n}\n" for n in column.tolist())
             assert written(tmp_path_factory, ("n",), (column,)) == expected
 
