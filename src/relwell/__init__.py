@@ -3,51 +3,43 @@
 Three independent numerical routes — exact evolution in the analytic
 eigenbasis, a split-operator grid propagator and momentum-space
 diagonalization — cross-validate each other and the closed-form results.
+
+Each public name loads its module, and so numpy, on first use:
+``import relwell`` alone loads neither.
 """
 
-from .errors import SimulationError
-from .grids import BoxGrid, GridState, SpatialGrid
-from .model import (
-    RevivalTimes,
-    WellModel,
-    energy,
-    energy_derivative,
-    level_velocity,
-    lorentz_gamma,
-    revival_times,
-)
-from .momentum import (
-    EigenSpectrum,
-    MomentumGrid,
-    build_hamiltonian,
-    default_grid,
-    solve,
-)
-from .observables import (
-    AutocorrelationSeries,
-    CarpetGrid,
-    LevelEstimates,
-    LightconeReport,
-    SpacingStatistics,
-    autocorrelation,
-    carpet,
-    extract_levels,
-    level_spacing,
-    lightcone_leakage,
-)
-from .packets import (
-    CoefficientVector,
-    WavepacketSpec,
-    decompose,
-    dominant_level,
-    gaussian_state,
-)
-from .spectral import density_rows, evolve, reconstruct_at
-from .splitop import (
-    PropagationConfig,
-    default_config,
-    kinetic_phase,
-    propagate,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# public name -> the module that defines it
+_MODULE_OF = {
+    name: module
+    for module, names in (
+        ("errors", "SimulationError"),
+        ("grids", "BoxGrid GridState SpatialGrid"),
+        ("model", "RevivalTimes WellModel energy energy_derivative level_velocity "
+                  "lorentz_gamma revival_times"),
+        ("momentum", "EigenSpectrum MomentumGrid build_hamiltonian default_grid solve"),
+        ("observables", "AutocorrelationSeries CarpetGrid LevelEstimates LightconeReport "
+                        "SpacingStatistics autocorrelation carpet extract_levels "
+                        "level_spacing lightcone_leakage"),
+        ("packets", "CoefficientVector WavepacketSpec decompose dominant_level gaussian_state"),
+        ("spectral", "density_rows evolve reconstruct_at"),
+        ("splitop", "PropagationConfig default_config kinetic_phase propagate"),
+    )
+    for name in names.split()
+}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

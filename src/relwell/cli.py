@@ -9,46 +9,54 @@ the standard figure-class workloads.  Exit codes: 0 success, 2 validation,
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import SimulationError
-from .grids import SpatialGrid, write_table
-from .model import SCALE_FIELDS, WellModel, energy, revival_times
-from .momentum import (
-    DEFAULT_GRID_SIZE,
-    DEFAULT_WALL_HEIGHT_FACTOR,
-    MomentumGrid,
-    default_grid,
-    solve,
-    write_spectrum_csv,
-)
-from .observables import (
-    autocorrelation,
-    carpet,
-    extract_levels,
-    level_spacing,
-    write_autocorrelation_csv,
-    write_carpet_binary,
-    write_carpet_csv,
-    write_carpet_pgm,
-    write_spacing_csv,
-)
-from .packets import (
-    MIN_POINTS_PER_SIGMA,
-    WavepacketSpec,
-    decompose,
-    dominant_level,
-    gaussian_state,
-    write_coefficients_csv,
-)
-from .splitop import default_config
+
+# name -> the module that defines it.  These and numpy (as np) load only once
+# a run document has passed _check_fields, or on first access from outside,
+# so a document with a malformed field, or a bad command line, exits before
+# numpy is imported.
+_NUMERICS = {
+    name: module
+    for module, names in (
+        ("grids", "SpatialGrid write_table"),
+        ("model", "SCALE_FIELDS WellModel energy revival_times"),
+        ("momentum", "DEFAULT_GRID_SIZE DEFAULT_WALL_HEIGHT_FACTOR MomentumGrid default_grid "
+                     "solve write_spectrum_csv"),
+        ("observables", "autocorrelation carpet extract_levels level_spacing "
+                        "write_autocorrelation_csv write_carpet_binary write_carpet_csv "
+                        "write_carpet_pgm write_spacing_csv"),
+        ("packets", "MIN_POINTS_PER_SIGMA WavepacketSpec decompose dominant_level "
+                    "gaussian_state write_coefficients_csv"),
+        ("splitop", "default_config"),
+    )
+    for name in names.split()
+}
+
+
+def _load_numerics() -> None:
+    """Bind numpy and each name of _NUMERICS that is not bound yet.  A name
+    already bound stays: a wrapper set on this module before the first run is
+    the function the command calls."""
+    namespace = globals()
+    namespace.setdefault("np", importlib.import_module("numpy"))
+    for name, module in _NUMERICS.items():
+        if name not in namespace:
+            namespace[name] = getattr(importlib.import_module(f".{module}", __package__), name)
+
+
+def __getattr__(name):
+    if name != "np" and name not in _NUMERICS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_numerics()
+    return globals()[name]
 
 
 class ConfigError(ValueError):
@@ -210,10 +218,10 @@ def load_config(preset: str | None, config_path: str | None) -> dict:
 
 
 class ResolvedConfig:
-    """Validated configuration with all quantities in absolute units."""
+    """Validated configuration with all quantities in absolute units, built
+    from a document that has passed _check_fields."""
 
     def __init__(self, document: dict):
-        _check_fields(document)
         self.document = document
 
         model_block = document["model"]
@@ -497,9 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# numpy's warnings on the way to a non-finite value would add lines to stderr;
-# the value is reported once, by the check or the error it ends in
-@np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -510,10 +515,15 @@ def main(argv=None) -> int:
             allowed = _ENGINE_KEYS[args.engine]
             document["engine"] = {k: v for k, v in engine.items() if k in allowed}
             document["engine"]["kind"] = args.engine
-        resolved = ResolvedConfig(document)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](resolved, outdir)
+        _check_fields(document)
+        _load_numerics()
+        # numpy's warnings on the way to a non-finite value would add lines to
+        # stderr; the value is reported once, by the check or the error it ends in
+        with np.errstate(all="ignore"):
+            resolved = ResolvedConfig(document)
+            outdir = Path(args.out)
+            outdir.mkdir(parents=True, exist_ok=True)
+            _COMMANDS[args.command](resolved, outdir)
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -559,18 +559,88 @@ SPLIT_POWERED = small_config(
 )
 
 
+# the names `from relwell import ...` offered when the package imported every
+# module eagerly; the lazy package must offer the same
+PACKAGE_EXPORTS = [
+    "SimulationError", "BoxGrid", "GridState", "SpatialGrid", "RevivalTimes", "WellModel",
+    "energy", "energy_derivative", "level_velocity", "lorentz_gamma", "revival_times",
+    "EigenSpectrum", "MomentumGrid", "build_hamiltonian", "default_grid", "solve",
+    "AutocorrelationSeries", "CarpetGrid", "LevelEstimates", "LightconeReport",
+    "SpacingStatistics", "autocorrelation", "carpet", "extract_levels", "level_spacing",
+    "lightcone_leakage", "CoefficientVector", "WavepacketSpec", "decompose", "dominant_level",
+    "gaussian_state", "density_rows", "evolve", "reconstruct_at", "PropagationConfig",
+    "default_config", "kinetic_phase", "propagate",
+]
+
+
+def fresh_python(code, cwd=None):
+    """Run ``code`` in a fresh interpreter on this source tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(relwell.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True
+    )
+
+
 class TestColdStart:
     def test_cli_import_loads_no_scipy(self):
-        # relwell's runtime is numpy alone: importing the CLI loads no scipy
-        env = dict(os.environ, PYTHONPATH=str(Path(relwell.__file__).parents[1]))
+        # relwell's runtime is numpy alone, and numpy itself loads only when a
+        # run needs it: importing the package or the CLI loads neither
         code = (
-            "import relwell.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+            "import sys; loaded = lambda: sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'scipy')); "
+            "import relwell; print(loaded()); import relwell.cli; print(loaded())"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        out = fresh_python(code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["[]", "[]"]
+
+    def test_package_names_load_on_first_use(self):
+        code = (
+            "import json, relwell; names = relwell.__all__; from relwell import *; "
+            "print(sorted(n for n in names if n not in globals())); print(json.dumps(names))\n"
+            "try: relwell.no_such_name\n"
+            "except AttributeError: print('AttributeError')"
         )
-        assert out.stdout.strip() == "[]"
+        out = fresh_python(code)
+        assert out.returncode == 0, out.stderr
+        unbound, names, missing = out.stdout.splitlines()
+        assert unbound == "[]"
+        assert sorted(json.loads(names)) == sorted(PACKAGE_EXPORTS)
+        assert missing == "AttributeError"
+
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            (["carpet"], json.dumps({"times": {"t_max": "1"}})),
+            (["carpet"], json.dumps({"times": {"t_max": math.inf}})),
+            (["carpet"], json.dumps({"model": {"mas": 1.0}})),
+            (["carpet"], json.dumps({"engine": {"kind": "quantum"}})),
+            (["carpet", "--preset", "fig9"], None),
+            (["carpet"], '{"times": '),
+            (["carpet", "--threads", "2"], None),
+        ],
+        ids=["t_max-string", "t_max-inf", "unknown-key", "unknown-kind", "unknown-preset",
+             "unparsed-json", "threads-flag"],
+    )
+    def test_malformed_input_exits_2_before_numpy(self, tmp_path, args, text):
+        # a run refused for its command line or its document's types never
+        # loads numpy: with numpy made unimportable it still exits 2
+        if text is not None:
+            (tmp_path / "config.json").write_text(text)
+            args = [*args, "--config", "config.json"]
+        code = (
+            "import runpy, sys; sys.modules['numpy'] = None; "
+            f"sys.argv = ['relwell', *{[*args, '--out', 'out']!r}]; "
+            "runpy.run_module('relwell.cli', run_name='__main__', alter_sys=True)"
+        )
+        job = fresh_python(code, cwd=tmp_path)
+        assert job.returncode == 2, job.stderr
+        assert not (tmp_path / "out").exists()
+        err = job.stderr.splitlines()
+        if "--threads" in args:
+            assert "unrecognized arguments: --threads" in err[-1]
+        else:
+            assert len(err) == 1 and err[0].startswith("error:"), job.stderr
 
     @pytest.mark.parametrize(
         "args, config",
@@ -590,7 +660,6 @@ class TestColdStart:
     def test_commands_run_without_scipy(self, args, config, tmp_path):
         # every engine runs on numpy alone: with scipy made unimportable, a
         # scipy import anywhere on the command's path would fail the run
-        env = dict(os.environ, PYTHONPATH=str(Path(relwell.__file__).parents[1]))
         if config is not None:
             (tmp_path / "config.json").write_text(json.dumps(config))
             args = [*args, "--config", "config.json"]
@@ -598,9 +667,7 @@ class TestColdStart:
             "import sys; sys.modules['scipy'] = None; import relwell.cli; "
             f"sys.exit(relwell.cli.main({[*args, '--out', '.']!r}))"
         )
-        job = subprocess.run(
-            [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True
-        )
+        job = fresh_python(code, cwd=tmp_path)
         assert job.returncode == 0, job.stderr
 
 
@@ -721,3 +788,6 @@ class TestTracedBenchmark:
         assert job.returncode == 0, job.stderr
         names = {span["name"] for span in json.loads(spans.read_text())["spans"]}
         assert "cli.command" in names
+        # the writer was wrapped on relwell.cli before the CLI bound its
+        # numerics, and the command called the wrapper
+        assert "observables.write_spacing_csv" in names
