@@ -12,6 +12,7 @@ import argparse
 import importlib
 import json
 import math
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -57,10 +58,6 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load_numerics()
     return globals()[name]
-
-
-class ConfigError(ValueError):
-    """A configuration document failed validation."""
 
 
 # the type of each key an engine kind takes besides kind: these keys have no
@@ -162,14 +159,14 @@ _FIELD_TYPES = {
 
 def _check_block(block, types: dict, name: str) -> None:
     if not isinstance(block, dict):
-        raise ConfigError(f"{name} must be a JSON object")
+        raise ValueError(f"{name} must be a JSON object")
     unknown = set(block).difference(types)
     if unknown:
-        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}; known: {sorted(types)}")
+        raise ValueError(f"unknown keys in {name}: {sorted(unknown)}; known: {sorted(types)}")
     for key, value in block.items():
         accepts, description = _FIELD_TYPES[types[key]]
         if not accepts(value):
-            raise ConfigError(f"{name}.{key} must be {description}")
+            raise ValueError(f"{name}.{key} must be {description}")
 
 
 def _check_fields(document) -> None:
@@ -182,7 +179,7 @@ def _check_fields(document) -> None:
         if name == "engine":
             kind = document[name].get("kind")
             if not isinstance(kind, str) or kind not in _ENGINE_KEYS:
-                raise ConfigError(f"engine.kind must be one of {sorted(_ENGINE_KEYS)}")
+                raise ValueError(f"engine.kind must be one of {sorted(_ENGINE_KEYS)}")
             types.update(_ENGINE_KEYS[kind])
         _check_block(document[name], types, name)
 
@@ -201,19 +198,19 @@ def _merge(base: dict, override: dict) -> dict:
 
 def load_config(preset: str | None, config_path: str | None) -> dict:
     if preset is not None and config_path is not None:
-        raise ConfigError("give either --preset or --config, not both")
+        raise ValueError("give either --preset or --config, not both")
     if config_path is not None:
         with open(config_path) as fh:
             try:
                 document = json.load(fh)
             except RecursionError:
-                raise ConfigError(f"{config_path} is nested too deeply to parse") from None
+                raise ValueError(f"{config_path} is nested too deeply to parse") from None
         if not isinstance(document, dict):
-            raise ConfigError("config document must be a JSON object")
+            raise ValueError("config document must be a JSON object")
         return _merge(DEFAULT_CONFIG, document)
     name = preset or "default"
     if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+        raise ValueError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     return _merge(DEFAULT_CONFIG, PRESETS[name])
 
 
@@ -227,7 +224,7 @@ class ResolvedConfig:
         model_block = document["model"]
         for key in sorted(model_block):
             if model_block[key] <= 0:
-                raise ConfigError(f"model.{key} must be positive")
+                raise ValueError(f"model.{key} must be positive")
         mass, light_speed = model_block["mass"], model_block["light_speed"]
         scale = 2.0 * math.pi * model_block["hbar"] / (mass * light_speed)
         self.model = WellModel(
@@ -249,24 +246,24 @@ class ResolvedConfig:
 
         times_block = document["times"]
         if times_block["t_max"] < 0:
-            raise ConfigError("times.t_max must be nonnegative")
+            raise ValueError("times.t_max must be nonnegative")
         if times_block["samples"] < 1:
-            raise ConfigError("times.samples must be positive")
+            raise ValueError("times.samples must be positive")
         if times_block["unit"] not in ("natural", "classical", "revival"):
-            raise ConfigError("times.unit must be natural, classical or revival")
+            raise ValueError("times.unit must be natural, classical or revival")
         self.times_block = times_block
 
         n_min, n_max = document["levels"]["n_min"], document["levels"]["n_max"]
         if not 1 <= n_min <= n_max:
-            raise ConfigError("levels.n_min/n_max must satisfy 1 <= n_min <= n_max")
+            raise ValueError("levels.n_min/n_max must satisfy 1 <= n_min <= n_max")
         self.levels = (n_min, n_max)
 
         formats, basename = document["output"]["formats"], document["output"]["basename"]
         bad = set(formats) - {"csv", "bin", "pgm"}
         if bad:
-            raise ConfigError(f"unknown output formats: {sorted(bad)}")
+            raise ValueError(f"unknown output formats: {sorted(bad)}")
         if basename in ("", ".", "..") or any(c in basename for c in "/\\\0"):
-            raise ConfigError("output.basename must be a non-empty file name without a path")
+            raise ValueError("output.basename must be a non-empty file name without a path")
         self.basename = basename
         self.formats = list(formats)
 
@@ -280,12 +277,12 @@ class ResolvedConfig:
             k_top = abs(self.packet.p0) / self.model.hbar + 4.0 / sigma
             needed = max(1024.0, 16.0 * L / sigma, 4.0 * k_top * L / math.pi)
             if not needed <= 2**61:
-                raise ConfigError(f"the packet needs {needed:.3g} grid intervals, beyond any array")
+                raise ValueError(f"the packet needs {needed:.3g} grid intervals, beyond any array")
             intervals = 1 << max(10, math.ceil(math.log2(needed)))
         else:
             minimum = math.ceil(MIN_POINTS_PER_SIGMA * L / sigma)
             if intervals < minimum:
-                raise ConfigError(
+                raise ValueError(
                     f"engine.grid_intervals={intervals} under-resolves the packet; "
                     f"need at least {minimum} intervals"
                 )
@@ -297,16 +294,16 @@ class ResolvedConfig:
         coeffs = decompose(state, self.model, self.engine.get("n_max"))
         return coeffs, grid
 
-    def resolve_times(self, n0: int) -> np.ndarray:
+    def resolve_times(self, summary: dict) -> np.ndarray:
+        """Sample times; the period units read their period from a _revival_summary."""
         block = self.times_block
         unit = block["unit"]
         if unit == "natural":
             t_max = float(block["t_max"])  # an int beyond int64 would make linspace fail
         else:
-            rt = revival_times(self.model, n0)
-            t_max = block["t_max"] * (rt.t_classical if unit == "classical" else rt.t_revival)
+            t_max = block["t_max"] * summary[f"t_{unit}"]
             if not math.isfinite(t_max):
-                raise ConfigError(f"times.t_max of {block['t_max']!r} {unit} periods overflows")
+                raise ValueError(f"times.t_max of {block['t_max']!r} {unit} periods overflows")
         return np.linspace(0.0, t_max, block["samples"])
 
 
@@ -378,7 +375,7 @@ def cmd_spectrum(resolved: ResolvedConfig, outdir: Path) -> None:
         wall_factor = resolved.engine.get("wall_height_in_mc2", DEFAULT_WALL_HEIGHT_FACTOR)
         wall = wall_factor * model.energy_scale
         if n_max > grid.count:
-            raise ConfigError(f"levels.n_max={n_max} exceeds engine.momentum_points={grid.count}")
+            raise ValueError(f"levels.n_max={n_max} exceeds engine.momentum_points={grid.count}")
         spectrum = solve(grid, model, wall, k_levels=n_max)
         products["spectrum_diag.csv"] = partial(write_spectrum_csv, spectrum, model)
         summary["diag_metadata"] = spectrum.metadata
@@ -388,10 +385,10 @@ def cmd_spectrum(resolved: ResolvedConfig, outdir: Path) -> None:
 def cmd_carpet(resolved: ResolvedConfig, outdir: Path) -> None:
     kind = resolved.engine["kind"]
     if kind == "diag":
-        raise ConfigError("carpet supports the exact and split engines only")
+        raise ValueError("carpet supports the exact and split engines only")
     coeffs, grid = resolved.coefficients()
     summary = _revival_summary(resolved, coeffs)
-    times = resolved.resolve_times(summary["n0"])
+    times = resolved.resolve_times(summary)
 
     config = None
     if kind == "split":
@@ -410,7 +407,7 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path) -> None:
         t_max = float(times.max())
         steps = config.steps(t_max)
         if steps * config.grid_size > SPLIT_WORK_LIMIT:
-            raise ConfigError(
+            raise ValueError(
                 f"the split engine would take {steps:.3g} steps on {config.grid_size} points; "
                 "lower times.t_max or use the exact engine"
             )
@@ -448,16 +445,16 @@ def cmd_revivals(resolved: ResolvedConfig, outdir: Path) -> None:
 
 def cmd_autocorr(resolved: ResolvedConfig, outdir: Path) -> None:
     if resolved.engine["kind"] != "exact":
-        raise ConfigError("autocorr uses the exact engine")
+        raise ValueError("autocorr uses the exact engine")
     coeffs, _ = resolved.coefficients()
     summary = _revival_summary(resolved, coeffs)
-    times = resolved.resolve_times(summary["n0"])
+    times = resolved.resolve_times(summary)
     series = autocorrelation(coeffs, times)
     products = {"autocorr.csv": partial(write_autocorrelation_csv, series)}
     if times.size >= 8 and times[-1] > 0:
         estimates = extract_levels(series, hbar=resolved.model.hbar)
         if not (math.isfinite(estimates.resolution) and np.isfinite(estimates.energies).all()):
-            raise ConfigError(
+            raise ValueError(
                 f"times.t_max of {times[-1]!r} is too short for a finite Fourier resolution"
             )
         products["levels.csv"] = lambda path: write_table(
@@ -516,6 +513,10 @@ def main(argv=None) -> int:
             document["engine"] = {k: v for k, v in engine.items() if k in allowed}
             document["engine"]["kind"] = args.engine
         _check_fields(document)
+        # one BLAS thread unless the caller chose: a diag spectrum's bits
+        # depend on the thread count, and so would the host's core count
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(name, "1")
         _load_numerics()
         # numpy's warnings on the way to a non-finite value would add lines to
         # stderr; the value is reported once, by the check or the error it ends in

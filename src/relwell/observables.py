@@ -32,7 +32,6 @@ class AutocorrelationSeries:
 
     times: np.ndarray
     values: np.ndarray
-    uniform: bool
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -79,10 +78,7 @@ def autocorrelation(coeffs: CoefficientVector, times) -> AutocorrelationSeries:
         for m in range(1, order + 1):
             factor = (-1j * rates) ** m / math.factorial(m)
             values[chunk] += ((m_rows * factor) @ steps) * residuals[chunk] ** m
-    uniform = ts.size < 3 or bool(
-        np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9, atol=0.0)
-    )
-    return AutocorrelationSeries(ts, values.reshape(-1)[: ts.size], uniform)
+    return AutocorrelationSeries(ts, values.reshape(-1)[: ts.size])
 
 
 def _blocks(ts: np.ndarray, rate: float):
@@ -130,12 +126,13 @@ def extract_levels(series: AutocorrelationSeries, hbar: float = 1.0) -> LevelEst
     maximum, refined by three-point quadratic interpolation; energies are
     hbar*omega_peak, weights approximate |a_n|^2.
     """
-    if not series.uniform:
+    ts = series.times
+    if ts.size >= 3 and not np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9, atol=0.0):
         raise ValueError("level extraction requires uniform sampling")
-    n = series.times.size
+    n = ts.size
     if n < 8:
         raise ValueError("record too short")
-    dt = float(series.times[1] - series.times[0])
+    dt = float(ts[1] - ts[0])
     t_total = n * dt
 
     window = np.hanning(n)
@@ -144,20 +141,19 @@ def extract_levels(series: AutocorrelationSeries, hbar: float = 1.0) -> LevelEst
     spectrum = n * np.fft.ifft(window * series.values)
     mag = np.abs(spectrum)
 
-    peak_floor = PEAK_THRESHOLD * mag.max()
-    energies, weights = [], []
-    for k in range(1, n - 1):
-        if mag[k] >= mag[k - 1] and mag[k] > mag[k + 1] and mag[k] > peak_floor:
-            denom = mag[k - 1] - 2.0 * mag[k] + mag[k + 1]
-            shift = 0.0 if denom == 0 else 0.5 * (mag[k - 1] - mag[k + 1]) / denom
-            shift = float(np.clip(shift, -0.5, 0.5))
-            height = mag[k] - 0.25 * (mag[k - 1] - mag[k + 1]) * shift
-            omega = 2.0 * math.pi * (k + shift) / t_total
-            energies.append(hbar * omega)
-            weights.append(height / gain)
+    # k = 1..n-2: at least its left neighbour, above its right one and the floor
+    left, mid, right = mag[:-2], mag[1:-1], mag[2:]
+    peaks = (mid >= left) & (mid > right) & (mid > PEAK_THRESHOLD * mag.max())
+    k = np.flatnonzero(peaks) + 1
+    left, mid, right = left[peaks], mid[peaks], right[peaks]
+    denom = left - 2.0 * mid + right
+    shift = np.divide(0.5 * (left - right), denom, out=np.zeros_like(denom), where=denom != 0)
+    np.clip(shift, -0.5, 0.5, out=shift)
+    height = mid - 0.25 * (left - right) * shift
+    omega = 2.0 * math.pi * (k + shift) / t_total
     return LevelEstimates(
-        energies=np.asarray(energies),
-        weights=np.asarray(weights),
+        energies=hbar * omega,
+        weights=height / gain,
         resolution=2.0 * math.pi * hbar / t_total,
     )
 
@@ -201,9 +197,8 @@ def carpet(
     if config is None:
         return CarpetGrid(density_rows(coeffs, grid, ts), ts, grid.points)
     x = config.grid.points
-    psi0 = reconstruct_at(coeffs, x)
-    norm = math.sqrt(float(np.sum(np.abs(psi0) ** 2) * config.grid.spacing))
-    state0 = GridState(psi0 / norm, config.grid)
+    state0 = GridState(reconstruct_at(coeffs, x), config.grid)
+    state0.values /= math.sqrt(state0.norm_squared())
     samples = propagate(state0, config, float(ts.max()), sample_times=ts)
     rows = np.stack([s.density() for s in samples])
     return CarpetGrid(rows, [s.time_tag for s in samples], x)

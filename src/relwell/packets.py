@@ -104,14 +104,15 @@ def gaussian_state(spec: WavepacketSpec, grid: SpatialGrid, model: WellModel) ->
     s = spec.sigma * math.sqrt(2.0)
     discarded = 0.5 * (math.erfc(spec.x0 / s) + math.erfc((model.well_width - spec.x0) / s))
 
-    norm = math.sqrt(float(np.sum(np.abs(psi) ** 2) * grid.spacing))
+    state = GridState(psi, grid, 0.0, {"discarded_mass": float(discarded)})
+    norm = math.sqrt(state.norm_squared())
     # a NaN or infinite sample makes the norm NaN or infinite too
     if not 0.0 < norm < math.inf:
         raise SimulationError(
             f"the packet of sigma={spec.sigma:g} samples to a state of norm {norm}; "
             f"sigma**2 leaves double range at these scales: bring {SCALE_FIELDS} closer to 1"
         )
-    state = GridState(psi / norm, grid, 0.0, {"discarded_mass": float(discarded)})
+    state.values /= norm
     return state
 
 

@@ -14,7 +14,7 @@ is the second-order Strang splitting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,25 +36,20 @@ POWERED_WORKSPACE = 64 << 20
 class PropagationConfig:
     """Discretization of one split-operator run.
 
-    The periodic box must contain [-wall_margin, L + wall_margin]; the grid
-    size must be a power of two of at least 256 so the transforms stay cheap
-    and the momentum grid symmetric.
+    The periodic box is [-wall_margin, L + wall_margin); the grid size must
+    be a power of two of at least 256 so the transforms stay cheap and the
+    momentum grid symmetric.
     """
 
     model: WellModel
-    x_min: float
-    x_max: float
     grid_size: int
     dt: float
     wall_height: float
     wall_margin: float
 
     def __post_init__(self):
-        L = self.model.well_width
         if self.wall_margin <= 0:
             raise ValueError("wall_margin must be positive")
-        if self.x_min > -self.wall_margin or self.x_max < L + self.wall_margin:
-            raise ValueError("box must contain [-wall_margin, L + wall_margin]")
         if self.grid_size < MIN_GRID_SIZE or self.grid_size & (self.grid_size - 1):
             raise ValueError(f"grid_size must be a power of two >= {MIN_GRID_SIZE}")
         if self.dt <= 0:
@@ -78,7 +73,7 @@ class PropagationConfig:
 
     @property
     def grid(self) -> BoxGrid:
-        return BoxGrid(self.x_min, self.x_max, self.grid_size)
+        return BoxGrid(-self.wall_margin, self.model.well_width + self.wall_margin, self.grid_size)
 
     def potential(self) -> np.ndarray:
         x = self.grid.points
@@ -88,9 +83,10 @@ class PropagationConfig:
 
 def default_config(
     model: WellModel,
-    n0: int = 1,
+    n0: int,
+    *,
+    sigma: float,
     p0: float = 0.0,
-    sigma: float | None = None,
     dt: float | None = None,
     grid_size: int | None = None,
     wall_height: float | None = None,
@@ -106,7 +102,6 @@ def default_config(
     L = model.well_width
     V0 = DEFAULT_WALL_HEIGHT_FACTOR * model.energy_scale if wall_height is None else wall_height
     delta = DEFAULT_MARGIN_FRACTION * L if wall_margin is None else wall_margin
-    x_min, x_max = -delta, L + delta
 
     if dt is None:
         dt = revival_times(model, n0).t_classical / 1000.0
@@ -114,16 +109,14 @@ def default_config(
         dt = min(dt, WALL_PHASE_CAP * model.hbar / V0)
 
     if grid_size is None:
-        if sigma is None:
-            sigma = L / 8.0
         p_needed = MOMENTUM_CUTOFF_FACTOR * (abs(p0) + model.hbar / sigma)
-        box_len = x_max - x_min
+        box_len = (L + delta) - (-delta)
         n_needed = int(math.ceil(p_needed * box_len / (math.pi * model.hbar)))
         grid_size = MIN_GRID_SIZE
         while grid_size < n_needed:
             grid_size *= 2
 
-    return PropagationConfig(model, x_min, x_max, grid_size, dt, V0, delta)
+    return PropagationConfig(model, grid_size, dt, V0, delta)
 
 
 def kinetic_phase(model: WellModel, p, dt: float) -> complex | np.ndarray:
@@ -224,17 +217,17 @@ def propagate(
     count.  Raises SimulationError, naming the same step count as the
     metadata, if a sampled state stops being finite.
     """
+    grid = config.grid
     if state.values.shape != (config.grid_size,):
         raise ValueError(
             f"state has {state.values.size} samples, not the {config.grid_size} of the "
-            f"config grid on [{config.x_min:g}, {config.x_max:g})"
+            f"config grid on [{grid.x_min:g}, {grid.x_max:g})"
         )
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
     steps_total = config.steps(t_final)
     dt_used = config.step_dt(t_final)
     adjusted = not math.isclose(dt_used, config.dt, rel_tol=1e-12)
-    run_config = replace(config, dt=dt_used) if adjusted else config
 
     if sample_times is None:
         sample_steps = [steps_total]
@@ -246,10 +239,12 @@ def propagate(
     gaps = [b - a for a, b in zip([0, *sample_steps], sample_steps)]
     power = power_plan(config.grid_size, gaps)
 
-    model = run_config.model
-    half_v = np.exp(-0.5j * run_config.potential() * run_config.dt / model.hbar)
+    model = config.model
+    # a dt within rounding of the configured one steps with the configured bits
+    step = dt_used if adjusted else config.dt
+    half_v = np.exp(-0.5j * config.potential() * step / model.hbar)
     # the 1/N of the inverse transform rides on the kinetic phase
-    kin = kinetic_phase(model, run_config.grid.momenta(model.hbar), run_config.dt)
+    kin = kinetic_phase(model, grid.momenta(model.hbar), step)
     kin /= config.grid_size
     full_v = half_v * half_v
     psi = np.array(state.values, dtype=complex)

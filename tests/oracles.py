@@ -4,9 +4,10 @@ The hard-wall eigenfunctions in position and momentum space, the momentum
 integral equation they solve, the complex momentum-space Hamiltonian of the
 finite well and its eigenpairs, the Gaussian overlap coefficients, the
 grid wavefunction of a coefficient vector, finite differences of the
-closed-form energy, the autocorrelation summed level by level, the
-split-operator engine's plain Strang step loop and a reader for the carpet
-binary layout documented in the README.  None of these runs in the CLI; each
+closed-form energy, the autocorrelation summed level by level, the level
+extraction's peak refinement one sample at a time, the split-operator
+engine's plain Strang step loop and a reader for the carpet binary layout
+documented in the README.  None of these runs in the CLI; each
 is an independent oracle for something that does.
 """
 
@@ -30,7 +31,7 @@ from relwell import (
     kinetic_phase,
 )
 from relwell.grids import sine_transform, sine_workspace
-from relwell.observables import CarpetGrid
+from relwell.observables import PEAK_THRESHOLD, CarpetGrid
 from relwell.spectral import phases
 
 # relative half-width of the Taylor window around the removable poles of the
@@ -254,6 +255,29 @@ def autocorrelation_direct(coeffs: CoefficientVector, times) -> np.ndarray:
     return values
 
 
+def extract_levels_loop(series, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """``extract_levels``' energies and weights with its peak scan and
+    three-point refinement done one sample at a time, in the same floating
+    operations, so the array scan must match it bit for bit."""
+    n = series.times.size
+    t_total = n * float(series.times[1] - series.times[0])
+    window = np.hanning(n)
+    gain = window.sum()
+    mag = np.abs(n * np.fft.ifft(window * series.values))
+    peak_floor = PEAK_THRESHOLD * mag.max()
+    energies, weights = [], []
+    for k in range(1, n - 1):
+        if mag[k] >= mag[k - 1] and mag[k] > mag[k + 1] and mag[k] > peak_floor:
+            denom = mag[k - 1] - 2.0 * mag[k] + mag[k + 1]
+            shift = 0.0 if denom == 0 else 0.5 * (mag[k - 1] - mag[k + 1]) / denom
+            shift = float(np.clip(shift, -0.5, 0.5))
+            height = mag[k] - 0.25 * (mag[k - 1] - mag[k + 1]) * shift
+            omega = 2.0 * math.pi * (k + shift) / t_total
+            energies.append(hbar * omega)
+            weights.append(height / gain)
+    return np.asarray(energies), np.asarray(weights)
+
+
 def read_carpet_binary(path) -> CarpetGrid:
     """Parse a carpet binary file from its documented layout."""
     with open(path, "rb") as fh:
@@ -311,7 +335,7 @@ def strang_steps(
     if state.values.shape != (config.grid_size,):
         raise ValueError(
             f"state has {state.values.size} samples, not the {config.grid_size} of the "
-            f"config grid on [{config.x_min:g}, {config.x_max:g})"
+            f"config grid on [{config.grid.x_min:g}, {config.grid.x_max:g})"
         )
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")

@@ -546,6 +546,25 @@ class TestBlasThreads:
         assert rho_one.shape == (32, 256)
         assert np.max(np.abs(rho_one - rho_two)) <= 1e-12 * np.max(rho_one)
 
+    def test_unset_thread_count_runs_one_thread(self, tmp_path):
+        # the CLI pins BLAS to one thread where the environment leaves it
+        # unset, so a diag spectrum does not depend on the host's core count
+        pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        unset = {k: v for k, v in os.environ.items() if k not in pins}
+        spectra = []
+        for name, pin in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            env = dict(unset, PYTHONPATH=str(Path(relwell.__file__).parents[1]), **pin)
+            argv = ["spectrum", "--engine", "diag", "--preset", "default"]
+            job = subprocess.run(
+                [sys.executable, "-m", "relwell.cli", *argv, "--out", str(tmp_path / name)],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert job.returncode == 0, job.stderr
+            spectra.append((tmp_path / name / "run_spectrum_diag.csv").read_bytes())
+        assert spectra[0] == spectra[1]
+
 
 # split carpets at N = 256 of the snapshot tool's shapes: 1273 Strang steps
 # in 16 rows, which steps, and 20000 in 32 rows, which powers the step

@@ -33,7 +33,7 @@ from relwell.observables import (
     write_carpet_pgm,
     write_spacing_csv,
 )
-from oracles import autocorrelation_direct, read_carpet_binary, reconstruct
+from oracles import autocorrelation_direct, extract_levels_loop, read_carpet_binary, reconstruct
 
 MODEL = WellModel(well_width=125.0 * 2.0 * math.pi)
 L = MODEL.well_width
@@ -123,7 +123,7 @@ class TestExtractLevels:
         duration, samples = 400.0, 4096
         ts = np.arange(samples) * (duration / samples)
         values = w1 * np.exp(-1j * e1 * ts) + (1 - w1) * np.exp(-1j * e2 * ts)
-        estimates = extract_levels(AutocorrelationSeries(ts, values, True))
+        estimates = extract_levels(AutocorrelationSeries(ts, values))
         assert len(estimates.energies) == 2
         for target, weight in ((e1, w1), (e2, 1 - w1)):
             j = int(np.argmin(np.abs(estimates.energies - target)))
@@ -161,10 +161,27 @@ class TestExtractLevels:
 
         assert top_level(4.0) > top_level(0.0) + 1.0
 
+    def test_peak_scan_matches_the_loop(self):
+        # a noise record peaks at about a third of its samples, a two-level
+        # record at two; a flat one has no interior peak at all
+        ts = np.arange(4096) * 0.37
+        rng = np.random.default_rng(7)
+        records = (
+            rng.standard_normal(ts.size) + 1j * rng.standard_normal(ts.size),
+            np.exp(-1.3j * ts) + 0.3 * np.exp(-2.9j * ts),
+            np.ones(ts.size, complex),
+        )
+        for values in records:
+            series = AutocorrelationSeries(ts, values)
+            got = extract_levels(series, hbar=1.7)
+            energies, weights = extract_levels_loop(series, hbar=1.7)
+            assert got.energies.tobytes() == energies.tobytes()
+            assert got.weights.tobytes() == weights.tobytes()
+
     def test_nonuniform_rejected(self):
         ts = np.array([0.0, 1.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0])
-        series = AutocorrelationSeries(ts, np.ones(8, complex), uniform=False)
-        with pytest.raises(ValueError):
+        series = AutocorrelationSeries(ts, np.ones(8, complex))
+        with pytest.raises(ValueError, match="requires uniform sampling"):
             extract_levels(series)
 
 

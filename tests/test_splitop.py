@@ -68,15 +68,18 @@ class TestKineticPhase:
 class TestPropagationConfig:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            PropagationConfig(MODEL, -L / 8, L + L / 8, 300, 1e-4, 1e4, L / 8)
+            PropagationConfig(MODEL, 300, 1e-4, 1e4, L / 8)
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
-            PropagationConfig(MODEL, -L / 8, L + L / 8, 128, 1e-4, 1e4, L / 8)
+            PropagationConfig(MODEL, 128, 1e-4, 1e4, L / 8)
 
-    def test_rejects_box_not_containing_margins(self):
-        with pytest.raises(ValueError):
-            PropagationConfig(MODEL, -L / 16, L + L / 8, 256, 1e-4, 1e4, L / 8)
+    def test_box_is_the_well_and_its_margins(self):
+        config = PropagationConfig(MODEL, 256, 1e-4, 1e4, L / 8)
+        assert (config.grid.x_min, config.grid.x_max) == (-L / 8, L + L / 8)
+        for margin in (0.0, -L / 8):
+            with pytest.raises(ValueError, match="wall_margin"):
+                PropagationConfig(MODEL, 256, 1e-4, 1e4, margin)
 
     def test_default_dt_respects_wall_phase_cap(self):
         config = default_config(MODEL, n0=1, p0=0.0, sigma=L / 16)
@@ -91,7 +94,7 @@ class TestPropagationConfig:
     def test_momentum_cutoff_sets_grid(self):
         sigma = L / 200.0
         config = default_config(MODEL, n0=1, p0=3.0, sigma=sigma)
-        box = config.x_max - config.x_min
+        box = config.grid.length
         p_grid_max = math.pi * MODEL.hbar * config.grid_size / box
         assert p_grid_max >= 8.0 * (3.0 + MODEL.hbar / sigma)
         assert config.grid_size >= 256 and config.grid_size & (config.grid_size - 1) == 0
@@ -117,7 +120,7 @@ class TestPropagationConfig:
 
 class TestStep:
     def test_free_plane_wave_rotation(self):
-        config = PropagationConfig(MODEL, -L / 8, L + L / 8, 256, 1e-3, 0.0, L / 8)
+        config = PropagationConfig(MODEL, 256, 1e-3, 0.0, L / 8)
         grid = config.grid
         k = 2 * math.pi * 8 / grid.length
         psi = np.exp(1j * k * (grid.points - grid.x_min)) / math.sqrt(grid.length)
@@ -298,7 +301,7 @@ class TestEngineAgreement:
         n0 = dominant_level(coeffs)
         margin = lw / 8.0
         config = default_config(model, n0=n0, sigma=spec.sigma, wall_margin=margin)
-        config = replace(config, x_min=-4 * margin, x_max=lw + 4 * margin, grid_size=512)
+        config = replace(config, wall_margin=4 * margin, grid_size=512)
         state = boxed_initial_state(config, coeffs)
         t_rev = revival_times(model, n0).t_revival
         sample_times = np.linspace(0.2, 1.0, 5) * t_rev

@@ -263,7 +263,7 @@ class TestModulusColumns:
 
     def test_autocorrelation_abs_column(self, tmp_path):
         values = self.record()
-        series = AutocorrelationSeries(np.arange(values.size) * 0.5, values, True)
+        series = AutocorrelationSeries(np.arange(values.size) * 0.5, values)
         path = tmp_path / "a.csv"
         write_autocorrelation_csv(series, path)
         cells = [line.split(",")[3] for line in path.read_text().splitlines()[1:]]
