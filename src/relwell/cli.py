@@ -502,6 +502,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_scratch_resident() -> None:
+    """On glibc, serve blocks below 32 MiB from the heap and trim it only past
+    40 MiB free.  A 2^21-point rfft allocates and frees 32 MiB of scratch;
+    by default glibc hands it back and the next transform faults it in again."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        import ctypes
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ImportError, OSError, ValueError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the 64-bit cap of glibc's dynamic one
+    mallopt(-1, 40 << 20)  # M_TRIM_THRESHOLD: at 64 MiB, freed decompose temporaries stay
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -517,6 +533,7 @@ def main(argv=None) -> int:
         # depend on the thread count, and so would the host's core count
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(name, "1")
+        _keep_scratch_resident()
         _load_numerics()
         # numpy's warnings on the way to a non-finite value would add lines to
         # stderr; the value is reported once, by the check or the error it ends in

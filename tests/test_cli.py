@@ -1,8 +1,10 @@
 """Command-line interface: validation, outputs, determinism, presets."""
 
+import ctypes
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -291,16 +293,31 @@ class TestCarpet:
         assert run(tmp_path, "carpet", config) == 0
         assert read_carpet_binary(tmp_path / "t_carpet.bin").times[-1] == 2.0**64
 
-    def test_byte_identical_reruns(self, tmp_path):
-        config = small_config()
-        first = tmp_path / "a"
-        second = tmp_path / "b"
-        first.mkdir()
-        second.mkdir()
-        assert run(first, "carpet", config) == 0
-        assert run(second, "carpet", config) == 0
+    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
+        def no_such_name(name):
+            raise ValueError("unrecognized configuration name")
+
+        def no_library(name):
+            raise OSError("no libc to load")
+
+        # a rerun, then hosts where the CLI cannot set glibc's malloc thresholds
+        hosts = {
+            "first": None,
+            "again": None,
+            "no-confstr-name": (os, "confstr", no_such_name),
+            "other-libc": (os, "confstr", lambda name: None),
+            "no-mallopt": (ctypes, "CDLL", lambda name: object()),
+            "no-cdll": (ctypes, "CDLL", no_library),
+        }
+        for host, patch in hosts.items():
+            (tmp_path / host).mkdir()
+            with monkeypatch.context() as patched:
+                if patch is not None:
+                    patched.setattr(*patch)
+                assert run(tmp_path / host, "carpet", small_config()) == 0
         for name in ("t_carpet.csv", "t_carpet.bin", "t_carpet.pgm"):
-            assert (first / name).read_bytes() == (second / name).read_bytes()
+            first = (tmp_path / "first" / name).read_bytes()
+            assert all((tmp_path / host / name).read_bytes() == first for host in hosts)
 
     def test_split_engine_smoke(self, tmp_path):
         config = small_config(
@@ -688,6 +705,38 @@ class TestColdStart:
         )
         job = fresh_python(code, cwd=tmp_path)
         assert job.returncode == 0, job.stderr
+
+
+class TestScratchMemory:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the CLI tunes glibc alone")
+    def test_large_transforms_keep_their_scratch_resident(self, tmp_path):
+        # a 2^21-point rfft allocates and frees 32 MiB of scratch; after a CLI
+        # run, the next transforms find it resident instead of faulting its
+        # 8160 pages in again on every call
+        config = {
+            "model": {"well_width_in_compton": 1.0},
+            "packet": {"x0_over_L": 0.5, "sigma_over_L": 1e-5, "p0_in_hbar_over_L": 0.0},
+            "engine": {"kind": "exact", "grid_intervals": 1 << 20},
+            "times": {"t_max": 1.0, "samples": 2, "unit": "natural"},
+            "output": {"basename": "f", "formats": ["pgm"]},
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        code = (
+            "import resource, numpy as np, relwell.cli\n"
+            "from relwell.grids import sine_transform, sine_workspace\n"
+            "assert relwell.cli.main(['carpet', '--config', 'config.json', '--out', '.']) == 0\n"
+            "n = (1 << 20) - 1\n"
+            "workspace, part, out = sine_workspace(n), np.ones(n), np.empty(n)\n"
+            # the new buffers take the heap's free top: one transform grows it back
+            "sine_transform(part, workspace, out=out)\n"
+            "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "before = faults()\n"
+            "for _ in range(3): sine_transform(part, workspace, out=out)\n"
+            "print((faults() - before) / 3)"
+        )
+        job = fresh_python(code, cwd=tmp_path)
+        assert job.returncode == 0, job.stderr
+        assert float(job.stdout) < 1000
 
 
 class TestReadme:
