@@ -315,7 +315,7 @@ def _write_outputs(
 
     ``products`` maps a file suffix to the writer that takes that file's
     path.  The sidecar is serialized before the first file is opened, so a
-    value it cannot hold ends the run with nothing written.
+    value JSON cannot hold ends the run with nothing written.
     """
     paths = {suffix: outdir / f"{resolved.basename}_{suffix}" for suffix in products}
     sidecar = outdir / f"{resolved.basename}_{command}.meta.json"
@@ -329,8 +329,8 @@ def _write_outputs(
         **summary,
     }
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False)
-    except ValueError as exc:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError) as exc:
         raise SimulationError(f"refusing to write {sidecar}: {exc}") from None
     for suffix, write in products.items():
         write(paths[suffix])

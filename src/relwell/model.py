@@ -66,10 +66,6 @@ def _momentum_ratio(model: WellModel, n) -> np.ndarray:
     return np.pi * np.asarray(n, dtype=float) / model.width_natural
 
 
-def _as_scalar(x: np.ndarray, scalar: bool):
-    return float(x) if scalar else x
-
-
 def _check_level(n) -> np.ndarray:
     arr = np.asarray(n, dtype=float)
     if np.any(arr < 1):
@@ -77,29 +73,25 @@ def _check_level(n) -> np.ndarray:
     return arr
 
 
-def energy(model: WellModel, n) -> float | np.ndarray:
+def energy(model: WellModel, n) -> np.floating | np.ndarray:
     """Bound-state energy m c^2 * sqrt(1 + (p_n / m c)^2) for level n >= 1.
 
-    Accepts a scalar or an array of levels.  Strictly increasing in n and
-    never below the rest energy.
+    Accepts a scalar (returning a numpy scalar) or an array of levels.
+    Strictly increasing in n and never below the rest energy.
     """
-    scalar = np.isscalar(n)
     x = _momentum_ratio(model, _check_level(n))
-    return _as_scalar(model.energy_scale * np.hypot(1.0, x), scalar)
+    return model.energy_scale * np.hypot(1.0, x)
 
 
-def lorentz_gamma(model: WellModel, n) -> float | np.ndarray:
+def lorentz_gamma(model: WellModel, n) -> np.floating | np.ndarray:
     """gamma_n = E_n / m c^2."""
-    scalar = np.isscalar(n)
-    x = _momentum_ratio(model, _check_level(n))
-    return _as_scalar(np.hypot(1.0, x), scalar)
+    return np.hypot(1.0, _momentum_ratio(model, _check_level(n)))
 
 
-def level_velocity(model: WellModel, n) -> float | np.ndarray:
+def level_velocity(model: WellModel, n) -> np.floating | np.ndarray:
     """Relativistic group velocity v_n = p_n c^2 / E_n, always below c."""
-    scalar = np.isscalar(n)
     x = _momentum_ratio(model, _check_level(n))
-    return _as_scalar(model.light_speed * x / np.hypot(1.0, x), scalar)
+    return model.light_speed * x / np.hypot(1.0, x)
 
 
 @lru_cache(maxsize=None)
@@ -191,12 +183,10 @@ class RevivalTimes:
     dephasing times of a packet concentrated around n0.
     """
 
-    n0: int
     t_classical: float
     t_revival: float
     t_super: float
     gamma: float
-    velocity: float
 
     def __post_init__(self):
         if not (self.t_classical > 0 and self.t_revival > 0 and self.t_super > 0):
@@ -219,10 +209,8 @@ def revival_times(model: WellModel, n0: int) -> RevivalTimes:
     d2 = energy_derivative(model, n0, 2)
     d3 = energy_derivative(model, n0, 3)
     return RevivalTimes(
-        n0=int(n0),
         t_classical=two_pi_hbar / abs(d1),
         t_revival=two_pi_hbar / (abs(d2) / 2.0),
         t_super=two_pi_hbar / (abs(d3) / 6.0),
         gamma=lorentz_gamma(model, n0),
-        velocity=level_velocity(model, n0),
     )

@@ -52,8 +52,8 @@ class MomentumGrid:
         return 2.0 * self.p_max / (self.count - 1)
 
 
-def default_grid(model: WellModel, n_target: int, count: int = DEFAULT_GRID_SIZE) -> MomentumGrid:
-    """Grid wide enough for the highest targeted level."""
+def default_grid(model: WellModel, n_target: int, count: int) -> MomentumGrid:
+    """Grid of ``count`` nodes wide enough for the highest targeted level."""
     p_max = max(
         20.0 * model.hbar / model.well_width * n_target,
         10.0 * model.momentum_scale,
@@ -61,26 +61,13 @@ def default_grid(model: WellModel, n_target: int, count: int = DEFAULT_GRID_SIZE
     return MomentumGrid(p_max, count)
 
 
-def build_hamiltonian(
-    grid: MomentumGrid,
-    model: WellModel,
-    wall_height: float,
-    kinetic: str = "relativistic",
-) -> np.ndarray:
+def build_hamiltonian(grid: MomentumGrid, model: WellModel, wall_height: float) -> np.ndarray:
     """Real symmetric H' = D^dagger H D, where
     H_ij = [E(p_i) + V0] delta_ij - (V0 dp / 2 pi hbar) W(p_i - p_j).
 
     H' keeps the diagonal; its coupling is the Toeplitz matrix
     -(V0 dp / 2 pi hbar) L sinc((i - j) dp L / 2 pi hbar).
     """
-    p = grid.nodes
-    if kinetic == "relativistic":
-        diag_kinetic = np.hypot(model.energy_scale, p * model.light_speed)
-    elif kinetic == "nonrelativistic":
-        diag_kinetic = model.energy_scale + p**2 / (2.0 * model.mass)
-    else:
-        raise ValueError(f"unknown kinetic form {kinetic!r}")
-
     lags = np.arange(grid.count) * grid.spacing
     window = model.well_width * np.sinc(lags * model.well_width / (2.0 * math.pi * model.hbar))
     coupling = -wall_height * grid.spacing / (2.0 * math.pi * model.hbar) * window
@@ -89,26 +76,20 @@ def build_hamiltonian(
     mirrored = np.concatenate([coupling[:0:-1], coupling])
     h = sliding_window_view(mirrored, grid.count)[::-1].copy()
     idx = np.arange(grid.count)
-    h[idx, idx] += diag_kinetic + wall_height
+    h[idx, idx] += np.hypot(model.energy_scale, grid.nodes * model.light_speed) + wall_height
     return h
 
 
 @dataclass
 class EigenSpectrum:
     """Ascending bound-level energies of the discretized Hamiltonian, with
-    the grid, wall height and kinetic form that produced them."""
+    the grid and wall height that produced them."""
 
     levels: np.ndarray
     metadata: dict = field(default_factory=dict)
 
 
-def solve(
-    grid: MomentumGrid,
-    model: WellModel,
-    wall_height: float,
-    k_levels: int,
-    kinetic: str = "relativistic",
-) -> EigenSpectrum:
+def solve(grid: MomentumGrid, model: WellModel, wall_height: float, k_levels: int) -> EigenSpectrum:
     """Lowest ``k_levels`` eigenvalues of the discretized Hamiltonian.
 
     Energies below V0 are bound-state candidates.  The even and odd blocks
@@ -120,7 +101,7 @@ def solve(
     if wall_height < 0:
         raise ValueError("wall_height must be nonnegative")
 
-    h = build_hamiltonian(grid, model, wall_height, kinetic)
+    h = build_hamiltonian(grid, model, wall_height)
     half = grid.count // 2
     upper = h[:half, :half]
     mirrored = h[:half, half:][:, ::-1]
@@ -138,7 +119,7 @@ def solve(
             "wall_height": wall_height,
             "p_max": grid.p_max,
             "count": grid.count,
-            "kinetic": kinetic,
+            "kinetic": "relativistic",
         },
     )
 

@@ -53,7 +53,6 @@ class CoefficientVector:
 
     coefficients: np.ndarray
     model: WellModel
-    time_tag: float = 0.0
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -68,9 +67,6 @@ class CoefficientVector:
     @property
     def levels(self) -> np.ndarray:
         return np.arange(1, self.n_max + 1)
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.coefficients) ** 2))
 
     def weights(self) -> np.ndarray:
         return np.abs(self.coefficients) ** 2
@@ -150,18 +146,14 @@ def decompose(state: GridState, model: WellModel, n_max: int | None = None) -> C
     coeffs_full = _sine_coefficients(state.values, grid)
     if n_max is None:
         weights = np.abs(coeffs_full) ** 2
-        below = weights < TAIL_THRESHOLD
         # scan past the weight peak, so packets boosted to high levels keep
         # their (empty) low-n head instead of being truncated to nothing
         start = int(np.argmax(weights))
-        n_max = nyquist
-        run = 0
-        for i in range(start, nyquist):
-            run = run + 1 if below[i] else 0
-            if run == TAIL_RUN:
-                n_max = i - TAIL_RUN + 1 + 1  # index of first level of the quiet run
-                break
-        n_max = max(1, min(n_max, nyquist))
+        # one byte per level from the peak on, 1 where it is quiet: the first
+        # quiet run is the first match of TAIL_RUN ones
+        quiet = (weights[start:] < TAIL_THRESHOLD).tobytes()
+        opens = quiet.find(b"\x01" * TAIL_RUN)
+        n_max = nyquist if opens < 0 else start + opens + 1
     coeffs = coeffs_full[:n_max].copy()
 
     weights = np.abs(coeffs) ** 2
@@ -171,10 +163,9 @@ def decompose(state: GridState, model: WellModel, n_max: int | None = None) -> C
         {
             "parseval_defect": float(1.0 - weights.sum()),
             "truncation_tail_ratio": float(weights[-1] / peak) if peak > 0 else 0.0,
-            "n_max": int(n_max),
         }
     )
-    return CoefficientVector(coeffs, model, state.time_tag, meta)
+    return CoefficientVector(coeffs, model, meta)
 
 
 def dominant_level(coeffs: CoefficientVector) -> int:

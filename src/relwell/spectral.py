@@ -85,7 +85,7 @@ def evolve(coeffs: CoefficientVector, t: float) -> CoefficientVector:
     model = coeffs.model
     frequencies = _frequencies(energy(model, coeffs.levels), model.hbar)
     rotated = _rotated(coeffs.coefficients, frequencies, t)
-    return CoefficientVector(rotated, model, coeffs.time_tag + t, dict(coeffs.metadata))
+    return CoefficientVector(rotated, model, dict(coeffs.metadata))
 
 
 def reconstruct_at(coeffs: CoefficientVector, x) -> np.ndarray:

@@ -119,14 +119,11 @@ def default_config(
     return PropagationConfig(model, grid_size, dt, V0, delta)
 
 
-def kinetic_phase(model: WellModel, p, dt: float) -> complex | np.ndarray:
+def kinetic_phase(model: WellModel, p, dt: float) -> np.complexfloating | np.ndarray:
     """exp(-i sqrt(m^2 c^4 + p^2 c^2) dt / hbar), the exact one-step kinetic
-    factor; unit modulus for any momentum."""
-    scalar = np.isscalar(p)
-    ps = np.asarray(p, dtype=float)
-    disp = np.hypot(model.energy_scale, ps * model.light_speed)
-    phase = np.exp(-1j * disp * dt / model.hbar)
-    return complex(phase) if scalar else phase
+    factor; unit modulus for any momentum, a numpy scalar for a scalar p."""
+    disp = np.hypot(model.energy_scale, np.asarray(p, dtype=float) * model.light_speed)
+    return np.exp(-1j * disp * dt / model.hbar)
 
 
 def power_plan(grid_size: int, gaps) -> int | None:

@@ -135,10 +135,12 @@ def momentum_eigenpairs(
     model: WellModel,
     wall_height: float,
     k_levels: int,
-    kinetic: str = "relativistic",
+    galilean: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest ``k_levels`` levels and eigenvectors of the discretized
     Hamiltonian, from ``eigh`` with vectors on the two real parity blocks.
+    ``galilean`` swaps the diagonal's E(p) for m c^2 + p^2 / 2m, the
+    Schroedinger well with its rest energy.
 
     A block eigenvector u becomes [u; +-J u] / sqrt(2 dp), J the reversal,
     and D = diag(exp(-i p L / 2 hbar)) is undone, so the columns are
@@ -148,7 +150,13 @@ def momentum_eigenpairs(
     """
     import scipy.linalg
 
-    h = build_hamiltonian(grid, model, wall_height, kinetic)
+    h = build_hamiltonian(grid, model, wall_height)
+    if galilean:
+        p = grid.nodes
+        idx = np.arange(grid.count)
+        h[idx, idx] += (
+            model.energy_scale + p**2 / (2.0 * model.mass) - np.hypot(model.energy_scale, p * model.light_speed)
+        )
     half = grid.count // 2
     upper = h[:half, :half]
     mirrored = h[:half, half:][:, ::-1]
@@ -237,7 +245,7 @@ def reconstruct(coeffs: CoefficientVector, grid: SpatialGrid) -> GridState:
     values = np.zeros(grid.size, dtype=np.complex128)
     sine_transform(a.real, workspace, scale, out=values.real[1:-1])
     sine_transform(a.imag, workspace, scale, out=values.imag[1:-1])
-    return GridState(values, grid, coeffs.time_tag)
+    return GridState(values, grid)
 
 
 # README "Carpet binary": magic CRPT, u32 version, u64 rows, u64 cols,

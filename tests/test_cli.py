@@ -193,6 +193,19 @@ class TestValidation:
         assert len(err) == 1 and err[0].startswith("numerical error:")
         assert "run_spacing.meta.json" in err[0]
 
+    def test_sidecar_value_json_lacks_exits_3_without_files(self, tmp_path, monkeypatch, capsys):
+        # an int64 is no int: written as its str, it would read back as a string
+        real_summary = cli._revival_summary
+
+        def with_int64(*args):
+            return {**real_summary(*args), "n0": np.int64(3)}
+
+        monkeypatch.setattr(cli, "_revival_summary", with_int64)
+        code, err = run_refused(tmp_path, capsys, "coeffs", json.dumps(small_config()))
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("numerical error:")
+        assert "t_coeffs.meta.json" in err[0] and "int64" in err[0]
+
     @pytest.mark.parametrize(
         "command, engine, fields",
         [

@@ -260,7 +260,7 @@ class TestRevivalTimes:
             model = WellModel(well_width=L)
             for n0 in (1, 3, 17, 400):
                 rt = revival_times(model, n0)
-                expected = n0 * (model.light_speed / rt.velocity) ** 2
+                expected = n0 * (model.light_speed / level_velocity(model, n0)) ** 2
                 assert abs(rt.t_super / rt.t_revival - expected) < 1e-6 * expected
 
     def test_revival_time_diverges_past_knee(self):
@@ -298,10 +298,12 @@ class TestRevivalTimes:
     def test_velocity_below_light_speed(self):
         model = WellModel(well_width=1.0)
         rt = revival_times(model, 10**6)  # gamma ~ 3e6: 1 - v/c still representable
-        assert 0 < rt.velocity < model.light_speed
+        assert 0 < level_velocity(model, 10**6) < model.light_speed
         assert rt.gamma >= 1.0
         # past gamma ~ 1e8 the gap 1 - v/c falls below float64 resolution and
         # the velocity rounds to c; everything else must stay finite
-        extreme = revival_times(WellModel(well_width=1e-4), 10**6)
-        assert 0 < extreme.velocity <= extreme.gamma and extreme.velocity <= 1.0
+        extreme_model = WellModel(well_width=1e-4)
+        extreme = revival_times(extreme_model, 10**6)
+        velocity = level_velocity(extreme_model, 10**6)
+        assert 0 < velocity <= extreme.gamma and velocity <= 1.0
         assert extreme.t_super > extreme.t_revival > extreme.t_classical > 0

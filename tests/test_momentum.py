@@ -103,10 +103,6 @@ class TestBuildHamiltonian:
         free = np.sort(np.hypot(model.energy_scale, grid.nodes * model.light_speed) + v0)
         assert np.max(np.abs(np.sort(np.linalg.eigvalsh(h)) - free)) < 1e-9
 
-    def test_unknown_kinetic_rejected(self):
-        with pytest.raises(ValueError):
-            build_hamiltonian(MomentumGrid(5.0, 16), WellModel(), 1.0, kinetic="galilean")
-
 
 class TestSolve:
     def test_levels_approach_closed_form(self):
@@ -173,7 +169,7 @@ class TestSolve:
         model = WellModel(well_width=120.0)
         grid = MomentumGrid(6.0, 2048)
         relativistic = momentum_eigenpairs(grid, model, 1e4, k_levels=3)
-        galilean = momentum_eigenpairs(grid, model, 1e4, k_levels=3, kinetic="nonrelativistic")
+        galilean = momentum_eigenpairs(grid, model, 1e4, k_levels=3, galilean=True)
         for n in (1, 2, 3):
             err = aligned_l2(relativistic[1][:, n - 1], galilean[1][:, n - 1], grid.spacing)
             assert err < 1e-2
@@ -213,8 +209,8 @@ class TestSolve:
         exact = np.sort(roots)[:6]
 
         model = WellModel(well_width=L)
-        spectrum = solve(MomentumGrid(20.0, 2048), model, v0, k_levels=6, kinetic="nonrelativistic")
-        numeric = spectrum.levels - model.energy_scale  # drop the rest energy
+        levels, _ = momentum_eigenpairs(MomentumGrid(20.0, 2048), model, v0, k_levels=6, galilean=True)
+        numeric = levels - model.energy_scale  # drop the rest energy
         assert np.max(np.abs(numeric - exact) / exact) < 1e-3
 
     def test_lapack_failure_raises_eigensolver_error(self, monkeypatch):
@@ -231,9 +227,9 @@ class TestSolve:
 
     def test_default_grid_covers_target(self):
         model = WellModel(well_width=3.0)
-        grid = default_grid(model, n_target=12)
+        grid = default_grid(model, n_target=12, count=64)
         assert grid.p_max >= 4.0 * model.hbar * 12 * math.pi / model.well_width
-        assert grid.count == 2048
+        assert grid.count == 64
 
 
 class TestComplexOracle:

@@ -19,7 +19,7 @@ from relwell import (
     dominant_level,
     gaussian_state,
 )
-from relwell.packets import write_coefficients_csv
+from relwell.packets import TAIL_RUN, write_coefficients_csv
 from oracles import eigenfunction_position, gaussian_overlap_coefficients, reconstruct
 
 MODEL = WellModel(well_width=125.0 * 2.0 * math.pi)
@@ -105,6 +105,33 @@ class TestDecompose:
         assert abs(coeffs.metadata["parseval_defect"]) < 1e-12
         assert coeffs.metadata["truncation_tail_ratio"] < 1e-12
         assert coeffs.n_max < 100
+
+    @pytest.mark.parametrize("case", ["no quiet run", "quiet after the peak", "quiet at the end"])
+    def test_automatic_truncation_level(self, case):
+        # loud levels carry |a_n|^2 >= 1e-12; a zero level comes back from the
+        # round trip some twenty orders below TAIL_THRESHOLD
+        grid = SpatialGrid(L, 128)
+        nyquist = grid.nyquist_level
+        weights = np.geomspace(1e-2, 1e-12, nyquist)
+        if case == "no quiet run":
+            # one level short of a run, ending at the last level
+            weights[nyquist - TAIL_RUN + 1 :] = 0.0
+            expected = nyquist
+        elif case == "quiet after the peak":
+            # a full quiet run below the peak does not count: the scan starts there
+            peak = TAIL_RUN + 3
+            weights[:TAIL_RUN] = 0.0
+            weights[TAIL_RUN:peak] = np.geomspace(1e-6, 1e-2, peak - TAIL_RUN)
+            weights[peak:] = 0.0
+            expected = peak + 1
+        else:
+            # a gap one level short of a run, then a run that ends at the last level
+            weights[20 : 20 + TAIL_RUN - 1] = 0.0
+            weights[nyquist - TAIL_RUN :] = 0.0
+            expected = nyquist - TAIL_RUN + 1
+        levels = np.arange(1, nyquist + 1)
+        state = reconstruct(CoefficientVector(np.sqrt(weights) * np.exp(1j * levels), MODEL), grid)
+        assert decompose(state, MODEL).n_max == expected
 
     def test_boosted_packet_keeps_high_levels(self):
         # the quiet-run truncation must scan past the populated band
@@ -234,7 +261,7 @@ class TestClosedFormOverlap:
 
     def test_norm_near_unity(self):
         closed = gaussian_overlap_coefficients(centered_packet(), MODEL, 64)
-        assert closed.norm_squared() == pytest.approx(1.0, abs=1e-8)
+        assert closed.weights().sum() == pytest.approx(1.0, abs=1e-8)
 
 
 class TestCoefficientVector:
