@@ -20,7 +20,7 @@ _MODULE_OF = {
         ("grids", "BoxGrid GridState SpatialGrid"),
         ("model", "RevivalTimes WellModel energy energy_derivative level_velocity "
                   "lorentz_gamma revival_times"),
-        ("momentum", "EigenSpectrum MomentumGrid build_hamiltonian default_grid solve"),
+        ("momentum", "MomentumGrid build_hamiltonian default_grid solve"),
         ("observables", "AutocorrelationSeries CarpetGrid LevelEstimates LightconeReport "
                         "SpacingStatistics autocorrelation carpet extract_levels "
                         "level_spacing lightcone_leakage"),

@@ -200,7 +200,7 @@ def load_config(preset: str | None, config_path: str | None) -> dict:
     if preset is not None and config_path is not None:
         raise ValueError("give either --preset or --config, not both")
     if config_path is not None:
-        with open(config_path) as fh:
+        with open(config_path, encoding="utf-8") as fh:
             try:
                 document = json.load(fh)
             except RecursionError:
@@ -376,9 +376,9 @@ def cmd_spectrum(resolved: ResolvedConfig, outdir: Path) -> None:
         wall = wall_factor * model.energy_scale
         if n_max > grid.count:
             raise ValueError(f"levels.n_max={n_max} exceeds engine.momentum_points={grid.count}")
-        spectrum = solve(grid, model, wall, k_levels=n_max)
-        products["spectrum_diag.csv"] = partial(write_spectrum_csv, spectrum, model)
-        summary["diag_metadata"] = spectrum.metadata
+        numeric = solve(grid, model, wall, k_levels=n_max)
+        products["spectrum_diag.csv"] = partial(write_spectrum_csv, numeric, model)
+        summary["diag_metadata"] = {"wall_height": wall, "p_max": grid.p_max, "count": grid.count}
     _write_outputs(outdir, resolved, "spectrum", summary, products)
 
 

@@ -13,7 +13,7 @@ so that matrix splits into even and odd blocks of half the size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -80,16 +80,7 @@ def build_hamiltonian(grid: MomentumGrid, model: WellModel, wall_height: float) 
     return h
 
 
-@dataclass
-class EigenSpectrum:
-    """Ascending bound-level energies of the discretized Hamiltonian, with
-    the grid and wall height that produced them."""
-
-    levels: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-
-def solve(grid: MomentumGrid, model: WellModel, wall_height: float, k_levels: int) -> EigenSpectrum:
+def solve(grid: MomentumGrid, model: WellModel, wall_height: float, k_levels: int) -> np.ndarray:
     """Lowest ``k_levels`` eigenvalues of the discretized Hamiltonian.
 
     Energies below V0 are bound-state candidates.  The even and odd blocks
@@ -113,21 +104,13 @@ def solve(grid: MomentumGrid, model: WellModel, wall_height: float, k_levels: in
     except np.linalg.LinAlgError as exc:
         raise SimulationError(f"dense eigensolver failed: {exc}") from exc
 
-    return EigenSpectrum(
-        levels=np.sort(np.concatenate(blocks))[:k_levels],
-        metadata={
-            "wall_height": wall_height,
-            "p_max": grid.p_max,
-            "count": grid.count,
-            "kinetic": "relativistic",
-        },
-    )
+    return np.sort(np.concatenate(blocks))[:k_levels]
 
 
-def write_spectrum_csv(spectrum: EigenSpectrum, model: WellModel, path) -> None:
+def write_spectrum_csv(levels: np.ndarray, model: WellModel, path) -> None:
     """CSV comparing numeric levels with the closed-form spectrum."""
-    n = np.arange(1, spectrum.levels.size + 1)
+    n = np.arange(1, levels.size + 1)
     analytic = energy(model, n)
-    abs_err = np.abs(spectrum.levels - analytic)
+    abs_err = np.abs(levels - analytic)
     header = ("n", "e_numeric", "e_analytic", "abs_error", "rel_error")
-    write_table(path, header, (n, spectrum.levels, analytic, abs_err, abs_err / analytic))
+    write_table(path, header, (n, levels, analytic, abs_err, abs_err / analytic))

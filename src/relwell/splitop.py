@@ -205,11 +205,12 @@ def propagate(
     the nearest commensurate value and the adjustment reported in each
     sampled state's metadata.  Each requested time gets one snapshot, at
     its nearest step, in time order; times outside [0, t_final] are
-    rejected.  Where ``power_plan`` finds it cheaper, a gap between samples
-    is crossed by a power of the one-step unitary instead of step by step:
-    the same discretization, whose rounding grows by about eps per step
-    crossed (2.5e-11 in amplitude at 10^6 steps, where stepping's partly
-    cancels).
+    rejected.  Steps and times count from the given state: the snapshot k
+    steps on has time_tag k * dt and metadata steps_taken = k.  Where
+    ``power_plan`` finds it cheaper, a gap between samples is crossed by a
+    power of the one-step unitary instead of step by step: the same
+    discretization, whose rounding grows by about eps per step crossed
+    (2.5e-11 in amplitude at 10^6 steps, where stepping's partly cancels).
     Deterministic for a fixed config; a powered run at a fixed BLAS thread
     count.  Raises SimulationError, naming the same step count as the
     metadata, if a sampled state stops being finite.
@@ -246,18 +247,14 @@ def propagate(
     full_v = half_v * half_v
     psi = np.array(state.values, dtype=complex)
     samples: list[GridState] = []
-    steps_before = int(state.metadata.get("steps_taken", 0))
 
     def emit(step_index: int):
         if not np.all(np.isfinite(psi.view(float))):
-            raise SimulationError(
-                f"non-finite amplitudes during propagation (step {steps_before + step_index})"
-            )
-        meta = dict(state.metadata)
-        meta["steps_taken"] = steps_before + step_index
+            raise SimulationError(f"non-finite amplitudes during propagation (step {step_index})")
+        meta = {"steps_taken": step_index}
         if adjusted:
             meta["dt_adjusted"] = dt_used
-        snap = GridState(psi.copy(), state.grid, state.time_tag + step_index * dt_used, meta)
+        snap = GridState(psi.copy(), state.grid, step_index * dt_used, meta)
         samples.append(snap)
         if callback is not None:
             callback(snap)

@@ -365,18 +365,14 @@ def strang_steps(
     kin = kinetic_phase(model, run_config.grid.momenta(model.hbar), run_config.dt)
     psi = state.values.copy()
     samples: list[GridState] = []
-    steps_before = int(state.metadata.get("steps_taken", 0))
 
     def emit(step_index: int):
         if not np.all(np.isfinite(psi.view(float))):
-            raise SimulationError(
-                f"non-finite amplitudes during propagation (step {steps_before + step_index})"
-            )
-        meta = dict(state.metadata)
-        meta["steps_taken"] = steps_before + step_index
+            raise SimulationError(f"non-finite amplitudes during propagation (step {step_index})")
+        meta = {"steps_taken": step_index}
         if adjusted:
             meta["dt_adjusted"] = dt_used
-        snap = GridState(psi.copy(), state.grid, state.time_tag + step_index * dt_used, meta)
+        snap = GridState(psi.copy(), state.grid, step_index * dt_used, meta)
         samples.append(snap)
         if callback is not None:
             callback(snap)

@@ -1,6 +1,8 @@
 """Command-line interface: validation, outputs, determinism, presets."""
 
+import contextlib
 import ctypes
+import io
 import json
 import math
 import os
@@ -239,6 +241,49 @@ class TestValidation:
         assert len(err) == 1 and err[0].startswith("error:")
         assert all(field in err[0] for field in fields)
 
+    @pytest.mark.parametrize(
+        "config, out",
+        [("missing.json", "out"), (".", "out"), (None, "file"), (None, "file/out")],
+        ids=["config-missing", "config-directory", "out-a-file", "out-below-a-file"],
+    )
+    def test_unreadable_config_or_out_exits_4_without_files(
+        self, tmp_path, capsys, config, out
+    ):
+        (tmp_path / "file").write_text("kept\n")
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["spacing", "--out", str(tmp_path / out)]
+        if config is not None:
+            argv += ["--config", str(tmp_path / config)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "file").read_text() == "kept\n"
+
+    def test_config_is_read_as_utf8_in_a_c_locale(self, tmp_path):
+        # JSON is UTF-8 (RFC 8259), whatever encoding the locale names
+        config = tmp_path / "config.json"
+        document = {"output": {"basename": "run", "café": 1}}
+        config.write_text(json.dumps(document, ensure_ascii=False), encoding="utf-8")
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(relwell.__file__).parents[1]),
+            LC_ALL="C",
+            LANG="C",
+            PYTHONUTF8="0",
+            PYTHONCOERCECLOCALE="0",
+        )
+        argv = ["spacing", "--config", str(config), "--out", str(tmp_path / "out")]
+        job = subprocess.run(
+            [sys.executable, "-m", "relwell.cli", *argv], env=env, capture_output=True
+        )
+        # an ASCII stderr writes the key's non-ASCII letter as an escape
+        err = job.stderr.decode("utf-8", "backslashreplace").splitlines()
+        assert job.returncode == 2
+        assert len(err) == 1 and err[0].startswith("error: unknown keys in output: ")
+        assert "'café'" in err[0] or "'caf\\xe9'" in err[0]
+        assert not (tmp_path / "out").exists()
+
 
 class TestSpectrum:
     def test_default_levels_match_closed_form(self, tmp_path):
@@ -273,6 +318,9 @@ class TestSpectrum:
         assert lines[0] == "n,e_numeric,e_analytic,abs_error,rel_error"
         rel_errors = [float(line.split(",")[4]) for line in lines[1:]]
         assert max(rel_errors) < 1e-3
+        # the wall and grid the solver ran with, in units where m = c = 1
+        sidecar = json.loads((tmp_path / "t_spectrum.meta.json").read_text())
+        assert sidecar["diag_metadata"] == {"wall_height": 1000.0, "p_max": 6.0, "count": 1024}
 
 
 class TestCarpet:
@@ -613,7 +661,7 @@ SPLIT_POWERED = small_config(
 PACKAGE_EXPORTS = [
     "SimulationError", "BoxGrid", "GridState", "SpatialGrid", "RevivalTimes", "WellModel",
     "energy", "energy_derivative", "level_velocity", "lorentz_gamma", "revival_times",
-    "EigenSpectrum", "MomentumGrid", "build_hamiltonian", "default_grid", "solve",
+    "MomentumGrid", "build_hamiltonian", "default_grid", "solve",
     "AutocorrelationSeries", "CarpetGrid", "LevelEstimates", "LightconeReport",
     "SpacingStatistics", "autocorrelation", "carpet", "extract_levels", "level_spacing",
     "lightcone_leakage", "CoefficientVector", "WavepacketSpec", "decompose", "dominant_level",
@@ -828,6 +876,10 @@ def assert_written_values_finite(path: Path) -> None:
             assert math.isfinite(value), f"{path.name}: {line}"
 
 
+# each documented exit code and the prefix of the one stderr line it prints
+EXIT_PREFIXES = {0: None, 2: "error: ", 3: "numerical error: ", 4: "i/o error: "}
+
+
 class TestInputContract:
     @settings(deadline=None, max_examples=1000)
     @given(kind=st.sampled_from(sorted(ENGINE_BASES)), data=st.data())
@@ -842,12 +894,18 @@ class TestInputContract:
                 path = Path(tmp) / "config.json"
                 path.write_text(json.dumps(config))
                 out = Path(tmp) / "out"
+                stderr = io.StringIO()
                 with mock.patch.object(cli, "SPLIT_WORK_LIMIT", FUZZ_SPLIT_WORK_LIMIT):
-                    code = main([command, "--config", str(path), "--out", str(out)])
-                assert code in (0, 2, 3, 4)
+                    with contextlib.redirect_stderr(stderr):
+                        code = main([command, "--config", str(path), "--out", str(out)])
+                assert code in EXIT_PREFIXES
+                lines = stderr.getvalue().splitlines()
                 if code == 0:
+                    assert lines == []
                     for written in out.iterdir():
                         assert_written_values_finite(written)
+                else:
+                    assert len(lines) == 1 and lines[0].startswith(EXIT_PREFIXES[code])
                 if code == 2:
                     assert not out.exists() or list(out.iterdir()) == []
 

@@ -110,15 +110,15 @@ class TestSolve:
         model = WellModel(well_width=120.0)
         spectrum = solve(MomentumGrid(6.0, 1024), model, 1e3, k_levels=8)
         exact = energy(model, np.arange(1, 9))
-        rel = np.abs(spectrum.levels - exact) / exact
+        rel = np.abs(spectrum - exact) / exact
         assert rel.max() < 1e-3
 
     def test_doubling_wall_height_improves(self):
         model = WellModel(well_width=120.0)
         grid = MomentumGrid(6.0, 1024)
         exact = energy(model, np.arange(1, 9))
-        first = np.abs(solve(grid, model, 1e3, k_levels=8).levels - exact)
-        second = np.abs(solve(grid, model, 2e3, k_levels=8).levels - exact)
+        first = np.abs(solve(grid, model, 1e3, k_levels=8) - exact)
+        second = np.abs(solve(grid, model, 2e3, k_levels=8) - exact)
         assert np.all(second < first)
 
     def test_compton_scale_box_softness_documented(self):
@@ -128,7 +128,7 @@ class TestSolve:
         model = WellModel(well_width=10.0)
         spectrum = solve(MomentumGrid(20.0, 1024), model, 1e3, k_levels=10)
         exact = energy(model, np.arange(1, 11))
-        shifts = (spectrum.levels - exact) / exact
+        shifts = (spectrum - exact) / exact
         assert np.all(shifts < 0)
         assert 1e-3 < np.max(np.abs(shifts)) < 3e-2
 
@@ -136,7 +136,7 @@ class TestSolve:
         model = WellModel(well_width=10.0)
         v0 = 50.0
         spectrum = solve(MomentumGrid(20.0, 512), model, v0, k_levels=6)
-        assert np.all(spectrum.levels < v0)
+        assert np.all(spectrum < v0)
 
     def test_orthonormal_under_dp_weight(self):
         model = WellModel(well_width=10.0)
@@ -181,7 +181,7 @@ class TestSolve:
         for L in (5.0, 10.0, 20.0):
             model = WellModel(well_width=L)
             spectrum = solve(MomentumGrid(20.0, 512), model, v0, k_levels=80)
-            counts.append(int(np.sum(spectrum.levels < v0)))
+            counts.append(int(np.sum(spectrum < v0)))
         assert counts[0] < counts[1] < counts[2]
 
     def test_nonrelativistic_finite_well_oracle(self):
@@ -257,7 +257,7 @@ class TestComplexOracle:
     def test_levels_match_complex_eigh(self):
         _, (levels, _) = self.reference()
         spectrum = solve(self.GRID, self.MODEL, self.V0, k_levels=self.K)
-        assert np.max(np.abs(spectrum.levels - levels) / np.abs(levels)) <= 1e-10
+        assert np.max(np.abs(spectrum - levels) / np.abs(levels)) <= 1e-10
 
     def test_vectors_match_complex_eigh(self):
         _, (_, vectors) = self.reference()
@@ -278,19 +278,19 @@ class TestParityMerge:
     def test_single_level(self):
         spectrum = solve(self.GRID, self.MODEL, self.V0, k_levels=1)
         want = self.full_levels(self.GRID, self.MODEL, self.V0)[0]
-        assert spectrum.levels.shape == (1,)
-        assert abs(spectrum.levels[0] - want) <= 1e-12 * abs(want)
+        assert spectrum.shape == (1,)
+        assert abs(spectrum[0] - want) <= 1e-12 * abs(want)
 
     def test_odd_level_count(self):
         # 7 levels take 4 from the even block and 3 from the odd one
         seven = solve(self.GRID, self.MODEL, self.V0, k_levels=7)
         eight = solve(self.GRID, self.MODEL, self.V0, k_levels=8)
         want = self.full_levels(self.GRID, self.MODEL, self.V0)[:7]
-        assert np.max(np.abs(seven.levels - want) / np.abs(want)) <= 1e-12
-        assert np.max(np.abs(seven.levels - eight.levels[:7]) / np.abs(want)) <= 1e-12
+        assert np.max(np.abs(seven - want) / np.abs(want)) <= 1e-12
+        assert np.max(np.abs(seven - eight[:7]) / np.abs(want)) <= 1e-12
         even, odd = block_levels(self.GRID, self.MODEL, self.V0)
-        assert np.max(np.abs(seven.levels[0::2] - even[:4]) / np.abs(even[:4])) <= 1e-12
-        assert np.max(np.abs(seven.levels[1::2] - odd[:3]) / np.abs(odd[:3])) <= 1e-12
+        assert np.max(np.abs(seven[0::2] - even[:4]) / np.abs(even[:4])) <= 1e-12
+        assert np.max(np.abs(seven[1::2] - odd[:3]) / np.abs(odd[:3])) <= 1e-12
 
     @pytest.mark.parametrize("count", [4, 16, 128])
     def test_every_level(self, count):
@@ -298,9 +298,9 @@ class TestParityMerge:
         grid = MomentumGrid(20.0, count)
         spectrum = solve(grid, self.MODEL, self.V0, k_levels=count)
         want = self.full_levels(grid, self.MODEL, self.V0)
-        assert np.max(np.abs(spectrum.levels - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(spectrum - want)) <= 1e-12 * np.max(np.abs(want))
         merged = np.sort(np.concatenate(block_levels(grid, self.MODEL, self.V0)))
-        assert np.max(np.abs(spectrum.levels - merged)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(spectrum - merged)) <= 1e-12 * np.max(np.abs(want))
 
     def test_blocks_cross(self):
         # above V0 the even and odd ladders no longer alternate: two
@@ -310,10 +310,10 @@ class TestParityMerge:
         even, odd = block_levels(grid, model, v0)
         signs = np.concatenate([np.ones(32), -np.ones(32)])[np.argsort(np.concatenate([even, odd]))]
         assert np.any(signs[1:] == signs[:-1])
-        assert np.max(np.abs(spectrum.levels[signs > 0] - even)) <= 1e-12 * np.max(even)
-        assert np.max(np.abs(spectrum.levels[signs < 0] - odd)) <= 1e-12 * np.max(odd)
+        assert np.max(np.abs(spectrum[signs > 0] - even)) <= 1e-12 * np.max(even)
+        assert np.max(np.abs(spectrum[signs < 0] - odd)) <= 1e-12 * np.max(odd)
         want = self.full_levels(grid, model, v0)
-        assert np.max(np.abs(spectrum.levels - want)) <= 1e-12 * np.max(want)
+        assert np.max(np.abs(spectrum - want)) <= 1e-12 * np.max(want)
 
     def test_tied_levels_listed_twice(self):
         # without a wall H' is the even dispersion: both blocks hold the same
@@ -321,8 +321,8 @@ class TestParityMerge:
         spectrum = solve(self.GRID, self.MODEL, 0.0, k_levels=9)
         even, odd = block_levels(self.GRID, self.MODEL, 0.0)
         assert np.array_equal(even, odd)
-        assert np.array_equal(spectrum.levels[0:8:2], spectrum.levels[1:9:2])
-        assert np.max(np.abs(spectrum.levels[0::2] - even[:5]) / even[:5]) <= 1e-15
+        assert np.array_equal(spectrum[0:8:2], spectrum[1:9:2])
+        assert np.max(np.abs(spectrum[0::2] - even[:5]) / even[:5]) <= 1e-15
 
 
 class TestLevelsOnly:
@@ -338,7 +338,7 @@ class TestLevelsOnly:
         # all of it; measured at most 7.1e-14 of the largest level
         grid = MomentumGrid(20.0, count)
         levels, _ = momentum_eigenpairs(grid, self.MODEL, wall_height, k_levels)
-        got = solve(grid, self.MODEL, wall_height, k_levels).levels
+        got = solve(grid, self.MODEL, wall_height, k_levels)
         assert np.max(np.abs(got - levels)) <= 1e-12 * np.max(np.abs(levels))
 
     @pytest.mark.parametrize("count", [4, 16, 128])
@@ -348,7 +348,7 @@ class TestLevelsOnly:
         grid = MomentumGrid(20.0, count)
         for k_levels in (1, count // 2 - 1, count // 2 + 1, count):
             levels, _ = momentum_eigenpairs(grid, self.MODEL, 0.0, k_levels)
-            assert np.array_equal(solve(grid, self.MODEL, 0.0, k_levels).levels, levels)
+            assert np.array_equal(solve(grid, self.MODEL, 0.0, k_levels), levels)
 
     @pytest.mark.parametrize("count", [4, 16, 128])
     def test_full_blocks_agree_to_rounding(self, count):
@@ -358,7 +358,7 @@ class TestLevelsOnly:
         grid = MomentumGrid(20.0, count)
         for k_levels in (count // 2, count - 1, count):
             levels, _ = momentum_eigenpairs(grid, self.MODEL, 50.0, k_levels)
-            got = solve(grid, self.MODEL, 50.0, k_levels).levels
+            got = solve(grid, self.MODEL, 50.0, k_levels)
             assert np.max(np.abs(got - levels)) <= 64 * np.finfo(float).eps * np.max(np.abs(levels))
 
 

@@ -138,11 +138,11 @@ class TestStep:
 
     def test_blowup_detection_carries_step_index(self):
         # the error counts steps as the snapshots' metadata does: from the
-        # input state's steps_taken, not from the start of this call
+        # given state, whatever steps_taken it carries
         config = default_config(MODEL, n0=1, sigma=L / 16)
         bad = np.full(config.grid_size, np.nan, dtype=complex)
         state = GridState(bad, config.grid, metadata={"steps_taken": 41})
-        with pytest.raises(SimulationError, match=r"\(step 42\)$"):
+        with pytest.raises(SimulationError, match=r"\(step 1\)$"):
             propagate(state, config, config.dt)
 
     def test_wrong_grid_rejected(self):
@@ -161,6 +161,16 @@ class TestPropagate:
         out = propagate(state, config, 0.0, sample_times=[0.0])
         assert np.array_equal(out[0].values, state.values)
         assert out[0].time_tag == 0.0
+
+    def test_snapshots_count_from_the_given_state(self):
+        # the state's own time and metadata do not carry over: the snapshot
+        # k steps on is at k dt and records its step count alone
+        config = default_config(MODEL, n0=1, sigma=L / 16)
+        values = boxed_initial_state(config, packet_coefficients()).values
+        state = GridState(values, config.grid, 0.25, {"steps_taken": 7, "discarded_mass": 1e-3})
+        out = propagate(state, config, 3 * config.dt, sample_times=[0.0, 3 * config.dt])
+        assert [s.metadata for s in out] == [{"steps_taken": 0}, {"steps_taken": 3}]
+        assert [s.time_tag for s in out] == pytest.approx([0.0, 3 * config.dt], rel=1e-15)
 
     def test_sample_times_outside_range_rejected(self):
         coeffs = packet_coefficients()
@@ -417,7 +427,7 @@ class TestPoweredPropagator:
         with pytest.raises(SimulationError) as powered:
             propagate(state, config, t_final, sample_times=times)
         assert str(powered.value) == str(stepped.value)
-        assert str(powered.value).endswith("(step 10041)")
+        assert str(powered.value).endswith("(step 10000)")
 
     def test_stepped_shape_matches_unfused_steps(self):
         # the shape of the snapshot tool's split16 job: 1273 steps, 16 rows;

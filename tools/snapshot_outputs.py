@@ -13,12 +13,13 @@ stderr as ``stderr.txt`` and its exit code as ``exit_code.txt``.  The first
 65 jobs are every preset under every command, ``spectrum --engine diag`` on
 every preset, and two split-engine carpets at N = 256 in all three carpet
 formats: a 16-row one that steps and a 32-row one that powers the Strang
-step.  The other 36 are error paths, each of which must end in one
+step.  The other 38 are error paths, each of which must end in one
 stderr line and no output file: two configs nested too deeply (exit 2),
 extreme model scales whose arithmetic overflows or underflows (exit 3),
-``spacing`` runs whose sidecar would hold an infinity (exit 3), and a diag
-``spectrum`` asking for more levels than it has momentum points (exit 2).
-All 101 run one at a time in about 60 s, with 150 MB of output, on a
+``spacing`` runs whose sidecar would hold an infinity (exit 3), a diag
+``spectrum`` asking for more levels than it has momentum points (exit 2),
+and a ``--config`` that does not exist or is a directory (exit 4).
+All 103 run one at a time in about 60 s, with 150 MB of output, on a
 two-core host.  The powered carpet's bits depend on the BLAS thread count,
 so compare two trees at the same OPENBLAS_NUM_THREADS.
 """
@@ -96,6 +97,9 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
     # the default levels.n_max of 100 is more than 64 momentum points hold
     config = json.dumps({"engine": {"kind": "diag", "momentum_points": 64}})
     listed.append(("diag_levels_spectrum", ["spectrum"], config))
+    # a --config the CLI cannot read: the i/o error names the relative path
+    listed.append(("missing_config_spacing", ["spacing", "--config", "missing.json"], None))
+    listed.append(("directory_config_spacing", ["spacing", "--config", "."], None))
     return listed
 
 
