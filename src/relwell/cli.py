@@ -20,17 +20,16 @@ from pathlib import Path
 from . import __version__
 from .errors import SimulationError
 
-# name -> the module that defines it.  These and numpy (as np) load only once
-# a run document has passed _check_fields, or on first access from outside,
-# so a document with a malformed field, or a bad command line, exits before
-# numpy is imported.
+# name -> the module that defines it.  These and numpy (as np) load only when
+# a ResolvedConfig is built, or on first access from outside, so a document
+# that _check_document refuses, or a bad command line, exits before numpy is
+# imported.
 _NUMERICS = {
     name: module
     for module, names in (
         ("grids", "SpatialGrid write_table"),
         ("model", "SCALE_FIELDS WellModel energy revival_times"),
-        ("momentum", "DEFAULT_GRID_SIZE DEFAULT_WALL_HEIGHT_FACTOR MomentumGrid default_grid "
-                     "solve write_spectrum_csv"),
+        ("momentum", "MomentumGrid default_grid solve write_spectrum_csv"),
         ("observables", "autocorrelation carpet extract_levels level_spacing "
                         "write_autocorrelation_csv write_carpet_binary write_carpet_csv "
                         "write_carpet_pgm write_spacing_csv"),
@@ -69,6 +68,8 @@ _ENGINE_KEYS = {
     },
     "diag": {"momentum_points": int, "p_max_in_mc": float, "wall_height_in_mc2": float},
 }
+# the diag engine's values for the keys a document leaves out
+_DIAG_DEFAULTS = {"momentum_points": 2048, "wall_height_in_mc2": 1.0e3}
 # Strang steps x grid points above which a split carpet is refused before it
 # starts: about 20 to 50 minutes of stepping at 0.012-0.03 us per point and
 # step (N = 2048 to 256, one thread of a 2-vCPU AMD EPYC host).  A run that
@@ -169,10 +170,12 @@ def _check_block(block, types: dict, name: str) -> None:
             raise ValueError(f"{name}.{key} must be {description}")
 
 
-def _check_fields(document) -> None:
-    """Each block is a JSON object with only known keys, each holding a value
-    of its key's type: DEFAULT_CONFIG's values give the types, and
-    _ENGINE_KEYS those of the engine keys other than kind."""
+def _check_document(document, command: str) -> None:
+    """Every rule the command line and the document decide alone.  Each block
+    is a JSON object with only known keys, each holding a value of its key's
+    type (DEFAULT_CONFIG's values give the types, and _ENGINE_KEYS those of
+    the engine keys other than kind); each value lies in its range; and the
+    engine is one the command runs."""
     _check_block(document, dict.fromkeys(DEFAULT_CONFIG, dict), "config")
     for name, defaults in DEFAULT_CONFIG.items():
         types = {key: type(value) for key, value in defaults.items()}
@@ -182,6 +185,32 @@ def _check_fields(document) -> None:
                 raise ValueError(f"engine.kind must be one of {sorted(_ENGINE_KEYS)}")
             types.update(_ENGINE_KEYS[kind])
         _check_block(document[name], types, name)
+
+    model = document["model"]
+    for key in sorted(model):
+        if model[key] <= 0:
+            raise ValueError(f"model.{key} must be positive")
+    times = document["times"]
+    if times["t_max"] < 0:
+        raise ValueError("times.t_max must be nonnegative")
+    if times["samples"] < 1:
+        raise ValueError("times.samples must be positive")
+    if times["unit"] not in ("natural", "classical", "revival"):
+        raise ValueError("times.unit must be natural, classical or revival")
+    if not 1 <= document["levels"]["n_min"] <= document["levels"]["n_max"]:
+        raise ValueError("levels.n_min/n_max must satisfy 1 <= n_min <= n_max")
+    formats, basename = document["output"]["formats"], document["output"]["basename"]
+    bad = set(formats) - {"csv", "bin", "pgm"}
+    if bad:
+        raise ValueError(f"unknown output formats: {sorted(bad)}")
+    if basename in ("", ".", "..") or any(c in basename for c in "/\\\0"):
+        raise ValueError("output.basename must be a non-empty file name without a path")
+
+    kind = document["engine"]["kind"]
+    if command == "carpet" and kind == "diag":
+        raise ValueError("carpet supports the exact and split engines only")
+    if command == "autocorr" and kind != "exact":
+        raise ValueError("autocorr uses the exact engine")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -215,16 +244,14 @@ def load_config(preset: str | None, config_path: str | None) -> dict:
 
 
 class ResolvedConfig:
-    """Validated configuration with all quantities in absolute units, built
-    from a document that has passed _check_fields."""
+    """A document that has passed _check_document, with all quantities in
+    absolute units.  Building one loads the numerics it calls."""
 
     def __init__(self, document: dict):
+        _load_numerics()
         self.document = document
 
         model_block = document["model"]
-        for key in sorted(model_block):
-            if model_block[key] <= 0:
-                raise ValueError(f"model.{key} must be positive")
         mass, light_speed = model_block["mass"], model_block["light_speed"]
         scale = 2.0 * math.pi * model_block["hbar"] / (mass * light_speed)
         self.model = WellModel(
@@ -243,31 +270,8 @@ class ResolvedConfig:
         )
         self.packet.validate_against(self.model)
         self.engine = dict(document["engine"])
-
-        times_block = document["times"]
-        if times_block["t_max"] < 0:
-            raise ValueError("times.t_max must be nonnegative")
-        if times_block["samples"] < 1:
-            raise ValueError("times.samples must be positive")
-        if times_block["unit"] not in ("natural", "classical", "revival"):
-            raise ValueError("times.unit must be natural, classical or revival")
-        self.times_block = times_block
-
-        n_min, n_max = document["levels"]["n_min"], document["levels"]["n_max"]
-        if not 1 <= n_min <= n_max:
-            raise ValueError("levels.n_min/n_max must satisfy 1 <= n_min <= n_max")
-        self.levels = (n_min, n_max)
-
-        formats, basename = document["output"]["formats"], document["output"]["basename"]
-        bad = set(formats) - {"csv", "bin", "pgm"}
-        if bad:
-            raise ValueError(f"unknown output formats: {sorted(bad)}")
-        if basename in ("", ".", "..") or any(c in basename for c in "/\\\0"):
-            raise ValueError("output.basename must be a non-empty file name without a path")
-        self.basename = basename
-        self.formats = list(formats)
-
-    # -- derived helpers ---------------------------------------------------
+        self.levels = (document["levels"]["n_min"], document["levels"]["n_max"])
+        self.basename = document["output"]["basename"]
 
     def spatial_grid(self) -> SpatialGrid:
         L = self.model.well_width
@@ -296,7 +300,7 @@ class ResolvedConfig:
 
     def resolve_times(self, summary: dict) -> np.ndarray:
         """Sample times; the period units read their period from a _revival_summary."""
-        block = self.times_block
+        block = self.document["times"]
         unit = block["unit"]
         if unit == "natural":
             t_max = float(block["t_max"])  # an int beyond int64 would make linspace fail
@@ -365,15 +369,14 @@ def cmd_spectrum(resolved: ResolvedConfig, outdir: Path) -> None:
     products = {"spectrum.csv": lambda path: write_table(path, ("n", "energy"), (levels, energies))}
     summary = {}
     if resolved.engine["kind"] == "diag":
-        count = resolved.engine.get("momentum_points", DEFAULT_GRID_SIZE)
-        p_max = resolved.engine.get("p_max_in_mc")
+        engine = {**_DIAG_DEFAULTS, **resolved.engine}
+        count, p_max = engine["momentum_points"], engine.get("p_max_in_mc")
         grid = (
             default_grid(model, n_max, count)
             if p_max is None
             else MomentumGrid(p_max * model.momentum_scale, count)
         )
-        wall_factor = resolved.engine.get("wall_height_in_mc2", DEFAULT_WALL_HEIGHT_FACTOR)
-        wall = wall_factor * model.energy_scale
+        wall = engine["wall_height_in_mc2"] * model.energy_scale
         if n_max > grid.count:
             raise ValueError(f"levels.n_max={n_max} exceeds engine.momentum_points={grid.count}")
         numeric = solve(grid, model, wall, k_levels=n_max)
@@ -384,8 +387,6 @@ def cmd_spectrum(resolved: ResolvedConfig, outdir: Path) -> None:
 
 def cmd_carpet(resolved: ResolvedConfig, outdir: Path) -> None:
     kind = resolved.engine["kind"]
-    if kind == "diag":
-        raise ValueError("carpet supports the exact and split engines only")
     coeffs, grid = resolved.coefficients()
     summary = _revival_summary(resolved, coeffs)
     times = resolved.resolve_times(summary)
@@ -421,7 +422,7 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path) -> None:
     products = {
         f"carpet.{suffix}": partial(write, result)
         for suffix, write in writers.items()
-        if suffix in resolved.formats
+        if suffix in resolved.document["output"]["formats"]
     }
     summary["engine"] = kind
     summary["rows"] = int(result.times.size)
@@ -444,8 +445,6 @@ def cmd_revivals(resolved: ResolvedConfig, outdir: Path) -> None:
 
 
 def cmd_autocorr(resolved: ResolvedConfig, outdir: Path) -> None:
-    if resolved.engine["kind"] != "exact":
-        raise ValueError("autocorr uses the exact engine")
     coeffs, _ = resolved.coefficients()
     summary = _revival_summary(resolved, coeffs)
     times = resolved.resolve_times(summary)
@@ -528,19 +527,18 @@ def main(argv=None) -> int:
             allowed = _ENGINE_KEYS[args.engine]
             document["engine"] = {k: v for k, v in engine.items() if k in allowed}
             document["engine"]["kind"] = args.engine
-        _check_fields(document)
+        _check_document(document, args.command)
         # one BLAS thread unless the caller chose: a diag spectrum's bits
         # depend on the thread count, and so would the host's core count
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(name, "1")
         _keep_scratch_resident()
-        _load_numerics()
+        resolved = ResolvedConfig(document)
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
         # numpy's warnings on the way to a non-finite value would add lines to
         # stderr; the value is reported once, by the check or the error it ends in
         with np.errstate(all="ignore"):
-            resolved = ResolvedConfig(document)
-            outdir = Path(args.out)
-            outdir.mkdir(parents=True, exist_ok=True)
             _COMMANDS[args.command](resolved, outdir)
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,8 +47,11 @@ class WellModel:
 
     @property
     def energy_scale(self) -> float:
-        """Rest energy m c^2: the internal unit of energy."""
-        return self.mass * self.light_speed**2
+        """Rest energy m c^2, the internal unit of energy; OverflowError past double range."""
+        scale = self.mass * self.light_speed**2
+        if math.isinf(scale):
+            raise OverflowError("the rest energy m c^2 overflows")
+        return scale
 
     @property
     def momentum_scale(self) -> float:

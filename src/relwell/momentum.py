@@ -22,9 +22,6 @@ from .errors import SimulationError
 from .grids import write_table
 from .model import WellModel, energy
 
-DEFAULT_GRID_SIZE = 2048
-DEFAULT_WALL_HEIGHT_FACTOR = 1.0e3
-
 
 @dataclass(frozen=True)
 class MomentumGrid:

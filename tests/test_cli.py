@@ -122,6 +122,12 @@ class TestValidation:
         config = small_config(engine={"kind": "diag"})
         assert run(tmp_path, "carpet", config) == 2
 
+    def test_command_rules_bind_their_command_only(self, tmp_path):
+        # carpet refuses the diag engine and autocorr wants the exact one;
+        # coeffs takes a document of any engine
+        config = {"engine": {"kind": "diag", "momentum_points": 64}}
+        assert run(tmp_path, "coeffs", config) == 0
+
     @pytest.mark.parametrize(
         "block, key, value",
         [
@@ -168,6 +174,17 @@ class TestValidation:
         self, tmp_path, capsys, key, value, command
     ):
         code, err = run_refused(tmp_path, capsys, command, json.dumps({"model": {key: value}}))
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("numerical error:")
+        assert "model." in err[0]
+
+    @pytest.mark.parametrize(
+        "command", ["spectrum", "carpet", "revivals", "autocorr", "spacing", "coeffs"]
+    )
+    def test_overflowing_rest_energy_exits_3_without_files(self, tmp_path, capsys, command):
+        # m c^2 = 1e200 * (1e100)**2: a product overflows to inf without raising
+        model = {"mass": 1e200, "light_speed": 1e100}
+        code, err = run_refused(tmp_path, capsys, command, json.dumps({"model": model}))
         assert code == 3
         assert len(err) == 1 and err[0].startswith("numerical error:")
         assert "model." in err[0]
@@ -706,21 +723,38 @@ class TestColdStart:
         assert missing == "AttributeError"
 
     @pytest.mark.parametrize(
-        "args, text",
+        "args, text, message",
         [
-            (["carpet"], json.dumps({"times": {"t_max": "1"}})),
-            (["carpet"], json.dumps({"times": {"t_max": math.inf}})),
-            (["carpet"], json.dumps({"model": {"mas": 1.0}})),
-            (["carpet"], json.dumps({"engine": {"kind": "quantum"}})),
-            (["carpet", "--preset", "fig9"], None),
-            (["carpet"], '{"times": '),
-            (["carpet", "--threads", "2"], None),
+            (["carpet"], json.dumps({"times": {"t_max": "1"}}), None),
+            (["carpet"], json.dumps({"times": {"t_max": math.inf}}), None),
+            (["carpet"], json.dumps({"model": {"mas": 1.0}}), None),
+            (["carpet"], json.dumps({"engine": {"kind": "quantum"}}), None),
+            (["carpet", "--preset", "fig9"], None, None),
+            (["carpet"], '{"times": ', None),
+            (["carpet", "--threads", "2"], None, None),
+            (["carpet"], json.dumps({"model": {"mass": -1.0}}), "model.mass must be positive"),
+            (["carpet"], json.dumps({"times": {"t_max": -1.0}}),
+             "times.t_max must be nonnegative"),
+            (["carpet"], json.dumps({"times": {"samples": 0}}), "times.samples must be positive"),
+            (["carpet"], json.dumps({"times": {"unit": "days"}}),
+             "times.unit must be natural, classical or revival"),
+            (["carpet"], json.dumps({"levels": {"n_min": 5, "n_max": 2}}),
+             "levels.n_min/n_max must satisfy 1 <= n_min <= n_max"),
+            (["carpet"], json.dumps({"output": {"formats": ["svg"]}}),
+             "unknown output formats: ['svg']"),
+            (["carpet"], json.dumps({"output": {"basename": "a/b"}}),
+             "output.basename must be a non-empty file name without a path"),
+            (["carpet", "--engine", "diag"], None,
+             "carpet supports the exact and split engines only"),
+            (["autocorr", "--engine", "split"], None, "autocorr uses the exact engine"),
         ],
         ids=["t_max-string", "t_max-inf", "unknown-key", "unknown-kind", "unknown-preset",
-             "unparsed-json", "threads-flag"],
+             "unparsed-json", "threads-flag", "mass-negative", "t_max-negative",
+             "samples-zero", "unit-unknown", "levels-reversed", "format-unknown",
+             "basename-path", "carpet-diag", "autocorr-split"],
     )
-    def test_malformed_input_exits_2_before_numpy(self, tmp_path, args, text):
-        # a run refused for its command line or its document's types never
+    def test_malformed_input_exits_2_before_numpy(self, tmp_path, args, text, message):
+        # a run refused for its command line or its document alone never
         # loads numpy: with numpy made unimportable it still exits 2
         if text is not None:
             (tmp_path / "config.json").write_text(text)
@@ -738,6 +772,18 @@ class TestColdStart:
             assert "unrecognized arguments: --threads" in err[-1]
         else:
             assert len(err) == 1 and err[0].startswith("error:"), job.stderr
+        if message is not None:
+            assert err == [f"error: {message}"]
+
+    def test_resolved_config_loads_its_numerics(self):
+        # a library caller builds a ResolvedConfig with no prior main call
+        code = (
+            "import relwell.cli as cli; "
+            "print(cli.ResolvedConfig(cli.load_config('fig3', None)).spatial_grid().intervals)"
+        )
+        out = fresh_python(code)
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout) == 1 << 20
 
     @pytest.mark.parametrize(
         "args, config",

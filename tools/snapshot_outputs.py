@@ -13,15 +13,17 @@ stderr as ``stderr.txt`` and its exit code as ``exit_code.txt``.  The first
 65 jobs are every preset under every command, ``spectrum --engine diag`` on
 every preset, and two split-engine carpets at N = 256 in all three carpet
 formats: a 16-row one that steps and a 32-row one that powers the Strang
-step.  The other 38 are error paths, each of which must end in one
+step.  The other 47 are error paths, each of which must end in one
 stderr line and no output file: two configs nested too deeply (exit 2),
 extreme model scales whose arithmetic overflows or underflows (exit 3),
 ``spacing`` runs whose sidecar would hold an infinity (exit 3), a diag
 ``spectrum`` asking for more levels than it has momentum points (exit 2),
-and a ``--config`` that does not exist or is a directory (exit 4).
-All 103 run one at a time in about 60 s, with 150 MB of output, on a
-two-core host.  The powered carpet's bits depend on the BLAS thread count,
-so compare two trees at the same OPENBLAS_NUM_THREADS.
+a ``--config`` that does not exist or is a directory (exit 4), seven
+carpets refused for one value of their document, and a carpet and an
+autocorrelation asked of an engine they do not run (exit 2).
+All 112 run one at a time in 11.6-12.4 s, with 149 MB of output, on a
+2-vCPU AMD EPYC host.  The powered carpet's bits depend on the BLAS thread
+count, so compare two trees at the same OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -70,6 +72,16 @@ EXTREME_MODELS = {
 }
 # model values that give spacing's sidecar an infinity
 INFINITE_SIDECARS = (("mass", 1e300), ("light_speed", 1e150), ("well_width_in_compton", 1e-300))
+# documents whose values alone refuse a carpet, before numpy loads
+REFUSED_VALUES = {
+    "mass": {"model": {"mass": -1.0}},
+    "t_max": {"times": {"t_max": -1.0}},
+    "samples": {"times": {"samples": 0}},
+    "unit": {"times": {"unit": "days"}},
+    "levels": {"levels": {"n_min": 5, "n_max": 2}},
+    "formats": {"output": {"formats": ["svg"]}},
+    "basename": {"output": {"basename": "a/b"}},
+}
 
 
 def jobs() -> list[tuple[str, list[str], str | None]]:
@@ -100,6 +112,11 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
     # a --config the CLI cannot read: the i/o error names the relative path
     listed.append(("missing_config_spacing", ["spacing", "--config", "missing.json"], None))
     listed.append(("directory_config_spacing", ["spacing", "--config", "."], None))
+    for name, document in REFUSED_VALUES.items():
+        listed.append((f"refused_{name}_carpet", ["carpet"], json.dumps(document)))
+    # an engine the command does not run
+    listed.append(("refused_diag_carpet", ["carpet", "--engine", "diag"], None))
+    listed.append(("refused_split_autocorr", ["autocorr", "--engine", "split"], None))
     return listed
 
 
