@@ -4,19 +4,27 @@ Three independent numerical routes — exact evolution in the analytic
 eigenbasis, a split-operator grid propagator and momentum-space
 diagonalization — cross-validate each other and the closed-form results.
 
-Each public name loads its module, and so numpy, on first use:
-``import relwell`` alone loads neither.
+Two numpy-free names are defined here, the package's one exception type and
+the document fields that set the model's scales; each other public name loads
+its module, and so numpy, on first use: ``import relwell`` alone loads neither.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
+# the config fields that set the model's scales, named by errors at extreme scales
+SCALE_FIELDS = "model.mass, model.light_speed, model.hbar or model.well_width_in_compton"
+
+
+class SimulationError(Exception):
+    """Numerics that failed (CLI exit 3); input a run cannot use raises ValueError (exit 2)."""
+
+
 # public name -> the module that defines it
 _MODULE_OF = {
     name: module
     for module, names in (
-        ("errors", "SimulationError"),
         ("grids", "BoxGrid GridState SpatialGrid"),
         ("model", "RevivalTimes WellModel energy energy_derivative level_velocity "
                   "lorentz_gamma revival_times"),
@@ -30,7 +38,7 @@ _MODULE_OF = {
     )
     for name in names.split()
 }
-__all__ = list(_MODULE_OF)
+__all__ = ["SimulationError", *_MODULE_OF]
 
 
 def __getattr__(name):

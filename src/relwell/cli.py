@@ -17,8 +17,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import __version__
-from .errors import SimulationError
+from . import SCALE_FIELDS, SimulationError, __version__
 
 # name -> the module that defines it.  These and numpy (as np) load only when
 # a ResolvedConfig is built, or on first access from outside, so a document
@@ -28,7 +27,7 @@ _NUMERICS = {
     name: module
     for module, names in (
         ("grids", "SpatialGrid write_table"),
-        ("model", "SCALE_FIELDS WellModel energy revival_times"),
+        ("model", "WellModel energy revival_times"),
         ("momentum", "MomentumGrid default_grid solve write_spectrum_csv"),
         ("observables", "autocorrelation carpet extract_levels level_spacing "
                         "write_autocorrelation_csv write_carpet_binary write_carpet_csv "
@@ -251,15 +250,11 @@ class ResolvedConfig:
         _load_numerics()
         self.document = document
 
-        model_block = document["model"]
-        mass, light_speed = model_block["mass"], model_block["light_speed"]
-        scale = 2.0 * math.pi * model_block["hbar"] / (mass * light_speed)
-        self.model = WellModel(
-            mass=mass,
-            light_speed=light_speed,
-            hbar=model_block["hbar"],
-            well_width=model_block["well_width_in_compton"] * scale,
-        )
+        scales = [document["model"][key] for key in ("mass", "light_speed", "hbar")]
+        width = document["model"]["well_width_in_compton"] * WellModel(*scales).compton_wavelength
+        if width == 0 or math.isinf(width):
+            raise OverflowError("the absolute well width leaves double range")
+        self.model = WellModel(*scales, well_width=width)
 
         packet_block = document["packet"]
         L = self.model.well_width
@@ -497,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a JSON run configuration")
     parser.add_argument("--preset", help="named built-in workload (e.g. fig2c)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--engine", choices=["exact", "split", "diag"], help="engine override")
+    parser.add_argument("--engine", choices=list(_ENGINE_KEYS), help="engine override")
     return parser
 
 

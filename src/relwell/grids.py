@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SimulationError
+from . import SimulationError
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,13 @@ from functools import lru_cache
 import numpy as np
 
 MAX_DERIVATIVE_ORDER = 6
-# the config fields that set the model's scales, named by errors at extreme scales
-SCALE_FIELDS = "model.mass, model.light_speed, model.hbar or model.well_width_in_compton"
+
+
+def _finite(scale: float, name: str) -> float:
+    """``scale``, or OverflowError naming it where it left double range."""
+    if math.isinf(scale):
+        raise OverflowError(f"{name} overflows")
+    return scale
 
 
 @dataclass(frozen=True)
@@ -41,27 +46,26 @@ class WellModel:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
+    # each scale raises OverflowError past double range
+    @property
+    def momentum_scale(self) -> float:
+        return _finite(self.mass * self.light_speed, "the momentum scale m c")
+
     @property
     def compton_wavelength(self) -> float:
-        return 2.0 * math.pi * self.hbar / (self.mass * self.light_speed)
+        return _finite(2.0 * math.pi * self.hbar / self.momentum_scale,
+                       "the Compton wavelength 2 pi hbar/(m c)")
 
     @property
     def energy_scale(self) -> float:
-        """Rest energy m c^2, the internal unit of energy; OverflowError past double range."""
-        scale = self.mass * self.light_speed**2
-        if math.isinf(scale):
-            raise OverflowError("the rest energy m c^2 overflows")
-        return scale
-
-    @property
-    def momentum_scale(self) -> float:
-        return self.mass * self.light_speed
+        """Rest energy m c^2, the internal unit of energy."""
+        return _finite(self.mass * self.light_speed**2, "the rest energy m c^2")
 
     @property
     def width_natural(self) -> float:
         """Box width in reduced Compton wavelengths hbar/(m c), the internal
         unit of length."""
-        return self.well_width / (self.hbar / (self.mass * self.light_speed))
+        return self.well_width / (self.hbar / self.momentum_scale)
 
 
 def _momentum_ratio(model: WellModel, n) -> np.ndarray:

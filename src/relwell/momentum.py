@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import SimulationError
+from . import SimulationError
 from .grids import write_table
 from .model import WellModel, energy
 

@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SimulationError
+from . import SCALE_FIELDS, SimulationError
 from .grids import GridState, SpatialGrid, sine_transform, sine_workspace, write_table
-from .model import SCALE_FIELDS, WellModel
+from .model import WellModel
 
 # auto-truncation: cut once |a_n|^2 stays below this for TAIL_RUN consecutive levels
 TAIL_THRESHOLD = 1e-14

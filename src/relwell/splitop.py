@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SimulationError
+from . import SimulationError
 from .grids import BoxGrid, GridState
 from .model import WellModel, revival_times
 

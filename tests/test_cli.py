@@ -181,9 +181,22 @@ class TestValidation:
     @pytest.mark.parametrize(
         "command", ["spectrum", "carpet", "revivals", "autocorr", "spacing", "coeffs"]
     )
-    def test_overflowing_rest_energy_exits_3_without_files(self, tmp_path, capsys, command):
-        # m c^2 = 1e200 * (1e100)**2: a product overflows to inf without raising
-        model = {"mass": 1e200, "light_speed": 1e100}
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # a product overflows to inf without raising: m c^2 = 1e200 * (1e100)**2
+            {"mass": 1e200, "light_speed": 1e100},
+            # m c overflows
+            {"mass": 1e200, "light_speed": 1e200},
+            # m c is subnormal, so the Compton wavelength 2 pi hbar/(m c) overflows
+            {"mass": 1e-160, "light_speed": 1e-160},
+            # the width in absolute units overflows, or underflows to 0
+            {"mass": 1e-20, "well_width_in_compton": 1e300},
+            {"mass": 1e100, "well_width_in_compton": 1e-300},
+        ],
+        ids=["rest-energy", "momentum-scale", "compton-wavelength", "width-over", "width-under"],
+    )
+    def test_overflowing_rest_energy_exits_3_without_files(self, tmp_path, capsys, command, model):
         code, err = run_refused(tmp_path, capsys, command, json.dumps({"model": model}))
         assert code == 3
         assert len(err) == 1 and err[0].startswith("numerical error:")
@@ -957,22 +970,47 @@ class TestInputContract:
 
 
 class TestTracedBenchmark:
-    def test_traced_job_wraps_every_name(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command, config, spans",
+        [
+            ("coeffs", None, ["packets.gaussian_state", "packets.decompose",
+                              "packets.write_coefficients_csv", "model.revival_times"]),
+            ("revivals", None, ["model.revival_times"]),
+            ("spectrum",
+             {"engine": {"kind": "diag", "momentum_points": 64}, "levels": {"n_max": 16}},
+             ["momentum.solve", "momentum.build_hamiltonian", "momentum.write_spectrum_csv"]),
+            ("carpet", small_config(output={"basename": "t", "formats": ["csv", "pgm"]}),
+             ["observables.carpet", "spectral.density_rows", "observables.write_carpet_csv",
+              "observables.write_carpet_pgm"]),
+            ("carpet", SPLIT_STEPPED, ["splitop.propagate"]),
+            ("autocorr", None, ["observables.autocorrelation", "observables.extract_levels",
+                                "observables.write_autocorrelation_csv"]),
+            ("spacing", None, ["observables.write_spacing_csv"]),
+        ],
+        ids=["coeffs", "revivals", "diag", "exact-carpet", "split-carpet", "autocorr", "spacing"],
+    )
+    def test_traced_job_wraps_every_name(self, tmp_path, command, config, spans):
         # bench/traced_job.py resolves each function it wraps before the job
-        # runs, so a renamed or deleted function fails here, not only in the bench
+        # runs, so a renamed or deleted function fails here, not only in the
+        # bench; and the bench reads a span that never ran as 0 s, so each
+        # job must record its own spans
         root = Path(__file__).parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        spans = tmp_path / "spans.json"
-        argv = ["spacing", "--preset", "default", "--out", str(tmp_path)]
+        argv = [command, "--out", str(tmp_path / "out")]
+        if config is None:
+            argv += ["--preset", "default"]
+        else:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "config.json")]
+        spans_path = tmp_path / "spans.json"
         job = subprocess.run(
-            [sys.executable, str(root / "bench" / "traced_job.py"), str(spans), "--", *argv],
+            [sys.executable, str(root / "bench" / "traced_job.py"), str(spans_path), "--", *argv],
             env=env,
             capture_output=True,
             text=True,
         )
         assert job.returncode == 0, job.stderr
-        names = {span["name"] for span in json.loads(spans.read_text())["spans"]}
-        assert "cli.command" in names
-        # the writer was wrapped on relwell.cli before the CLI bound its
-        # numerics, and the command called the wrapper
-        assert "observables.write_spacing_csv" in names
+        names = {span["name"] for span in json.loads(spans_path.read_text())["spans"]}
+        # the writers were wrapped on relwell.cli before the CLI bound its
+        # numerics, and the command called the wrappers
+        assert {"cli.resolve", "cli.command", *spans} <= names

@@ -1,6 +1,7 @@
 """Closed-form physics: spectrum, eigenfunctions, derivatives, revival times."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,26 @@ class TestWellModel:
         assert model.compton_wavelength == pytest.approx(
             2 * math.pi * 0.5 / (3.0 * 2.0), rel=1e-15
         )
+
+    def test_scales_past_double_range_raise_overflow(self):
+        overflowing = WellModel(mass=1e200, light_speed=1e200)  # m c overflows
+        subnormal = WellModel(mass=1e-160, light_speed=1e-160)  # 2 pi hbar/(m c) overflows
+        heavy = WellModel(mass=1e200, light_speed=1e100)  # m c^2, but not c^2, overflows
+        for model, scale, name in [
+            (overflowing, "momentum_scale", "the momentum scale m c overflows"),
+            (overflowing, "compton_wavelength", "the momentum scale m c overflows"),
+            (subnormal, "compton_wavelength", "the Compton wavelength 2 pi hbar/(m c) overflows"),
+            (heavy, "energy_scale", "the rest energy m c^2 overflows"),
+        ]:
+            with pytest.raises(OverflowError, match=re.escape(name)):
+                getattr(model, scale)
+        # c^2 = 1e400 raises in Python's float power, with its own message
+        with pytest.raises(OverflowError):
+            overflowing.energy_scale
+        # in range, each scale keeps the bits of its plain expression
+        model = WellModel(mass=3.0, light_speed=7.0, hbar=0.3, well_width=11.0)
+        assert model.compton_wavelength == 2.0 * math.pi * 0.3 / (3.0 * 7.0)
+        assert model.width_natural == 11.0 / (0.3 / (3.0 * 7.0))
 
     @pytest.mark.parametrize("field", ["mass", "light_speed", "hbar", "well_width"])
     def test_positivity(self, field):
