@@ -31,9 +31,10 @@ _NUMERICS = {
         ("momentum", "MomentumGrid default_grid solve write_spectrum_csv"),
         ("observables", "autocorrelation carpet extract_levels level_spacing "
                         "write_autocorrelation_csv write_carpet_binary write_carpet_csv "
-                        "write_carpet_pgm write_spacing_csv"),
+                        "write_carpet_pgm write_density_pgm write_spacing_csv"),
         ("packets", "MIN_POINTS_PER_SIGMA WavepacketSpec decompose dominant_level "
                     "gaussian_state write_coefficients_csv"),
+        ("spectral", "density_stream"),
         ("splitop", "default_config"),
     )
     for name in names.split()
@@ -258,11 +259,16 @@ class ResolvedConfig:
 
         packet_block = document["packet"]
         L = self.model.well_width
-        self.packet = WavepacketSpec(
-            x0=packet_block["x0_over_L"] * L,
-            sigma=packet_block["sigma_over_L"] * L,
-            p0=packet_block["p0_in_hbar_over_L"] * self.model.hbar / L,
-        )
+        lengths = {"x0": packet_block["x0_over_L"] * L, "sigma": packet_block["sigma_over_L"] * L}
+        p0 = packet_block["p0_in_hbar_over_L"] * self.model.hbar / L
+        # a positive fraction of L below 1, as any packet the box takes has,
+        # cannot overflow; any other is refused with the box below
+        for key, value in lengths.items():
+            if value == 0 and packet_block[f"{key}_over_L"] > 0:
+                raise ArithmeticError(f"the packet's {key} underflows to 0")
+        if (p0 == 0 or math.isinf(p0)) and packet_block["p0_in_hbar_over_L"] != 0:
+            raise ArithmeticError("the packet's p0 leaves double range")
+        self.packet = WavepacketSpec(**lengths, p0=p0)
         self.packet.validate_against(self.model)
         self.engine = dict(document["engine"])
         self.levels = (document["levels"]["n_min"], document["levels"]["n_max"])
@@ -411,17 +417,27 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path) -> None:
         summary["strang_steps"] = steps
         summary["split_grid_size"] = config.grid_size
         summary["wall_height"] = config.wall_height
-    result = carpet(coeffs, grid, times, config=config)
+    formats = resolved.document["output"]["formats"]
+    if config is None and set(formats) == {"pgm"}:
+        # the pixels alone: each row is quantized as it is synthesized, and
+        # no float carpet is built
+        def reread(indices):
+            return density_stream(coeffs, grid, times[indices])
 
-    writers = {"csv": write_carpet_csv, "bin": write_carpet_binary, "pgm": write_carpet_pgm}
-    products = {
-        f"carpet.{suffix}": partial(write, result)
-        for suffix, write in writers.items()
-        if suffix in resolved.document["output"]["formats"]
-    }
+        shape = (times.size, grid.size)
+        rows = density_stream(coeffs, grid, times)
+        products = {"carpet.pgm": partial(write_density_pgm, rows, reread, shape)}
+    else:
+        result = carpet(coeffs, grid, times, config=config)
+        shape = result.density.shape
+        writers = {"csv": write_carpet_csv, "bin": write_carpet_binary, "pgm": write_carpet_pgm}
+        products = {
+            f"carpet.{suffix}": partial(write, result)
+            for suffix, write in writers.items()
+            if suffix in formats
+        }
     summary["engine"] = kind
-    summary["rows"] = int(result.times.size)
-    summary["columns"] = int(result.positions.size)
+    summary["rows"], summary["columns"] = shape
     _write_outputs(outdir, resolved, "carpet", summary, products)
 
 

@@ -207,7 +207,8 @@ def revival_times(model: WellModel, n0: int) -> RevivalTimes:
 
     t_classical = 2*pi*hbar / |E'|,  t_revival = 2*pi*hbar / (|E''|/2),
     t_super = 2*pi*hbar / (|E'''|/6), with the derivatives taken with respect
-    to the level index at n0.
+    to the level index at n0.  A time that leaves double range raises
+    ArithmeticError.
     """
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
@@ -215,9 +216,13 @@ def revival_times(model: WellModel, n0: int) -> RevivalTimes:
     d1 = energy_derivative(model, n0, 1)
     d2 = energy_derivative(model, n0, 2)
     d3 = energy_derivative(model, n0, 3)
-    return RevivalTimes(
-        t_classical=two_pi_hbar / abs(d1),
-        t_revival=two_pi_hbar / (abs(d2) / 2.0),
-        t_super=two_pi_hbar / (abs(d3) / 6.0),
-        gamma=lorentz_gamma(model, n0),
-    )
+    times = {
+        "t_classical": two_pi_hbar / abs(d1),
+        "t_revival": two_pi_hbar / (abs(d2) / 2.0),
+        "t_super": two_pi_hbar / (abs(d3) / 6.0),
+    }
+    # 0, an infinity, or NaN where a derivative's own terms overflowed
+    for name, t in times.items():
+        if not 0 < t < math.inf:
+            raise ArithmeticError(f"the {name} of level {n0} leaves double range")
+    return RevivalTimes(**times, gamma=lorentz_gamma(model, n0))

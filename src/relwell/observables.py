@@ -312,29 +312,50 @@ def write_carpet_binary(carpet_grid: CarpetGrid, path) -> None:
         fh.write(np.ascontiguousarray(carpet_grid.density, dtype="<f8"))
 
 
-def write_carpet_pgm(carpet_grid: CarpetGrid, path) -> None:
-    """16-bit binary PGM (P5, maxval 65535), normalized to the carpet maximum.
+def _quantize(source, peak, scaled, target) -> None:
+    """target = round(source / peak * 65535), computed in ``scaled``."""
+    np.divide(source, peak, out=scaled)
+    scaled *= 65535.0
+    np.round(scaled, out=scaled)
+    target[:] = scaled
 
+
+def write_density_pgm(rows, reread, shape: tuple[int, int], path) -> None:
+    """16-bit binary PGM (P5, maxval 65535) of a density of ``shape``,
+    normalized to its maximum: each pixel is round(density / max * 65535).
+
+    ``rows`` yields the density's rows in time order, and ``reread(indices)``
+    yields the rows at ``indices`` once more.  Each row is checked to be
+    finite and quantized against the largest value seen so far, in one reused
+    float row; a row whose peak was later exceeded is read again after the
+    last one and quantized anew, so no row is read more than twice and the
+    writer holds the 16-bit pixels, one float row and the rows it is given.
     Pixel rows are time samples, columns positions; samples are big-endian as
-    the format requires.  Each row is divided by the maximum, scaled and
-    rounded in one reused float row, then cast into the pixels, so the writer
-    holds the density, its 16-bit pixels and one float row.
+    the format requires.  The file is opened once every row has passed.
     """
-    density = carpet_grid.density
-    require_finite(path, "density", density)
-    peak = density.max()
-    pixels = np.zeros(density.shape, dtype=">u2")
-    if peak > 0:
-        scaled = np.empty(density.shape[1])
-        for source, target in zip(density, pixels):
-            np.divide(source, peak, out=scaled)
-            scaled *= 65535.0
-            np.round(scaled, out=scaled)
-            target[:] = scaled
-    rows, cols = pixels.shape
+    pixels = np.zeros(shape, dtype=">u2")
+    scaled = np.empty(shape[1])
+    peak = 0.0
+    scaled_by = np.zeros(shape[0])  # the peak each row was quantized against
+    for i, row in enumerate(rows):
+        require_finite(path, "density", row)
+        peak = max(peak, row.max())
+        if peak > 0:
+            _quantize(row, peak, scaled, pixels[i])
+            scaled_by[i] = peak
+    # the rows quantized before the peak came; at a zero peak, none
+    stale = np.flatnonzero(scaled_by != peak)
+    for i, row in zip(stale.tolist(), reread(stale)):
+        _quantize(row, peak, scaled, pixels[i])
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{cols} {rows}\n65535\n".encode("ascii"))
+        fh.write(f"P5\n{shape[1]} {shape[0]}\n65535\n".encode("ascii"))
         fh.write(pixels)
+
+
+def write_carpet_pgm(carpet_grid: CarpetGrid, path) -> None:
+    """``write_density_pgm`` of the carpet's stored rows."""
+    density = carpet_grid.density
+    write_density_pgm(density, lambda indices: (density[i] for i in indices), density.shape, path)
 
 
 def write_autocorrelation_csv(series: AutocorrelationSeries, path) -> None:

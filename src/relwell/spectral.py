@@ -7,7 +7,9 @@ initial decomposition and in the grid used for reconstruction.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -104,26 +106,29 @@ def reconstruct_at(coeffs: CoefficientVector, x) -> np.ndarray:
     return values
 
 
-def density_rows(coeffs: CoefficientVector, grid: SpatialGrid, times) -> np.ndarray:
-    """Stack of |psi(x, t)|^2 rows, one per requested time, where
-    psi(x_i) = sum_n a_n(t) sqrt(2/L) sin(n pi x_i / L), zero on the walls.
-
-    Each row is evolved as ``evolve`` does, from frequencies computed once
-    per carpet, and synthesized on its own, by one inverse DST-I of each
-    part, through one transform workspace that the whole carpet reuses; its
-    density is written straight into its output row.  A carpet thus holds its
-    output, two complex rows and a few per-level arrays.
-    """
+def _carpet_times(coeffs: CoefficientVector, grid: SpatialGrid, times) -> np.ndarray:
+    """``times`` as floats, once the grid is known to hold the coefficients."""
     if grid.well_width != coeffs.model.well_width:
         raise ValueError("grid and model disagree on the well width")
     if coeffs.n_max > grid.nyquist_level:
         raise ValueError(f"grid with {grid.intervals} intervals cannot represent level {coeffs.n_max}")
-    # the unnormalized DST-I sums 2 a_n sin(n pi i / N)
-    scale = 0.5 * math.sqrt(2.0 / grid.well_width)
     times = np.asarray(times, dtype=float)
     if not np.isfinite(times).all():
         raise ValueError("time must be finite")
-    rows = np.zeros((times.size, grid.size))
+    return times
+
+
+def _synthesized(coeffs: CoefficientVector, grid: SpatialGrid, times: np.ndarray, rows):
+    """Write the density at each time into the next of ``rows``, whose walls
+    hold zeros, and yield that row.
+
+    Each row is evolved as ``evolve`` does, from frequencies computed once,
+    and synthesized by one inverse DST-I of each part, through one transform
+    workspace that every row reuses; its density is written straight into
+    the row.
+    """
+    # the unnormalized DST-I sums 2 a_n sin(n pi i / N)
+    scale = 0.5 * math.sqrt(2.0 / grid.well_width)
     workspace = sine_workspace(grid.nyquist_level)
     # after the large buffers: computed before them, the frequencies'
     # temporaries left fig3 16 MB more resident through the row loop
@@ -142,4 +147,28 @@ def density_rows(coeffs: CoefficientVector, grid: SpatialGrid, times) -> np.ndar
         # the complex abs, which rounds differently from np.hypot of the parts
         np.abs(psi, out=interior)
         np.square(interior, out=interior)
+        yield row
+
+
+def density_stream(coeffs: CoefficientVector, grid: SpatialGrid, times) -> Iterator[np.ndarray]:
+    """The rows of ``density_rows``, bit for bit, yielded in time order
+    through one reused row: each is valid until the next is drawn.  The
+    arguments are checked on the call, and the stream holds one float row, two
+    complex rows and a few per-level arrays."""
+    times = _carpet_times(coeffs, grid, times)
+    return _synthesized(coeffs, grid, times, itertools.repeat(np.zeros(grid.size)))
+
+
+def density_rows(coeffs: CoefficientVector, grid: SpatialGrid, times) -> np.ndarray:
+    """Stack of |psi(x, t)|^2 rows, one per requested time, where
+    psi(x_i) = sum_n a_n(t) sqrt(2/L) sin(n pi x_i / L), zero on the walls.
+
+    The rows are synthesized one at a time (see ``density_stream``), each
+    straight into its output row, so a carpet holds its output, two complex
+    rows and a few per-level arrays.
+    """
+    times = _carpet_times(coeffs, grid, times)
+    rows = np.zeros((times.size, grid.size))
+    for _ in _synthesized(coeffs, grid, times, rows):
+        pass
     return rows

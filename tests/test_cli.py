@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -83,6 +84,41 @@ EXTREME_SCALES = [
     }.items()
     for command in commands
 ]
+
+
+# documents whose model scales put the packet or the revival times past double
+# range, with the commands that reach them
+PAST_RANGE = {
+    # the derivatives of E(n) come out NaN, and so does each revival time
+    "revival-hbar": (
+        {"model": {"hbar": 3.03e83, "well_width_in_compton": 2.66e-311}}, ["revivals"]
+    ),
+    "revival-mass": (
+        {"model": {"mass": 7.85e-114, "hbar": 2.82e-276, "well_width_in_compton": 6.20e154}},
+        ["carpet", "revivals", "autocorr", "coeffs"],
+    ),
+    # sigma = L / 20 underflows to 0
+    "sigma": (
+        {"model": {"well_width_in_compton": 2.25e-186, "light_speed": 4.55e137}},
+        ["spectrum", "carpet", "revivals", "autocorr", "spacing", "coeffs"],
+    ),
+    # so does x0 = L / 100, before sigma
+    "x0": (
+        {
+            "model": {"well_width_in_compton": 2.25e-186, "light_speed": 4.55e137},
+            "packet": {"x0_over_L": 0.01},
+        },
+        ["coeffs"],
+    ),
+    # hbar / L overflows, and with it p0
+    "p0": (
+        {
+            "model": {"mass": 1e300, "well_width_in_compton": 1e-10},
+            "packet": {"p0_in_hbar_over_L": 1.0},
+        },
+        ["coeffs"],
+    ),
+}
 
 
 class TestValidation:
@@ -200,6 +236,23 @@ class TestValidation:
         code, err = run_refused(tmp_path, capsys, command, json.dumps({"model": model}))
         assert code == 3
         assert len(err) == 1 and err[0].startswith("numerical error:")
+        assert "model." in err[0]
+
+    @pytest.mark.parametrize(
+        "document, command",
+        [
+            pytest.param(document, command, id=f"{name}-{command}")
+            for name, (document, commands) in PAST_RANGE.items()
+            for command in commands
+        ],
+    )
+    def test_packet_and_revival_times_past_double_range_exit_3(
+        self, tmp_path, capsys, document, command
+    ):
+        code, err = run_refused(tmp_path, capsys, command, json.dumps(document))
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("numerical error:")
+        assert "leaves double range" in err[0] or "underflows to 0" in err[0]
         assert "model." in err[0]
 
     def test_one_stderr_line_in_a_fresh_interpreter(self, tmp_path):
@@ -446,15 +499,68 @@ class TestCarpet:
         rows = (tmp_path / "t_carpet.csv").read_text().splitlines()[1:]
         assert len(rows) == 16 * 256
 
+    # a resting packet, tallest in row 0, and a boosted one, tallest in row 4
+    # of 8 after it meets a wall, whose first four rows are quantized again
+    @pytest.mark.parametrize(
+        "packet, peak_row",
+        [
+            ({"x0_over_L": 0.5, "sigma_over_L": 0.0625, "p0_in_hbar_over_L": 0.0}, 0),
+            ({"x0_over_L": 0.5, "sigma_over_L": 0.0625, "p0_in_hbar_over_L": 8.0 * math.pi}, 4),
+        ],
+        ids=["resting", "boosted"],
+    )
+    def test_pgm_only_carpet_matches_the_stored_one(self, tmp_path, packet, peak_row):
+        # the image alone is quantized row by row from the stream; beside a
+        # csv, from the stored carpet: the bytes are the same
+        config = small_config(packet=packet)
+        config["times"] = {"t_max": 0.5, "samples": 8, "unit": "classical"}
+        images = {}
+        for formats in (["pgm"], ["csv", "pgm"]):
+            config["output"] = {"basename": "t", "formats": formats}
+            out = tmp_path / "-".join(formats)
+            out.mkdir()
+            assert run(out, "carpet", config) == 0
+            images[len(formats)] = (out / "t_carpet.pgm").read_bytes()
+            meta = json.loads((out / "t_carpet.meta.json").read_text())
+            assert (meta["rows"], meta["columns"]) == (8, 513)
+        assert images[1] == images[2]
+        header = b"P5\n513 8\n65535\n"
+        pixels = np.frombuffer(images[1][len(header):], dtype=">u2").reshape(8, 513)
+        assert images[1].startswith(header)
+        assert pixels.max(axis=1).argmax() == peak_row
+
+    def test_pgm_only_carpet_holds_no_float_density(self, tmp_path):
+        # 64 rows on 2^16 intervals: 33.6 MB of float density, 8.4 MB of pixels
+        config = small_config(output={"basename": "t", "formats": ["pgm"]})
+        config["engine"]["grid_intervals"] = 1 << 16
+        config["times"]["samples"] = 64
+        (tmp_path / "warm").mkdir()
+        assert run(tmp_path / "warm", "carpet", config) == 0  # load the FFT before tracing
+        tracemalloc.start()
+        try:
+            assert run(tmp_path, "carpet", config) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * ((1 << 16) + 1) * 8
+
     def test_non_finite_carpet_exits_3_without_files(self, tmp_path, monkeypatch, capsys):
-        real_carpet = cli.carpet
+        real_carpet, real_stream = cli.carpet, cli.density_stream
 
         def poisoned(*args, **kwargs):
             result = real_carpet(*args, **kwargs)
             result.density[-1, 1] = np.nan
             return result
 
+        def poisoned_stream(coeffs, grid, times):
+            # a PGM-only carpet takes its rows from the stream, not a carpet
+            for i, row in enumerate(real_stream(coeffs, grid, times)):
+                if i == len(times) - 1:
+                    row[1] = np.nan
+                yield row
+
         monkeypatch.setattr(cli, "carpet", poisoned)
+        monkeypatch.setattr(cli, "density_stream", poisoned_stream)
         for formats in (["csv"], ["bin"], ["pgm"]):
             config = small_config(output={"basename": "t", "formats": formats})
             assert run(tmp_path, "carpet", config) == 3

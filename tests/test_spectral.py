@@ -26,7 +26,7 @@ from relwell import (
     revival_times,
 )
 from relwell.grids import sine_transform, sine_workspace
-from relwell.spectral import phases
+from relwell.spectral import density_stream, phases
 from oracles import reconstruct
 
 MODEL = WellModel(well_width=125.0 * 2.0 * math.pi)
@@ -334,6 +334,19 @@ class TestDensity:
         for i, t in enumerate(times):
             single = reconstruct(evolve(coeffs, t), grid).density()
             assert np.array_equal(rows[i], single)
+
+    def test_stream_yields_the_rows_in_one_buffer(self):
+        coeffs, grid = fig2_coefficients(512)
+        times = np.array([0.0, 17.3, 9910.0])
+        rows = density_rows(coeffs, grid, times)
+        streamed = [(row, row.copy()) for row in density_stream(coeffs, grid, times)]
+        assert len({id(row) for row, _ in streamed}) == 1
+        assert all(np.array_equal(copy, want) for (_, copy), want in zip(streamed, rows))
+
+    def test_stream_checks_its_arguments_on_the_call(self):
+        coeffs, grid = fig2_coefficients(512)
+        with pytest.raises(ValueError, match="finite"):
+            density_stream(coeffs, grid, [0.0, math.inf])
 
     def test_energies_computed_once_per_carpet(self, monkeypatch):
         # the frequencies do not depend on t, so the row loop reuses them

@@ -10,25 +10,29 @@ Each job runs ``python -m relwell.cli --out .`` in a fresh interpreter with
 ``PYTHONPATH=SRC``, inside its own directory ``OUT/<job>/``, which receives
 the job's config as ``config.json`` if it has one, its output files, its
 stderr as ``stderr.txt`` and its exit code as ``exit_code.txt``.  The first
-65 jobs are every preset under every command, ``spectrum --engine diag`` on
-every preset, and two split-engine carpets at N = 256 in all three carpet
-formats: a 16-row one that steps and a 32-row one that powers the Strang
-step.  The other 47 are error paths, each of which must end in one
-stderr line and no output file: two configs nested too deeply (exit 2),
-extreme model scales whose arithmetic overflows or underflows (exit 3),
-``spacing`` runs whose sidecar would hold an infinity (exit 3), a diag
+66 jobs are every preset under every command, ``spectrum --engine diag`` on
+every preset, two split-engine carpets at N = 256 in all three carpet
+formats (a 16-row one that steps and a 32-row one that powers the Strang
+step), and fig4's carpet with the PGM image alone.  The other 71 are error
+paths, each of which must end in one stderr line and no output file: two
+configs nested too deeply (exit 2), extreme model scales whose arithmetic
+overflows or underflows (exit 3), four model scales past double range under
+all six commands (exit 3), ``spacing`` runs whose sidecar would hold an
+infinity (exit 3), a diag
 ``spectrum`` asking for more levels than it has momentum points (exit 2),
 a ``--config`` that does not exist or is a directory (exit 4), seven
 carpets refused for one value of their document, and a carpet and an
 autocorrelation asked of an engine they do not run (exit 2).
-All 112 run one at a time in 11.6-12.4 s, with 149 MB of output, on a
-2-vCPU AMD EPYC host.  The powered carpet's bits depend on the BLAS thread
+All 137 run one at a time in 25-30 s, with about 150 MB of output, on a
+2-vCPU Intel Xeon host (112 of them took 11.6-12.4 s on a 2-vCPU AMD EPYC
+host).  The powered carpet's bits depend on the BLAS thread
 count, so compare two trees at the same OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -70,6 +74,22 @@ EXTREME_MODELS = {
     ("well_width_in_compton", 1e150): ("coeffs", "revivals", "autocorr"),
     ("well_width_in_compton", 1e300): ("coeffs", "revivals", "autocorr"),
 }
+# model scales past double range: m c overflows, m c is subnormal so that the
+# Compton wavelength overflows, and the absolute width overflows or underflows
+SCALES_PAST_RANGE = (
+    {"mass": 1e200, "light_speed": 1e200},
+    {"mass": 1e-160, "light_speed": 1e-160},
+    {"mass": 1e-20, "well_width_in_compton": 1e300},
+    {"mass": 1e100, "well_width_in_compton": 1e-300},
+)
+# fig4's preset with the image alone: its peak comes in row 259 of 512, so the
+# PGM writer quantizes the rows before it a second time
+FIG4_PGM_CARPET = {
+    "model": {"well_width_in_compton": 101.25},
+    "packet": {"x0_over_L": 0.5, "sigma_over_L": 0.04, "p0_in_hbar_over_L": 270.0 * math.pi},
+    "times": {"t_max": 1.0, "samples": 512, "unit": "revival"},
+    "output": {"basename": "fig4", "formats": ["pgm"]},
+}
 # model values that give spacing's sidecar an infinity
 INFINITE_SIDECARS = (("mass", 1e300), ("light_speed", 1e150), ("well_width_in_compton", 1e-300))
 # documents whose values alone refuse a carpet, before numpy loads
@@ -97,12 +117,17 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
     ]
     listed.append(("split16_carpet", ["carpet"], json.dumps(SPLIT_CARPET)))
     listed.append(("split32_carpet", ["carpet"], json.dumps(SPLIT_POWERED_CARPET)))
+    listed.append(("fig4_pgm_carpet", ["carpet"], json.dumps(FIG4_PGM_CARPET)))
     listed.append(("deep_parse_spacing", ["spacing"], "[" * 200_000))
     formats = "[" * 600 + "]" * 600
     listed.append(("deep_formats_spacing", ["spacing"], f'{{"output": {{"formats": {formats}}}}}'))
     for (key, value), commands in EXTREME_MODELS.items():
         config = json.dumps({"model": {key: value}})
         listed += [(f"{key}_{value:g}_{command}", [command], config) for command in commands]
+    for model in SCALES_PAST_RANGE:
+        config = json.dumps({"model": model})
+        stem = "_".join(f"{key}_{value:g}" for key, value in model.items())
+        listed += [(f"{stem}_{command}", [command], config) for command in COMMANDS]
     for key, value in INFINITE_SIDECARS:
         config = json.dumps({"model": {key: value}})
         listed.append((f"infinite_sidecar_{key}_{value:g}_spacing", ["spacing"], config))
