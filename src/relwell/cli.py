@@ -421,12 +421,9 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path) -> None:
     if config is None and set(formats) == {"pgm"}:
         # the pixels alone: each row is quantized as it is synthesized, and
         # no float carpet is built
-        def reread(indices):
-            return density_stream(coeffs, grid, times[indices])
-
         shape = (times.size, grid.size)
-        rows = density_stream(coeffs, grid, times)
-        products = {"carpet.pgm": partial(write_density_pgm, rows, reread, shape)}
+        rows_at = lambda indices: density_stream(coeffs, grid, times[indices])
+        products = {"carpet.pgm": partial(write_density_pgm, rows_at, shape)}
     else:
         result = carpet(coeffs, grid, times, config=config)
         shape = result.density.shape

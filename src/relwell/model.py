@@ -59,7 +59,11 @@ class WellModel:
     @property
     def energy_scale(self) -> float:
         """Rest energy m c^2, the internal unit of energy."""
-        return _finite(self.mass * self.light_speed**2, "the rest energy m c^2")
+        try:
+            c_squared = self.light_speed**2
+        except OverflowError:  # Python's float power raises past double range
+            c_squared = math.inf
+        return _finite(self.mass * c_squared, "the rest energy m c^2")
 
     @property
     def width_natural(self) -> float:
@@ -149,11 +153,15 @@ def _derivative_natural(width_natural: float, n0: float, order: int) -> float:
     with b = pi/L, x = b*n0, gamma = sqrt(1 + x^2) and
     pref = (2 b x)^N / gamma^(2N-1).  The k-sum is evaluated through its
     exact-rational reorganization in powers of 1/x^2 (see _sum_coefficients).
+    NaN where a power of pref leaves double range.
     """
     b = math.pi / width_natural
     x = b * n0
     g = math.hypot(1.0, x)
-    pref = (2.0 * b * x) ** order / g ** (2 * order - 1)
+    try:
+        pref = (2.0 * b * x) ** order / g ** (2 * order - 1)
+    except OverflowError:
+        return math.nan
     for j in range(order):
         pref *= 0.5 - j
     coeffs = _sum_coefficients(order)
@@ -170,7 +178,8 @@ def energy_derivative(model: WellModel, n0: float, order: int) -> float:
     """N-th derivative of E(n) with respect to the (continuous) level index.
 
     Supported orders are 1..6.  Order 1 reduces to (hbar*pi/L) * p_n/(gamma*m)
-    and order 2 to (hbar*pi/L)^2 / (gamma^3 * m).
+    and order 2 to (hbar*pi/L)^2 / (gamma^3 * m).  Where the closed form's
+    powers leave double range the derivative is NaN.
     """
     if not isinstance(order, int) or not 1 <= order <= MAX_DERIVATIVE_ORDER:
         raise ValueError(

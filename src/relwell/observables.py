@@ -320,24 +320,24 @@ def _quantize(source, peak, scaled, target) -> None:
     target[:] = scaled
 
 
-def write_density_pgm(rows, reread, shape: tuple[int, int], path) -> None:
+def write_density_pgm(rows_at, shape: tuple[int, int], path) -> None:
     """16-bit binary PGM (P5, maxval 65535) of a density of ``shape``,
     normalized to its maximum: each pixel is round(density / max * 65535).
 
-    ``rows`` yields the density's rows in time order, and ``reread(indices)``
-    yields the rows at ``indices`` once more.  Each row is checked to be
-    finite and quantized against the largest value seen so far, in one reused
-    float row; a row whose peak was later exceeded is read again after the
-    last one and quantized anew, so no row is read more than twice and the
-    writer holds the 16-bit pixels, one float row and the rows it is given.
-    Pixel rows are time samples, columns positions; samples are big-endian as
-    the format requires.  The file is opened once every row has passed.
+    ``rows_at(indices)`` yields the density's rows at ``indices``, in order.
+    It is asked for every row, and each is checked to be finite and quantized
+    against the largest value seen so far, in one reused float row; then it
+    is asked once for the rows whose peak was later exceeded, which are
+    quantized anew.  So no row is read more than twice, and the writer holds
+    the 16-bit pixels, one float row and the rows it is given.  Pixel rows
+    are time samples, columns positions; samples are big-endian as the format
+    requires.  The file is opened once every row has passed.
     """
     pixels = np.zeros(shape, dtype=">u2")
     scaled = np.empty(shape[1])
     peak = 0.0
     scaled_by = np.zeros(shape[0])  # the peak each row was quantized against
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows_at(np.arange(shape[0]))):
         require_finite(path, "density", row)
         peak = max(peak, row.max())
         if peak > 0:
@@ -345,7 +345,7 @@ def write_density_pgm(rows, reread, shape: tuple[int, int], path) -> None:
             scaled_by[i] = peak
     # the rows quantized before the peak came; at a zero peak, none
     stale = np.flatnonzero(scaled_by != peak)
-    for i, row in zip(stale.tolist(), reread(stale)):
+    for i, row in zip(stale.tolist(), rows_at(stale)):
         _quantize(row, peak, scaled, pixels[i])
     with open(path, "wb") as fh:
         fh.write(f"P5\n{shape[1]} {shape[0]}\n65535\n".encode("ascii"))
@@ -355,7 +355,7 @@ def write_density_pgm(rows, reread, shape: tuple[int, int], path) -> None:
 def write_carpet_pgm(carpet_grid: CarpetGrid, path) -> None:
     """``write_density_pgm`` of the carpet's stored rows."""
     density = carpet_grid.density
-    write_density_pgm(density, lambda indices: (density[i] for i in indices), density.shape, path)
+    write_density_pgm(lambda indices: (density[i] for i in indices), density.shape, path)
 
 
 def write_autocorrelation_csv(series: AutocorrelationSeries, path) -> None:

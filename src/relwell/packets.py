@@ -89,10 +89,12 @@ def gaussian_state(spec: WavepacketSpec, grid: SpatialGrid, model: WellModel) ->
             f"grid too coarse for sigma={spec.sigma:g}: need at least "
             f"{needed} intervals, got {grid.intervals}"
         )
+    try:
+        variance = spec.sigma**2
+    except OverflowError:  # Python's float power raises; the norm check names it
+        variance = math.nan
     x = grid.points
-    psi = np.exp(
-        -((x - spec.x0) ** 2) / (4.0 * spec.sigma**2) + 1j * spec.p0 * x / model.hbar
-    )
+    psi = np.exp(-((x - spec.x0) ** 2) / (4.0 * variance) + 1j * spec.p0 * x / model.hbar)
     psi[0] = 0.0
     psi[-1] = 0.0
 

@@ -7,7 +7,6 @@ initial decomposition and in the grid used for reconstruction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 
@@ -106,27 +105,15 @@ def reconstruct_at(coeffs: CoefficientVector, x) -> np.ndarray:
     return values
 
 
-def _carpet_times(coeffs: CoefficientVector, grid: SpatialGrid, times) -> np.ndarray:
-    """``times`` as floats, once the grid is known to hold the coefficients."""
-    if grid.well_width != coeffs.model.well_width:
-        raise ValueError("grid and model disagree on the well width")
-    if coeffs.n_max > grid.nyquist_level:
-        raise ValueError(f"grid with {grid.intervals} intervals cannot represent level {coeffs.n_max}")
-    times = np.asarray(times, dtype=float)
-    if not np.isfinite(times).all():
-        raise ValueError("time must be finite")
-    return times
-
-
-def _synthesized(coeffs: CoefficientVector, grid: SpatialGrid, times: np.ndarray, rows):
-    """Write the density at each time into the next of ``rows``, whose walls
-    hold zeros, and yield that row.
+def _synthesized(coeffs: CoefficientVector, grid: SpatialGrid, times: list):
+    """Yield the density at each time in one reused row whose walls hold zeros.
 
     Each row is evolved as ``evolve`` does, from frequencies computed once,
     and synthesized by one inverse DST-I of each part, through one transform
     workspace that every row reuses; its density is written straight into
     the row.
     """
+    row = np.zeros(grid.size)
     # the unnormalized DST-I sums 2 a_n sin(n pi i / N)
     scale = 0.5 * math.sqrt(2.0 / grid.well_width)
     workspace = sine_workspace(grid.nyquist_level)
@@ -136,10 +123,10 @@ def _synthesized(coeffs: CoefficientVector, grid: SpatialGrid, times: np.ndarray
     frequencies = _frequencies(energy(model, coeffs.levels), model.hbar)
     # slots 1..n of the spectrum, where each transform leaves its result
     psi = workspace[1][1 : grid.intervals]
-    for row, t in zip(rows, times.tolist()):
+    interior = row[1:-1]
+    for t in times:
         a = _rotated(coeffs.coefficients, frequencies, t)
-        interior = row[1:-1]
-        # the real part waits in the output row while the imaginary part's
+        # the real part waits in the row while the imaginary part's
         # transform overwrites the spectrum with its own result
         sine_transform(a.real, workspace, scale, out=interior)
         sine_transform(a.imag, workspace, scale, out=psi.imag)
@@ -151,24 +138,26 @@ def _synthesized(coeffs: CoefficientVector, grid: SpatialGrid, times: np.ndarray
 
 
 def density_stream(coeffs: CoefficientVector, grid: SpatialGrid, times) -> Iterator[np.ndarray]:
-    """The rows of ``density_rows``, bit for bit, yielded in time order
-    through one reused row: each is valid until the next is drawn.  The
-    arguments are checked on the call, and the stream holds one float row, two
-    complex rows and a few per-level arrays."""
-    times = _carpet_times(coeffs, grid, times)
-    return _synthesized(coeffs, grid, times, itertools.repeat(np.zeros(grid.size)))
+    """|psi(x, t)|^2 at each of ``times``, yielded in time order through one
+    reused row: each is valid until the next is drawn.  Here
+    psi(x_i) = sum_n a_n(t) sqrt(2/L) sin(n pi x_i / L), zero on the walls.
+    The arguments are checked on the call, and the stream holds one float
+    row, two complex rows and a few per-level arrays."""
+    if grid.well_width != coeffs.model.well_width:
+        raise ValueError("grid and model disagree on the well width")
+    if coeffs.n_max > grid.nyquist_level:
+        raise ValueError(f"grid with {grid.intervals} intervals cannot represent level {coeffs.n_max}")
+    times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("time must be finite")
+    return _synthesized(coeffs, grid, times.tolist())
 
 
 def density_rows(coeffs: CoefficientVector, grid: SpatialGrid, times) -> np.ndarray:
-    """Stack of |psi(x, t)|^2 rows, one per requested time, where
-    psi(x_i) = sum_n a_n(t) sqrt(2/L) sin(n pi x_i / L), zero on the walls.
-
-    The rows are synthesized one at a time (see ``density_stream``), each
-    straight into its output row, so a carpet holds its output, two complex
-    rows and a few per-level arrays.
-    """
-    times = _carpet_times(coeffs, grid, times)
-    rows = np.zeros((times.size, grid.size))
-    for _ in _synthesized(coeffs, grid, times, rows):
-        pass
+    """The rows of ``density_stream``, one per requested time, stacked: a
+    carpet holds its output besides the stream's buffers."""
+    stream = density_stream(coeffs, grid, times)
+    rows = np.empty((np.size(times), grid.size))
+    for row, streamed in zip(rows, stream):
+        row[:] = streamed
     return rows

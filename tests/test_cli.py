@@ -120,6 +120,25 @@ PAST_RANGE = {
     ),
 }
 
+# documents where a Python float power raises OverflowError, with the commands
+# that reach it and the quantity its one stderr line names
+POWERS_PAST_RANGE = {
+    # sigma = L / 20, near 3e300
+    "sigma": ({"model": {"hbar": 1e300}}, ["coeffs", "revivals", "autocorr"], "sigma**2"),
+    # c**2
+    "light-speed": (
+        {"model": {"light_speed": 1e300}},
+        ["spacing", "revivals", "spectrum"],
+        "rest energy m c^2",
+    ),
+    # the powers in the closed form of E(n)'s derivatives
+    "derivative": (
+        {"model": {"well_width_in_compton": 1e-150}},
+        ["coeffs", "revivals", "autocorr"],
+        "t_revival",
+    ),
+}
+
 
 class TestValidation:
     def test_invalid_width_exits_2_without_files(self, tmp_path):
@@ -254,6 +273,23 @@ class TestValidation:
         assert len(err) == 1 and err[0].startswith("numerical error:")
         assert "leaves double range" in err[0] or "underflows to 0" in err[0]
         assert "model." in err[0]
+
+    @pytest.mark.parametrize(
+        "document, command, quantity",
+        [
+            pytest.param(document, command, quantity, id=f"{name}-{command}")
+            for name, (document, commands, quantity) in POWERS_PAST_RANGE.items()
+            for command in commands
+        ],
+    )
+    def test_powers_past_double_range_name_their_quantity(
+        self, tmp_path, capsys, document, command, quantity
+    ):
+        # not the errno text of Python's OverflowError
+        code, err = run_refused(tmp_path, capsys, command, json.dumps(document))
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("numerical error:")
+        assert quantity in err[0] and "(34," not in err[0]
 
     def test_one_stderr_line_in_a_fresh_interpreter(self, tmp_path):
         # pytest records numpy's warnings itself, so only a fresh interpreter

@@ -91,8 +91,8 @@ class TestWellModel:
         ]:
             with pytest.raises(OverflowError, match=re.escape(name)):
                 getattr(model, scale)
-        # c^2 = 1e400 raises in Python's float power, with its own message
-        with pytest.raises(OverflowError):
+        # c^2 = 1e400 raises in Python's float power, and m c^2 is named
+        with pytest.raises(OverflowError, match=re.escape("the rest energy m c^2 overflows")):
             overflowing.energy_scale
         # in range, each scale keeps the bits of its plain expression
         model = WellModel(mass=3.0, light_speed=7.0, hbar=0.3, well_width=11.0)

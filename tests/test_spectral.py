@@ -377,8 +377,8 @@ class TestDensity:
             density_rows(CoefficientVector(raw, MODEL), SpatialGrid(2.0 * L, 1024), [0.0])
 
     def test_workspace_is_a_few_rows(self):
-        # 64 rows on 2^16 intervals: the output, a transform workspace of two
-        # complex rows, and one evolve of 4000 levels
+        # 64 rows on 2^16 intervals: the output, the stream's float row, a
+        # transform workspace of two complex rows, and one evolve of 4000 levels
         grid = SpatialGrid(L, 1 << 16)
         rng = np.random.default_rng(3)
         raw = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)

@@ -212,18 +212,19 @@ class TestCarpetWriters:
         assert path.read_bytes() == b"P5\n7 3\n65535\n" + want
 
     def test_density_pgm_reads_again_only_the_rows_before_the_peak(self, tmp_path):
-        # row peaks 1, 3, 2, 5, 4: rows 0-2 were quantized against a peak
-        # below 5 and are read once more, together, after the last row
+        # row peaks 1, 3, 2, 5, 4: every row is asked for once, in order, and
+        # rows 0-2, quantized against a peak below 5, once more, together,
+        # after the last row
         density = np.linspace(0.1, 1.0, 6) * np.array([1.0, 3.0, 2.0, 5.0, 4.0])[:, None]
-        reads = []
+        requests = []
 
-        def reread(indices):
-            reads.append(indices.tolist())
+        def rows_at(indices):
+            requests.append(indices.tolist())
             return (density[i] for i in indices)
 
         path = tmp_path / "c.pgm"
-        write_density_pgm(iter(density), reread, density.shape, path)
-        assert reads == [[0, 1, 2]]
+        write_density_pgm(rows_at, density.shape, path)
+        assert requests == [[0, 1, 2, 3, 4], [0, 1, 2]]
         want = np.round(density / density.max() * 65535.0).astype(">u2").tobytes()
         assert path.read_bytes() == b"P5\n6 5\n65535\n" + want
 

@@ -10,22 +10,25 @@ Each job runs ``python -m relwell.cli --out .`` in a fresh interpreter with
 ``PYTHONPATH=SRC``, inside its own directory ``OUT/<job>/``, which receives
 the job's config as ``config.json`` if it has one, its output files, its
 stderr as ``stderr.txt`` and its exit code as ``exit_code.txt``.  The first
-66 jobs are every preset under every command, ``spectrum --engine diag`` on
+67 jobs are every preset under every command, ``spectrum --engine diag`` on
 every preset, two split-engine carpets at N = 256 in all three carpet
 formats (a 16-row one that steps and a 32-row one that powers the Strang
-step), and fig4's carpet with the PGM image alone.  The other 71 are error
-paths, each of which must end in one stderr line and no output file: two
-configs nested too deeply (exit 2), extreme model scales whose arithmetic
-overflows or underflows (exit 3), four model scales past double range under
-all six commands (exit 3), ``spacing`` runs whose sidecar would hold an
-infinity (exit 3), a diag
-``spectrum`` asking for more levels than it has momentum points (exit 2),
-a ``--config`` that does not exist or is a directory (exit 4), seven
-carpets refused for one value of their document, and a carpet and an
-autocorrelation asked of an engine they do not run (exit 2).
-All 137 run one at a time in 25-30 s, with about 150 MB of output, on a
+step), a split carpet whose grid size ``default_config`` picks, and fig4's
+carpet with the PGM image alone.  The other 85 are error paths, each of
+which must end in one stderr line and no output file: two configs nested
+too deeply (exit 2), extreme model scales whose arithmetic overflows or
+underflows (exit 3), four model scales past double range under all six
+commands (exit 3), three documents whose packet or revival times leave
+double range (exit 3), ``spacing`` runs whose sidecar would hold an
+infinity (exit 3), a diag ``spectrum`` asking for more levels than it has
+momentum points (exit 2), a ``--config`` that does not exist or is a
+directory (exit 4), seven carpets refused for one value of their document,
+a carpet and an autocorrelation asked of an engine they do not run, a split
+carpet over the work limit, and a carpet and an autocorrelation whose
+``t_max`` overflows in revival periods (exit 2).
+All 152 run one at a time in 35-39 s, with about 155 MB of output, on a
 2-vCPU Intel Xeon host (112 of them took 11.6-12.4 s on a 2-vCPU AMD EPYC
-host).  The powered carpet's bits depend on the BLAS thread
+host).  The powered carpets' bits depend on the BLAS thread
 count, so compare two trees at the same OPENBLAS_NUM_THREADS.
 """
 
@@ -90,6 +93,29 @@ FIG4_PGM_CARPET = {
     "times": {"t_max": 1.0, "samples": 512, "unit": "revival"},
     "output": {"basename": "fig4", "formats": ["pgm"]},
 }
+# a split carpet with no grid_size, on which default_config picks 512 points;
+# its 64 default samples are about 10 000 Strang steps apart, so it powers
+AUTO_SPLIT_CARPET = {
+    "model": {"well_width_in_compton": 2.0},
+    "packet": {"x0_over_L": 0.5, "sigma_over_L": 0.02, "p0_in_hbar_over_L": 100.0},
+    "engine": {"kind": "split"},
+}
+# documents whose model scales put the packet or the revival times past double
+# range (exit 3), with the commands that reach them
+PAST_RANGE = {
+    # the derivatives of E(n) come out NaN, and so does each revival time
+    "revival_hbar": (
+        {"model": {"hbar": 3.03e83, "well_width_in_compton": 2.66e-311}}, ("revivals",)
+    ),
+    "revival_mass": (
+        {"model": {"mass": 7.85e-114, "hbar": 2.82e-276, "well_width_in_compton": 6.20e154}},
+        ("carpet", "revivals", "autocorr", "coeffs"),
+    ),
+    # sigma = L / 20 underflows to 0
+    "sigma": (
+        {"model": {"well_width_in_compton": 2.25e-186, "light_speed": 4.55e137}}, COMMANDS
+    ),
+}
 # model values that give spacing's sidecar an infinity
 INFINITE_SIDECARS = (("mass", 1e300), ("light_speed", 1e150), ("well_width_in_compton", 1e-300))
 # documents whose values alone refuse a carpet, before numpy loads
@@ -118,6 +144,7 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
     listed.append(("split16_carpet", ["carpet"], json.dumps(SPLIT_CARPET)))
     listed.append(("split32_carpet", ["carpet"], json.dumps(SPLIT_POWERED_CARPET)))
     listed.append(("fig4_pgm_carpet", ["carpet"], json.dumps(FIG4_PGM_CARPET)))
+    listed.append(("auto_split_carpet", ["carpet"], json.dumps(AUTO_SPLIT_CARPET)))
     listed.append(("deep_parse_spacing", ["spacing"], "[" * 200_000))
     formats = "[" * 600 + "]" * 600
     listed.append(("deep_formats_spacing", ["spacing"], f'{{"output": {{"formats": {formats}}}}}'))
@@ -128,6 +155,9 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
         config = json.dumps({"model": model})
         stem = "_".join(f"{key}_{value:g}" for key, value in model.items())
         listed += [(f"{stem}_{command}", [command], config) for command in COMMANDS]
+    for name, (document, commands) in PAST_RANGE.items():
+        config = json.dumps(document)
+        listed += [(f"past_range_{name}_{command}", [command], config) for command in commands]
     for key, value in INFINITE_SIDECARS:
         config = json.dumps({"model": {key: value}})
         listed.append((f"infinite_sidecar_{key}_{value:g}_spacing", ["spacing"], config))
@@ -142,6 +172,13 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
     # an engine the command does not run
     listed.append(("refused_diag_carpet", ["carpet", "--engine", "diag"], None))
     listed.append(("refused_split_autocorr", ["autocorr", "--engine", "split"], None))
+    # more split steps than the work limit allows
+    args = ["carpet", "--preset", "fig2c", "--engine", "split"]
+    listed.append(("refused_split_budget_carpet", args, None))
+    # t_max times the revival period overflows
+    config = json.dumps({"times": {"t_max": 1e308, "unit": "revival"}})
+    for command in ("carpet", "autocorr"):
+        listed.append((f"overflowing_t_max_{command}", [command], config))
     return listed
 
 
