@@ -9,6 +9,7 @@ the standard figure-class workloads.  Exit codes: 0 success, 2 validation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
 import math
@@ -312,17 +313,37 @@ class ResolvedConfig:
         return np.linspace(0.0, t_max, block["samples"])
 
 
+class _Staged(os.PathLike):
+    """A file while a run writes it: it opens as ``.<name>.tmp`` beside the
+    file, on the same file system, and a message that formats it names the
+    file itself."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.temporary = path.with_name(f".{path.name}.tmp")
+
+    def __fspath__(self) -> str:
+        return os.fspath(self.temporary)
+
+    def __str__(self) -> str:
+        return str(self.path)
+
+
 def _write_outputs(
     outdir: Path, resolved: ResolvedConfig, command: str, summary: dict, products: dict
 ) -> None:
     """Write each product to ``<basename>_<suffix>``, one at a time, and then
-    the sidecar ``<basename>_<command>.meta.json`` holding ``summary``.
+    the sidecar ``<basename>_<command>.meta.json`` holding ``summary``: all of
+    them, or none.
 
     ``products`` maps a file suffix to the writer that takes that file's
-    path.  The sidecar is serialized before the first file is opened, so a
-    value JSON cannot hold ends the run with nothing written.
+    path.  The sidecar is serialized before any file is touched, so a value
+    JSON cannot hold ends the run with nothing written.  Then the sidecar
+    this run replaces is removed, and each file is written under its
+    temporary name.  Only once every one is complete does each take its own
+    name, the sidecar last.  On any failure the temporaries are removed.
     """
-    paths = {suffix: outdir / f"{resolved.basename}_{suffix}" for suffix in products}
+    paths = [outdir / f"{resolved.basename}_{suffix}" for suffix in products]
     sidecar = outdir / f"{resolved.basename}_{command}.meta.json"
     payload = {
         "command": command,
@@ -330,17 +351,31 @@ def _write_outputs(
         "config": resolved.document,
         "well_width": resolved.model.well_width,
         "compton_wavelength": resolved.model.compton_wavelength,
-        "files": [path.name for path in paths.values()],
+        "files": [path.name for path in paths],
         **summary,
     }
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except (TypeError, ValueError) as exc:
         raise SimulationError(f"refusing to write {sidecar}: {exc}") from None
-    for suffix, write in products.items():
-        write(paths[suffix])
-    with open(sidecar, "w") as fh:
-        fh.write(text + "\n")
+    staged = [_Staged(path) for path in (*paths, sidecar)]
+    sidecar.unlink(missing_ok=True)
+    try:
+        for write, target in zip(products.values(), staged):
+            write(target)
+        with open(staged[-1], "w") as fh:
+            fh.write(text + "\n")
+        for target in staged:
+            os.replace(target, target.path)
+    except BaseException as exc:
+        for target in staged:
+            # one that was never made, or whose name the system refused
+            with contextlib.suppress(OSError):
+                target.temporary.unlink()
+        if isinstance(exc, OSError):
+            names = {os.fspath(target): str(target) for target in staged}
+            exc.filename = names.get(exc.filename, exc.filename)
+        raise
 
 
 def _revival_summary(resolved: ResolvedConfig, coeffs) -> dict:

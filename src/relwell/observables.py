@@ -4,6 +4,7 @@ diagnostics and level-spacing statistics."""
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ PEAK_THRESHOLD = 1e-4  # local maxima below this fraction of the tallest peak ar
 _BLOCK = 256  # autocorrelation samples per block of the two matrix products
 _TAYLOR_LIMIT = 1e-3  # largest |E r / hbar| the residual series corrects
 _WORKSPACE = 1 << 16  # complex entries per chunk of autocorrelation anchors
+_QUANTIZE_BLOCK = 1 << 12  # floats per block of the PGM quantizer
 
 _CARPET_MAGIC = b"CRPT"
 _CARPET_VERSION = 1
@@ -313,11 +315,16 @@ def write_carpet_binary(carpet_grid: CarpetGrid, path) -> None:
 
 
 def _quantize(source, peak, scaled, target) -> None:
-    """target = round(source / peak * 65535), computed in ``scaled``."""
-    np.divide(source, peak, out=scaled)
-    scaled *= 65535.0
-    np.round(scaled, out=scaled)
-    target[:] = scaled
+    """target = round(source / peak * 65535), computed a block of ``scaled``
+    at a time."""
+    step = scaled.size
+    for start in range(0, source.size, step):
+        stop = min(start + step, source.size)
+        block = scaled[: stop - start]
+        np.divide(source[start:stop], peak, out=block)
+        block *= 65535.0
+        np.round(block, out=block)
+        target[start:stop] = block
 
 
 def write_density_pgm(rows_at, shape: tuple[int, int], path) -> None:
@@ -325,31 +332,41 @@ def write_density_pgm(rows_at, shape: tuple[int, int], path) -> None:
     normalized to its maximum: each pixel is round(density / max * 65535).
 
     ``rows_at(indices)`` yields the density's rows at ``indices``, in order.
-    It is asked for every row, and each is checked to be finite and quantized
-    against the largest value seen so far, in one reused float row; then it
-    is asked once for the rows whose peak was later exceeded, which are
-    quantized anew.  So no row is read more than twice, and the writer holds
-    the 16-bit pixels, one float row and the rows it is given.  Pixel rows
-    are time samples, columns positions; samples are big-endian as the format
-    requires.  The file is opened once every row has passed.
+    It is asked for every row, and each is checked to be finite, quantized
+    against the largest value seen so far and written at its place in the
+    file; then it is asked once for the rows whose peak was later exceeded,
+    which are quantized anew and written over their first pixels.  So no row
+    is read more than twice, and the writer holds one 16-bit pixel row, a
+    block of floats and the rows it is given.  Pixel rows are time samples,
+    columns positions; samples are big-endian as the format requires.  On
+    any error the partial file is removed.
     """
-    pixels = np.zeros(shape, dtype=">u2")
-    scaled = np.empty(shape[1])
+    header = f"P5\n{shape[1]} {shape[0]}\n65535\n".encode("ascii")
+    # zero until a positive peak comes, as the rows before it are
+    pixels = np.zeros(shape[1], dtype=">u2")
+    scaled = np.empty(_QUANTIZE_BLOCK)
     peak = 0.0
     scaled_by = np.zeros(shape[0])  # the peak each row was quantized against
-    for i, row in enumerate(rows_at(np.arange(shape[0]))):
-        require_finite(path, "density", row)
-        peak = max(peak, row.max())
-        if peak > 0:
-            _quantize(row, peak, scaled, pixels[i])
-            scaled_by[i] = peak
-    # the rows quantized before the peak came; at a zero peak, none
-    stale = np.flatnonzero(scaled_by != peak)
-    for i, row in zip(stale.tolist(), rows_at(stale)):
-        _quantize(row, peak, scaled, pixels[i])
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{shape[1]} {shape[0]}\n65535\n".encode("ascii"))
-        fh.write(pixels)
+    fh = open(path, "wb")  # outside the try: a file that never opened is not removed
+    try:
+        with fh:
+            fh.write(header)
+            for i, row in enumerate(rows_at(np.arange(shape[0]))):
+                require_finite(path, "density", row)
+                peak = max(peak, row.max())
+                if peak > 0:
+                    _quantize(row, peak, scaled, pixels)
+                    scaled_by[i] = peak
+                fh.write(pixels)
+            # the rows quantized before the peak came; at a zero peak, none
+            stale = np.flatnonzero(scaled_by != peak)
+            for i, row in zip(stale.tolist(), rows_at(stale)):
+                _quantize(row, peak, scaled, pixels)
+                fh.seek(len(header) + i * pixels.nbytes)
+                fh.write(pixels)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def write_carpet_pgm(carpet_grid: CarpetGrid, path) -> None:

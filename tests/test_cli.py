@@ -2,6 +2,8 @@
 
 import contextlib
 import ctypes
+import errno
+import importlib.util
 import io
 import json
 import math
@@ -54,6 +56,12 @@ def small_config(**overrides):
     for key, value in overrides.items():
         base[key] = value
     return base
+
+
+def run_in(out, config_path, config, command="carpet"):
+    """Run ``command`` on ``config``, kept at ``config_path``, into ``out``."""
+    config_path.write_text(json.dumps(config))
+    return main([command, "--config", str(config_path), "--out", str(out)])
 
 
 def run_refused(tmp_path, capsys, command, text):
@@ -579,6 +587,8 @@ class TestCarpet:
         finally:
             tracemalloc.stop()
         assert peak < 64 * ((1 << 16) + 1) * 8
+        # and no pixel matrix: the rows go to the file one at a time
+        assert peak < 64 * ((1 << 16) + 1) * 2
 
     def test_non_finite_carpet_exits_3_without_files(self, tmp_path, monkeypatch, capsys):
         real_carpet, real_stream = cli.carpet, cli.density_stream
@@ -618,6 +628,107 @@ class TestCarpet:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "steps on 256 points" in err[0] and "times.t_max" in err[0]
         assert list(tmp_path.iterdir()) == []
+
+
+class TestAllOrNothing:
+    """A run's files appear complete and together, or the run leaves the
+    directory as it found it, less the sidecar it would have replaced."""
+
+    def test_file_size_limit_keeps_the_earlier_run(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        out = tmp_path / "out"
+        earlier = small_config(output={"basename": "t", "formats": ["csv", "pgm"]})
+        assert run_in(out, tmp_path / "earlier.json", earlier) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == ["t_carpet.csv", "t_carpet.meta.json", "t_carpet.pgm"]
+
+        # twice the rows: a CSV of about 200 kB against a 64 KiB file-size
+        # limit, set in the child alone
+        later = dict(earlier, times={"t_max": 0.5, "samples": 8, "unit": "classical"})
+        config = tmp_path / "later.json"
+        config.write_text(json.dumps(later))
+        limit = 1 << 16
+        env = dict(os.environ, PYTHONPATH=str(Path(relwell.__file__).parents[1]))
+        job = subprocess.run(
+            [sys.executable, "-m", "relwell.cli", "carpet", "--config", str(config),
+             "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+        )
+        assert job.returncode == 4
+        err = job.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:")
+        after = {path.name: path.read_bytes() for path in out.iterdir()}
+        # the earlier products or nothing; no sidecar vouches for them, and
+        # no temporary is left
+        assert set(after) <= {"t_carpet.csv", "t_carpet.pgm"}
+        assert all(after[name] == before[name] for name in after)
+
+    def test_nan_row_in_a_streamed_pgm_leaves_only_the_config(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        real_stream = cli.density_stream
+
+        def poisoned_stream(coeffs, grid, times):
+            # a middle row: the rows before it are already in the file
+            for i, row in enumerate(real_stream(coeffs, grid, times)):
+                if i == 2:
+                    row[5] = np.nan
+                yield row
+
+        monkeypatch.setattr(cli, "density_stream", poisoned_stream)
+        config = small_config(output={"basename": "t", "formats": ["pgm"]})
+        config["times"]["samples"] = 8
+        assert run(tmp_path, "carpet", config) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical error:")
+        assert err[0].endswith("to " + str(tmp_path / "t_carpet.pgm"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_an_error_at_a_temporary_names_the_file(self, tmp_path, monkeypatch, capsys):
+        def full_disk(stats, path):
+            open(path, "wb").close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), os.fspath(path))
+
+        monkeypatch.setattr(cli, "write_spacing_csv", full_disk)
+        out = tmp_path / "out"
+        assert run_in(out, tmp_path / "config.json", small_config(), "spacing") == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"i/o error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+                       f"{str(out / 't_spacing.csv')!r}"]
+        assert list(out.iterdir()) == []
+
+    def test_a_temporary_name_too_long_leaves_nothing(self, tmp_path, capsys):
+        # the sidecar's name fits the file system's limit; its temporary's
+        # five more bytes do not
+        out = tmp_path / "out"
+        out.mkdir()
+        limit = os.pathconf(out, "PC_NAME_MAX")
+        basename = "b" * (limit - len("_spacing.meta.json"))
+        config = {"output": {"basename": basename}}
+        assert run_in(out, tmp_path / "config.json", config, "spacing") == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error:")
+        assert err[0].endswith(f"{str(out / basename)}_spacing.meta.json'")
+        assert list(out.iterdir()) == []
+
+    def test_snapshot_tool_names_jobs_that_break_the_contract(self, tmp_path):
+        tool = Path(__file__).parents[1] / "tools" / "snapshot_outputs.py"
+        spec = importlib.util.spec_from_file_location("snapshot_outputs", tool)
+        snapshot = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(snapshot)
+        (tmp_path / "config.json").write_text("{}")
+        assert snapshot.breaches(tmp_path, 3, "numerical error: x\n") == []
+        (tmp_path / "t_carpet.pgm").write_bytes(b"P5")
+        (tmp_path / ".t_carpet.csv.tmp").write_bytes(b"")
+        assert snapshot.breaches(tmp_path, 0, "") == ["left the temporary .t_carpet.csv.tmp"]
+        assert snapshot.breaches(tmp_path, 4, "a\nb\n") == [
+            "left the temporary .t_carpet.csv.tmp",
+            "exited 4 and left .t_carpet.csv.tmp, t_carpet.pgm",
+            "exited 4 with 2 stderr lines",
+        ]
 
 
 class TestRevivals:

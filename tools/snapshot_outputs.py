@@ -26,6 +26,11 @@ directory (exit 4), seven carpets refused for one value of their document,
 a carpet and an autocorrelation asked of an engine they do not run, a split
 carpet over the work limit, and a carpet and an autocorrelation whose
 ``t_max`` overflows in revival periods (exit 2).
+The tool holds every job to that contract: after the last job it exits
+non-zero and names each error path that left an output file or printed
+other than one stderr line, and each job that left behind a temporary
+``.<name>.tmp``, the name the CLI writes a file under until the run is
+complete.
 All 152 run one at a time in 35-39 s, with about 155 MB of output, on a
 2-vCPU Intel Xeon host (112 of them took 11.6-12.4 s on a 2-vCPU AMD EPYC
 host).  The powered carpets' bits depend on the BLAS thread
@@ -37,9 +42,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+# what a job's directory holds besides the job's own outputs
+JOB_FILES = {"config.json", "stderr.txt", "exit_code.txt"}
+# the name the CLI writes a file under until the run is complete
+TEMPORARY = re.compile(r"\..+\.tmp")
 
 COMMANDS = ("spectrum", "carpet", "revivals", "autocorr", "spacing", "coeffs")
 PRESETS = ("default", "fig1", "fig2a", "fig2b", "fig2c", "fig3", "fig4", "fig5a", "fig5b")
@@ -182,12 +193,29 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
     return listed
 
 
+def breaches(jobdir: Path, returncode: int, stderr: str) -> list[str]:
+    """How a finished job breaks the contract of the module docstring: a
+    temporary left behind by any job, or an error path that left an output
+    file or printed other than one stderr line."""
+    names = sorted(path.name for path in jobdir.iterdir())
+    found = [f"left the temporary {name}" for name in names if TEMPORARY.fullmatch(name)]
+    if returncode != 0:
+        outputs = [name for name in names if name not in JOB_FILES]
+        if outputs:
+            found.append(f"exited {returncode} and left {', '.join(outputs)}")
+        lines = len(stderr.splitlines())
+        if lines != 1:
+            found.append(f"exited {returncode} with {lines} stderr lines")
+    return found
+
+
 def main() -> None:
     if len(sys.argv) != 3:
         raise SystemExit("usage: snapshot_outputs.py SRC OUT")
     src, out = Path(sys.argv[1]).resolve(), Path(sys.argv[2])
     out.mkdir(parents=True, exist_ok=False)
     env = dict(os.environ, PYTHONPATH=str(src))
+    failed = []
     for name, args, config in jobs():
         jobdir = out / name
         jobdir.mkdir()
@@ -202,9 +230,13 @@ def main() -> None:
             capture_output=True,
             text=True,
         )
+        found = breaches(jobdir, job.returncode, job.stderr)
         (jobdir / "stderr.txt").write_text(job.stderr)
         (jobdir / "exit_code.txt").write_text(f"{job.returncode}\n")
         print(f"{name}: exit {job.returncode}", flush=True)
+        failed += [f"{name}: {breach}" for breach in found]
+    if failed:
+        raise SystemExit("\n".join(["jobs that break the contract:", *failed]))
 
 
 if __name__ == "__main__":
