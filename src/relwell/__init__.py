@@ -4,17 +4,14 @@ Three independent numerical routes — exact evolution in the analytic
 eigenbasis, a split-operator grid propagator and momentum-space
 diagonalization — cross-validate each other and the closed-form results.
 
-Two numpy-free names are defined here, the package's one exception type and
-the document fields that set the model's scales; each other public name loads
-its module, and so numpy, on first use: ``import relwell`` alone loads neither.
+The package's one exception type is defined here, free of numpy; each other
+public name loads its module, and so numpy, on first use: ``import relwell``
+alone loads neither.
 """
 
 import importlib
 
 __version__ = "0.1.0"
-
-# the config fields that set the model's scales, named by errors at extreme scales
-SCALE_FIELDS = "model.mass, model.light_speed, model.hbar or model.well_width_in_compton"
 
 
 class SimulationError(Exception):

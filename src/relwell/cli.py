@@ -2,8 +2,10 @@
 
 A run is described by a single JSON document with ``model``, ``packet``,
 ``engine``, ``times``, ``levels`` and ``output`` blocks; named presets cover
-the standard figure-class workloads.  Exit codes: 0 success, 2 validation,
-3 numerical, 4 I/O.
+the standard figure-class workloads.  Every engine computes in natural
+units, hbar = c = m = 1: the document's units enter once, in ResolvedConfig,
+and leave once, as each command hands its outputs to the writers.  Exit
+codes: 0 success, 2 validation, 3 numerical, 4 I/O.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import SCALE_FIELDS, SimulationError, __version__
+from . import SimulationError, __version__
 
 # name -> the module that defines it.  These and numpy (as np) load only when
 # a ResolvedConfig is built, or on first access from outside, so a document
@@ -27,7 +29,7 @@ from . import SCALE_FIELDS, SimulationError, __version__
 _NUMERICS = {
     name: module
     for module, names in (
-        ("grids", "SpatialGrid write_table"),
+        ("grids", "SpatialGrid all_finite write_table"),
         ("model", "WellModel energy revival_times"),
         ("momentum", "MomentumGrid default_grid solve write_spectrum_csv"),
         ("observables", "autocorrelation carpet extract_levels level_spacing "
@@ -58,6 +60,28 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load_numerics()
     return globals()[name]
+
+
+# the unit of each dimension in the document's terms, as the powers of
+# model.mass, model.light_speed and model.hbar whose product it is
+UNITS = {
+    "energy": (1, 2, 0),  # m c^2
+    "time": (-1, -2, 1),  # hbar / (m c^2)
+    "length": (-1, -1, 1),  # hbar / (m c)
+    "momentum": (1, 1, 0),  # m c
+    "density": (1, 1, -1),  # per length
+    "energy^2": (2, 4, 0),  # of a variance of energies
+    "per time": (1, 2, -1),  # m c^2 / hbar, which takes the document's times in
+}
+# the dimension of each sidecar value that has one, by key, in nested objects
+# too; every other value is a count, a name or dimensionless
+SIDECAR_DIMENSIONS = {
+    **dict.fromkeys(("well_width", "compton_wavelength"), "length"),
+    **dict.fromkeys(("t_classical", "t_revival", "t_super", "dt"), "time"),
+    **dict.fromkeys(("wall_height", "fourier_resolution", "mean", "asymptote_gap"), "energy"),
+    "p_max": "momentum",
+    "variance": "energy^2",
+}
 
 
 # the type of each key an engine kind takes besides kind: these keys have no
@@ -244,34 +268,64 @@ def load_config(preset: str | None, config_path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, PRESETS[name])
 
 
+def _unit(scales, powers) -> float:
+    """The product of ``scales`` raised to ``powers``, correctly rounded: an
+    infinity or 0 only where the product itself leaves double range."""
+    from fractions import Fraction  # loaded with the model
+
+    exact = math.prod(Fraction(scale) ** power for scale, power in zip(scales, powers))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf
+
+
+def _in_units(values, factor: float, name: str):
+    """``values`` times ``factor``: an array in place, a number as a float.
+    SimulationError names ``name`` where a finite value leaves double range
+    on the way: a nonzero one becomes 0, or any one an infinity or NaN."""
+    array = values if isinstance(values, np.ndarray) else np.array(float(values))
+    with np.errstate(all="ignore"):
+        finite, nonzero = all_finite(array), np.count_nonzero(array)
+        array *= factor
+        if finite and not (all_finite(array) and np.count_nonzero(array) == nonzero):
+            raise SimulationError(
+                f"{name} leaves double range in the units that model.mass, "
+                "model.light_speed, model.hbar set; bring them closer to 1"
+            )
+    return values if array is values else float(array)
+
+
 class ResolvedConfig:
-    """A document that has passed _check_document, with all quantities in
-    absolute units.  Building one loads the numerics it calls."""
+    """A document that has passed _check_document, as a problem in natural
+    units; ``units`` holds the factor that takes each dimension of UNITS to
+    the document's units.  Building one loads the numerics it calls."""
 
     def __init__(self, document: dict):
         _load_numerics()
         self.document = document
 
         scales = [document["model"][key] for key in ("mass", "light_speed", "hbar")]
-        width = document["model"]["well_width_in_compton"] * WellModel(*scales).compton_wavelength
-        if width == 0 or math.isinf(width):
-            raise OverflowError("the absolute well width leaves double range")
-        self.model = WellModel(*scales, well_width=width)
+        self.units = {name: _unit(scales, powers) for name, powers in UNITS.items()}
+        width = 2.0 * math.pi * document["model"]["well_width_in_compton"]
+        if math.isinf(width):
+            raise ArithmeticError("the natural well width 2 pi well_width_in_compton overflows")
+        self.model = WellModel(width)
 
         packet_block = document["packet"]
-        L = self.model.well_width
-        lengths = {"x0": packet_block["x0_over_L"] * L, "sigma": packet_block["sigma_over_L"] * L}
-        p0 = packet_block["p0_in_hbar_over_L"] * self.model.hbar / L
+        lengths = {
+            "x0": packet_block["x0_over_L"] * width, "sigma": packet_block["sigma_over_L"] * width
+        }
         # a positive fraction of L below 1, as any packet the box takes has,
-        # cannot overflow; any other is refused with the box below
+        # cannot overflow, but of a subnormal L it can underflow
         for key, value in lengths.items():
             if value == 0 and packet_block[f"{key}_over_L"] > 0:
                 raise ArithmeticError(f"the packet's {key} underflows to 0")
-        if (p0 == 0 or math.isinf(p0)) and packet_block["p0_in_hbar_over_L"] != 0:
-            raise ArithmeticError("the packet's p0 leaves double range")
-        self.packet = WavepacketSpec(**lengths, p0=p0)
+        self.packet = WavepacketSpec(**lengths, p0=packet_block["p0_in_hbar_over_L"] / width)
         self.packet.validate_against(self.model)
         self.engine = dict(document["engine"])
+        if "dt" in self.engine:
+            self.engine["dt"] = _in_units(self.engine["dt"], self.units["per time"], "engine.dt")
         self.levels = (document["levels"]["n_min"], document["levels"]["n_max"])
         self.basename = document["output"]["basename"]
 
@@ -280,7 +334,7 @@ class ResolvedConfig:
         sigma = self.packet.sigma
         intervals = self.engine.get("grid_intervals")
         if intervals is None:
-            k_top = abs(self.packet.p0) / self.model.hbar + 4.0 / sigma
+            k_top = abs(self.packet.p0) + 4.0 / sigma
             needed = max(1024.0, 16.0 * L / sigma, 4.0 * k_top * L / math.pi)
             if not needed <= 2**61:
                 raise ValueError(f"the packet needs {needed:.3g} grid intervals, beyond any array")
@@ -301,11 +355,12 @@ class ResolvedConfig:
         return coeffs, grid
 
     def resolve_times(self, summary: dict) -> np.ndarray:
-        """Sample times; the period units read their period from a _revival_summary."""
+        """Sample times in natural units; the period units read their period
+        from a _revival_summary."""
         block = self.document["times"]
         unit = block["unit"]
         if unit == "natural":
-            t_max = float(block["t_max"])  # an int beyond int64 would make linspace fail
+            t_max = _in_units(block["t_max"], self.units["per time"], "times.t_max")
         else:
             t_max = block["t_max"] * summary[f"t_{unit}"]
             if not math.isfinite(t_max):
@@ -333,8 +388,8 @@ def _write_outputs(
     outdir: Path, resolved: ResolvedConfig, command: str, summary: dict, products: dict
 ) -> None:
     """Write each product to ``<basename>_<suffix>``, one at a time, and then
-    the sidecar ``<basename>_<command>.meta.json`` holding ``summary``: all of
-    them, or none.
+    the sidecar ``<basename>_<command>.meta.json`` holding ``summary``, in the
+    document's units: all of them, or none.
 
     ``products`` maps a file suffix to the writer that takes that file's
     path.  The sidecar is serialized before any file is touched, so a value
@@ -345,14 +400,13 @@ def _write_outputs(
     """
     paths = [outdir / f"{resolved.basename}_{suffix}" for suffix in products]
     sidecar = outdir / f"{resolved.basename}_{command}.meta.json"
+    widths = {"well_width": resolved.model.well_width, "compton_wavelength": 2.0 * math.pi}
     payload = {
         "command": command,
         "version": __version__,
         "config": resolved.document,
-        "well_width": resolved.model.well_width,
-        "compton_wavelength": resolved.model.compton_wavelength,
         "files": [path.name for path in paths],
-        **summary,
+        **_sidecar_values({**widths, **summary}, resolved.units),
     }
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
@@ -378,6 +432,19 @@ def _write_outputs(
         raise
 
 
+def _sidecar_values(values: dict, units: dict) -> dict:
+    """``values`` with each one that SIDECAR_DIMENSIONS gives a dimension, in
+    nested objects too, in the document's units."""
+    converted = {}
+    for key, value in values.items():
+        if isinstance(value, dict):
+            value = _sidecar_values(value, units)
+        elif key in SIDECAR_DIMENSIONS:
+            value = _in_units(value, units[SIDECAR_DIMENSIONS[key]], f"the sidecar's {key}")
+        converted[key] = value
+    return converted
+
+
 def _revival_summary(resolved: ResolvedConfig, coeffs) -> dict:
     n0 = dominant_level(coeffs)
     rt = revival_times(resolved.model, n0)
@@ -398,25 +465,29 @@ def _revival_summary(resolved: ResolvedConfig, coeffs) -> dict:
 
 
 def cmd_spectrum(resolved: ResolvedConfig, outdir: Path) -> None:
-    model = resolved.model
+    model, unit = resolved.model, resolved.units["energy"]
     n_min, n_max = resolved.levels
     levels = np.arange(n_min, n_max + 1)
-    energies = energy(model, levels)
+    energies = _in_units(energy(model, levels), unit, "spectrum.csv's energy")
     products = {"spectrum.csv": lambda path: write_table(path, ("n", "energy"), (levels, energies))}
     summary = {}
     if resolved.engine["kind"] == "diag":
         engine = {**_DIAG_DEFAULTS, **resolved.engine}
         count, p_max = engine["momentum_points"], engine.get("p_max_in_mc")
-        grid = (
-            default_grid(model, n_max, count)
-            if p_max is None
-            else MomentumGrid(p_max * model.momentum_scale, count)
-        )
-        wall = engine["wall_height_in_mc2"] * model.energy_scale
+        if p_max is None:
+            grid = default_grid(model, n_max, count)
+        else:
+            grid = MomentumGrid(float(p_max), count)
+        wall = float(engine["wall_height_in_mc2"])
         if n_max > grid.count:
             raise ValueError(f"levels.n_max={n_max} exceeds engine.momentum_points={grid.count}")
         numeric = solve(grid, model, wall, k_levels=n_max)
-        products["spectrum_diag.csv"] = partial(write_spectrum_csv, numeric, model)
+        analytic = energy(model, np.arange(1, numeric.size + 1))
+        error = np.abs(numeric - analytic)
+        columns = (numeric, analytic, error, error / analytic)
+        for name, column in zip(("e_numeric", "e_analytic", "abs_error"), columns):
+            _in_units(column, unit, f"spectrum_diag.csv's {name}")
+        products["spectrum_diag.csv"] = partial(write_spectrum_csv, columns)
         summary["diag_metadata"] = {"wall_height": wall, "p_max": grid.p_max, "count": grid.count}
     _write_outputs(outdir, resolved, "spectrum", summary, products)
 
@@ -438,7 +509,7 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path) -> None:
             sigma=resolved.packet.sigma,
             dt=engine.get("dt"),
             grid_size=engine.get("grid_size"),
-            wall_height=None if wall is None else wall * model.energy_scale,
+            wall_height=None if wall is None else float(wall),
             wall_margin=None if margin is None else margin * model.well_width,
         )
         t_max = float(times.max())
@@ -462,6 +533,11 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path) -> None:
     else:
         result = carpet(coeffs, grid, times, config=config)
         shape = result.density.shape
+        if {"csv", "bin"} & set(formats):
+            units = resolved.units
+            _in_units(result.times, units["time"], "the carpet's t")
+            _in_units(result.positions, units["length"], "the carpet's x")
+            _in_units(result.density, units["density"], "the carpet's density")
         writers = {"csv": write_carpet_csv, "bin": write_carpet_binary, "pgm": write_carpet_pgm}
         products = {
             f"carpet.{suffix}": partial(write, result)
@@ -480,11 +556,11 @@ def cmd_revivals(resolved: ResolvedConfig, outdir: Path) -> None:
     rts = [revival_times(resolved.model, n) for n in levels.tolist()]
     coeffs, _ = resolved.coefficients()
     summary = _revival_summary(resolved, coeffs)
-
-    def write(path):
-        write_table(path, header, (levels, *([getattr(rt, h) for rt in rts] for h in header[1:])))
-
-    _write_outputs(outdir, resolved, "revivals", summary, {"revivals.csv": write})
+    columns = [np.array([getattr(rt, name) for rt in rts]) for name in header[1:]]
+    for name, column in zip(header[1:], columns):
+        _in_units(column, resolved.units["time"], f"revivals.csv's {name}")
+    products = {"revivals.csv": lambda path: write_table(path, header, (levels, *columns))}
+    _write_outputs(outdir, resolved, "revivals", summary, products)
 
 
 def cmd_autocorr(resolved: ResolvedConfig, outdir: Path) -> None:
@@ -494,21 +570,24 @@ def cmd_autocorr(resolved: ResolvedConfig, outdir: Path) -> None:
     series = autocorrelation(coeffs, times)
     products = {"autocorr.csv": partial(write_autocorrelation_csv, series)}
     if times.size >= 8 and times[-1] > 0:
-        estimates = extract_levels(series, hbar=resolved.model.hbar)
+        estimates = extract_levels(series)
         if not (math.isfinite(estimates.resolution) and np.isfinite(estimates.energies).all()):
             raise ValueError(
                 f"times.t_max of {times[-1]!r} is too short for a finite Fourier resolution"
             )
+        _in_units(estimates.energies, resolved.units["energy"], "levels.csv's energy")
         products["levels.csv"] = lambda path: write_table(
             path, ("energy", "weight"), (estimates.energies, estimates.weights)
         )
         summary["fourier_resolution"] = estimates.resolution
+    _in_units(series.times, resolved.units["time"], "autocorr.csv's t")
     _write_outputs(outdir, resolved, "autocorr", summary, products)
 
 
 def cmd_spacing(resolved: ResolvedConfig, outdir: Path) -> None:
     _, n_max = resolved.levels
     stats = level_spacing(resolved.model, n_max)
+    _in_units(stats.spacings, resolved.units["energy"], "spacing.csv's spacing")
     summary = {key: getattr(stats, key) for key in ("mean", "variance", "asymptote_gap")}
     products = {"spacing.csv": partial(write_spacing_csv, stats)}
     _write_outputs(outdir, resolved, "spacing", summary, products)
@@ -590,7 +669,8 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:
-        print(f"numerical error: {exc}; bring {SCALE_FIELDS} closer to 1", file=sys.stderr)
+        print(f"numerical error: {exc}; bring model.well_width_in_compton closer to 1",
+              file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -78,9 +78,9 @@ class BoxGrid:
     def points(self) -> np.ndarray:
         return self.x_min + self.spacing * np.arange(self.size)
 
-    def momenta(self, hbar: float) -> np.ndarray:
+    def momenta(self) -> np.ndarray:
         """FFT-ordered momentum samples conjugate to the grid."""
-        return 2.0 * np.pi * hbar * np.fft.fftfreq(self.size, d=self.spacing)
+        return 2.0 * np.pi * np.fft.fftfreq(self.size, d=self.spacing)
 
 
 @dataclass
@@ -170,14 +170,16 @@ def _two_product(a, b):
     return np.ldexp(p, scale), np.ldexp(e, scale)
 
 
-def require_finite(path, name: str, values) -> None:
-    """Refuse, before anything is written, to put non-finite ``values`` in ``path``.
-
-    NaN propagates through both extremes and an infinity is one of them, so
-    two reductions decide it without a mask the size of ``values``.
-    """
+def all_finite(values) -> bool:
+    """Whether every entry is finite: NaN propagates through both extremes and
+    an infinity is one of them, so two reductions decide it, with no mask."""
     values = np.asarray(values)
-    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+    return not values.size or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
+def require_finite(path, name: str, values) -> None:
+    """Refuse, before anything is written, to put non-finite ``values`` in ``path``."""
+    if not all_finite(values):
         raise SimulationError(f"refusing to write non-finite {name} to {path}")
 
 

@@ -3,9 +3,10 @@
 The kinetic operator is sqrt(m^2 c^4 + p^2 c^2).  For a box of width L the
 eigenfunctions coincide with the familiar non-relativistic sine modes while
 the spectrum follows the relativistic dispersion evaluated at k_n = n*pi/L.
-All internal arithmetic is done in natural units (hbar = c = m = 1, lengths
-in reduced Compton wavelengths); user units enter and leave at the API
-boundary only.
+Everything here is in natural units, hbar = c = m = 1: lengths in reduced
+Compton wavelengths hbar/(m c), momenta in m c, energies in m c^2 and times
+in hbar/(m c^2).  The command line converts a document's units into these
+once, and its outputs back once.
 """
 
 from __future__ import annotations
@@ -20,61 +21,26 @@ import numpy as np
 MAX_DERIVATIVE_ORDER = 6
 
 
-def _finite(scale: float, name: str) -> float:
-    """``scale``, or OverflowError naming it where it left double range."""
-    if math.isinf(scale):
-        raise OverflowError(f"{name} overflows")
-    return scale
-
-
 @dataclass(frozen=True)
 class WellModel:
-    """Particle and box parameters with their derived natural scales.
+    """A box of width ``well_width`` in reduced Compton wavelengths hbar/(m c).
 
-    The Compton wavelength 2*pi*hbar/(m*c) is the physical length scale that
-    separates the non-relativistic (L much larger) from the ultra-relativistic
-    (L much smaller) regime; it is always recomputed, never stored.
+    The width in Compton wavelengths 2*pi*hbar/(m c) separates the
+    non-relativistic (much larger) from the ultra-relativistic (much smaller)
+    regime.  It is the model's one parameter: m, c and hbar only choose the
+    units.
     """
 
-    mass: float = 1.0
-    light_speed: float = 1.0
-    hbar: float = 1.0
     well_width: float = 1.0
 
     def __post_init__(self):
-        for name in ("mass", "light_speed", "hbar", "well_width"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-    # each scale raises OverflowError past double range
-    @property
-    def momentum_scale(self) -> float:
-        return _finite(self.mass * self.light_speed, "the momentum scale m c")
-
-    @property
-    def compton_wavelength(self) -> float:
-        return _finite(2.0 * math.pi * self.hbar / self.momentum_scale,
-                       "the Compton wavelength 2 pi hbar/(m c)")
-
-    @property
-    def energy_scale(self) -> float:
-        """Rest energy m c^2, the internal unit of energy."""
-        try:
-            c_squared = self.light_speed**2
-        except OverflowError:  # Python's float power raises past double range
-            c_squared = math.inf
-        return _finite(self.mass * c_squared, "the rest energy m c^2")
-
-    @property
-    def width_natural(self) -> float:
-        """Box width in reduced Compton wavelengths hbar/(m c), the internal
-        unit of length."""
-        return self.well_width / (self.hbar / self.momentum_scale)
+        if self.well_width <= 0:
+            raise ValueError("well_width must be positive")
 
 
 def _momentum_ratio(model: WellModel, n) -> np.ndarray:
     """p_n / (m c), the dimensionless knob that selects the regime."""
-    return np.pi * np.asarray(n, dtype=float) / model.width_natural
+    return np.pi * np.asarray(n, dtype=float) / model.well_width
 
 
 def _check_level(n) -> np.ndarray:
@@ -85,24 +51,23 @@ def _check_level(n) -> np.ndarray:
 
 
 def energy(model: WellModel, n) -> np.floating | np.ndarray:
-    """Bound-state energy m c^2 * sqrt(1 + (p_n / m c)^2) for level n >= 1.
+    """Bound-state energy sqrt(1 + p_n^2) for level n >= 1, p_n = n pi / L.
 
     Accepts a scalar (returning a numpy scalar) or an array of levels.
     Strictly increasing in n and never below the rest energy.
     """
-    x = _momentum_ratio(model, _check_level(n))
-    return model.energy_scale * np.hypot(1.0, x)
-
-
-def lorentz_gamma(model: WellModel, n) -> np.floating | np.ndarray:
-    """gamma_n = E_n / m c^2."""
     return np.hypot(1.0, _momentum_ratio(model, _check_level(n)))
 
 
+def lorentz_gamma(model: WellModel, n) -> np.floating | np.ndarray:
+    """gamma_n = E_n / m c^2, which is E_n itself in natural units."""
+    return energy(model, n)
+
+
 def level_velocity(model: WellModel, n) -> np.floating | np.ndarray:
-    """Relativistic group velocity v_n = p_n c^2 / E_n, always below c."""
+    """Relativistic group velocity v_n = p_n / E_n, always below c = 1."""
     x = _momentum_ratio(model, _check_level(n))
-    return model.light_speed * x / np.hypot(1.0, x)
+    return x / np.hypot(1.0, x)
 
 
 @lru_cache(maxsize=None)
@@ -141,10 +106,12 @@ def _sum_coefficients(order: int) -> tuple:
     return tuple(float(a) for a in coeffs)
 
 
-def _derivative_natural(width_natural: float, n0: float, order: int) -> float:
-    """d^N E / dn^N in rest-energy units for the dispersion sqrt(1 + (b n)^2).
+def energy_derivative(model: WellModel, n0: float, order: int) -> float:
+    """N-th derivative of E(n) with respect to the (continuous) level index.
 
-    Product/sum closed form for derivatives of (1 + a x^2)^(1/2):
+    Supported orders are 1..6.  Order 1 reduces to (pi/L) * p_n/gamma and
+    order 2 to (pi/L)^2 / gamma^3.  In general, for the dispersion
+    sqrt(1 + (b n)^2), the product/sum closed form is
 
         pref * prod_{j=0}^{N-1} (1/2 - j)
              * sum_{k=0}^{floor(N/2)} [N! / (N-2k)!]
@@ -153,33 +120,7 @@ def _derivative_natural(width_natural: float, n0: float, order: int) -> float:
     with b = pi/L, x = b*n0, gamma = sqrt(1 + x^2) and
     pref = (2 b x)^N / gamma^(2N-1).  The k-sum is evaluated through its
     exact-rational reorganization in powers of 1/x^2 (see _sum_coefficients).
-    NaN where a power of pref leaves double range.
-    """
-    b = math.pi / width_natural
-    x = b * n0
-    g = math.hypot(1.0, x)
-    try:
-        pref = (2.0 * b * x) ** order / g ** (2 * order - 1)
-    except OverflowError:
-        return math.nan
-    for j in range(order):
-        pref *= 0.5 - j
-    coeffs = _sum_coefficients(order)
-    u = 1.0 / (x * x)
-    total = 0.0
-    start = 0 if order == 1 else 1
-    for j in range(len(coeffs) - 1, start - 1, -1):
-        total = total * u + coeffs[j]
-    total *= u**start
-    return pref * total
-
-
-def energy_derivative(model: WellModel, n0: float, order: int) -> float:
-    """N-th derivative of E(n) with respect to the (continuous) level index.
-
-    Supported orders are 1..6.  Order 1 reduces to (hbar*pi/L) * p_n/(gamma*m)
-    and order 2 to (hbar*pi/L)^2 / (gamma^3 * m).  Where the closed form's
-    powers leave double range the derivative is NaN.
+    NaN where a power of pref, or 1/x^2, leaves double range.
     """
     if not isinstance(order, int) or not 1 <= order <= MAX_DERIVATIVE_ORDER:
         raise ValueError(
@@ -187,7 +128,23 @@ def energy_derivative(model: WellModel, n0: float, order: int) -> float:
         )
     if n0 <= 0:
         raise ValueError("n0 must be positive")
-    return model.energy_scale * _derivative_natural(model.width_natural, float(n0), order)
+    b = math.pi / model.well_width
+    x = b * float(n0)
+    g = math.hypot(1.0, x)
+    try:
+        pref = (2.0 * b * x) ** order / g ** (2 * order - 1)
+        u = 1.0 / (x * x)
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
+    for j in range(order):
+        pref *= 0.5 - j
+    coeffs = _sum_coefficients(order)
+    total = 0.0
+    start = 0 if order == 1 else 1
+    for j in range(len(coeffs) - 1, start - 1, -1):
+        total = total * u + coeffs[j]
+    total *= u**start
+    return pref * total
 
 
 @dataclass(frozen=True)
@@ -204,32 +161,24 @@ class RevivalTimes:
     t_super: float
     gamma: float
 
-    def __post_init__(self):
-        if not (self.t_classical > 0 and self.t_revival > 0 and self.t_super > 0):
-            raise ValueError("revival times must be positive")
-        if self.gamma < 1.0:
-            raise ValueError("gamma must be >= 1")
-
 
 def revival_times(model: WellModel, n0: int) -> RevivalTimes:
     """Classical period, revival time and super-revival time at level n0.
 
-    t_classical = 2*pi*hbar / |E'|,  t_revival = 2*pi*hbar / (|E''|/2),
-    t_super = 2*pi*hbar / (|E'''|/6), with the derivatives taken with respect
+    t_classical = 2*pi / |E'|,  t_revival = 2*pi / (|E''|/2),
+    t_super = 2*pi / (|E'''|/6), with the derivatives taken with respect
     to the level index at n0.  A time that leaves double range raises
     ArithmeticError.
     """
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
-    two_pi_hbar = 2.0 * math.pi * model.hbar
+    two_pi = 2.0 * math.pi
     d1 = energy_derivative(model, n0, 1)
     d2 = energy_derivative(model, n0, 2)
     d3 = energy_derivative(model, n0, 3)
-    times = {
-        "t_classical": two_pi_hbar / abs(d1),
-        "t_revival": two_pi_hbar / (abs(d2) / 2.0),
-        "t_super": two_pi_hbar / (abs(d3) / 6.0),
-    }
+    rates = {"t_classical": abs(d1), "t_revival": abs(d2) / 2.0, "t_super": abs(d3) / 6.0}
+    # a rate of 0 gives an infinite time
+    times = {name: two_pi / rate if rate else math.inf for name, rate in rates.items()}
     # 0, an infinity, or NaN where a derivative's own terms overflowed
     for name, t in times.items():
         if not 0 < t < math.inf:

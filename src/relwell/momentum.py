@@ -4,10 +4,10 @@ Discretizes the bound-state integral equation on a uniform momentum grid.  The
 delta-singular part of the step potential's Fourier transform is folded into a
 uniform +V0 diagonal shift (complement decomposition V = V0 * (1 - window)),
 which stays well conditioned at large V0; only the smooth well-window
-transform W(q) = exp(-i q L / 2 hbar) * 2 hbar sin(q L / 2 hbar) / q is
-sampled.  Conjugating by D = diag(exp(-i p L / 2 hbar)) removes its phase and
-leaves a real symmetric matrix; E(p) is even and the nodes are mirror images,
-so that matrix splits into even and odd blocks of half the size.
+transform W(q) = exp(-i q L / 2) * 2 sin(q L / 2) / q is sampled, in natural
+units hbar = c = m = 1.  Conjugating by D = diag(exp(-i p L / 2)) removes its
+phase and leaves a real symmetric matrix; E(p) is even and the nodes are
+mirror images, so that matrix splits into even and odd blocks of half the size.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import SimulationError
 from .grids import write_table
-from .model import WellModel, energy
+from .model import WellModel
 
 
 @dataclass(frozen=True)
@@ -51,29 +51,25 @@ class MomentumGrid:
 
 def default_grid(model: WellModel, n_target: int, count: int) -> MomentumGrid:
     """Grid of ``count`` nodes wide enough for the highest targeted level."""
-    p_max = max(
-        20.0 * model.hbar / model.well_width * n_target,
-        10.0 * model.momentum_scale,
-    )
-    return MomentumGrid(p_max, count)
+    return MomentumGrid(max(20.0 / model.well_width * n_target, 10.0), count)
 
 
 def build_hamiltonian(grid: MomentumGrid, model: WellModel, wall_height: float) -> np.ndarray:
     """Real symmetric H' = D^dagger H D, where
-    H_ij = [E(p_i) + V0] delta_ij - (V0 dp / 2 pi hbar) W(p_i - p_j).
+    H_ij = [E(p_i) + V0] delta_ij - (V0 dp / 2 pi) W(p_i - p_j).
 
     H' keeps the diagonal; its coupling is the Toeplitz matrix
-    -(V0 dp / 2 pi hbar) L sinc((i - j) dp L / 2 pi hbar).
+    -(V0 dp / 2 pi) L sinc((i - j) dp L / 2 pi).
     """
     lags = np.arange(grid.count) * grid.spacing
-    window = model.well_width * np.sinc(lags * model.well_width / (2.0 * math.pi * model.hbar))
-    coupling = -wall_height * grid.spacing / (2.0 * math.pi * model.hbar) * window
+    window = model.well_width * np.sinc(lags * model.well_width / (2.0 * math.pi))
+    coupling = -wall_height * grid.spacing / (2.0 * math.pi) * window
     # row i is the length-n window starting at n-1-i in [c_{n-1}..c_1, c_0, c_1..c_{n-1}],
     # that is c_|i-j|, with no n x n index array
     mirrored = np.concatenate([coupling[:0:-1], coupling])
     h = sliding_window_view(mirrored, grid.count)[::-1].copy()
     idx = np.arange(grid.count)
-    h[idx, idx] += np.hypot(model.energy_scale, grid.nodes * model.light_speed) + wall_height
+    h[idx, idx] += np.hypot(1.0, grid.nodes) + wall_height
     return h
 
 
@@ -104,10 +100,9 @@ def solve(grid: MomentumGrid, model: WellModel, wall_height: float, k_levels: in
     return np.sort(np.concatenate(blocks))[:k_levels]
 
 
-def write_spectrum_csv(levels: np.ndarray, model: WellModel, path) -> None:
-    """CSV comparing numeric levels with the closed-form spectrum."""
-    n = np.arange(1, levels.size + 1)
-    analytic = energy(model, n)
-    abs_err = np.abs(levels - analytic)
+def write_spectrum_csv(columns, path) -> None:
+    """CSV comparing numeric levels with the closed-form spectrum: ``columns``
+    holds e_numeric, e_analytic, abs_error and rel_error, one row per level n."""
+    n = np.arange(1, columns[0].size + 1)
     header = ("n", "e_numeric", "e_analytic", "abs_error", "rel_error")
-    write_table(path, header, (n, levels, analytic, abs_err, abs_err / analytic))
+    write_table(path, header, (n, *columns))

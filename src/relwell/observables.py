@@ -1,10 +1,9 @@
 """Derived quantities: autocorrelation, level extraction, carpets, light-cone
-diagnostics and level-spacing statistics."""
+diagnostics and level-spacing statistics, in natural units hbar = c = m = 1."""
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ from .splitop import PropagationConfig, propagate
 PEAK_THRESHOLD = 1e-4  # local maxima below this fraction of the tallest peak are noise
 
 _BLOCK = 256  # autocorrelation samples per block of the two matrix products
-_TAYLOR_LIMIT = 1e-3  # largest |E r / hbar| the residual series corrects
+_TAYLOR_LIMIT = 1e-3  # largest |E r| the residual series corrects
 _WORKSPACE = 1 << 16  # complex entries per chunk of autocorrelation anchors
 _QUANTIZE_BLOCK = 1 << 12  # floats per block of the PGM quantizer
 
@@ -43,18 +42,18 @@ class AutocorrelationSeries:
 
 
 def autocorrelation(coeffs: CoefficientVector, times) -> AutocorrelationSeries:
-    """A(t) = sum_n |a_n|^2 exp(-i E_n t / hbar).
+    """A(t) = sum_n |a_n|^2 exp(-i E_n t).
 
     The samples are cut into blocks of ``_BLOCK``; sample j of the block
     anchored at t_a sits at t_a + j dt + r, with a residual r of a few ulp
     of t on a uniform grid.  Then
 
-        A = M T + sum_{m >= 1} (M diag((-i E / hbar)^m / m!)) T * r^m,
+        A = M T + sum_{m >= 1} (M diag((-i E)^m / m!)) T * r^m,
 
-    with M[b, n] = |a_n|^2 exp(-i E_n t_a(b) / hbar) and
-    T[n, j] = exp(-i E_n j dt / hbar): two complex matrix products, and
-    n_max * (K / B + B) phases in place of n_max * K.  Correction terms are
-    added until the next one is below 1e-17.  Where some |E r / hbar|
+    with M[b, n] = |a_n|^2 exp(-i E_n t_a(b)) and T[n, j] = exp(-i E_n j dt):
+    two complex matrix products, and n_max * (K / B + B) phases in place of
+    n_max * K.  Correction terms are added until the next one is below
+    1e-17.  Where some |E r|
     exceeds ``_TAYLOR_LIMIT`` (non-uniform or inexact grids, K < 3) the
     block length is 1, so M is the whole sum and T is ones.  M is built in
     chunks of blocks, which bounds the workspace for every block length.
@@ -62,23 +61,22 @@ def autocorrelation(coeffs: CoefficientVector, times) -> AutocorrelationSeries:
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     model = coeffs.model
     energies = energy(model, coeffs.levels)
-    rates = energies / model.hbar
-    offsets, residuals, x = _blocks(ts, float(np.max(np.abs(rates))))
+    offsets, residuals, x = _blocks(ts, float(np.max(np.abs(energies))))
     order = 0
     while x ** (order + 1) / math.factorial(order + 1) >= 1e-17:
         order += 1
 
     weights = coeffs.weights()
-    steps = np.exp(-1j * phases(energies[:, None], offsets, model.hbar))
+    steps = np.exp(-1j * phases(energies[:, None], offsets))
     anchors = ts[:: offsets.size]
     values = np.empty(residuals.shape, dtype=np.complex128)
     rows = max(1, _WORKSPACE // energies.size)
     for start in range(0, anchors.size, rows):
         chunk = slice(start, start + rows)
-        m_rows = weights * np.exp(-1j * phases(energies, anchors[chunk, None], model.hbar))
+        m_rows = weights * np.exp(-1j * phases(energies, anchors[chunk, None]))
         values[chunk] = m_rows @ steps
         for m in range(1, order + 1):
-            factor = (-1j * rates) ** m / math.factorial(m)
+            factor = (-1j * energies) ** m / math.factorial(m)
             values[chunk] += ((m_rows * factor) @ steps) * residuals[chunk] ** m
     return AutocorrelationSeries(ts, values.reshape(-1)[: ts.size])
 
@@ -111,7 +109,7 @@ def _blocks(ts: np.ndarray, rate: float):
 class LevelEstimates:
     """Energies and weights recovered from an autocorrelation record.
 
-    ``resolution`` is the Fourier limit 2*pi*hbar/T_total of the record; the
+    ``resolution`` is the Fourier limit 2*pi/T_total of the record; the
     Hann window applied before the transform widens each peak's main lobe to
     roughly twice that, which is the price paid for suppressed leakage.
     """
@@ -121,12 +119,12 @@ class LevelEstimates:
     resolution: float
 
 
-def extract_levels(series: AutocorrelationSeries, hbar: float = 1.0) -> LevelEstimates:
+def extract_levels(series: AutocorrelationSeries) -> LevelEstimates:
     """Locate populated levels as peaks of the windowed Fourier transform.
 
     Peaks are local maxima of the spectral modulus above 1e-4 of the global
     maximum, refined by three-point quadratic interpolation; energies are
-    hbar*omega_peak, weights approximate |a_n|^2.
+    the peak frequencies omega, weights approximate |a_n|^2.
     """
     ts = series.times
     if ts.size >= 3 and not np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9, atol=0.0):
@@ -154,9 +152,7 @@ def extract_levels(series: AutocorrelationSeries, hbar: float = 1.0) -> LevelEst
     height = mid - 0.25 * (left - right) * shift
     omega = 2.0 * math.pi * (k + shift) / t_total
     return LevelEstimates(
-        energies=hbar * omega,
-        weights=height / gain,
-        resolution=2.0 * math.pi * hbar / t_total,
+        energies=omega, weights=height / gain, resolution=2.0 * math.pi / t_total
     )
 
 
@@ -208,7 +204,7 @@ def carpet(
 
 @dataclass
 class LightconeReport:
-    """Per-row probability mass found outside the light cone |x - x0| <= c t + 3 sigma."""
+    """Per-row probability mass found outside the light cone |x - x0| <= t + 3 sigma."""
 
     times: np.ndarray
     fractions: np.ndarray
@@ -219,7 +215,7 @@ def lightcone_leakage(
     carpet_grid: CarpetGrid, packet: WavepacketSpec, model: WellModel
 ) -> LightconeReport:
     """Mass beyond the light cone emanating from the packet center x0, for
-    rows before the first wall reflection (t < min(x0, L - x0)/c).
+    rows before the first wall reflection (t < min(x0, L - x0), c = 1).
 
     The 3 sigma margin accounts for the initial packet width.  The Salpeter
     evolution is non-local, so for packets holding both momentum signs (a
@@ -228,8 +224,8 @@ def lightcone_leakage(
     wall involved.  Only a chirally clean packet is confined to its own
     Gaussian tail.
     """
-    c, x0 = model.light_speed, packet.x0
-    horizon = min(x0, model.well_width - x0) / c
+    x0 = packet.x0
+    horizon = min(x0, model.well_width - x0)
     mask = carpet_grid.times < horizon
     if not mask.any():
         raise ValueError("no carpet rows precede the first wall reflection")
@@ -238,7 +234,7 @@ def lightcone_leakage(
     dx = carpet_grid.spacing
     fractions = []
     for t, row in zip(carpet_grid.times[mask], carpet_grid.density[mask]):
-        outside = np.abs(x - x0) > c * t + 3.0 * packet.sigma
+        outside = np.abs(x - x0) > t + 3.0 * packet.sigma
         fractions.append(float(row[outside].sum() * dx))
     fractions = np.asarray(fractions)
     return LightconeReport(carpet_grid.times[mask], fractions, float(fractions.max()))
@@ -248,7 +244,7 @@ def lightcone_leakage(
 class SpacingStatistics:
     """Nearest-neighbor gaps s_n = E_{n+1} - E_n with per-level regime labels.
 
-    ``asymptote_gap`` is the ultra-relativistic limit hbar*pi*c/L that the
+    ``asymptote_gap`` is the ultra-relativistic limit pi/L that the
     spacings saturate at once the dispersion turns linear.
     """
 
@@ -268,7 +264,7 @@ def level_spacing(model: WellModel, n_max: int) -> SpacingStatistics:
     levels = np.arange(1, n_max + 1)
     energies = energy(model, levels)
     spacings = np.diff(energies)
-    beta = level_velocity(model, levels[:-1]) / model.light_speed
+    beta = level_velocity(model, levels[:-1])
     labels = [
         "non-relativistic" if b < 0.1 else ("ultra-relativistic" if b > 0.9 else "intermediate")
         for b in beta
@@ -278,7 +274,7 @@ def level_spacing(model: WellModel, n_max: int) -> SpacingStatistics:
         labels=labels,
         mean=float(spacings.mean()),
         variance=float(spacings.var()),
-        asymptote_gap=math.pi * model.hbar * model.light_speed / model.well_width,
+        asymptote_gap=math.pi / model.well_width,
     )
 
 
@@ -338,8 +334,7 @@ def write_density_pgm(rows_at, shape: tuple[int, int], path) -> None:
     which are quantized anew and written over their first pixels.  So no row
     is read more than twice, and the writer holds one 16-bit pixel row, a
     block of floats and the rows it is given.  Pixel rows are time samples,
-    columns positions; samples are big-endian as the format requires.  On
-    any error the partial file is removed.
+    columns positions; samples are big-endian as the format requires.
     """
     header = f"P5\n{shape[1]} {shape[0]}\n65535\n".encode("ascii")
     # zero until a positive peak comes, as the rows before it are
@@ -347,26 +342,21 @@ def write_density_pgm(rows_at, shape: tuple[int, int], path) -> None:
     scaled = np.empty(_QUANTIZE_BLOCK)
     peak = 0.0
     scaled_by = np.zeros(shape[0])  # the peak each row was quantized against
-    fh = open(path, "wb")  # outside the try: a file that never opened is not removed
-    try:
-        with fh:
-            fh.write(header)
-            for i, row in enumerate(rows_at(np.arange(shape[0]))):
-                require_finite(path, "density", row)
-                peak = max(peak, row.max())
-                if peak > 0:
-                    _quantize(row, peak, scaled, pixels)
-                    scaled_by[i] = peak
-                fh.write(pixels)
-            # the rows quantized before the peak came; at a zero peak, none
-            stale = np.flatnonzero(scaled_by != peak)
-            for i, row in zip(stale.tolist(), rows_at(stale)):
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for i, row in enumerate(rows_at(np.arange(shape[0]))):
+            require_finite(path, "density", row)
+            peak = max(peak, row.max())
+            if peak > 0:
                 _quantize(row, peak, scaled, pixels)
-                fh.seek(len(header) + i * pixels.nbytes)
-                fh.write(pixels)
-    except BaseException:
-        os.remove(path)
-        raise
+                scaled_by[i] = peak
+            fh.write(pixels)
+        # the rows quantized before the peak came; at a zero peak, none
+        stale = np.flatnonzero(scaled_by != peak)
+        for i, row in zip(stale.tolist(), rows_at(stale)):
+            _quantize(row, peak, scaled, pixels)
+            fh.seek(len(header) + i * pixels.nbytes)
+            fh.write(pixels)
 
 
 def write_carpet_pgm(carpet_grid: CarpetGrid, path) -> None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import SCALE_FIELDS, SimulationError
+from . import SimulationError
 from .grids import GridState, SpatialGrid, sine_transform, sine_workspace, write_table
 from .model import WellModel
 
@@ -20,7 +20,8 @@ MIN_POINTS_PER_SIGMA = 8
 
 @dataclass(frozen=True)
 class WavepacketSpec:
-    """Gaussian packet exp(-(x-x0)^2/(4 sigma^2) + i p0 x / hbar).
+    """Gaussian packet exp(-(x-x0)^2/(4 sigma^2) + i p0 x), in natural units:
+    x0 and sigma in reduced Compton wavelengths hbar/(m c), p0 in m c.
 
     ``sigma`` is the position uncertainty of the state (the density has
     standard deviation sigma).
@@ -89,12 +90,9 @@ def gaussian_state(spec: WavepacketSpec, grid: SpatialGrid, model: WellModel) ->
             f"grid too coarse for sigma={spec.sigma:g}: need at least "
             f"{needed} intervals, got {grid.intervals}"
         )
-    try:
-        variance = spec.sigma**2
-    except OverflowError:  # Python's float power raises; the norm check names it
-        variance = math.nan
     x = grid.points
-    psi = np.exp(-((x - spec.x0) ** 2) / (4.0 * variance) + 1j * spec.p0 * x / model.hbar)
+    # sigma * sigma, not sigma**2: Python's float power raises past double range
+    psi = np.exp(-((x - spec.x0) ** 2) / (4.0 * (spec.sigma * spec.sigma)) + 1j * spec.p0 * x)
     psi[0] = 0.0
     psi[-1] = 0.0
 
@@ -103,14 +101,7 @@ def gaussian_state(spec: WavepacketSpec, grid: SpatialGrid, model: WellModel) ->
     discarded = 0.5 * (math.erfc(spec.x0 / s) + math.erfc((model.well_width - spec.x0) / s))
 
     state = GridState(psi, grid, 0.0, {"discarded_mass": float(discarded)})
-    norm = math.sqrt(state.norm_squared())
-    # a NaN or infinite sample makes the norm NaN or infinite too
-    if not 0.0 < norm < math.inf:
-        raise SimulationError(
-            f"the packet of sigma={spec.sigma:g} samples to a state of norm {norm}; "
-            f"sigma**2 leaves double range at these scales: bring {SCALE_FIELDS} closer to 1"
-        )
-    state.values /= norm
+    state.values /= math.sqrt(state.norm_squared())
     return state
 
 

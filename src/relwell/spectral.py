@@ -30,18 +30,14 @@ def _integer_period(nu):
         return np.ldexp(1.0, 53 - np.frexp(nu)[1])
 
 
-def _frequencies(energies, hbar: float):
-    """nu = E / (2 pi hbar) as a double-double (nu_hi, nu_lo): (E / hbar) and
-    then its quotient by 2 pi by double-double division, each remainder taken
-    from a product within a factor of two of its dividend (Sterbenz)."""
+def _frequencies(energies):
+    """nu = E / (2 pi) as a double-double (nu_hi, nu_lo), by double-double
+    division, the remainder taken from a product within a factor of two of
+    its dividend (Sterbenz)."""
     e = np.asarray(energies, dtype=float)
-    hbar = float(hbar)  # a config's integer hbar may exceed int64
-    q = e / hbar
-    p, p_err = _two_product(q, hbar)
-    q_lo = ((e - p) - p_err) / hbar
-    nu_hi = q / _TWO_PI[0]
+    nu_hi = e / _TWO_PI[0]
     p, p_err = _two_product(nu_hi, _TWO_PI[0])
-    nu_lo = (((q - p) - p_err) + q_lo - nu_hi * _TWO_PI[1]) / _TWO_PI[0]
+    nu_lo = (((e - p) - p_err) - nu_hi * _TWO_PI[1]) / _TWO_PI[0]
     return nu_hi, nu_lo
 
 
@@ -57,34 +53,34 @@ def _reduced_phases(frequencies, times) -> np.ndarray:
     return _TWO_PI[0] * np.where(turns >= 1.0, 0.0, turns)
 
 
-def phases(energies, times, hbar: float) -> np.ndarray:
-    """(E_n / hbar) * t reduced mod 2*pi, in [0, 2*pi), as float64.
+def phases(energies, times) -> np.ndarray:
+    """E_n * t reduced mod 2*pi, in [0, 2*pi), as float64.
 
     ``energies`` and ``times`` broadcast against each other.  Revival times
     grow like L^2 (and worse for super-revivals), so the raw phase can reach
     1e12..1e15 radians where float64 products lose the fractional part that
-    carries the physics.  The frequency nu = E / (2 pi hbar) is therefore held
+    carries the physics.  The frequency nu = E / (2 pi) is therefore held
     as a double-double nu_hi + nu_lo (Dekker 1971) and the phase is reduced in
     turns: nu_hi * t = P + e exactly, so frac(nu * t) is
     (P - rint(P)) + e + frac(nu_lo * t), within a few ulp of one turn while
     nu * t stays below about 1e16 turns, on every platform.  Each t is first
     reduced by whole periods of its factor, which leaves the fraction alone
-    and keeps every product finite wherever E / hbar is.
+    and keeps every product finite wherever E is.
     """
-    return _reduced_phases(_frequencies(energies, hbar), times)
+    return _reduced_phases(_frequencies(energies), times)
 
 
 def _rotated(coefficients, frequencies, t: float) -> np.ndarray:
-    """Each coefficient times exp(-i E_n t / hbar)."""
+    """Each coefficient times exp(-i E_n t)."""
     return coefficients * np.exp(-1j * _reduced_phases(frequencies, t))
 
 
 def evolve(coeffs: CoefficientVector, t: float) -> CoefficientVector:
-    """Rotate each coefficient by exp(-i E_n t / hbar); negative t reverses time."""
+    """Rotate each coefficient by exp(-i E_n t); negative t reverses time."""
     if not math.isfinite(t):
         raise ValueError("time must be finite")
     model = coeffs.model
-    frequencies = _frequencies(energy(model, coeffs.levels), model.hbar)
+    frequencies = _frequencies(energy(model, coeffs.levels))
     rotated = _rotated(coeffs.coefficients, frequencies, t)
     return CoefficientVector(rotated, model, dict(coeffs.metadata))
 
@@ -119,8 +115,7 @@ def _synthesized(coeffs: CoefficientVector, grid: SpatialGrid, times: list):
     workspace = sine_workspace(grid.nyquist_level)
     # after the large buffers: computed before them, the frequencies'
     # temporaries left fig3 16 MB more resident through the row loop
-    model = coeffs.model
-    frequencies = _frequencies(energy(model, coeffs.levels), model.hbar)
+    frequencies = _frequencies(energy(coeffs.model, coeffs.levels))
     # slots 1..n of the spectrum, where each transform leaves its result
     psi = workspace[1][1 : grid.intervals]
     interior = row[1:-1]

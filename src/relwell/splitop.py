@@ -6,9 +6,10 @@ the spectral engine, and stays different as V0 grows: the square-root kinetic
 operator keeps the finite walls soft on the Compton scale, so the high-wall
 limit is the restricted Salpeter operator on the interval, whose spectrum
 differs from the sine-mode one.  The relativistic kinetic phase
-exp(-i sqrt(m^2 c^4 + p^2 c^2) dt / hbar) is applied exactly in momentum
+exp(-i sqrt(1 + p^2) dt) is applied exactly in momentum
 space, so the only time-step error against the finite-wall grid Hamiltonian
-is the second-order Strang splitting.
+is the second-order Strang splitting.  Like the model, the engine works in
+natural units, hbar = c = m = 1.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .model import WellModel, revival_times
 DEFAULT_WALL_HEIGHT_FACTOR = 1.0e4   # V0 in units of m c^2
 DEFAULT_MARGIN_FRACTION = 1.0 / 8.0  # wall margin delta in units of L
 MIN_GRID_SIZE = 256
-WALL_PHASE_CAP = math.pi / 8.0       # upper bound on V0 * dt / hbar
-MOMENTUM_CUTOFF_FACTOR = 8.0         # max |p| >= this * (p0 + hbar/sigma)
+WALL_PHASE_CAP = math.pi / 8.0       # upper bound on V0 * dt
+MOMENTUM_CUTOFF_FACTOR = 8.0         # max |p| >= this * (p0 + 1/sigma)
 # Byte budget of the powered path, which holds at most three N x N complex
 # matrices: N <= 1024 (48 MiB) may power, N = 2048 (192 MiB) always steps.
 POWERED_WORKSPACE = 64 << 20
@@ -94,24 +95,24 @@ def default_config(
 ) -> PropagationConfig:
     """Build a config from the packet it will carry.
 
-    dt defaults to min(hbar*pi/(8 V0), T_cl(n0)/1000) so both the wall phase
+    dt defaults to min(pi/(8 V0), T_cl(n0)/1000) so both the wall phase
     per step and the fastest populated level stay resolved; the grid is sized
-    so the momentum range covers 8 * (p0 + hbar/sigma), which bounds aliasing
+    so the momentum range covers 8 * (p0 + 1/sigma), which bounds aliasing
     of the slowly decaying relativistic dispersion below 1e-10.
     """
     L = model.well_width
-    V0 = DEFAULT_WALL_HEIGHT_FACTOR * model.energy_scale if wall_height is None else wall_height
+    V0 = DEFAULT_WALL_HEIGHT_FACTOR if wall_height is None else wall_height
     delta = DEFAULT_MARGIN_FRACTION * L if wall_margin is None else wall_margin
 
     if dt is None:
         dt = revival_times(model, n0).t_classical / 1000.0
     if V0 > 0:
-        dt = min(dt, WALL_PHASE_CAP * model.hbar / V0)
+        dt = min(dt, WALL_PHASE_CAP / V0)
 
     if grid_size is None:
-        p_needed = MOMENTUM_CUTOFF_FACTOR * (abs(p0) + model.hbar / sigma)
+        p_needed = MOMENTUM_CUTOFF_FACTOR * (abs(p0) + 1.0 / sigma)
         box_len = (L + delta) - (-delta)
-        n_needed = int(math.ceil(p_needed * box_len / (math.pi * model.hbar)))
+        n_needed = int(math.ceil(p_needed * box_len / math.pi))
         grid_size = MIN_GRID_SIZE
         while grid_size < n_needed:
             grid_size *= 2
@@ -119,11 +120,10 @@ def default_config(
     return PropagationConfig(model, grid_size, dt, V0, delta)
 
 
-def kinetic_phase(model: WellModel, p, dt: float) -> np.complexfloating | np.ndarray:
-    """exp(-i sqrt(m^2 c^4 + p^2 c^2) dt / hbar), the exact one-step kinetic
-    factor; unit modulus for any momentum, a numpy scalar for a scalar p."""
-    disp = np.hypot(model.energy_scale, np.asarray(p, dtype=float) * model.light_speed)
-    return np.exp(-1j * disp * dt / model.hbar)
+def kinetic_phase(p, dt: float) -> np.complexfloating | np.ndarray:
+    """exp(-i sqrt(1 + p^2) dt), the exact one-step kinetic factor; unit
+    modulus for any momentum, a numpy scalar for a scalar p."""
+    return np.exp(-1j * np.hypot(1.0, np.asarray(p, dtype=float)) * dt)
 
 
 def power_plan(grid_size: int, gaps) -> int | None:
@@ -237,12 +237,11 @@ def propagate(
     gaps = [b - a for a, b in zip([0, *sample_steps], sample_steps)]
     power = power_plan(config.grid_size, gaps)
 
-    model = config.model
     # a dt within rounding of the configured one steps with the configured bits
     step = dt_used if adjusted else config.dt
-    half_v = np.exp(-0.5j * config.potential() * step / model.hbar)
+    half_v = np.exp(-0.5j * config.potential() * step)
     # the 1/N of the inverse transform rides on the kinetic phase
-    kin = kinetic_phase(model, grid.momenta(model.hbar), step)
+    kin = kinetic_phase(grid.momenta(), step)
     kin /= config.grid_size
     full_v = half_v * half_v
     psi = np.array(state.values, dtype=complex)

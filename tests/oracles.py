@@ -34,6 +34,10 @@ from relwell.grids import sine_transform, sine_workspace
 from relwell.observables import PEAK_THRESHOLD, CarpetGrid
 from relwell.spectral import phases
 
+# the natural units relwell computes in, kept as symbols in these closed
+# forms: hbar = c = m = 1, so the rest energy m c^2 is 1 too
+HBAR = LIGHT_SPEED = MASS = REST_ENERGY = 1.0
+
 # relative half-width of the Taylor window around the removable poles of the
 # momentum-space eigenfunction, in units of hbar/L
 _POLE_WINDOW = 1e-6
@@ -70,7 +74,7 @@ def eigenfunction_momentum(model: WellModel, n: int, p) -> complex | np.ndarray:
     scalar = np.isscalar(p)
     ps = np.atleast_1d(np.asarray(p, dtype=float))
     L = model.well_width
-    hbar = model.hbar
+    hbar = HBAR
     k = n * np.pi / L
     q = ps / hbar
     sign = -1.0 if n % 2 else 1.0
@@ -121,12 +125,12 @@ def complex_hamiltonian(grid: MomentumGrid, model: WellModel, wall_height: float
     over every node difference, without the phase conjugation or the parity
     split that ``build_hamiltonian`` and ``solve`` use."""
     p = grid.nodes
-    window = math.sqrt(2.0 * math.pi * model.hbar) * well_window_transform(
-        p[:, None] - p[None, :], model.well_width, model.hbar
+    window = math.sqrt(2.0 * math.pi * HBAR) * well_window_transform(
+        p[:, None] - p[None, :], model.well_width, HBAR
     )
-    h = -wall_height * grid.spacing / (2.0 * math.pi * model.hbar) * window
+    h = -wall_height * grid.spacing / (2.0 * math.pi * HBAR) * window
     idx = np.arange(grid.count)
-    h[idx, idx] += np.hypot(model.energy_scale, p * model.light_speed) + wall_height
+    h[idx, idx] += np.hypot(REST_ENERGY, p * LIGHT_SPEED) + wall_height
     return 0.5 * (h + h.conj().T)
 
 
@@ -155,7 +159,7 @@ def momentum_eigenpairs(
         p = grid.nodes
         idx = np.arange(grid.count)
         h[idx, idx] += (
-            model.energy_scale + p**2 / (2.0 * model.mass) - np.hypot(model.energy_scale, p * model.light_speed)
+            REST_ENERGY + p**2 / (2.0 * MASS) - np.hypot(REST_ENERGY, p * LIGHT_SPEED)
         )
     half = grid.count // 2
     upper = h[:half, :half]
@@ -170,14 +174,14 @@ def momentum_eigenpairs(
     top = np.concatenate([even_vecs, odd_vecs], axis=1)[:, order]
     parity = np.where(order < per_block, 1.0, -1.0)
     vecs = np.concatenate([top, top[::-1] * parity], axis=0) / math.sqrt(2.0 * grid.spacing)
-    theta = grid.nodes * (0.5 * model.well_width / model.hbar)
+    theta = grid.nodes * (0.5 * model.well_width / HBAR)
     return vals[order], vecs * np.exp(-1j * theta)[:, None]
 
 
 def hard_wall_kernel(model: WellModel, grid: MomentumGrid) -> np.ndarray:
     """(1 - exp(-i L q / hbar)) / q over every lag q of the grid; the
     coincidence limit is i L / hbar."""
-    L, hbar = model.well_width, model.hbar
+    L, hbar = model.well_width, HBAR
     lags = grid.spacing * np.arange(-(grid.count - 1), grid.count)
     kernel = np.empty(lags.shape, complex)
     small = np.abs(lags) * L < 1e-12 * hbar
@@ -223,7 +227,7 @@ def gaussian_overlap_coefficients(
     L = model.well_width
     n = np.arange(1, n_max + 1)
     k = n * np.pi / L
-    q0 = spec.p0 / model.hbar
+    q0 = spec.p0 / HBAR
     amp = (2.0 * np.pi * spec.sigma**2) ** -0.25
     prefac = amp * math.sqrt(2.0 / L) * spec.sigma * math.sqrt(np.pi)
     plus = np.exp(1j * (q0 + k) * spec.x0 - (q0 + k) ** 2 * spec.sigma**2)
@@ -259,11 +263,11 @@ def autocorrelation_direct(coeffs: CoefficientVector, times) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     values = np.zeros(ts.shape, dtype=np.complex128)
     for w, e in zip(coeffs.weights(), energy(coeffs.model, coeffs.levels)):
-        values += w * np.exp(-1j * phases(e, ts, coeffs.model.hbar))
+        values += w * np.exp(-1j * phases(e, ts))
     return values
 
 
-def extract_levels_loop(series, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def extract_levels_loop(series) -> tuple[np.ndarray, np.ndarray]:
     """``extract_levels``' energies and weights with its peak scan and
     three-point refinement done one sample at a time, in the same floating
     operations, so the array scan must match it bit for bit."""
@@ -281,7 +285,7 @@ def extract_levels_loop(series, hbar: float = 1.0) -> tuple[np.ndarray, np.ndarr
             shift = float(np.clip(shift, -0.5, 0.5))
             height = mag[k] - 0.25 * (mag[k - 1] - mag[k + 1]) * shift
             omega = 2.0 * math.pi * (k + shift) / t_total
-            energies.append(hbar * omega)
+            energies.append(HBAR * omega)
             weights.append(height / gain)
     return np.asarray(energies), np.asarray(weights)
 
@@ -309,8 +313,8 @@ def fd_energy_derivative(model: WellModel, n0, order: int, h=1e-4) -> float:
     """Central finite differences of the closed-form energy at 50-digit
     precision; the independent oracle for the derivative formula."""
     with mp.workdps(50):
-        ratio = mp.pi / mp.mpf(model.width_natural)
-        scale = mp.mpf(model.energy_scale)
+        ratio = mp.pi / mp.mpf(model.well_width)
+        scale = mp.mpf(REST_ENERGY)
 
         def e(n):
             return scale * mp.sqrt(1 + (ratio * n) ** 2)
@@ -360,9 +364,8 @@ def strang_steps(
             raise ValueError("sample times must lie inside [0, t_final]")
         sample_steps = sorted(round(t / dt_used) for t in requested.tolist())
 
-    model = run_config.model
-    half_v = np.exp(-0.5j * run_config.potential() * run_config.dt / model.hbar)
-    kin = kinetic_phase(model, run_config.grid.momenta(model.hbar), run_config.dt)
+    half_v = np.exp(-0.5j * run_config.potential() * run_config.dt / HBAR)
+    kin = kinetic_phase(run_config.grid.momenta(), run_config.dt)
     psi = state.values.copy()
     samples: list[GridState] = []
 

@@ -46,7 +46,7 @@ from relwell import (
     revival_times,
     solve,
 )
-from oracles import fd_energy_derivative
+from oracles import HBAR, LIGHT_SPEED, MASS, REST_ENERGY, fd_energy_derivative
 
 
 def report(index, ok, detail):
@@ -59,7 +59,7 @@ def test_criterion_01_spectrum_equivalence():
     model = WellModel(well_width=120.0)
     grid = MomentumGrid(6.0, 2048)
     exact = energy(model, np.arange(1, 11))
-    v0 = 1e3 * model.energy_scale
+    v0 = 1e3 * REST_ENERGY
     errors = np.abs(solve(grid, model, v0, k_levels=10) - exact) / exact
     errors_doubled = np.abs(solve(grid, model, 2 * v0, k_levels=10) - exact) / exact
     elapsed = time.monotonic() - started
@@ -81,7 +81,7 @@ def test_criterion_02_derivative_formula():
     worst = 0.0
     for beta in np.linspace(0.01, 0.999, 12):
         momentum = beta / math.sqrt(1.0 - beta * beta)
-        n0 = momentum * model.width_natural / math.pi
+        n0 = momentum * model.well_width / math.pi
         for order in (1, 2, 3, 4):
             got = energy_derivative(model, n0, order)
             want = fd_energy_derivative(model, n0, order)
@@ -94,9 +94,9 @@ def test_criterion_02_derivative_formula():
 def test_criterion_03_classical_period_limit():
     """The classical period saturates at 2L/c in the relativistic regime."""
     model = WellModel(well_width=2.0 * math.pi)
-    bound = 2.0 * model.well_width / model.light_speed
+    bound = 2.0 * model.well_width / LIGHT_SPEED
     levels = np.arange(1, 5001)
-    beta = level_velocity(model, levels) / model.light_speed
+    beta = level_velocity(model, levels) / LIGHT_SPEED
     fast = levels[beta > 0.995]
     deviations = np.array(
         [abs(revival_times(model, int(n)).t_classical - bound) for n in fast[:: max(1, fast.size // 64)]]
@@ -114,8 +114,8 @@ def test_criterion_04_revival_reproduction():
     box = model.well_width
     spec = WavepacketSpec(x0=box / 2, sigma=box / 20, p0=0.0)
     coeffs = decompose(gaussian_state(spec, SpatialGrid(box, 2048), model), model)
-    kinetic = float(np.dot(coeffs.weights(), energy(model, coeffs.levels) - model.energy_scale))
-    assert kinetic < 1e-3 * model.energy_scale  # non-relativistic regime
+    kinetic = float(np.dot(coeffs.weights(), energy(model, coeffs.levels) - REST_ENERGY))
+    assert kinetic < 1e-3 * REST_ENERGY  # non-relativistic regime
     t_rev = revival_times(model, dominant_level(coeffs)).t_revival
 
     half = abs(autocorrelation(coeffs, [0.5 * t_rev]).values[0])
@@ -163,15 +163,14 @@ def grid_hamiltonian_propagator(config):
     config's finite-wall potential.  A dense eigendecomposition evolves any
     grid state to any time without a time step.
     """
-    model = config.model
     n = config.grid_size
-    dispersion = np.hypot(model.energy_scale, config.grid.momenta(model.hbar) * model.light_speed)
+    dispersion = np.hypot(REST_ENERGY, config.grid.momenta() * LIGHT_SPEED)
     lags = np.subtract.outer(np.arange(n), np.arange(n)) % n
     hamiltonian = np.fft.ifft(dispersion)[lags] + np.diag(config.potential())
     levels, vectors = np.linalg.eigh(hamiltonian)
 
     def evolve_to(psi0, t):
-        return vectors @ (np.exp(-1j * levels * t / model.hbar) * (vectors.conj().T @ psi0))
+        return vectors @ (np.exp(-1j * levels * t / HBAR) * (vectors.conj().T @ psi0))
 
     return evolve_to
 
@@ -189,7 +188,7 @@ def test_criterion_06_engine_cross_validation():
     """
     model = WellModel(well_width=30.0)
     box = model.well_width
-    spec = WavepacketSpec(x0=box / 2, sigma=box / 12, p0=1.2 * model.momentum_scale)
+    spec = WavepacketSpec(x0=box / 2, sigma=box / 12, p0=1.2 * MASS * LIGHT_SPEED)
     coeffs = decompose(gaussian_state(spec, SpatialGrid(box, 1024), model), model)
     n0 = dominant_level(coeffs)
     t_cl = revival_times(model, n0).t_classical
@@ -228,7 +227,7 @@ def test_criterion_06_engine_cross_validation():
     assert 3.0 < ratio < 5.0
 
 
-def free_line_leakage(spec, model, spacing, width, times):
+def free_line_leakage(spec, spacing, width, times):
     """Out-of-cone mass of the same Gaussian evolved on an open line.
 
     The packet is sampled at ``spacing`` on a periodic line of length
@@ -238,15 +237,15 @@ def free_line_leakage(spec, model, spacing, width, times):
     """
     n = 2 * int(math.ceil(width / (2.0 * spacing)))
     x = spec.x0 + spacing * (np.arange(n) - n // 2)
-    psi = np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma**2) + 1j * spec.p0 * x / model.hbar)
+    psi = np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma**2) + 1j * spec.p0 * x / HBAR)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2) * spacing))
-    momenta = 2.0 * np.pi * model.hbar * np.fft.fftfreq(n, d=spacing)
-    dispersion = np.hypot(model.energy_scale, momenta * model.light_speed)
+    momenta = 2.0 * np.pi * HBAR * np.fft.fftfreq(n, d=spacing)
+    dispersion = np.hypot(REST_ENERGY, momenta * LIGHT_SPEED)
     amplitudes = np.fft.fft(psi)
     fractions = []
     for t in times:
-        density = np.abs(np.fft.ifft(np.exp(-1j * dispersion * t / model.hbar) * amplitudes)) ** 2
-        outside = np.abs(x - spec.x0) > model.light_speed * t + 3.0 * spec.sigma
+        density = np.abs(np.fft.ifft(np.exp(-1j * dispersion * t / HBAR) * amplitudes)) ** 2
+        outside = np.abs(x - spec.x0) > LIGHT_SPEED * t + 3.0 * spec.sigma
         fractions.append(float(density[outside].sum() * spacing))
     return np.asarray(fractions)
 
@@ -269,15 +268,15 @@ def test_criterion_07_light_cone():
 
     spec = WavepacketSpec(x0=box / 2, sigma=1e-5 * box, p0=0.0)
     coeffs = decompose(gaussian_state(spec, grid, model), model)
-    horizon = min(spec.x0, box - spec.x0) / model.light_speed
+    horizon = min(spec.x0, box - spec.x0) / LIGHT_SPEED
     times = np.linspace(0.0, 0.9, 6) * horizon
     resting = lightcone_leakage(carpet(coeffs, grid, times), spec, model)
-    free = free_line_leakage(spec, model, grid.spacing, 2.0 * box, resting.times)
+    free = free_line_leakage(spec, grid.spacing, 2.0 * box, resting.times)
     deviation = float(np.max(np.abs(resting.fractions - free)))
 
     boosted_spec = WavepacketSpec(x0=box / 4, sigma=1e-5 * box, p0=8.0 / (1e-5 * box))
     boosted_coeffs = decompose(gaussian_state(boosted_spec, grid, model), model)
-    boosted_horizon = min(boosted_spec.x0, box - boosted_spec.x0) / model.light_speed
+    boosted_horizon = min(boosted_spec.x0, box - boosted_spec.x0) / LIGHT_SPEED
     boosted = lightcone_leakage(
         carpet(boosted_coeffs, grid, np.linspace(0.0, 0.9, 4) * boosted_horizon),
         boosted_spec,
@@ -304,12 +303,12 @@ def test_criterion_08_spectroscopy_round_trip():
     """Levels extracted from a 50 T_cl autocorrelation match the spectrum."""
     model = WellModel(well_width=2.0 * math.pi)
     box = model.well_width
-    spec = WavepacketSpec(x0=box / 2, sigma=box / 10, p0=2.0 * model.momentum_scale)
+    spec = WavepacketSpec(x0=box / 2, sigma=box / 10, p0=2.0 * MASS * LIGHT_SPEED)
     coeffs = decompose(gaussian_state(spec, SpatialGrid(box, 1024), model), model)
     t_cl = revival_times(model, dominant_level(coeffs)).t_classical
     samples = 4096
     times = np.arange(samples) * (50.0 * t_cl / samples)
-    estimates = extract_levels(autocorrelation(coeffs, times), hbar=model.hbar)
+    estimates = extract_levels(autocorrelation(coeffs, times))
 
     weights = coeffs.weights()
     exact = energy(model, coeffs.levels)
@@ -333,7 +332,7 @@ def test_criterion_09_level_spacing_asymptote():
     model = WellModel(well_width=7.0)
     n_max = 3000
     stats = level_spacing(model, n_max)
-    beta = level_velocity(model, np.arange(1, n_max)) / model.light_speed
+    beta = level_velocity(model, np.arange(1, n_max)) / LIGHT_SPEED
     fast = beta > 0.999
     gap = stats.asymptote_gap
     worst = float(np.max(np.abs(stats.spacings[fast] - gap))) / gap

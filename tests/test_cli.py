@@ -10,6 +10,7 @@ import math
 import os
 import platform
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -75,77 +76,149 @@ def run_refused(tmp_path, capsys, command, text):
     return code, capsys.readouterr().err.strip().splitlines()
 
 
-# model values whose arithmetic overflows or underflows, with the commands
-# that reach it
+def snapshot_tool():
+    """tools/snapshot_outputs.py, loaded as a module."""
+    tool = Path(__file__).parents[1] / "tools" / "snapshot_outputs.py"
+    spec = importlib.util.spec_from_file_location("snapshot_outputs", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def unit_error(name):
+    """The line of a run whose conversion of ``name`` to the document's units
+    leaves double range."""
+    return (
+        f"numerical error: {name} leaves double range in the units that "
+        "model.mass, model.light_speed, model.hbar set; bring them closer to 1"
+    )
+
+
+def width_error(time):
+    """The line of a run whose revival ``time`` at level 1 leaves double range."""
+    return (
+        f"numerical error: the {time} of level 1 leaves double range; "
+        "bring model.well_width_in_compton closer to 1"
+    )
+
+
+# the first conversion under each command that leaves double range, where the
+# units put each dimensioned output past it
+UNIT_ERRORS = {
+    "spectrum": unit_error("spectrum.csv's energy"),
+    "carpet": unit_error("the carpet's t"),
+    "revivals": unit_error("revivals.csv's t_classical"),
+    "autocorr": unit_error("levels.csv's energy"),
+    "spacing": unit_error("spacing.csv's spacing"),
+    "coeffs": unit_error("the sidecar's t_classical"),
+}
+
+# model values at the edge of double range, with the line each command ends
+# in, or None for a run that exits 0: in natural units an extreme mass or
+# hbar leaves each output in range, an extreme light speed does not, and an
+# extreme width puts a revival time past it
 EXTREME_SCALES = [
-    (key, value, command)
-    for (key, value), commands in {
-        ("mass", 1e-300): ("coeffs", "revivals", "autocorr"),
-        ("mass", 1e300): ("coeffs", "revivals", "autocorr", "carpet"),
-        ("light_speed", 1e-300): ("coeffs", "revivals", "autocorr"),
-        ("light_speed", 1e300): ("spacing", "coeffs", "revivals", "autocorr", "spectrum"),
-        ("hbar", 1e300): ("coeffs", "revivals", "autocorr"),
-        ("well_width_in_compton", 1e-150): ("coeffs", "revivals", "autocorr"),
-        ("well_width_in_compton", 1e-300): ("coeffs", "revivals", "autocorr"),
-        ("well_width_in_compton", 1e150): ("coeffs", "revivals", "autocorr"),
-        ("well_width_in_compton", 1e300): ("coeffs", "revivals", "autocorr"),
+    (key, value, command, line)
+    for (key, value), lines in {
+        ("mass", 1e-300): dict.fromkeys(("coeffs", "revivals", "autocorr")),
+        ("mass", 1e300): dict.fromkeys(("coeffs", "revivals", "autocorr", "carpet")),
+        ("light_speed", 1e-300): {
+            command: UNIT_ERRORS[command] for command in ("coeffs", "revivals", "autocorr")
+        },
+        ("light_speed", 1e300): {
+            command: UNIT_ERRORS[command]
+            for command in ("spacing", "coeffs", "revivals", "autocorr", "spectrum")
+        },
+        ("hbar", 1e300): dict.fromkeys(("coeffs", "revivals", "autocorr")),
+        ("well_width_in_compton", 1e-150): dict.fromkeys(
+            ("coeffs", "revivals", "autocorr"), width_error("t_revival")
+        ),
+        ("well_width_in_compton", 1e-300): dict.fromkeys(
+            ("coeffs", "revivals", "autocorr"), width_error("t_classical")
+        ),
+        ("well_width_in_compton", 1e150): dict.fromkeys(
+            ("coeffs", "revivals", "autocorr"), width_error("t_revival")
+        ),
+        ("well_width_in_compton", 1e300): dict.fromkeys(
+            ("coeffs", "revivals", "autocorr"), width_error("t_classical")
+        ),
     }.items()
-    for command in commands
+    for command, line in lines.items()
 ]
 
 
-# documents whose model scales put the packet or the revival times past double
-# range, with the commands that reach them
+# documents whose model scales once put the packet or the revival times past
+# double range, with the line each command now ends in, or None for exit 0
 PAST_RANGE = {
     # the derivatives of E(n) come out NaN, and so does each revival time
     "revival-hbar": (
-        {"model": {"hbar": 3.03e83, "well_width_in_compton": 2.66e-311}}, ["revivals"]
+        {"model": {"hbar": 3.03e83, "well_width_in_compton": 2.66e-311}},
+        {"revivals": width_error("t_classical")},
     ),
     "revival-mass": (
         {"model": {"mass": 7.85e-114, "hbar": 2.82e-276, "well_width_in_compton": 6.20e154}},
-        ["carpet", "revivals", "autocorr", "coeffs"],
+        dict.fromkeys(("carpet", "revivals", "autocorr", "coeffs"), width_error("t_classical")),
     ),
-    # sigma = L / 20 underflows to 0
+    # sigma = L / 20 underflowed to 0 in absolute units; in natural ones the
+    # width is past the revival times' range, and the light speed past that
+    # of the outputs
     "sigma": (
         {"model": {"well_width_in_compton": 2.25e-186, "light_speed": 4.55e137}},
-        ["spectrum", "carpet", "revivals", "autocorr", "spacing", "coeffs"],
+        {
+            **dict.fromkeys(("carpet", "revivals", "autocorr", "coeffs"), width_error("t_classical")),
+            "spectrum": UNIT_ERRORS["spectrum"],
+            "spacing": UNIT_ERRORS["spacing"],
+        },
     ),
-    # so does x0 = L / 100, before sigma
+    # so did x0 = L / 100, before sigma
     "x0": (
         {
             "model": {"well_width_in_compton": 2.25e-186, "light_speed": 4.55e137},
             "packet": {"x0_over_L": 0.01},
         },
-        ["coeffs"],
+        {"coeffs": width_error("t_classical")},
     ),
-    # hbar / L overflows, and with it p0
+    # hbar / L overflowed in absolute units, and with it p0
     "p0": (
         {
             "model": {"mass": 1e300, "well_width_in_compton": 1e-10},
             "packet": {"p0_in_hbar_over_L": 1.0},
         },
-        ["coeffs"],
+        {"coeffs": None},
     ),
 }
 
-# documents where a Python float power raises OverflowError, with the commands
-# that reach it and the quantity its one stderr line names
+# documents where a Python float power once raised OverflowError, with the
+# line each command now ends in, or None for exit 0
 POWERS_PAST_RANGE = {
-    # sigma = L / 20, near 3e300
-    "sigma": ({"model": {"hbar": 1e300}}, ["coeffs", "revivals", "autocorr"], "sigma**2"),
-    # c**2
+    # sigma = L / 20 near 3e300 in absolute units, an ordinary one in natural units
+    "sigma": ({"model": {"hbar": 1e300}}, dict.fromkeys(("coeffs", "revivals", "autocorr"))),
+    # c**2, which the units alone hold now
     "light-speed": (
         {"model": {"light_speed": 1e300}},
-        ["spacing", "revivals", "spectrum"],
-        "rest energy m c^2",
+        {command: UNIT_ERRORS[command] for command in ("spacing", "revivals", "spectrum")},
     ),
     # the powers in the closed form of E(n)'s derivatives
     "derivative": (
         {"model": {"well_width_in_compton": 1e-150}},
-        ["coeffs", "revivals", "autocorr"],
-        "t_revival",
+        dict.fromkeys(("coeffs", "revivals", "autocorr"), width_error("t_revival")),
     ),
 }
+
+
+def assert_ends_in(tmp_path, capsys, command, document, line):
+    """Run ``command`` on ``document``: with ``line`` None it exits 0 in
+    silence; otherwise it exits 3 with that one stderr line and no file."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    if line is None:
+        assert (code, err) == (0, [])
+    else:
+        assert (code, err) == (3, [line])
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestValidation:
@@ -232,95 +305,145 @@ class TestValidation:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error:")
 
-    @pytest.mark.parametrize("key, value, command", EXTREME_SCALES)
-    def test_arithmetic_overflow_exits_3_without_files(
-        self, tmp_path, capsys, key, value, command
-    ):
-        code, err = run_refused(tmp_path, capsys, command, json.dumps({"model": {key: value}}))
-        assert code == 3
-        assert len(err) == 1 and err[0].startswith("numerical error:")
-        assert "model." in err[0]
+    @pytest.mark.parametrize("key, value, command, line", EXTREME_SCALES)
+    def test_extreme_scales_end_in_their_line(self, tmp_path, capsys, key, value, command, line):
+        assert_ends_in(tmp_path, capsys, command, {"model": {key: value}}, line)
 
     @pytest.mark.parametrize(
-        "command", ["spectrum", "carpet", "revivals", "autocorr", "spacing", "coeffs"]
-    )
-    @pytest.mark.parametrize(
-        "model",
+        "model, lines",
         [
-            # a product overflows to inf without raising: m c^2 = 1e200 * (1e100)**2
-            {"mass": 1e200, "light_speed": 1e100},
-            # m c overflows
-            {"mass": 1e200, "light_speed": 1e200},
+            # m c^2 = 1e200 * (1e100)**2 overflows, and so does every output
+            ({"mass": 1e200, "light_speed": 1e100}, UNIT_ERRORS),
+            # m c overflows; coeffs' first sidecar length is past range too
+            (
+                {"mass": 1e200, "light_speed": 1e200},
+                {**UNIT_ERRORS, "coeffs": unit_error("the sidecar's well_width")},
+            ),
             # m c is subnormal, so the Compton wavelength 2 pi hbar/(m c) overflows
-            {"mass": 1e-160, "light_speed": 1e-160},
-            # the width in absolute units overflows, or underflows to 0
-            {"mass": 1e-20, "well_width_in_compton": 1e300},
-            {"mass": 1e100, "well_width_in_compton": 1e-300},
+            (
+                {"mass": 1e-160, "light_speed": 1e-160},
+                {**UNIT_ERRORS, "coeffs": unit_error("the sidecar's well_width")},
+            ),
+            # the width in absolute units overflows, or underflows to 0: the
+            # natural width puts the revival times past range first
+            (
+                {"mass": 1e-20, "well_width_in_compton": 1e300},
+                {
+                    **dict.fromkeys(UNIT_ERRORS, width_error("t_classical")),
+                    "spectrum": unit_error("the sidecar's well_width"),
+                    "spacing": unit_error("the sidecar's well_width"),
+                },
+            ),
+            (
+                {"mass": 1e100, "well_width_in_compton": 1e-300},
+                {
+                    **dict.fromkeys(UNIT_ERRORS, width_error("t_classical")),
+                    "spectrum": UNIT_ERRORS["spectrum"],
+                    "spacing": UNIT_ERRORS["spacing"],
+                },
+            ),
         ],
         ids=["rest-energy", "momentum-scale", "compton-wavelength", "width-over", "width-under"],
     )
-    def test_overflowing_rest_energy_exits_3_without_files(self, tmp_path, capsys, command, model):
-        code, err = run_refused(tmp_path, capsys, command, json.dumps({"model": model}))
-        assert code == 3
-        assert len(err) == 1 and err[0].startswith("numerical error:")
-        assert "model." in err[0]
+    @pytest.mark.parametrize(
+        "command", ["spectrum", "carpet", "revivals", "autocorr", "spacing", "coeffs"]
+    )
+    def test_scales_past_double_range_end_in_their_line(
+        self, tmp_path, capsys, command, model, lines
+    ):
+        assert_ends_in(tmp_path, capsys, command, {"model": model}, lines[command])
+
+    @pytest.mark.parametrize(
+        "document, command, line",
+        [
+            pytest.param(document, command, line, id=f"{name}-{command}")
+            for name, (document, lines) in PAST_RANGE.items()
+            for command, line in lines.items()
+        ],
+    )
+    def test_packet_and_revival_times_past_double_range_end_in_their_line(
+        self, tmp_path, capsys, document, command, line
+    ):
+        assert_ends_in(tmp_path, capsys, command, document, line)
+
+    @pytest.mark.parametrize(
+        "document, command, line",
+        [
+            pytest.param(document, command, line, id=f"{name}-{command}")
+            for name, (document, lines) in POWERS_PAST_RANGE.items()
+            for command, line in lines.items()
+        ],
+    )
+    def test_powers_past_double_range_name_their_quantity(
+        self, tmp_path, capsys, document, command, line
+    ):
+        # never the errno text of Python's OverflowError
+        assert_ends_in(tmp_path, capsys, command, document, line)
 
     @pytest.mark.parametrize(
         "document, command",
         [
-            pytest.param(document, command, id=f"{name}-{command}")
-            for name, (document, commands) in PAST_RANGE.items()
-            for command in commands
+            # a subnormal width: a positive fraction of it underflows to 0
+            ({"model": {"well_width_in_compton": 1e-320}, "packet": {"x0_over_L": 1e-5}}, "x0"),
+            ({"model": {"well_width_in_compton": 1e-320}, "packet": {"sigma_over_L": 1e-5}}, "sigma"),
         ],
+        ids=["x0", "sigma"],
     )
-    def test_packet_and_revival_times_past_double_range_exit_3(
-        self, tmp_path, capsys, document, command
-    ):
-        code, err = run_refused(tmp_path, capsys, command, json.dumps(document))
-        assert code == 3
-        assert len(err) == 1 and err[0].startswith("numerical error:")
-        assert "leaves double range" in err[0] or "underflows to 0" in err[0]
-        assert "model." in err[0]
+    def test_packet_length_underflow_names_the_width(self, tmp_path, capsys, document, command):
+        line = (
+            f"numerical error: the packet's {command} underflows to 0; "
+            "bring model.well_width_in_compton closer to 1"
+        )
+        assert_ends_in(tmp_path, capsys, "spectrum", document, line)
 
-    @pytest.mark.parametrize(
-        "document, command, quantity",
-        [
-            pytest.param(document, command, quantity, id=f"{name}-{command}")
-            for name, (document, commands, quantity) in POWERS_PAST_RANGE.items()
-            for command in commands
-        ],
-    )
-    def test_powers_past_double_range_name_their_quantity(
-        self, tmp_path, capsys, document, command, quantity
-    ):
-        # not the errno text of Python's OverflowError
-        code, err = run_refused(tmp_path, capsys, command, json.dumps(document))
-        assert code == 3
-        assert len(err) == 1 and err[0].startswith("numerical error:")
-        assert quantity in err[0] and "(34," not in err[0]
+    def test_natural_width_past_double_range_exits_3(self, tmp_path, capsys):
+        line = (
+            "numerical error: the natural well width 2 pi well_width_in_compton overflows; "
+            "bring model.well_width_in_compton closer to 1"
+        )
+        assert_ends_in(tmp_path, capsys, "spectrum", {"model": {"well_width_in_compton": 1e308}}, line)
+
+    @pytest.mark.parametrize("key", ["t_max", "dt"])
+    def test_dimensioned_input_past_double_range_exits_3(self, tmp_path, capsys, key):
+        # 1e300 times m c^2 / hbar = 2^900 overflows on the way in
+        document = {
+            "model": {"mass": 2.0**900},
+            "engine": {"kind": "split", "grid_size": 256, "dt": 1e300 if key == "dt" else 1e-3},
+            "times": {"t_max": 1e300 if key == "t_max" else 0.05, "unit": "natural"},
+        }
+        block = "times" if key == "t_max" else "engine"
+        assert_ends_in(tmp_path, capsys, "carpet", document, unit_error(f"{block}.{key}"))
 
     def test_one_stderr_line_in_a_fresh_interpreter(self, tmp_path):
         # pytest records numpy's warnings itself, so only a fresh interpreter
-        # shows the stderr a user gets: here an overflow warns on its way
+        # shows the stderr a user gets: here the packet's samples overflow on
+        # the way to a revival time past double range
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"model": {"mass": 1e-300}}))
+        config.write_text(json.dumps({"model": {"well_width_in_compton": 1e300}}))
         env = dict(os.environ, PYTHONPATH=str(Path(relwell.__file__).parents[1]))
         argv = ["coeffs", "--config", str(config), "--out", str(tmp_path / "out")]
         job = subprocess.run(
             [sys.executable, "-m", "relwell.cli", *argv], env=env, capture_output=True, text=True
         )
         assert job.returncode == 3
-        assert len(job.stderr.splitlines()) == 1 and job.stderr.startswith("numerical error:")
+        assert job.stderr.splitlines() == [width_error("t_classical")]
 
     @pytest.mark.parametrize(
-        "key, value", [("mass", 1e300), ("light_speed", 1e150), ("well_width_in_compton", 1e-300)]
+        "key, value, name",
+        [
+            # (m c^2)^2 = 1e600 takes the variance past double range
+            ("mass", 1e300, unit_error("the sidecar's variance")),
+            ("light_speed", 1e150, unit_error("the sidecar's variance")),
+            # the natural spacings themselves are infinite
+            ("well_width_in_compton", 1e-300, "run_spacing.meta.json"),
+        ],
     )
-    def test_non_finite_sidecar_exits_3_without_files(self, tmp_path, capsys, key, value):
-        # the spacing table is finite, but its mean spacing is not
+    def test_non_finite_sidecar_exits_3_without_files(self, tmp_path, capsys, key, value, name):
+        # the spacing table is finite, but a sidecar value is not
         code, err = run_refused(tmp_path, capsys, "spacing", json.dumps({"model": {key: value}}))
         assert code == 3
         assert len(err) == 1 and err[0].startswith("numerical error:")
-        assert "run_spacing.meta.json" in err[0]
+        assert name in err[0]
 
     def test_sidecar_value_json_lacks_exits_3_without_files(self, tmp_path, monkeypatch, capsys):
         # an int64 is no int: written as its str, it would read back as a string
@@ -715,10 +838,7 @@ class TestAllOrNothing:
         assert list(out.iterdir()) == []
 
     def test_snapshot_tool_names_jobs_that_break_the_contract(self, tmp_path):
-        tool = Path(__file__).parents[1] / "tools" / "snapshot_outputs.py"
-        spec = importlib.util.spec_from_file_location("snapshot_outputs", tool)
-        snapshot = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(snapshot)
+        snapshot = snapshot_tool()
         (tmp_path / "config.json").write_text("{}")
         assert snapshot.breaches(tmp_path, 3, "numerical error: x\n") == []
         (tmp_path / "t_carpet.pgm").write_bytes(b"P5")
@@ -729,6 +849,31 @@ class TestAllOrNothing:
             "exited 4 and left .t_carpet.csv.tmp, t_carpet.pgm",
             "exited 4 with 2 stderr lines",
         ]
+
+
+    def test_snapshot_comparison_names_each_difference(self, tmp_path):
+        snapshot = snapshot_tool()
+        base, head = tmp_path / "base", tmp_path / "head"
+
+        def job(root, name, files):
+            (root / name).mkdir(parents=True)
+            for file, data in files.items():
+                (root / name / file).write_bytes(data)
+
+        header = struct.pack("<4sIQQdddd", b"CRPT", 1, 1, 2, 0.0, 0.0, 0.0, 1.0)
+        for root, cell, density, code in ((base, b"0.25", 2.0, b"0\n"), (head, b"0.5", 2.5, b"3\n")):
+            job(root, "same", {"exit_code.txt": b"0\n", "t.csv": b"n,x\n1,0.5\n"})
+            job(root, "cell", {"t.csv": b"n,x\n1," + cell + b"\n2,1\n"})
+            job(root, "bin", {"t.bin": header + struct.pack("<2d", 1.0, density)})
+            job(root, "code", {"exit_code.txt": code})
+        assert snapshot.compare(base, head) == [
+            "bin/t.bin: 1 values; largest deviation 0.5 absolute, 0.25 relative",
+            "cell/t.csv: 1 values; largest deviation 0.25 absolute, 1 relative",
+            "code/exit_code.txt: '0' -> '3'",
+        ]
+        (head / "code" / "stderr.txt").write_text("numerical error: x\n")
+        assert snapshot.compare(base, head)[-1] == "code/stderr.txt: only in head"
+        assert snapshot.compare(base, base) == []
 
 
 class TestRevivals:
@@ -751,7 +896,7 @@ class TestRevivals:
         rows = (tmp_path / "fig1_revivals.csv").read_text().splitlines()[1:]
         assert len(rows) == 1000
         model = WellModel(well_width=800.0 * 2.0 * math.pi)
-        bound = 2.0 * model.well_width / model.light_speed
+        bound = 2.0 * model.well_width  # 2 L / c
         t_cl = np.array([float(r.split(",")[1]) for r in rows])
         # classical period decreases toward (and stays above) 2L/c
         assert np.all(np.diff(t_cl) < 0)
@@ -759,7 +904,7 @@ class TestRevivals:
         assert t_cl[-1] / bound < 2.0
         # deep non-relativistic ground level: the classic revival time
         t_rev_1 = float(rows[0].split(",")[2])
-        classic = 4.0 * model.mass * model.well_width**2 / (math.pi * model.hbar)
+        classic = 4.0 * model.well_width**2 / math.pi  # 4 m L^2 / (pi hbar)
         assert t_rev_1 == pytest.approx(classic, rel=1e-4)
 
 
@@ -817,7 +962,7 @@ class TestAutocorrAndSpacing:
         assert run(tmp_path, "spacing", config) == 0
         lines = (tmp_path / "t_spacing.csv").read_text().splitlines()
         model = WellModel(well_width=2.0 * 2.0 * math.pi)
-        gap = math.pi * model.hbar * model.light_speed / model.well_width
+        gap = math.pi / model.well_width  # pi hbar c / L
         last = float(lines[-1].split(",")[1])
         assert last == pytest.approx(gap, rel=1e-3)
         meta = json.loads((tmp_path / "t_spacing.meta.json").read_text())

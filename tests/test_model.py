@@ -1,7 +1,7 @@
 """Closed-form physics: spectrum, eigenfunctions, derivatives, revival times."""
 
+import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -25,19 +25,19 @@ class TestEnergy:
 
     def test_linear_asymptote(self):
         model = WellModel(well_width=3.7)
-        slope = model.hbar * math.pi * model.light_speed / model.well_width
+        slope = math.pi / model.well_width
         for n in (10**4, 10**6):
             assert energy(model, n) / n == pytest.approx(slope, rel=1e-6)
 
     def test_quadratic_regime_ratio(self):
         # deep non-relativistic box: kinetic energies scale as n^2
         model = WellModel(well_width=800.0 * 2.0 * math.pi)
-        e50 = energy(model, 50) - model.energy_scale
-        e1 = energy(model, 1) - model.energy_scale
+        e50 = energy(model, 50) - 1.0
+        e1 = energy(model, 1) - 1.0
         assert e50 / e1 == pytest.approx(2500.0, rel=1e-2)
         # oracle: the non-relativistic formula hbar^2 k^2 / 2m
         k50 = 50 * math.pi / model.well_width
-        nonrel = (model.hbar * k50) ** 2 / (2.0 * model.mass)
+        nonrel = k50**2 / 2.0
         assert abs(e50 - nonrel) / nonrel < 1e-2
 
     def test_monotone_increasing(self):
@@ -46,8 +46,9 @@ class TestEnergy:
         assert np.all(np.diff(levels) > 0)
 
     def test_at_least_rest_energy(self):
-        model = WellModel(mass=2.5, light_speed=3.0, hbar=0.7, well_width=11.0)
-        assert energy(model, 1) >= model.energy_scale
+        # 11 lengths at m = 2.5, c = 3 and hbar = 0.7, in hbar/(m c)
+        model = WellModel(well_width=11.0 / (0.7 / (2.5 * 3.0)))
+        assert energy(model, 1) >= 1.0
 
     def test_rejects_bad_level(self):
         model = WellModel()
@@ -58,48 +59,27 @@ class TestEnergy:
         # n * lambda_C / (2L) < 1e-3 across several models
         model = WellModel(well_width=1e4)
         n = np.arange(1, 100)  # momentum ratio up to 3.1e-2... keep < 1e-3
-        n = n[np.pi * n / model.width_natural < 1e-3]
-        kinetic = energy(model, n) - model.energy_scale
-        nonrel = (model.hbar * n * np.pi / model.well_width) ** 2 / (2 * model.mass)
+        n = n[np.pi * n / model.well_width < 1e-3]
+        kinetic = energy(model, n) - 1.0
+        nonrel = (n * np.pi / model.well_width) ** 2 / 2
         assert np.max(np.abs(kinetic - nonrel) / nonrel) < 1e-5
 
     def test_ultrarelativistic_limit(self):
         model = WellModel(well_width=1e-3)
         n = np.array([1, 3, 10, 100])
-        assert np.all(np.pi * n / model.width_natural > 1e3)
-        photon = model.hbar * n * np.pi / model.well_width * model.light_speed
+        assert np.all(np.pi * n / model.well_width > 1e3)
+        photon = n * np.pi / model.well_width
         e = energy(model, n)
         assert np.max(np.abs(e - photon) / e) < 1e-6
 
 
 class TestWellModel:
-    def test_compton_wavelength_recomputed(self):
-        model = WellModel(mass=3.0, light_speed=2.0, hbar=0.5)
-        assert model.compton_wavelength == pytest.approx(
-            2 * math.pi * 0.5 / (3.0 * 2.0), rel=1e-15
-        )
+    def test_width_is_the_one_field(self):
+        # m, c and hbar only choose the units, which the CLI converts
+        assert [field.name for field in dataclasses.fields(WellModel)] == ["well_width"]
+        assert WellModel(well_width=3.0) == WellModel(3.0)
 
-    def test_scales_past_double_range_raise_overflow(self):
-        overflowing = WellModel(mass=1e200, light_speed=1e200)  # m c overflows
-        subnormal = WellModel(mass=1e-160, light_speed=1e-160)  # 2 pi hbar/(m c) overflows
-        heavy = WellModel(mass=1e200, light_speed=1e100)  # m c^2, but not c^2, overflows
-        for model, scale, name in [
-            (overflowing, "momentum_scale", "the momentum scale m c overflows"),
-            (overflowing, "compton_wavelength", "the momentum scale m c overflows"),
-            (subnormal, "compton_wavelength", "the Compton wavelength 2 pi hbar/(m c) overflows"),
-            (heavy, "energy_scale", "the rest energy m c^2 overflows"),
-        ]:
-            with pytest.raises(OverflowError, match=re.escape(name)):
-                getattr(model, scale)
-        # c^2 = 1e400 raises in Python's float power, and m c^2 is named
-        with pytest.raises(OverflowError, match=re.escape("the rest energy m c^2 overflows")):
-            overflowing.energy_scale
-        # in range, each scale keeps the bits of its plain expression
-        model = WellModel(mass=3.0, light_speed=7.0, hbar=0.3, well_width=11.0)
-        assert model.compton_wavelength == 2.0 * math.pi * 0.3 / (3.0 * 7.0)
-        assert model.width_natural == 11.0 / (0.3 / (3.0 * 7.0))
-
-    @pytest.mark.parametrize("field", ["mass", "light_speed", "hbar", "well_width"])
+    @pytest.mark.parametrize("field", ["well_width"])
     def test_positivity(self, field):
         with pytest.raises(ValueError):
             WellModel(**{field: -1.0})
@@ -140,17 +120,17 @@ class TestEigenfunctionMomentum:
         model = WellModel(well_width=math.pi)
         n = 3
         k = n * math.pi / model.well_width
-        at_pole = eigenfunction_momentum(model, n, model.hbar * k)
+        at_pole = eigenfunction_momentum(model, n, k)
         # analytic limit of the regular expression as p -> hbar k_n
         L = model.well_width
         limit = (
             math.sqrt(2.0 / L)
-            / math.sqrt(2 * math.pi * model.hbar)
+            / math.sqrt(2 * math.pi)
             * k
             * (-1j * L / (2 * k))
         )
         assert at_pole == pytest.approx(limit, rel=1e-9)
-        near = eigenfunction_momentum(model, n, model.hbar * k * (1 + 1e-9))
+        near = eigenfunction_momentum(model, n, k * (1 + 1e-9))
         assert near == pytest.approx(at_pole, rel=1e-6)
 
     def test_modulus_parity(self):
@@ -197,17 +177,17 @@ class TestEnergyDerivative:
     def test_first_order_closed_form(self):
         for L, n0 in [(math.pi, 1.0), (40.0, 7.0), (0.3, 2.5)]:
             model = WellModel(well_width=L)
-            p = model.hbar * n0 * math.pi / L
-            gamma = math.hypot(1.0, p / model.momentum_scale)
-            expected = (model.hbar * math.pi / L) * p / (gamma * model.mass)
+            p = n0 * math.pi / L
+            gamma = math.hypot(1.0, p)
+            expected = (math.pi / L) * p / gamma
             assert energy_derivative(model, n0, 1) == pytest.approx(expected, rel=1e-12)
 
     def test_second_order_closed_form(self):
         for L, n0 in [(math.pi, 1.0), (40.0, 7.0), (0.3, 2.5)]:
             model = WellModel(well_width=L)
-            p = model.hbar * n0 * math.pi / L
-            gamma = math.hypot(1.0, p / model.momentum_scale)
-            expected = (model.hbar * math.pi / L) ** 2 / (gamma**3 * model.mass)
+            p = n0 * math.pi / L
+            gamma = math.hypot(1.0, p)
+            expected = (math.pi / L) ** 2 / gamma**3
             assert energy_derivative(model, n0, 2) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("order", [3, 4])
@@ -223,7 +203,7 @@ class TestEnergyDerivative:
         betas = np.linspace(0.01, 0.999, 12)
         for beta in betas:
             p = beta / math.sqrt(1 - beta**2)
-            n0 = p * model.width_natural / math.pi
+            n0 = p * model.well_width / math.pi
             for order in (1, 2, 3, 4):
                 got = energy_derivative(model, n0, order)
                 want = fd_energy_derivative(model, n0, order)
@@ -248,7 +228,7 @@ class TestRevivalTimes:
 
     def test_classical_period_limit(self):
         model = WellModel(well_width=math.pi)
-        bound = 2 * model.well_width / model.light_speed
+        bound = 2 * model.well_width
         previous = None
         for n0 in (10, 100, 1000, 10000):
             t_cl = revival_times(model, n0).t_classical
@@ -265,7 +245,7 @@ class TestRevivalTimes:
         assert rt.t_classical == pytest.approx(2 * math.pi * math.sqrt(2.0), rel=1e-12)
         assert rt.t_revival == pytest.approx(4 * math.pi * 2**1.5, rel=1e-12)
         d2 = fd_energy_derivative(model, 1.0, 2)
-        assert rt.t_revival == pytest.approx(4 * math.pi * model.hbar / abs(d2), rel=1e-8)
+        assert rt.t_revival == pytest.approx(4 * math.pi / abs(d2), rel=1e-8)
 
     def test_revival_ratio_identity(self):
         for L in (0.5, 10.0, 5000.0):
@@ -281,7 +261,7 @@ class TestRevivalTimes:
             model = WellModel(well_width=L)
             for n0 in (1, 3, 17, 400):
                 rt = revival_times(model, n0)
-                expected = n0 * (model.light_speed / level_velocity(model, n0)) ** 2
+                expected = n0 / level_velocity(model, n0) ** 2
                 assert abs(rt.t_super / rt.t_revival - expected) < 1e-6 * expected
 
     def test_revival_time_diverges_past_knee(self):
@@ -301,7 +281,7 @@ class TestRevivalTimes:
         assert 0 < i_min < len(ns) - 1
         assert t_super[0] / t_super[i_min] > 50
         assert t_super[-1] / t_super[i_min] > 1e4
-        beta_at_min = level_velocity(model, int(ns[i_min])) / model.light_speed
+        beta_at_min = level_velocity(model, int(ns[i_min]))
         assert 0.1 < beta_at_min < 0.99
 
     def test_gamma_cubed_relation_documented(self):
@@ -309,7 +289,7 @@ class TestRevivalTimes:
         # the relativistic one carries gamma^3 (not gamma); consequence of
         # E'' = (hbar pi / L)^2 / (gamma^3 m)
         model = WellModel(well_width=12.0)
-        nonrel = 4 * model.mass * model.well_width**2 / (math.pi * model.hbar)
+        nonrel = 4 * model.well_width**2 / math.pi
         for n0 in (2, 9, 31):
             rt = revival_times(model, n0)
             assert rt.t_revival == pytest.approx(nonrel * rt.gamma**3, rel=1e-12)
@@ -319,7 +299,7 @@ class TestRevivalTimes:
     def test_velocity_below_light_speed(self):
         model = WellModel(well_width=1.0)
         rt = revival_times(model, 10**6)  # gamma ~ 3e6: 1 - v/c still representable
-        assert 0 < level_velocity(model, 10**6) < model.light_speed
+        assert 0 < level_velocity(model, 10**6) < 1.0
         assert rt.gamma >= 1.0
         # past gamma ~ 1e8 the gap 1 - v/c falls below float64 resolution and
         # the velocity rounds to c; everything else must stay finite

@@ -35,8 +35,8 @@ def aligned_l2(v, w, dp):
 
 
 def conjugation(grid, model):
-    """Diagonal of D = diag(exp(-i p L / 2 hbar)), which makes H real."""
-    return np.exp(-0.5j * grid.nodes * model.well_width / model.hbar)
+    """Diagonal of D = diag(exp(-i p L / 2)), which makes H real."""
+    return np.exp(-0.5j * grid.nodes * model.well_width)
 
 
 def block_levels(grid, model, wall_height):
@@ -71,9 +71,9 @@ class TestBuildHamiltonian:
         h = build_hamiltonian(grid, model, v0)
         p = grid.nodes
         expected = (
-            np.hypot(model.energy_scale, p * model.light_speed)
+            np.hypot(1.0, p)
             + v0
-            - v0 * grid.spacing * model.well_width / (2 * math.pi * model.hbar)
+            - v0 * grid.spacing * model.well_width / (2 * math.pi)
         )
         assert np.max(np.abs(np.diag(h) - expected)) < 1e-12
 
@@ -83,7 +83,7 @@ class TestBuildHamiltonian:
         grid = MomentumGrid(5.0, 64)
         h = build_hamiltonian(grid, model, 0.0)
         assert np.all(h - np.diag(np.diag(h)) == 0.0)
-        dispersion = np.hypot(model.energy_scale, grid.nodes * model.light_speed)
+        dispersion = np.hypot(1.0, grid.nodes)
         assert np.array_equal(np.diag(h), dispersion)
 
     def test_hermitian(self):
@@ -100,7 +100,7 @@ class TestBuildHamiltonian:
         h = build_hamiltonian(grid, model, v0)
         off = h - np.diag(np.diag(h))
         assert np.max(np.abs(off)) < 1e-10
-        free = np.sort(np.hypot(model.energy_scale, grid.nodes * model.light_speed) + v0)
+        free = np.sort(np.hypot(1.0, grid.nodes) + v0)
         assert np.max(np.abs(np.sort(np.linalg.eigvalsh(h)) - free)) < 1e-9
 
 
@@ -210,7 +210,7 @@ class TestSolve:
 
         model = WellModel(well_width=L)
         levels, _ = momentum_eigenpairs(MomentumGrid(20.0, 2048), model, v0, k_levels=6, galilean=True)
-        numeric = levels - model.energy_scale  # drop the rest energy
+        numeric = levels - 1.0  # drop the rest energy
         assert np.max(np.abs(numeric - exact) / exact) < 1e-3
 
     def test_lapack_failure_raises_eigensolver_error(self, monkeypatch):
@@ -228,7 +228,7 @@ class TestSolve:
     def test_default_grid_covers_target(self):
         model = WellModel(well_width=3.0)
         grid = default_grid(model, n_target=12, count=64)
-        assert grid.p_max >= 4.0 * model.hbar * 12 * math.pi / model.well_width
+        assert grid.p_max >= 4.0 * 12 * math.pi / model.well_width
         assert grid.count == 64
 
 
@@ -411,7 +411,9 @@ class TestExports:
         model = WellModel(well_width=120.0)
         spectrum = solve(MomentumGrid(6.0, 512), model, 1e3, k_levels=3)
         path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(spectrum, model, path)
+        analytic = energy(model, np.arange(1, spectrum.size + 1))
+        error = np.abs(spectrum - analytic)
+        write_spectrum_csv((spectrum, analytic, error, error / analytic), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "n,e_numeric,e_analytic,abs_error,rel_error"
         assert len(lines) == 4

@@ -63,9 +63,9 @@ class TestAutocorrelation:
         raw[0] = raw[3] = 1.0 / math.sqrt(2.0)
         coeffs = CoefficientVector(raw, MODEL)
         gap = energy(MODEL, 4) - energy(MODEL, 1)
-        ts = np.linspace(0.0, 6.0 * math.pi * MODEL.hbar / gap, 400)
+        ts = np.linspace(0.0, 6.0 * math.pi / gap, 400)
         mags2 = np.abs(autocorrelation(coeffs, ts).values) ** 2
-        expected = np.cos(gap * ts / (2.0 * MODEL.hbar)) ** 2
+        expected = np.cos(gap * ts / 2.0) ** 2
         assert np.max(np.abs(mags2 - expected)) < 1e-12
 
     def test_bounded_by_total_weight(self):
@@ -139,7 +139,7 @@ class TestExtractLevels:
         t_cl = revival_times(model, dominant_level(coeffs)).t_classical
         samples = 4096
         ts = np.arange(samples) * (50.0 * t_cl / samples)
-        estimates = extract_levels(autocorrelation(coeffs, ts), hbar=model.hbar)
+        estimates = extract_levels(autocorrelation(coeffs, ts))
         weights = coeffs.weights()
         exact = energy(model, coeffs.levels)
         for e_true in exact[weights > 1e-3]:
@@ -155,7 +155,7 @@ class TestExtractLevels:
             coeffs = decompose(gaussian_state(spec, SpatialGrid(lw, 1024), model), model)
             t_cl = revival_times(model, dominant_level(coeffs)).t_classical
             ts = np.arange(4096) * (30.0 * t_cl / 4096)
-            estimates = extract_levels(autocorrelation(coeffs, ts), hbar=model.hbar)
+            estimates = extract_levels(autocorrelation(coeffs, ts))
             strong = estimates.energies[estimates.weights > 1e-3]
             return strong.max()
 
@@ -173,8 +173,8 @@ class TestExtractLevels:
         )
         for values in records:
             series = AutocorrelationSeries(ts, values)
-            got = extract_levels(series, hbar=1.7)
-            energies, weights = extract_levels_loop(series, hbar=1.7)
+            got = extract_levels(series)
+            energies, weights = extract_levels_loop(series)
             assert got.energies.tobytes() == energies.tobytes()
             assert got.weights.tobytes() == weights.tobytes()
 
@@ -246,7 +246,7 @@ class TestLightcone:
         spec = WavepacketSpec(x0=x0_frac * lw, sigma=1e-5 * lw, p0=p0)
         grid = SpatialGrid(lw, 1 << 20)
         coeffs = decompose(gaussian_state(spec, grid, model), model)
-        horizon = min(spec.x0, lw - spec.x0) / model.light_speed
+        horizon = min(spec.x0, lw - spec.x0)
         times = np.array(t_fracs) * horizon
         return carpet(coeffs, grid, times), spec, model
 
@@ -272,7 +272,7 @@ class TestLightcone:
         t = result.times[-1]
         masses = []
         for mult in (3.0, 300.0):
-            outside = np.abs(x - spec.x0) > model.light_speed * t + mult * spec.sigma
+            outside = np.abs(x - spec.x0) > t + mult * spec.sigma
             masses.append(float(row[outside].sum() * dx))
         assert masses[0] > 0.05  # measured ~0.105 for the resting packet
         assert masses[1] < masses[0] / 50.0
@@ -283,17 +283,17 @@ class TestLightcone:
         spec = WavepacketSpec(x0=lw / 2, sigma=lw / 20, p0=0.0)
         grid = SpatialGrid(lw, 2048)
         coeffs = decompose(gaussian_state(spec, grid, model), model)
-        times = np.array([0.0, 1e-4 * lw / model.light_speed])
+        times = np.array([0.0, 1e-4 * lw])
         result = carpet(coeffs, grid, times)
         x = result.positions
         dx = result.spacing
         row = result.density[-1]
-        outside = np.abs(x - spec.x0) > model.light_speed * result.times[-1] + 6.0 * spec.sigma
+        outside = np.abs(x - spec.x0) > result.times[-1] + 6.0 * spec.sigma
         assert float(row[outside].sum() * dx) < 1e-6
 
     def test_no_pre_reflection_rows(self):
         coeffs, grid, spec = fig2_coefficients(512)
-        t_late = 2.0 * L / MODEL.light_speed
+        t_late = 2.0 * L
         result = carpet(coeffs, grid, [t_late])
         with pytest.raises(ValueError):
             lightcone_leakage(result, spec, MODEL)
@@ -303,14 +303,14 @@ class TestLevelSpacing:
     def test_low_levels_grow_linearly(self):
         stats = level_spacing(MODEL, 60)
         n = np.arange(1, 11)
-        expected = (2 * n + 1) * (MODEL.hbar * math.pi / L) ** 2 / (2 * MODEL.mass)
+        expected = (2 * n + 1) * (math.pi / L) ** 2 / 2
         assert np.max(np.abs(stats.spacings[:10] - expected) / expected) < 1e-3
 
     def test_asymptote(self):
         model = WellModel(well_width=2.0 * math.pi)
         stats = level_spacing(model, 10**5)
         gap = stats.asymptote_gap
-        assert gap == pytest.approx(math.pi * model.hbar * model.light_speed / model.well_width)
+        assert gap == pytest.approx(math.pi / model.well_width)
         assert abs(stats.spacings[-1] - gap) < 1e-6 * gap
 
     def test_monotone_and_bounded(self):
@@ -329,7 +329,7 @@ class TestLevelSpacing:
         model = WellModel(well_width=7.0)
         n_max = 3000
         stats = level_spacing(model, n_max)
-        beta = level_velocity(model, np.arange(1, n_max)) / model.light_speed
+        beta = level_velocity(model, np.arange(1, n_max))
         fast = beta > 0.999
         assert fast.any()
         gap = stats.asymptote_gap
@@ -395,7 +395,7 @@ class TestExports:
         assert row[0] == "0"
         assert float(row[1]) == pytest.approx(1.0, abs=1e-12)
 
-        estimates = extract_levels(series, hbar=MODEL.hbar)
+        estimates = extract_levels(series)
         columns = (estimates.energies, estimates.weights)
         write_table(tmp_path / "l.csv", ("energy", "weight"), columns)
         assert (tmp_path / "l.csv").read_text().splitlines()[0] == "energy,weight"

@@ -143,11 +143,14 @@ class TestDecompose:
         assert abs(coeffs.metadata["parseval_defect"]) < 1e-12
 
     def test_coefficients_independent_of_kinetic_scales(self):
-        # same geometry, different mass and light speed: identical a_n
-        grid_a = SpatialGrid(L, 1024)
-        heavy = WellModel(mass=17.0, light_speed=3.0, well_width=L)
-        ca = decompose(gaussian_state(centered_packet(), grid_a, MODEL), MODEL)
-        cb = decompose(gaussian_state(centered_packet(), grid_a, heavy), heavy)
+        # the same box and packet in lengths of hbar/(m c) at m = 17 and
+        # c = 3: every length is 51 times larger, and the a_n are the same
+        scale = 17.0 * 3.0
+        spec = centered_packet()
+        heavy = WellModel(well_width=scale * L)
+        heavy_spec = WavepacketSpec(x0=scale * spec.x0, sigma=scale * spec.sigma, p0=spec.p0 / scale)
+        ca = decompose(gaussian_state(spec, SpatialGrid(L, 1024), MODEL), MODEL)
+        cb = decompose(gaussian_state(heavy_spec, SpatialGrid(scale * L, 1024), heavy), heavy)
         n = min(ca.n_max, cb.n_max)
         assert np.max(np.abs(ca.coefficients[:n] - cb.coefficients[:n])) < 1e-14
 
@@ -238,7 +241,7 @@ class TestDominantLevel:
         before = dict(coeffs.metadata)
         n0 = dominant_level(coeffs)
         assert coeffs.metadata == before  # a query, not a mutation
-        expected = p0 * lw / (math.pi * model.hbar)
+        expected = p0 * lw / math.pi
         assert abs(n0 - expected) <= 2
         # independent path: brute-force argmax of the closed-form overlaps
         closed = gaussian_overlap_coefficients(spec, model, coeffs.n_max)

@@ -93,7 +93,7 @@ class TestPhaseKernel:
     MODEL = WellModel(well_width=math.pi)
 
     def rotation(self, n, t):
-        """exp(-i E_n t / hbar) from a 40-digit reduction of the phase."""
+        """exp(-i E_n t) from a 40-digit reduction of the phase."""
         import mpmath as mp
 
         mp.mp.dps = 40
@@ -102,7 +102,7 @@ class TestPhaseKernel:
 
     @pytest.mark.parametrize("t", [1e3, 1e6, 1e9, 1e12])
     def test_phases(self, t):
-        theta = phases(energy(self.MODEL, np.array([1])), t, self.MODEL.hbar)[0]
+        theta = phases(energy(self.MODEL, np.array([1])), t)[0]
         assert abs(np.exp(-1j * theta) - self.rotation(1, t)) < 1e-6
 
     @pytest.mark.parametrize("t", [1e3, 1e6, 1e9, 1e12])
@@ -139,10 +139,10 @@ class TestPhaseSweep:
     TIMES = np.geomspace(1e3, 1e14, 12)
 
     @staticmethod
-    def reduced(e, t, hbar):
-        """E t / hbar mod 2 pi at 40 digits."""
+    def reduced(e, t):
+        """E t mod 2 pi at 40 digits."""
         with mp.workdps(40):
-            return mp.fmod(mp.mpf(float(e)) * mp.mpf(float(t)) / mp.mpf(hbar), 2 * mp.pi)
+            return mp.fmod(mp.mpf(float(e)) * mp.mpf(float(t)), 2 * mp.pi)
 
     @staticmethod
     def turn_distance(theta, exact):
@@ -156,9 +156,9 @@ class TestPhaseSweep:
         energies = energy(model, np.array(levels))
         worst = 0.0
         for t in self.TIMES:
-            for e, theta in zip(energies, phases(energies, t, model.hbar)):
+            for e, theta in zip(energies, phases(energies, t)):
                 assert 0.0 <= theta < 2.0 * math.pi
-                worst = max(worst, self.turn_distance(theta, self.reduced(e, t, model.hbar)))
+                worst = max(worst, self.turn_distance(theta, self.reduced(e, t)))
         assert worst < 1e-14
 
     @pytest.mark.parametrize("case", range(len(CASES)))
@@ -168,7 +168,7 @@ class TestPhaseSweep:
         for t in self.TIMES:
             rotated = evolve(CoefficientVector(raw, model), t).coefficients
             for n in levels:
-                theta = self.reduced(energy(model, n), t, model.hbar)
+                theta = self.reduced(energy(model, n), t)
                 with mp.workdps(40):
                     want = complex(mp.cos(theta), -mp.sin(theta))
                 assert abs(rotated[n - 1] - want) < 1e-14
@@ -178,15 +178,10 @@ class TestPhaseSweep:
         big = np.finfo(float).max
         energies = np.array([5e-324, 1e-300, 1.0, 1e300, big])[:, None]
         times = np.array([-big, -1e302, -1.0, 0.0, 5e-324, 1e302, 1e308, big])
-        theta = phases(energies, times, 1.0)
+        theta = phases(energies, times)
         assert np.all(np.isfinite(theta))
         assert np.all((theta >= 0.0) & (theta < 2.0 * math.pi))
         assert theta[2, 2] == pytest.approx(2.0 * math.pi - 1.0, abs=1e-15)
-
-    def test_integer_hbar_beyond_int64(self):
-        # a JSON config can give hbar as an integer no fixed-width type holds
-        energies = energy(self.CASES[0][0], np.array([1, 2]))
-        assert np.array_equal(phases(energies, 1e9, 2**64), phases(energies, 1e9, 2.0**64))
 
     def test_no_extended_precision_in_source(self):
         # long double is float64 on some platforms, which costs 1e-4 rad at t = 1e12

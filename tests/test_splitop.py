@@ -50,19 +50,19 @@ def packet_coefficients(sigma=L / 16.0, p0=0.0, intervals=512):
 class TestKineticPhase:
     def test_rest_energy_at_zero_momentum(self):
         dt = 1e-3
-        expected = np.exp(-1j * MODEL.energy_scale * dt / MODEL.hbar)
-        assert kinetic_phase(MODEL, 0.0, dt) == pytest.approx(expected, rel=1e-15)
+        expected = np.exp(-1j * dt)  # the rest energy m c^2 = 1
+        assert kinetic_phase(0.0, dt) == pytest.approx(expected, rel=1e-15)
 
     def test_unit_modulus(self):
         p = np.geomspace(1e-8, 1e8, 50)
-        factors = kinetic_phase(MODEL, p, 0.37)
+        factors = kinetic_phase(p, 0.37)
         assert np.max(np.abs(np.abs(factors) - 1.0)) < 1e-14
 
     def test_ultrarelativistic_argument(self):
         dt = 1e-6
         for p in (1e4, 1e6):
-            phase = np.angle(kinetic_phase(MODEL, p, dt))
-            assert phase == pytest.approx(-p * MODEL.light_speed * dt / MODEL.hbar, rel=1e-6)
+            phase = np.angle(kinetic_phase(p, dt))
+            assert phase == pytest.approx(-p * dt, rel=1e-6)
 
 
 class TestPropagationConfig:
@@ -83,8 +83,8 @@ class TestPropagationConfig:
 
     def test_default_dt_respects_wall_phase_cap(self):
         config = default_config(MODEL, n0=1, p0=0.0, sigma=L / 16)
-        assert config.wall_height == pytest.approx(1e4 * MODEL.energy_scale)
-        assert config.dt <= math.pi * MODEL.hbar / (8.0 * config.wall_height) * (1 + 1e-12)
+        assert config.wall_height == pytest.approx(1e4)
+        assert config.dt <= math.pi / (8.0 * config.wall_height) * (1 + 1e-12)
 
     def test_default_dt_uses_classical_period_when_slower(self):
         config = default_config(MODEL, n0=1, p0=0.0, sigma=L / 16, wall_height=1e-3)
@@ -95,8 +95,8 @@ class TestPropagationConfig:
         sigma = L / 200.0
         config = default_config(MODEL, n0=1, p0=3.0, sigma=sigma)
         box = config.grid.length
-        p_grid_max = math.pi * MODEL.hbar * config.grid_size / box
-        assert p_grid_max >= 8.0 * (3.0 + MODEL.hbar / sigma)
+        p_grid_max = math.pi * config.grid_size / box
+        assert p_grid_max >= 8.0 * (3.0 + 1.0 / sigma)
         assert config.grid_size >= 256 and config.grid_size & (config.grid_size - 1) == 0
 
     @pytest.mark.parametrize("t", [0.0, 0.05, 1e4])
@@ -125,8 +125,7 @@ class TestStep:
         k = 2 * math.pi * 8 / grid.length
         psi = np.exp(1j * k * (grid.points - grid.x_min)) / math.sqrt(grid.length)
         out = propagate(GridState(psi, grid), config, config.dt)[0]
-        p = MODEL.hbar * k
-        omega = math.hypot(MODEL.energy_scale, p * MODEL.light_speed) / MODEL.hbar
+        omega = math.hypot(1.0, k)
         assert np.max(np.abs(out.values - psi * np.exp(-1j * omega * config.dt))) < 1e-14
 
     def test_norm_drift_over_many_steps(self):

@@ -268,7 +268,10 @@ class TestCarpetWriters:
         path = tmp_path / "c.out"
         with pytest.raises(SimulationError, match="density"):
             writer(grid, path)
-        assert not path.exists()
+        # the PGM writer streams its rows into the file; the CLI's
+        # _write_outputs removes what it leaves (TestAllOrNothing)
+        if writer is not write_carpet_pgm:
+            assert not path.exists()
 
 
 class TestModulusColumns:

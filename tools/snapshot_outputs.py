@@ -1,10 +1,8 @@
 """Run a fixed set of relwell CLI jobs against one source tree and save what
-each leaves behind, so two trees can be compared with ``diff -r``.
+each leaves behind; or run them against two trees and compare.
 
     python tools/snapshot_outputs.py SRC OUT
-    python tools/snapshot_outputs.py parent/src snap_parent
-    python tools/snapshot_outputs.py src snap_change
-    diff -r snap_parent snap_change
+    python tools/snapshot_outputs.py --against REV OUT
 
 Each job runs ``python -m relwell.cli --out .`` in a fresh interpreter with
 ``PYTHONPATH=SRC``, inside its own directory ``OUT/<job>/``, which receives
@@ -14,43 +12,57 @@ stderr as ``stderr.txt`` and its exit code as ``exit_code.txt``.  The first
 every preset, two split-engine carpets at N = 256 in all three carpet
 formats (a 16-row one that steps and a 32-row one that powers the Strang
 step), a split carpet whose grid size ``default_config`` picks, and fig4's
-carpet with the PGM image alone.  The other 85 are error paths, each of
-which must end in one stderr line and no output file: two configs nested
-too deeply (exit 2), extreme model scales whose arithmetic overflows or
-underflows (exit 3), four model scales past double range under all six
-commands (exit 3), three documents whose packet or revival times leave
-double range (exit 3), ``spacing`` runs whose sidecar would hold an
-infinity (exit 3), a diag ``spectrum`` asking for more levels than it has
-momentum points (exit 2), a ``--config`` that does not exist or is a
-directory (exit 4), seven carpets refused for one value of their document,
-a carpet and an autocorrelation asked of an engine they do not run, a split
-carpet over the work limit, and a carpet and an autocorrelation whose
-``t_max`` overflows in revival periods (exit 2).
+carpet with the PGM image alone; all use m = c = hbar = 1.  The other 97
+run documents at extreme scales or in other units, and the error paths.
+Of those, 21 write outputs: ten at an extreme mass or hbar, whose outputs
+stay in double range, and the documents with m = 2^-900 and m = 3 under
+every command but m = 2^-900's ``spacing``.  The rest must end in one
+stderr line and no output file: two configs nested too deeply (exit 2),
+extreme scales whose revival times or unit conversions leave double range
+(exit 3), ``spacing`` runs whose sidecar would hold a value past it (exit
+3), a diag ``spectrum`` asking for more levels than it has momentum points
+(exit 2), a ``--config`` that does not exist or is a directory (exit 4),
+seven carpets refused for one value of their document, a carpet and an
+autocorrelation asked of an engine they do not run, a split carpet over the
+work limit, and a carpet and an autocorrelation whose ``t_max`` overflows in
+revival periods (exit 2).
 The tool holds every job to that contract: after the last job it exits
 non-zero and names each error path that left an output file or printed
 other than one stderr line, and each job that left behind a temporary
 ``.<name>.tmp``, the name the CLI writes a file under until the run is
 complete.
-All 152 run one at a time in 35-39 s, with about 155 MB of output, on a
-2-vCPU Intel Xeon host (112 of them took 11.6-12.4 s on a 2-vCPU AMD EPYC
-host).  The powered carpets' bits depend on the BLAS thread
-count, so compare two trees at the same OPENBLAS_NUM_THREADS.
+
+``--against REV`` extracts REV's ``src`` with ``git archive`` into OUT,
+snapshots it into ``OUT/base`` and this repository's ``src`` into
+``OUT/head``, both at OPENBLAS_NUM_THREADS=1 (the powered carpets' bits
+depend on the BLAS thread count), and prints each file that differs: an
+exit code or stderr with both texts, a CSV or bin file with its largest
+absolute and relative deviation.  It exits 1 on any difference.
+All 164 jobs run one at a time in 41-44 s, with about 165 MB of output, on a
+2-vCPU Intel Xeon host; ``--against`` takes twice that.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
+
+# the repository this tool belongs to, whose src the --against mode runs
+ROOT = Path(__file__).resolve().parents[1]
 
 # what a job's directory holds besides the job's own outputs
 JOB_FILES = {"config.json", "stderr.txt", "exit_code.txt"}
 # the name the CLI writes a file under until the run is complete
 TEMPORARY = re.compile(r"\..+\.tmp")
+# a bin carpet's header: magic, version, rows, columns, t0, t1, x0, x1
+CARPET_HEADER = "<4sIQQdddd"
 
 COMMANDS = ("spectrum", "carpet", "revivals", "autocorr", "spacing", "coeffs")
 PRESETS = ("default", "fig1", "fig2a", "fig2b", "fig2c", "fig3", "fig4", "fig5a", "fig5b")
@@ -75,8 +87,10 @@ SPLIT_POWERED_CARPET = {
 }
 
 
-# model values whose arithmetic overflows or underflows, and the commands
-# that reach it
+# model values at the edge of double range, and the commands run on them:
+# an extreme mass or hbar leaves every output in range (exit 0); an extreme
+# light speed takes a unit conversion past it, an extreme width a revival
+# time (exit 3)
 EXTREME_MODELS = {
     ("mass", 1e-300): ("coeffs", "revivals", "autocorr"),
     ("mass", 1e300): ("coeffs", "revivals", "autocorr", "carpet"),
@@ -88,8 +102,10 @@ EXTREME_MODELS = {
     ("well_width_in_compton", 1e150): ("coeffs", "revivals", "autocorr"),
     ("well_width_in_compton", 1e300): ("coeffs", "revivals", "autocorr"),
 }
-# model scales past double range: m c overflows, m c is subnormal so that the
-# Compton wavelength overflows, and the absolute width overflows or underflows
+# model scales past double range, run under every command: m c overflows, or
+# is subnormal so that the Compton wavelength overflows, and a unit
+# conversion leaves double range; or the width in absolute units overflows
+# or underflows, and a unit conversion or a revival time does (exit 3)
 SCALES_PAST_RANGE = (
     {"mass": 1e200, "light_speed": 1e200},
     {"mass": 1e-160, "light_speed": 1e-160},
@@ -111,8 +127,9 @@ AUTO_SPLIT_CARPET = {
     "packet": {"x0_over_L": 0.5, "sigma_over_L": 0.02, "p0_in_hbar_over_L": 100.0},
     "engine": {"kind": "split"},
 }
-# documents whose model scales put the packet or the revival times past double
-# range (exit 3), with the commands that reach them
+# documents whose model scales once put the packet or the revival times past
+# double range, with the commands run on them; each exits 3, at a revival
+# time or a unit conversion past it
 PAST_RANGE = {
     # the derivatives of E(n) come out NaN, and so does each revival time
     "revival_hbar": (
@@ -122,13 +139,20 @@ PAST_RANGE = {
         {"model": {"mass": 7.85e-114, "hbar": 2.82e-276, "well_width_in_compton": 6.20e154}},
         ("carpet", "revivals", "autocorr", "coeffs"),
     ),
-    # sigma = L / 20 underflows to 0
+    # sigma = L / 20 underflowed to 0 in absolute units
     "sigma": (
         {"model": {"well_width_in_compton": 2.25e-186, "light_speed": 4.55e137}}, COMMANDS
     ),
 }
-# model values that give spacing's sidecar an infinity
+# model values that give spacing's sidecar a value past double range: the
+# variance in (m c^2)^2 for an extreme mass or light speed, and the natural
+# mean spacing itself for a tiny width (exit 3)
 INFINITE_SIDECARS = (("mass", 1e300), ("light_speed", 1e150), ("well_width_in_compton", 1e-300))
+# documents in other units than m = c = hbar = 1, run under every command: at
+# m = 2^-900 every output but spacing's variance, in (m c^2)^2 = 2^-1800,
+# stays in double range, and at m = 3 each dimensionless output equals the
+# unit document's
+OTHER_UNITS = {"mass_2^-900": {"model": {"mass": 2.0**-900}}, "mass_3": {"model": {"mass": 3.0}}}
 # documents whose values alone refuse a carpet, before numpy loads
 REFUSED_VALUES = {
     "mass": {"model": {"mass": -1.0}},
@@ -169,6 +193,9 @@ def jobs() -> list[tuple[str, list[str], str | None]]:
     for name, (document, commands) in PAST_RANGE.items():
         config = json.dumps(document)
         listed += [(f"past_range_{name}_{command}", [command], config) for command in commands]
+    for stem, document in OTHER_UNITS.items():
+        config = json.dumps(document)
+        listed += [(f"{stem}_{command}", [command], config) for command in COMMANDS]
     for key, value in INFINITE_SIDECARS:
         config = json.dumps({"model": {key: value}})
         listed.append((f"infinite_sidecar_{key}_{value:g}_spacing", ["spacing"], config))
@@ -209,12 +236,11 @@ def breaches(jobdir: Path, returncode: int, stderr: str) -> list[str]:
     return found
 
 
-def main() -> None:
-    if len(sys.argv) != 3:
-        raise SystemExit("usage: snapshot_outputs.py SRC OUT")
-    src, out = Path(sys.argv[1]).resolve(), Path(sys.argv[2])
+def snapshot(src: Path, out: Path) -> list[str]:
+    """Run every job against the relwell sources under ``src`` into ``out``,
+    which must not exist; return how the jobs break the contract."""
     out.mkdir(parents=True, exist_ok=False)
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     failed = []
     for name, args, config in jobs():
         jobdir = out / name
@@ -235,6 +261,83 @@ def main() -> None:
         (jobdir / "exit_code.txt").write_text(f"{job.returncode}\n")
         print(f"{name}: exit {job.returncode}", flush=True)
         failed += [f"{name}: {breach}" for breach in found]
+    return failed
+
+
+def _numbers(path: Path) -> list:
+    """A CSV's cells, each a float where it reads as one; a bin carpet's
+    header fields and densities."""
+    data = path.read_bytes()
+    if path.suffix == ".bin":
+        size = struct.calcsize(CARPET_HEADER)
+        header = struct.unpack_from(CARPET_HEADER, data)
+        densities = struct.unpack_from(f"<{(len(data) - size) // 8}d", data, size)
+        return [*map(float, header[1:]), *densities]
+    cells = [cell for line in data.decode().splitlines() for cell in line.split(",")]
+    for i, cell in enumerate(cells):
+        with contextlib.suppress(ValueError):
+            cells[i] = float(cell)
+    return cells
+
+
+def _deviation(old: Path, new: Path) -> str:
+    """The largest absolute and relative deviation between two CSV or bin
+    files of the same shape, or why there is none to give."""
+    a, b = _numbers(old), _numbers(new)
+    if len(a) != len(b):
+        return f"{len(a)} -> {len(b)} values"
+    pairs = [(x, y) for x, y in zip(a, b) if x != y]
+    if not all(isinstance(x, float) and isinstance(y, float) for x, y in pairs):
+        return "cells that are not numbers differ"
+    absolute = max(abs(x - y) for x, y in pairs)
+    relative = max(abs(x - y) / abs(x) if x else math.inf for x, y in pairs)
+    return f"{len(pairs)} values; largest deviation {absolute:.3g} absolute, {relative:.3g} relative"
+
+
+def compare(base: Path, head: Path) -> list[str]:
+    """One line for each file that differs between two snapshot directories
+    or is in one only: an exit code or stderr with its two texts, a CSV or
+    bin file with its largest deviation."""
+    names = sorted(
+        {path.relative_to(root) for root in (base, head) for path in root.rglob("*")
+         if path.is_file()}
+    )
+    lines = []
+    for name in names:
+        old, new = base / name, head / name
+        if not (old.is_file() and new.is_file()):
+            lines.append(f"{name}: only in {'head' if new.is_file() else 'base'}")
+        elif old.read_bytes() == new.read_bytes():
+            continue
+        elif name.name in ("exit_code.txt", "stderr.txt"):
+            lines.append(f"{name}: {old.read_text().strip()!r} -> {new.read_text().strip()!r}")
+        elif name.suffix in (".csv", ".bin"):
+            lines.append(f"{name}: {_deviation(old, new)}")
+        else:
+            lines.append(f"{name}: differs")
+    return lines
+
+
+def main() -> None:
+    if len(sys.argv) == 4 and sys.argv[1] == "--against":
+        rev, out = sys.argv[2], Path(sys.argv[3])
+        out.mkdir(parents=True, exist_ok=False)
+        # the revision's sources beside the snapshots; both trees run at one
+        # BLAS thread, on which the powered carpets' bits depend
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True
+        )
+        subprocess.run(["tar", "-x", "-C", str(out)], input=archive.stdout, check=True)
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        failed = snapshot(out / "src", out / "base") + snapshot(ROOT / "src", out / "head")
+        differences = compare(out / "base", out / "head")
+        print("\n".join([f"{len(differences)} files differ from {rev}", *differences]))
+        if failed:
+            raise SystemExit("\n".join(["jobs that break the contract:", *failed]))
+        sys.exit(1 if differences else 0)
+    if len(sys.argv) != 3:
+        raise SystemExit("usage: snapshot_outputs.py SRC OUT | --against REV OUT")
+    failed = snapshot(Path(sys.argv[1]), Path(sys.argv[2]))
     if failed:
         raise SystemExit("\n".join(["jobs that break the contract:", *failed]))
 
