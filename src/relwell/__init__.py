@@ -23,8 +23,7 @@ _MODULE_OF = {
     name: module
     for module, names in (
         ("grids", "BoxGrid GridState SpatialGrid"),
-        ("model", "RevivalTimes WellModel energy energy_derivative level_velocity "
-                  "lorentz_gamma revival_times"),
+        ("model", "RevivalTimes WellModel energy energy_derivative level_velocity revival_times"),
         ("momentum", "MomentumGrid build_hamiltonian default_grid solve"),
         ("observables", "AutocorrelationSeries CarpetGrid LevelEstimates LightconeReport "
                         "SpacingStatistics autocorrelation carpet extract_levels "

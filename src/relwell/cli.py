@@ -31,12 +31,12 @@ _NUMERICS = {
     for module, names in (
         ("grids", "SpatialGrid all_finite write_table"),
         ("model", "WellModel energy revival_times"),
-        ("momentum", "MomentumGrid default_grid solve write_spectrum_csv"),
-        ("observables", "autocorrelation carpet extract_levels level_spacing "
+        ("momentum", "DEFAULT_WALL_HEIGHT default_grid solve write_spectrum_csv"),
+        ("observables", "MIN_RECORD autocorrelation carpet extract_levels level_spacing "
                         "write_autocorrelation_csv write_carpet_binary write_carpet_csv "
                         "write_carpet_pgm write_density_pgm write_spacing_csv"),
-        ("packets", "MIN_POINTS_PER_SIGMA WavepacketSpec decompose dominant_level "
-                    "gaussian_state write_coefficients_csv"),
+        ("packets", "WavepacketSpec auto_intervals decompose dominant_level gaussian_state "
+                    "min_intervals write_coefficients_csv"),
         ("spectral", "density_stream"),
         ("splitop", "default_config"),
     )
@@ -93,8 +93,6 @@ _ENGINE_KEYS = {
     },
     "diag": {"momentum_points": int, "p_max_in_mc": float, "wall_height_in_mc2": float},
 }
-# the diag engine's values for the keys a document leaves out
-_DIAG_DEFAULTS = {"momentum_points": 2048, "wall_height_in_mc2": 1.0e3}
 # Strang steps x grid points above which a split carpet is refused before it
 # starts: about 20 to 50 minutes of stepping at 0.012-0.03 us per point and
 # step (N = 2048 to 256, one thread of a 2-vCPU AMD EPYC host).  A run that
@@ -320,7 +318,8 @@ class ResolvedConfig:
         # cannot overflow, but of a subnormal L it can underflow
         for key, value in lengths.items():
             if value == 0 and packet_block[f"{key}_over_L"] > 0:
-                raise ArithmeticError(f"the packet's {key} underflows to 0")
+                hint = f"raise packet.{key}_over_L or bring model.well_width_in_compton closer to 1"
+                raise SimulationError(f"the packet's {key} underflows to 0; {hint}")
         self.packet = WavepacketSpec(**lengths, p0=packet_block["p0_in_hbar_over_L"] / width)
         self.packet.validate_against(self.model)
         self.engine = dict(document["engine"])
@@ -330,23 +329,16 @@ class ResolvedConfig:
         self.basename = document["output"]["basename"]
 
     def spatial_grid(self) -> SpatialGrid:
-        L = self.model.well_width
-        sigma = self.packet.sigma
         intervals = self.engine.get("grid_intervals")
         if intervals is None:
-            k_top = abs(self.packet.p0) + 4.0 / sigma
-            needed = max(1024.0, 16.0 * L / sigma, 4.0 * k_top * L / math.pi)
-            if not needed <= 2**61:
-                raise ValueError(f"the packet needs {needed:.3g} grid intervals, beyond any array")
-            intervals = 1 << max(10, math.ceil(math.log2(needed)))
-        else:
-            minimum = math.ceil(MIN_POINTS_PER_SIGMA * L / sigma)
-            if intervals < minimum:
-                raise ValueError(
-                    f"engine.grid_intervals={intervals} under-resolves the packet; "
-                    f"need at least {minimum} intervals"
-                )
-        return SpatialGrid(L, int(intervals))
+            intervals = auto_intervals(self.packet, self.model)
+        minimum = min_intervals(self.packet, self.model)
+        if intervals < minimum:
+            raise ValueError(
+                f"engine.grid_intervals={intervals} under-resolves the packet; "
+                f"need at least {minimum} intervals"
+            )
+        return SpatialGrid(self.model.well_width, intervals)
 
     def coefficients(self):
         grid = self.spatial_grid()
@@ -433,13 +425,15 @@ def _write_outputs(
 
 
 def _sidecar_values(values: dict, units: dict) -> dict:
-    """``values`` with each one that SIDECAR_DIMENSIONS gives a dimension, in
-    nested objects too, in the document's units."""
+    """``values``, in nested objects too, with each one that SIDECAR_DIMENSIONS
+    gives a dimension in the document's units; ArithmeticError where it is not finite."""
     converted = {}
     for key, value in values.items():
         if isinstance(value, dict):
             value = _sidecar_values(value, units)
         elif key in SIDECAR_DIMENSIONS:
+            if not math.isfinite(value):
+                raise ArithmeticError(f"the sidecar's {key} leaves double range")
             value = _in_units(value, units[SIDECAR_DIMENSIONS[key]], f"the sidecar's {key}")
         converted[key] = value
     return converted
@@ -465,20 +459,15 @@ def _revival_summary(resolved: ResolvedConfig, coeffs) -> dict:
 
 
 def cmd_spectrum(resolved: ResolvedConfig, outdir: Path) -> None:
-    model, unit = resolved.model, resolved.units["energy"]
+    model, engine, unit = resolved.model, resolved.engine, resolved.units["energy"]
     n_min, n_max = resolved.levels
     levels = np.arange(n_min, n_max + 1)
     energies = _in_units(energy(model, levels), unit, "spectrum.csv's energy")
     products = {"spectrum.csv": lambda path: write_table(path, ("n", "energy"), (levels, energies))}
     summary = {}
-    if resolved.engine["kind"] == "diag":
-        engine = {**_DIAG_DEFAULTS, **resolved.engine}
-        count, p_max = engine["momentum_points"], engine.get("p_max_in_mc")
-        if p_max is None:
-            grid = default_grid(model, n_max, count)
-        else:
-            grid = MomentumGrid(float(p_max), count)
-        wall = float(engine["wall_height_in_mc2"])
+    if engine["kind"] == "diag":
+        grid = default_grid(model, n_max, engine.get("momentum_points"), engine.get("p_max_in_mc"))
+        wall = float(engine.get("wall_height_in_mc2", DEFAULT_WALL_HEIGHT))
         if n_max > grid.count:
             raise ValueError(f"levels.n_max={n_max} exceeds engine.momentum_points={grid.count}")
         numeric = solve(grid, model, wall, k_levels=n_max)
@@ -569,7 +558,7 @@ def cmd_autocorr(resolved: ResolvedConfig, outdir: Path) -> None:
     times = resolved.resolve_times(summary)
     series = autocorrelation(coeffs, times)
     products = {"autocorr.csv": partial(write_autocorrelation_csv, series)}
-    if times.size >= 8 and times[-1] > 0:
+    if times.size >= MIN_RECORD and times[-1] > 0:
         estimates = extract_levels(series)
         if not (math.isfinite(estimates.resolution) and np.isfinite(estimates.energies).all()):
             raise ValueError(

@@ -59,11 +59,6 @@ def energy(model: WellModel, n) -> np.floating | np.ndarray:
     return np.hypot(1.0, _momentum_ratio(model, _check_level(n)))
 
 
-def lorentz_gamma(model: WellModel, n) -> np.floating | np.ndarray:
-    """gamma_n = E_n / m c^2, which is E_n itself in natural units."""
-    return energy(model, n)
-
-
 def level_velocity(model: WellModel, n) -> np.floating | np.ndarray:
     """Relativistic group velocity v_n = p_n / E_n, always below c = 1."""
     x = _momentum_ratio(model, _check_level(n))
@@ -153,7 +148,7 @@ class RevivalTimes:
 
     t_classical is the bounce period 2L/v of the corresponding classical
     relativistic particle; t_revival and t_super are the quadratic and cubic
-    dephasing times of a packet concentrated around n0.
+    dephasing times of a packet concentrated around n0; gamma is E_n0 / m c^2.
     """
 
     t_classical: float
@@ -183,4 +178,4 @@ def revival_times(model: WellModel, n0: int) -> RevivalTimes:
     for name, t in times.items():
         if not 0 < t < math.inf:
             raise ArithmeticError(f"the {name} of level {n0} leaves double range")
-    return RevivalTimes(**times, gamma=lorentz_gamma(model, n0))
+    return RevivalTimes(**times, gamma=energy(model, n0))

@@ -49,9 +49,17 @@ class MomentumGrid:
         return 2.0 * self.p_max / (self.count - 1)
 
 
-def default_grid(model: WellModel, n_target: int, count: int) -> MomentumGrid:
-    """Grid of ``count`` nodes wide enough for the highest targeted level."""
-    return MomentumGrid(max(20.0 / model.well_width * n_target, 10.0), count)
+DEFAULT_COUNT = 2048  # momentum nodes
+DEFAULT_WALL_HEIGHT = 1.0e3  # V0 in units of m c^2
+
+
+def default_grid(
+    model: WellModel, n_target: int, count: int | None = None, p_max: float | None = None
+) -> MomentumGrid:
+    """``count`` nodes out to ``p_max``, by default wide enough for level n_target."""
+    if p_max is None:
+        p_max = max(20.0 / model.well_width * n_target, 10.0)
+    return MomentumGrid(float(p_max), DEFAULT_COUNT if count is None else count)
 
 
 def build_hamiltonian(grid: MomentumGrid, model: WellModel, wall_height: float) -> np.ndarray:

@@ -16,11 +16,11 @@ from .spectral import density_rows, phases, reconstruct_at
 from .splitop import PropagationConfig, propagate
 
 PEAK_THRESHOLD = 1e-4  # local maxima below this fraction of the tallest peak are noise
+MIN_RECORD = 8  # the fewest samples extract_levels takes
 
 _BLOCK = 256  # autocorrelation samples per block of the two matrix products
 _TAYLOR_LIMIT = 1e-3  # largest |E r| the residual series corrects
 _WORKSPACE = 1 << 16  # complex entries per chunk of autocorrelation anchors
-_QUANTIZE_BLOCK = 1 << 12  # floats per block of the PGM quantizer
 
 _CARPET_MAGIC = b"CRPT"
 _CARPET_VERSION = 1
@@ -130,7 +130,7 @@ def extract_levels(series: AutocorrelationSeries) -> LevelEstimates:
     if ts.size >= 3 and not np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9, atol=0.0):
         raise ValueError("level extraction requires uniform sampling")
     n = ts.size
-    if n < 8:
+    if n < MIN_RECORD:
         raise ValueError("record too short")
     dt = float(ts[1] - ts[0])
     t_total = n * dt
@@ -310,17 +310,10 @@ def write_carpet_binary(carpet_grid: CarpetGrid, path) -> None:
         fh.write(np.ascontiguousarray(carpet_grid.density, dtype="<f8"))
 
 
-def _quantize(source, peak, scaled, target) -> None:
-    """target = round(source / peak * 65535), computed a block of ``scaled``
-    at a time."""
-    step = scaled.size
-    for start in range(0, source.size, step):
-        stop = min(start + step, source.size)
-        block = scaled[: stop - start]
-        np.divide(source[start:stop], peak, out=block)
-        block *= 65535.0
-        np.round(block, out=block)
-        target[start:stop] = block
+def _quantize(source, peak, target) -> None:
+    """target = round(source / peak * 65535), through one float temporary."""
+    scaled = source / peak
+    target[:] = np.round(np.multiply(scaled, 65535.0, out=scaled), out=scaled)
 
 
 def write_density_pgm(rows_at, shape: tuple[int, int], path) -> None:
@@ -332,14 +325,13 @@ def write_density_pgm(rows_at, shape: tuple[int, int], path) -> None:
     against the largest value seen so far and written at its place in the
     file; then it is asked once for the rows whose peak was later exceeded,
     which are quantized anew and written over their first pixels.  So no row
-    is read more than twice, and the writer holds one 16-bit pixel row, a
-    block of floats and the rows it is given.  Pixel rows are time samples,
+    is read more than twice, and the writer holds one 16-bit pixel row, one
+    float row and the rows it is given.  Pixel rows are time samples,
     columns positions; samples are big-endian as the format requires.
     """
     header = f"P5\n{shape[1]} {shape[0]}\n65535\n".encode("ascii")
     # zero until a positive peak comes, as the rows before it are
     pixels = np.zeros(shape[1], dtype=">u2")
-    scaled = np.empty(_QUANTIZE_BLOCK)
     peak = 0.0
     scaled_by = np.zeros(shape[0])  # the peak each row was quantized against
     with open(path, "wb") as fh:
@@ -348,13 +340,13 @@ def write_density_pgm(rows_at, shape: tuple[int, int], path) -> None:
             require_finite(path, "density", row)
             peak = max(peak, row.max())
             if peak > 0:
-                _quantize(row, peak, scaled, pixels)
+                _quantize(row, peak, pixels)
                 scaled_by[i] = peak
             fh.write(pixels)
         # the rows quantized before the peak came; at a zero peak, none
         stale = np.flatnonzero(scaled_by != peak)
         for i, row in zip(stale.tolist(), rows_at(stale)):
-            _quantize(row, peak, scaled, pixels)
+            _quantize(row, peak, pixels)
             fh.seek(len(header) + i * pixels.nbytes)
             fh.write(pixels)
 

@@ -18,6 +18,22 @@ TAIL_RUN = 10
 MIN_POINTS_PER_SIGMA = 8
 
 
+def min_intervals(spec: WavepacketSpec, model: WellModel) -> int:
+    """The fewest grid intervals that put MIN_POINTS_PER_SIGMA points in a sigma."""
+    return math.ceil(MIN_POINTS_PER_SIGMA * model.well_width / spec.sigma)
+
+
+def auto_intervals(spec: WavepacketSpec, model: WellModel) -> int:
+    """The grid intervals of a run that names none: the smallest power of two
+    >= max(1024, 16 L/sigma, 4 k_top L/pi), k_top = |p0| + 4/sigma; ValueError past 2^61."""
+    L, sigma = model.well_width, spec.sigma
+    k_top = abs(spec.p0) + 4.0 / sigma
+    needed = max(1024.0, 16.0 * L / sigma, 4.0 * k_top * L / math.pi)
+    if not needed <= 2**61:
+        raise ValueError(f"the packet needs {needed:.3g} grid intervals, beyond any array")
+    return 1 << max(10, math.ceil(math.log2(needed)))
+
+
 @dataclass(frozen=True)
 class WavepacketSpec:
     """Gaussian packet exp(-(x-x0)^2/(4 sigma^2) + i p0 x), in natural units:
@@ -84,8 +100,8 @@ def gaussian_state(spec: WavepacketSpec, grid: SpatialGrid, model: WellModel) ->
     spec.validate_against(model)
     if grid.well_width != model.well_width:
         raise ValueError("grid and model disagree on the well width")
-    if grid.spacing > spec.sigma / MIN_POINTS_PER_SIGMA:
-        needed = math.ceil(MIN_POINTS_PER_SIGMA * model.well_width / spec.sigma)
+    needed = min_intervals(spec, model)
+    if grid.intervals < needed:
         raise ValueError(
             f"grid too coarse for sigma={spec.sigma:g}: need at least "
             f"{needed} intervals, got {grid.intervals}"

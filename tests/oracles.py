@@ -34,12 +34,8 @@ from relwell.grids import sine_transform, sine_workspace
 from relwell.observables import PEAK_THRESHOLD, CarpetGrid
 from relwell.spectral import phases
 
-# the natural units relwell computes in, kept as symbols in these closed
-# forms: hbar = c = m = 1, so the rest energy m c^2 is 1 too
-HBAR = LIGHT_SPEED = MASS = REST_ENERGY = 1.0
-
 # relative half-width of the Taylor window around the removable poles of the
-# momentum-space eigenfunction, in units of hbar/L
+# momentum-space eigenfunction, in units of 1/L
 _POLE_WINDOW = 1e-6
 
 
@@ -64,23 +60,21 @@ def eigenfunction_momentum(model: WellModel, n: int, p) -> complex | np.ndarray:
 
     The closed form is
 
-        phi_n(p) = sqrt(2/L) / sqrt(2*pi*hbar) * k_n
-                   * ((-1)^n * exp(-i p L / hbar) - 1) / ((p/hbar)^2 - k_n^2)
+        phi_n(p) = sqrt(2/L) / sqrt(2*pi) * k_n
+                   * ((-1)^n * exp(-i p L) - 1) / (p^2 - k_n^2)
 
-    with removable singularities at p = +/- hbar*k_n; inside a small window
+    with removable singularities at p = +/- k_n; inside a small window
     around the poles the numerator is replaced by its second-order Taylor
     expansion to avoid catastrophic cancellation.
     """
     scalar = np.isscalar(p)
-    ps = np.atleast_1d(np.asarray(p, dtype=float))
+    q = np.atleast_1d(np.asarray(p, dtype=float))
     L = model.well_width
-    hbar = HBAR
     k = n * np.pi / L
-    q = ps / hbar
     sign = -1.0 if n % 2 else 1.0
-    prefac = math.sqrt(2.0 / L) / math.sqrt(2.0 * np.pi * hbar) * k
+    prefac = math.sqrt(2.0 / L) / math.sqrt(2.0 * np.pi) * k
 
-    out = np.empty(ps.shape, dtype=np.complex128)
+    out = np.empty(q.shape, dtype=np.complex128)
     window = _POLE_WINDOW / L
     near_pos = np.abs(q - k) < window
     near_neg = np.abs(q + k) < window
@@ -101,36 +95,35 @@ def eigenfunction_momentum(model: WellModel, n: int, p) -> complex | np.ndarray:
     return complex(out[0]) if scalar else out
 
 
-def well_window_transform(q, well_width: float, hbar: float = 1.0) -> complex | np.ndarray:
-    """(1/sqrt(2*pi*hbar)) * integral_0^L exp(-i q x / hbar) dx.
+def well_window_transform(q, well_width: float) -> complex | np.ndarray:
+    """(1/sqrt(2*pi)) * integral_0^L exp(-i q x) dx.
 
-    Equals i*hbar*(exp(-i q L / hbar) - 1)/(q*sqrt(2*pi*hbar)) away from q = 0
-    and L/sqrt(2*pi*hbar) in the limit, with conjugate symmetry
-    f(-q) = conj(f(q)).
+    Equals i*(exp(-i q L) - 1)/(q*sqrt(2*pi)) away from q = 0 and
+    L/sqrt(2*pi) in the limit, with conjugate symmetry f(-q) = conj(f(q)).
     """
     scalar = np.isscalar(q)
     qs = np.atleast_1d(np.asarray(q, dtype=float))
     out = np.empty(qs.shape, dtype=np.complex128)
-    small = np.abs(qs) * well_width < 1e-12 * hbar
+    small = np.abs(qs) * well_width < 1e-12
     reg = ~small
-    out[reg] = 1j * hbar * (np.exp(-1j * qs[reg] * well_width / hbar) - 1.0) / qs[reg]
+    out[reg] = 1j * (np.exp(-1j * qs[reg] * well_width) - 1.0) / qs[reg]
     out[small] = well_width
-    out /= math.sqrt(2.0 * math.pi * hbar)
+    out /= math.sqrt(2.0 * math.pi)
     return complex(out[0]) if scalar else out
 
 
 def complex_hamiltonian(grid: MomentumGrid, model: WellModel, wall_height: float) -> np.ndarray:
-    """Dense Hermitian H_ij = [E(p_i) + V0] delta_ij - (V0 dp / 2 pi hbar) W(p_i - p_j)
+    """Dense Hermitian H_ij = [E(p_i) + V0] delta_ij - (V0 dp / 2 pi) W(p_i - p_j)
     with the relativistic E(p), assembled from the complex window transform
     over every node difference, without the phase conjugation or the parity
     split that ``build_hamiltonian`` and ``solve`` use."""
     p = grid.nodes
-    window = math.sqrt(2.0 * math.pi * HBAR) * well_window_transform(
-        p[:, None] - p[None, :], model.well_width, HBAR
+    window = math.sqrt(2.0 * math.pi) * well_window_transform(
+        p[:, None] - p[None, :], model.well_width
     )
-    h = -wall_height * grid.spacing / (2.0 * math.pi * HBAR) * window
+    h = -wall_height * grid.spacing / (2.0 * math.pi) * window
     idx = np.arange(grid.count)
-    h[idx, idx] += np.hypot(REST_ENERGY, p * LIGHT_SPEED) + wall_height
+    h[idx, idx] += np.hypot(1.0, p) + wall_height
     return 0.5 * (h + h.conj().T)
 
 
@@ -143,11 +136,11 @@ def momentum_eigenpairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest ``k_levels`` levels and eigenvectors of the discretized
     Hamiltonian, from ``eigh`` with vectors on the two real parity blocks.
-    ``galilean`` swaps the diagonal's E(p) for m c^2 + p^2 / 2m, the
+    ``galilean`` swaps the diagonal's E(p) for 1 + p^2 / 2, the
     Schroedinger well with its rest energy.
 
     A block eigenvector u becomes [u; +-J u] / sqrt(2 dp), J the reversal,
-    and D = diag(exp(-i p L / 2 hbar)) is undone, so the columns are
+    and D = diag(exp(-i p L / 2)) is undone, so the columns are
     eigenvectors of the complex H, orthonormal under the dp-weighted inner
     product, up to one phase each.  Levels are merged by a stable sort: a
     level both blocks share lists the even one first.
@@ -158,9 +151,7 @@ def momentum_eigenpairs(
     if galilean:
         p = grid.nodes
         idx = np.arange(grid.count)
-        h[idx, idx] += (
-            REST_ENERGY + p**2 / (2.0 * MASS) - np.hypot(REST_ENERGY, p * LIGHT_SPEED)
-        )
+        h[idx, idx] += 1.0 + p**2 / 2.0 - np.hypot(1.0, p)
     half = grid.count // 2
     upper = h[:half, :half]
     mirrored = h[:half, half:][:, ::-1]
@@ -174,19 +165,19 @@ def momentum_eigenpairs(
     top = np.concatenate([even_vecs, odd_vecs], axis=1)[:, order]
     parity = np.where(order < per_block, 1.0, -1.0)
     vecs = np.concatenate([top, top[::-1] * parity], axis=0) / math.sqrt(2.0 * grid.spacing)
-    theta = grid.nodes * (0.5 * model.well_width / HBAR)
+    theta = grid.nodes * (0.5 * model.well_width)
     return vals[order], vecs * np.exp(-1j * theta)[:, None]
 
 
 def hard_wall_kernel(model: WellModel, grid: MomentumGrid) -> np.ndarray:
-    """(1 - exp(-i L q / hbar)) / q over every lag q of the grid; the
-    coincidence limit is i L / hbar."""
-    L, hbar = model.well_width, HBAR
+    """(1 - exp(-i L q)) / q over every lag q of the grid; the coincidence
+    limit is i L."""
+    L = model.well_width
     lags = grid.spacing * np.arange(-(grid.count - 1), grid.count)
     kernel = np.empty(lags.shape, complex)
-    small = np.abs(lags) * L < 1e-12 * hbar
-    kernel[~small] = (1.0 - np.exp(-1j * L * lags[~small] / hbar)) / lags[~small]
-    kernel[small] = 1j * L / hbar
+    small = np.abs(lags) * L < 1e-12
+    kernel[~small] = (1.0 - np.exp(-1j * L * lags[~small])) / lags[~small]
+    kernel[small] = 1j * L
     return kernel
 
 
@@ -202,11 +193,11 @@ def convolve_valid(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
 
 def residual_integral_equation(model: WellModel, n: int, grid: MomentumGrid) -> float:
     """Relative L2 residual of the hard-wall momentum integral equation
-    phi(p) = (1/2 pi i) * integral dp' (1 - exp(-i L (p-p')/hbar))/(p-p') phi(p')
+    phi(p) = (1/2 pi i) * integral dp' (1 - exp(-i L (p-p')))/(p-p') phi(p')
     for the analytic eigenfunction of level n.
 
     The quadrature uses uniform weights; the grid must resolve the kernel
-    oscillation of period 2*pi*hbar/L.
+    oscillation of period 2*pi/L.
     """
     phi = eigenfunction_momentum(model, n, grid.nodes)
     conv = convolve_valid(hard_wall_kernel(model, grid), phi)  # length count
@@ -227,7 +218,7 @@ def gaussian_overlap_coefficients(
     L = model.well_width
     n = np.arange(1, n_max + 1)
     k = n * np.pi / L
-    q0 = spec.p0 / HBAR
+    q0 = spec.p0
     amp = (2.0 * np.pi * spec.sigma**2) ** -0.25
     prefac = amp * math.sqrt(2.0 / L) * spec.sigma * math.sqrt(np.pi)
     plus = np.exp(1j * (q0 + k) * spec.x0 - (q0 + k) ** 2 * spec.sigma**2)
@@ -258,7 +249,7 @@ _CARPET_LAYOUT = "<4sIQQ4d"
 
 
 def autocorrelation_direct(coeffs: CoefficientVector, times) -> np.ndarray:
-    """A(t) = sum_n |a_n|^2 exp(-i E_n t / hbar), one phase per level and
+    """A(t) = sum_n |a_n|^2 exp(-i E_n t), one phase per level and
     sample, levels added one at a time in order."""
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     values = np.zeros(ts.shape, dtype=np.complex128)
@@ -285,7 +276,7 @@ def extract_levels_loop(series) -> tuple[np.ndarray, np.ndarray]:
             shift = float(np.clip(shift, -0.5, 0.5))
             height = mag[k] - 0.25 * (mag[k - 1] - mag[k + 1]) * shift
             omega = 2.0 * math.pi * (k + shift) / t_total
-            energies.append(HBAR * omega)
+            energies.append(omega)
             weights.append(height / gain)
     return np.asarray(energies), np.asarray(weights)
 
@@ -314,10 +305,9 @@ def fd_energy_derivative(model: WellModel, n0, order: int, h=1e-4) -> float:
     precision; the independent oracle for the derivative formula."""
     with mp.workdps(50):
         ratio = mp.pi / mp.mpf(model.well_width)
-        scale = mp.mpf(REST_ENERGY)
 
         def e(n):
-            return scale * mp.sqrt(1 + (ratio * n) ** 2)
+            return mp.sqrt(1 + (ratio * n) ** 2)
 
         n0, h = mp.mpf(n0), mp.mpf(h)
         stencils = {
@@ -364,7 +354,7 @@ def strang_steps(
             raise ValueError("sample times must lie inside [0, t_final]")
         sample_steps = sorted(round(t / dt_used) for t in requested.tolist())
 
-    half_v = np.exp(-0.5j * run_config.potential() * run_config.dt / HBAR)
+    half_v = np.exp(-0.5j * run_config.potential() * run_config.dt)
     kin = kinetic_phase(run_config.grid.momenta(), run_config.dt)
     psi = state.values.copy()
     samples: list[GridState] = []

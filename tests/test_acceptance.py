@@ -46,7 +46,7 @@ from relwell import (
     revival_times,
     solve,
 )
-from oracles import HBAR, LIGHT_SPEED, MASS, REST_ENERGY, fd_energy_derivative
+from oracles import fd_energy_derivative
 
 
 def report(index, ok, detail):
@@ -59,7 +59,7 @@ def test_criterion_01_spectrum_equivalence():
     model = WellModel(well_width=120.0)
     grid = MomentumGrid(6.0, 2048)
     exact = energy(model, np.arange(1, 11))
-    v0 = 1e3 * REST_ENERGY
+    v0 = 1e3  # m c^2
     errors = np.abs(solve(grid, model, v0, k_levels=10) - exact) / exact
     errors_doubled = np.abs(solve(grid, model, 2 * v0, k_levels=10) - exact) / exact
     elapsed = time.monotonic() - started
@@ -94,9 +94,9 @@ def test_criterion_02_derivative_formula():
 def test_criterion_03_classical_period_limit():
     """The classical period saturates at 2L/c in the relativistic regime."""
     model = WellModel(well_width=2.0 * math.pi)
-    bound = 2.0 * model.well_width / LIGHT_SPEED
+    bound = 2.0 * model.well_width  # 2 L / c
     levels = np.arange(1, 5001)
-    beta = level_velocity(model, levels) / LIGHT_SPEED
+    beta = level_velocity(model, levels)
     fast = levels[beta > 0.995]
     deviations = np.array(
         [abs(revival_times(model, int(n)).t_classical - bound) for n in fast[:: max(1, fast.size // 64)]]
@@ -114,8 +114,8 @@ def test_criterion_04_revival_reproduction():
     box = model.well_width
     spec = WavepacketSpec(x0=box / 2, sigma=box / 20, p0=0.0)
     coeffs = decompose(gaussian_state(spec, SpatialGrid(box, 2048), model), model)
-    kinetic = float(np.dot(coeffs.weights(), energy(model, coeffs.levels) - REST_ENERGY))
-    assert kinetic < 1e-3 * REST_ENERGY  # non-relativistic regime
+    kinetic = float(np.dot(coeffs.weights(), energy(model, coeffs.levels) - 1.0))
+    assert kinetic < 1e-3  # non-relativistic regime
     t_rev = revival_times(model, dominant_level(coeffs)).t_revival
 
     half = abs(autocorrelation(coeffs, [0.5 * t_rev]).values[0])
@@ -164,13 +164,13 @@ def grid_hamiltonian_propagator(config):
     grid state to any time without a time step.
     """
     n = config.grid_size
-    dispersion = np.hypot(REST_ENERGY, config.grid.momenta() * LIGHT_SPEED)
+    dispersion = np.hypot(1.0, config.grid.momenta())
     lags = np.subtract.outer(np.arange(n), np.arange(n)) % n
     hamiltonian = np.fft.ifft(dispersion)[lags] + np.diag(config.potential())
     levels, vectors = np.linalg.eigh(hamiltonian)
 
     def evolve_to(psi0, t):
-        return vectors @ (np.exp(-1j * levels * t / HBAR) * (vectors.conj().T @ psi0))
+        return vectors @ (np.exp(-1j * levels * t) * (vectors.conj().T @ psi0))
 
     return evolve_to
 
@@ -188,7 +188,7 @@ def test_criterion_06_engine_cross_validation():
     """
     model = WellModel(well_width=30.0)
     box = model.well_width
-    spec = WavepacketSpec(x0=box / 2, sigma=box / 12, p0=1.2 * MASS * LIGHT_SPEED)
+    spec = WavepacketSpec(x0=box / 2, sigma=box / 12, p0=1.2)
     coeffs = decompose(gaussian_state(spec, SpatialGrid(box, 1024), model), model)
     n0 = dominant_level(coeffs)
     t_cl = revival_times(model, n0).t_classical
@@ -232,20 +232,20 @@ def free_line_leakage(spec, spacing, width, times):
 
     The packet is sampled at ``spacing`` on a periodic line of length
     ``width`` centred on x0, with no walls and no sine basis, and propagated
-    by exp(-i sqrt(m^2 c^4 + p^2 c^2) t / hbar) applied with numpy's FFT.
-    Returns the mass beyond |x - x0| = c t + 3 sigma for each time.
+    by exp(-i sqrt(1 + p^2) t) applied with numpy's FFT.
+    Returns the mass beyond |x - x0| = t + 3 sigma for each time.
     """
     n = 2 * int(math.ceil(width / (2.0 * spacing)))
     x = spec.x0 + spacing * (np.arange(n) - n // 2)
-    psi = np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma**2) + 1j * spec.p0 * x / HBAR)
+    psi = np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma**2) + 1j * spec.p0 * x)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2) * spacing))
-    momenta = 2.0 * np.pi * HBAR * np.fft.fftfreq(n, d=spacing)
-    dispersion = np.hypot(REST_ENERGY, momenta * LIGHT_SPEED)
+    momenta = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
+    dispersion = np.hypot(1.0, momenta)
     amplitudes = np.fft.fft(psi)
     fractions = []
     for t in times:
-        density = np.abs(np.fft.ifft(np.exp(-1j * dispersion * t / HBAR) * amplitudes)) ** 2
-        outside = np.abs(x - spec.x0) > LIGHT_SPEED * t + 3.0 * spec.sigma
+        density = np.abs(np.fft.ifft(np.exp(-1j * dispersion * t) * amplitudes)) ** 2
+        outside = np.abs(x - spec.x0) > t + 3.0 * spec.sigma
         fractions.append(float(density[outside].sum() * spacing))
     return np.asarray(fractions)
 
@@ -268,7 +268,7 @@ def test_criterion_07_light_cone():
 
     spec = WavepacketSpec(x0=box / 2, sigma=1e-5 * box, p0=0.0)
     coeffs = decompose(gaussian_state(spec, grid, model), model)
-    horizon = min(spec.x0, box - spec.x0) / LIGHT_SPEED
+    horizon = min(spec.x0, box - spec.x0)
     times = np.linspace(0.0, 0.9, 6) * horizon
     resting = lightcone_leakage(carpet(coeffs, grid, times), spec, model)
     free = free_line_leakage(spec, grid.spacing, 2.0 * box, resting.times)
@@ -276,7 +276,7 @@ def test_criterion_07_light_cone():
 
     boosted_spec = WavepacketSpec(x0=box / 4, sigma=1e-5 * box, p0=8.0 / (1e-5 * box))
     boosted_coeffs = decompose(gaussian_state(boosted_spec, grid, model), model)
-    boosted_horizon = min(boosted_spec.x0, box - boosted_spec.x0) / LIGHT_SPEED
+    boosted_horizon = min(boosted_spec.x0, box - boosted_spec.x0)
     boosted = lightcone_leakage(
         carpet(boosted_coeffs, grid, np.linspace(0.0, 0.9, 4) * boosted_horizon),
         boosted_spec,
@@ -303,7 +303,7 @@ def test_criterion_08_spectroscopy_round_trip():
     """Levels extracted from a 50 T_cl autocorrelation match the spectrum."""
     model = WellModel(well_width=2.0 * math.pi)
     box = model.well_width
-    spec = WavepacketSpec(x0=box / 2, sigma=box / 10, p0=2.0 * MASS * LIGHT_SPEED)
+    spec = WavepacketSpec(x0=box / 2, sigma=box / 10, p0=2.0)
     coeffs = decompose(gaussian_state(spec, SpatialGrid(box, 1024), model), model)
     t_cl = revival_times(model, dominant_level(coeffs)).t_classical
     samples = 4096
@@ -328,11 +328,11 @@ def test_criterion_08_spectroscopy_round_trip():
 
 
 def test_criterion_09_level_spacing_asymptote():
-    """Nearest-neighbor gaps saturate at hbar pi c / L."""
+    """Nearest-neighbor gaps saturate at pi / L."""
     model = WellModel(well_width=7.0)
     n_max = 3000
     stats = level_spacing(model, n_max)
-    beta = level_velocity(model, np.arange(1, n_max)) / LIGHT_SPEED
+    beta = level_velocity(model, np.arange(1, n_max))
     fast = beta > 0.999
     gap = stats.asymptote_gap
     worst = float(np.max(np.abs(stats.spacings[fast] - gap))) / gap

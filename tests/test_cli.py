@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import relwell
 import relwell.cli as cli
-from relwell import WellModel, energy
+from relwell import SpatialGrid, WavepacketSpec, WellModel, energy, gaussian_state
 from relwell.cli import DEFAULT_CONFIG, PRESETS, load_config, main
 from oracles import read_carpet_binary
 
@@ -254,6 +254,28 @@ class TestValidation:
         assert run(tmp_path, "carpet", config) == 2
         assert "at least" in capsys.readouterr().err
 
+    def test_cli_and_packet_share_one_grid_minimum(self, tmp_path, capsys):
+        # 8 L / sigma rounds to 4544 here; when the CLI tested that integer and
+        # gaussian_state the grid spacing, the CLI took a grid the packet refused
+        fraction = 0.00176056338028169
+        document = {
+            "model": {"well_width_in_compton": 10.0},
+            "packet": {"sigma_over_L": fraction},
+            "engine": {"kind": "exact", "grid_intervals": 4544},
+        }
+        assert run(tmp_path, "coeffs", document) == 0
+        width = 2.0 * math.pi * 10.0
+        model, spec = WellModel(width), WavepacketSpec(x0=0.5 * width, sigma=fraction * width)
+        assert cli.min_intervals(spec, model) == 4544
+        document["engine"]["grid_intervals"] = 4543
+        assert run(tmp_path, "coeffs", document) == 2
+        assert capsys.readouterr().err == (
+            "error: engine.grid_intervals=4543 under-resolves the packet; "
+            "need at least 4544 intervals\n"
+        )
+        with pytest.raises(ValueError, match=r"need at least 4544 intervals, got 4543$"):
+            gaussian_state(spec, SpatialGrid(width, 4543), model)
+
     def test_diag_engine_rejected_for_carpet(self, tmp_path):
         config = small_config(engine={"kind": "diag"})
         assert run(tmp_path, "carpet", config) == 2
@@ -392,7 +414,7 @@ class TestValidation:
     def test_packet_length_underflow_names_the_width(self, tmp_path, capsys, document, command):
         line = (
             f"numerical error: the packet's {command} underflows to 0; "
-            "bring model.well_width_in_compton closer to 1"
+            f"raise packet.{command}_over_L or bring model.well_width_in_compton closer to 1"
         )
         assert_ends_in(tmp_path, capsys, "spectrum", document, line)
 
@@ -434,8 +456,13 @@ class TestValidation:
             # (m c^2)^2 = 1e600 takes the variance past double range
             ("mass", 1e300, unit_error("the sidecar's variance")),
             ("light_speed", 1e150, unit_error("the sidecar's variance")),
-            # the natural spacings themselves are infinite
-            ("well_width_in_compton", 1e-300, "run_spacing.meta.json"),
+            # the natural spacings are finite, but the squares of their rounding are not
+            (
+                "well_width_in_compton",
+                1e-300,
+                "the sidecar's variance leaves double range; "
+                "bring model.well_width_in_compton closer to 1",
+            ),
         ],
     )
     def test_non_finite_sidecar_exits_3_without_files(self, tmp_path, capsys, key, value, name):
@@ -883,12 +910,10 @@ class TestRevivals:
         model = WellModel(well_width=2.0 * 2.0 * math.pi)
         lines = (tmp_path / "t_revivals.csv").read_text().splitlines()
         assert lines[0] == "n,t_classical,t_revival,t_super"
-        from relwell import lorentz_gamma
-
         for line in lines[1:]:
             n, t_cl, t_rev, _ = line.split(",")
             n = int(n)
-            gamma = lorentz_gamma(model, n)
+            gamma = energy(model, n)  # the Lorentz factor, in natural units
             assert float(t_rev) / float(t_cl) == pytest.approx(2 * n * gamma**2, rel=1e-10)
 
     def test_fig1_preset_plateau(self, tmp_path):
@@ -1088,7 +1113,7 @@ SPLIT_POWERED = small_config(
 # module eagerly; the lazy package must offer the same
 PACKAGE_EXPORTS = [
     "SimulationError", "BoxGrid", "GridState", "SpatialGrid", "RevivalTimes", "WellModel",
-    "energy", "energy_derivative", "level_velocity", "lorentz_gamma", "revival_times",
+    "energy", "energy_derivative", "level_velocity", "revival_times",
     "MomentumGrid", "build_hamiltonian", "default_grid", "solve",
     "AutocorrelationSeries", "CarpetGrid", "LevelEstimates", "LightconeReport",
     "SpacingStatistics", "autocorrelation", "carpet", "extract_levels", "level_spacing",

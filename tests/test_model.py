@@ -12,7 +12,6 @@ from relwell import (
     energy,
     energy_derivative,
     level_velocity,
-    lorentz_gamma,
     revival_times,
 )
 from oracles import eigenfunction_momentum, eigenfunction_position, fd_energy_derivative

@@ -49,17 +49,15 @@ def block_levels(grid, model, wall_height):
 
 class TestWellWindowTransform:
     def test_zero_momentum_limit(self):
-        L, hbar = 3.7, 1.3
-        assert well_window_transform(0.0, L, hbar) == pytest.approx(
-            L / math.sqrt(2 * math.pi * hbar), rel=1e-12
-        )
-        tiny = well_window_transform(1e-14, L, hbar)
-        assert tiny == pytest.approx(L / math.sqrt(2 * math.pi * hbar), rel=1e-9)
+        L = 3.7
+        assert well_window_transform(0.0, L) == pytest.approx(L / math.sqrt(2 * math.pi), rel=1e-12)
+        tiny = well_window_transform(1e-14, L)
+        assert tiny == pytest.approx(L / math.sqrt(2 * math.pi), rel=1e-9)
 
     def test_conjugate_symmetry(self):
         q = np.linspace(0.05, 30.0, 200)
-        plus = well_window_transform(q, 2.0, 1.0)
-        minus = well_window_transform(-q, 2.0, 1.0)
+        plus = well_window_transform(q, 2.0)
+        minus = well_window_transform(-q, 2.0)
         assert np.max(np.abs(minus - np.conj(plus))) < 1e-14
 
 
