@@ -361,13 +361,18 @@ class ResolvedConfig:
 
 
 class _Staged(os.PathLike):
-    """A file while a run writes it: it opens as ``.<name>.tmp`` beside the
-    file, on the same file system, and a message that formats it names the
-    file itself."""
+    """A file while a run writes it: it opens beside the file, on the same
+    file system, as ``.<16 hex digits>.tmp``, the CRC-32 and Adler-32 of the
+    file's name, so any name the file system takes can be staged and a rerun
+    overwrites a killed run's temporary.  A message that formats it names
+    the file itself."""
 
     def __init__(self, path: Path):
+        import zlib  # numpy has loaded it; hashlib would load OpenSSL's libcrypto
+
+        name = os.fsencode(path.name)
         self.path = path
-        self.temporary = path.with_name(f".{path.name}.tmp")
+        self.temporary = path.with_name(f".{zlib.crc32(name):08x}{zlib.adler32(name):08x}.tmp")
 
     def __fspath__(self) -> str:
         return os.fspath(self.temporary)

@@ -19,8 +19,12 @@ MIN_POINTS_PER_SIGMA = 8
 
 
 def min_intervals(spec: WavepacketSpec, model: WellModel) -> int:
-    """The fewest grid intervals that put MIN_POINTS_PER_SIGMA points in a sigma."""
-    return math.ceil(MIN_POINTS_PER_SIGMA * model.well_width / spec.sigma)
+    """The fewest grid intervals that put MIN_POINTS_PER_SIGMA points in a
+    sigma; ValueError where that count is infinite."""
+    needed = MIN_POINTS_PER_SIGMA * model.well_width / spec.sigma
+    if not math.isfinite(needed):
+        raise ValueError(f"the packet needs {needed:.3g} grid intervals, beyond any array")
+    return math.ceil(needed)
 
 
 def auto_intervals(spec: WavepacketSpec, model: WellModel) -> int:

@@ -46,7 +46,7 @@ from relwell import (
     revival_times,
     solve,
 )
-from oracles import fd_energy_derivative
+from references import fd_energy_derivative, free_line_leakage, grid_hamiltonian_propagator
 
 
 def report(index, ok, detail):
@@ -84,7 +84,7 @@ def test_criterion_02_derivative_formula():
         n0 = momentum * model.well_width / math.pi
         for order in (1, 2, 3, 4):
             got = energy_derivative(model, n0, order)
-            want = fd_energy_derivative(model, n0, order)
+            want = fd_energy_derivative(model.well_width, n0, order)
             worst = max(worst, abs(got - want) / abs(want))
     ok = worst < 1e-6
     report(2, ok, f"orders 1..4 over v/c in [0.01, 0.999]: worst rel err {worst:.2e} (< 1e-6)")
@@ -155,26 +155,6 @@ def test_criterion_05_coefficient_extinction():
     assert ok
 
 
-def grid_hamiltonian_propagator(config):
-    """Exact propagator of the split engine's own grid Hamiltonian F^-1 K F + V.
-
-    K is the dispersion sqrt(m^2 c^4 + p^2 c^2) at the config's grid momenta,
-    so F^-1 K F is the circulant matrix with first column ifft(K); V is the
-    config's finite-wall potential.  A dense eigendecomposition evolves any
-    grid state to any time without a time step.
-    """
-    n = config.grid_size
-    dispersion = np.hypot(1.0, config.grid.momenta())
-    lags = np.subtract.outer(np.arange(n), np.arange(n)) % n
-    hamiltonian = np.fft.ifft(dispersion)[lags] + np.diag(config.potential())
-    levels, vectors = np.linalg.eigh(hamiltonian)
-
-    def evolve_to(psi0, t):
-        return vectors @ (np.exp(-1j * levels * t) * (vectors.conj().T @ psi0))
-
-    return evolve_to
-
-
 def test_criterion_06_engine_cross_validation():
     """Split-operator engine against the exact propagator of the same equation.
 
@@ -198,7 +178,7 @@ def test_criterion_06_engine_cross_validation():
     psi0 = reconstruct_at(coeffs, x)
     psi0 /= math.sqrt(float(np.sum(np.abs(psi0) ** 2) * config.grid.spacing))
     state = GridState(psi0, config.grid)
-    same_wall = grid_hamiltonian_propagator(config)
+    same_wall = grid_hamiltonian_propagator(x, config.grid.spacing, box, config.wall_height)
 
     def max_l1(run_config):
         """Max L1 gaps to the same-wall propagator and to the sine-mode engine."""
@@ -227,29 +207,6 @@ def test_criterion_06_engine_cross_validation():
     assert 3.0 < ratio < 5.0
 
 
-def free_line_leakage(spec, spacing, width, times):
-    """Out-of-cone mass of the same Gaussian evolved on an open line.
-
-    The packet is sampled at ``spacing`` on a periodic line of length
-    ``width`` centred on x0, with no walls and no sine basis, and propagated
-    by exp(-i sqrt(1 + p^2) t) applied with numpy's FFT.
-    Returns the mass beyond |x - x0| = t + 3 sigma for each time.
-    """
-    n = 2 * int(math.ceil(width / (2.0 * spacing)))
-    x = spec.x0 + spacing * (np.arange(n) - n // 2)
-    psi = np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma**2) + 1j * spec.p0 * x)
-    psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2) * spacing))
-    momenta = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
-    dispersion = np.hypot(1.0, momenta)
-    amplitudes = np.fft.fft(psi)
-    fractions = []
-    for t in times:
-        density = np.abs(np.fft.ifft(np.exp(-1j * dispersion * t) * amplitudes)) ** 2
-        outside = np.abs(x - spec.x0) > t + 3.0 * spec.sigma
-        fractions.append(float(density[outside].sum() * spacing))
-    return np.asarray(fractions)
-
-
 def test_criterion_07_light_cone():
     """Fig. 3-class narrow packets against the light cone.
 
@@ -271,7 +228,7 @@ def test_criterion_07_light_cone():
     horizon = min(spec.x0, box - spec.x0)
     times = np.linspace(0.0, 0.9, 6) * horizon
     resting = lightcone_leakage(carpet(coeffs, grid, times), spec, model)
-    free = free_line_leakage(spec, grid.spacing, 2.0 * box, resting.times)
+    free = free_line_leakage(spec.x0, spec.sigma, spec.p0, grid.spacing, 2.0 * box, resting.times)
     deviation = float(np.max(np.abs(resting.fractions - free)))
 
     boosted_spec = WavepacketSpec(x0=box / 4, sigma=1e-5 * box, p0=8.0 / (1e-5 * box))

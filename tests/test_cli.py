@@ -276,6 +276,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"need at least 4544 intervals, got 4543$"):
             gaussian_state(spec, SpatialGrid(width, 4543), model)
 
+    def test_an_infinite_grid_minimum_is_refused(self, tmp_path, capsys):
+        # 8 L / sigma is infinite below sigma_over_L ~ 1e-308: one line
+        # whether the document names the grid or not
+        for engine in ({"kind": "exact", "grid_intervals": 1024}, {}):
+            document = {"packet": {"sigma_over_L": 1e-310}, "engine": engine}
+            assert run(tmp_path, "coeffs", document) == 2
+            err = capsys.readouterr().err
+            assert err == "error: the packet needs inf grid intervals, beyond any array\n"
+
     def test_diag_engine_rejected_for_carpet(self, tmp_path):
         config = small_config(engine={"kind": "diag"})
         assert run(tmp_path, "carpet", config) == 2
@@ -850,19 +859,19 @@ class TestAllOrNothing:
                        f"{str(out / 't_spacing.csv')!r}"]
         assert list(out.iterdir()) == []
 
-    def test_a_temporary_name_too_long_leaves_nothing(self, tmp_path, capsys):
-        # the sidecar's name fits the file system's limit; its temporary's
-        # five more bytes do not
+    def test_a_name_at_the_limit_is_staged(self, tmp_path, capsys):
+        # the sidecar's name fills the file system's limit; its temporary's
+        # name has a fixed length, so it fits too
         out = tmp_path / "out"
         out.mkdir()
         limit = os.pathconf(out, "PC_NAME_MAX")
         basename = "b" * (limit - len("_spacing.meta.json"))
         config = {"output": {"basename": basename}}
-        assert run_in(out, tmp_path / "config.json", config, "spacing") == 4
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("i/o error:")
-        assert err[0].endswith(f"{str(out / basename)}_spacing.meta.json'")
-        assert list(out.iterdir()) == []
+        assert run_in(out, tmp_path / "config.json", config, "spacing") == 0
+        assert capsys.readouterr().err == ""
+        names = sorted(path.name for path in out.iterdir())
+        assert names == [f"{basename}_spacing.csv", f"{basename}_spacing.meta.json"]
+        assert len(os.fsencode(names[1])) == limit
 
     def test_snapshot_tool_names_jobs_that_break_the_contract(self, tmp_path):
         snapshot = snapshot_tool()

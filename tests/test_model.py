@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from relwell import (
     level_velocity,
     revival_times,
 )
-from oracles import eigenfunction_momentum, eigenfunction_position, fd_energy_derivative
+from references import eigenfunction_momentum, eigenfunction_position, fd_energy_derivative
 
 
 class TestEnergy:
@@ -86,42 +90,32 @@ class TestWellModel:
 
 class TestEigenfunctionPosition:
     def test_antinode(self):
-        model = WellModel(well_width=2.0)
-        assert eigenfunction_position(model, 1, 1.0) == pytest.approx(
-            math.sqrt(2.0 / 2.0), rel=1e-15
-        )
+        assert eigenfunction_position(2.0, 1, 1.0) == pytest.approx(math.sqrt(2.0 / 2.0), rel=1e-15)
 
     def test_node(self):
-        model = WellModel(well_width=2.0)
-        assert eigenfunction_position(model, 2, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert eigenfunction_position(2.0, 2, 1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_unit_norm_by_quadrature(self):
-        model = WellModel(well_width=3.3)
         for n in range(1, 11):
-            norm, _ = quad(
-                lambda x: eigenfunction_position(model, n, x) ** 2, 0, 3.3, limit=200
-            )
+            norm, _ = quad(lambda x: eigenfunction_position(3.3, n, x) ** 2, 0, 3.3, limit=200)
             assert norm == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_at_walls(self):
-        model = WellModel(well_width=1.7)
-        assert eigenfunction_position(model, 3, 0.0) == 0.0
-        assert abs(eigenfunction_position(model, 3, 1.7)) < 1e-14
+        assert eigenfunction_position(1.7, 3, 0.0) == 0.0
+        assert abs(eigenfunction_position(1.7, 3, 1.7)) < 1e-14
 
     def test_outside_box_rejected(self):
-        model = WellModel(well_width=1.0)
         with pytest.raises(ValueError):
-            eigenfunction_position(model, 1, 1.2)
+            eigenfunction_position(1.0, 1, 1.2)
 
 
 class TestEigenfunctionMomentum:
     def test_finite_at_pole(self):
-        model = WellModel(well_width=math.pi)
+        L = math.pi
         n = 3
-        k = n * math.pi / model.well_width
-        at_pole = eigenfunction_momentum(model, n, k)
+        k = n * math.pi / L
+        at_pole = eigenfunction_momentum(L, n, k)
         # analytic limit of the regular expression as p -> hbar k_n
-        L = model.well_width
         limit = (
             math.sqrt(2.0 / L)
             / math.sqrt(2 * math.pi)
@@ -129,29 +123,27 @@ class TestEigenfunctionMomentum:
             * (-1j * L / (2 * k))
         )
         assert at_pole == pytest.approx(limit, rel=1e-9)
-        near = eigenfunction_momentum(model, n, k * (1 + 1e-9))
+        near = eigenfunction_momentum(L, n, k * (1 + 1e-9))
         assert near == pytest.approx(at_pole, rel=1e-6)
 
     def test_modulus_parity(self):
-        model = WellModel(well_width=2.6)
         p = np.linspace(0.1, 40.0, 500)
         for n in (1, 2, 5):
-            plus = np.abs(eigenfunction_momentum(model, n, p))
-            minus = np.abs(eigenfunction_momentum(model, n, -p))
+            plus = np.abs(eigenfunction_momentum(2.6, n, p))
+            minus = np.abs(eigenfunction_momentum(2.6, n, -p))
             assert np.max(np.abs(plus - minus)) < 1e-14
 
     def test_inverse_fourier_transform(self):
         # FFT quadrature of phi_n(p) must reproduce the sine mode in the box
         # and nothing outside it
-        model = WellModel(well_width=math.pi)
         n = 2
-        L = model.well_width
+        L = math.pi
         m_grid = 1 << 19
         p_max = 16384.0
         dp = 2 * p_max / m_grid
         j = np.arange(m_grid)
         p = -p_max + dp * j
-        phi = eigenfunction_momentum(model, n, p)
+        phi = eigenfunction_momentum(L, n, p)
         # psi(x_k) = (dp/sqrt(2 pi)) sum_j phi_j exp(i p_j x_k) on the
         # conjugate grid x_k = x0 + k*dx with dx = 2 pi/(M dp)
         dx = 2 * math.pi / (m_grid * dp)
@@ -193,7 +185,7 @@ class TestEnergyDerivative:
     def test_high_orders_against_finite_differences(self, order):
         model = WellModel(well_width=math.pi)
         got = energy_derivative(model, 3.0, order)
-        want = fd_energy_derivative(model, 3.0, order, h=1e-4)
+        want = fd_energy_derivative(model.well_width, 3.0, order, h=1e-4)
         assert abs(got - want) / abs(want) < 1e-6
 
     def test_all_orders_across_regimes(self):
@@ -205,7 +197,7 @@ class TestEnergyDerivative:
             n0 = p * model.well_width / math.pi
             for order in (1, 2, 3, 4):
                 got = energy_derivative(model, n0, order)
-                want = fd_energy_derivative(model, n0, order)
+                want = fd_energy_derivative(model.well_width, n0, order)
                 assert abs(got - want) / abs(want) < 1e-6
 
     @pytest.mark.parametrize("order", [0, 7, -1])
@@ -243,7 +235,7 @@ class TestRevivalTimes:
         rt = revival_times(model, 1)
         assert rt.t_classical == pytest.approx(2 * math.pi * math.sqrt(2.0), rel=1e-12)
         assert rt.t_revival == pytest.approx(4 * math.pi * 2**1.5, rel=1e-12)
-        d2 = fd_energy_derivative(model, 1.0, 2)
+        d2 = fd_energy_derivative(model.well_width, 1.0, 2)
         assert rt.t_revival == pytest.approx(4 * math.pi / abs(d2), rel=1e-8)
 
     def test_revival_ratio_identity(self):
@@ -307,3 +299,18 @@ class TestRevivalTimes:
         velocity = level_velocity(extreme_model, 10**6)
         assert 0 < velocity <= extreme.gamma and velocity <= 1.0
         assert extreme.t_super > extreme.t_revival > extreme.t_classical > 0
+
+
+class TestReferences:
+    def test_import_loads_no_relwell_module(self):
+        # a reference that shares relwell's code can share the defect it is
+        # there to catch; relwell is importable here, so only sys.modules tells
+        tests = Path(__file__).parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        code = "import sys, references; print([m for m in sys.modules if m.split('.')[0] == 'relwell'])"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["[]"]

@@ -16,12 +16,12 @@ from relwell import (
     solve,
 )
 from relwell.momentum import write_spectrum_csv
-from oracles import (
+from oracles import momentum_eigenpairs
+from references import (
     complex_hamiltonian,
     convolve_valid,
     eigenfunction_momentum,
     hard_wall_kernel,
-    momentum_eigenpairs,
     residual_integral_equation,
     well_window_transform,
 )
@@ -147,7 +147,7 @@ class TestSolve:
         model = WellModel(well_width=10.0)
         grid = MomentumGrid(20.0, 512)
         levels, vectors = momentum_eigenpairs(grid, model, 1e3, k_levels=4)
-        h = complex_hamiltonian(grid, model, 1e3)
+        h = complex_hamiltonian(grid.nodes, grid.spacing, model.well_width, 1e3)
         for j in range(4):
             v = vectors[:, j] * math.sqrt(grid.spacing)
             quotient = float(np.real(v.conj() @ h @ v))
@@ -157,7 +157,7 @@ class TestSolve:
         model = WellModel(well_width=120.0)
         grid = MomentumGrid(6.0, 2048)
         _, vectors = momentum_eigenpairs(grid, model, 1e3, k_levels=1)
-        phi = eigenfunction_momentum(model, 1, grid.nodes)
+        phi = eigenfunction_momentum(model.well_width, 1, grid.nodes)
         phi /= math.sqrt(float(np.sum(np.abs(phi) ** 2) * grid.spacing))
         err = math.sqrt(float(np.sum((np.abs(vectors[:, 0]) - np.abs(phi)) ** 2) * grid.spacing))
         assert err < 1e-2
@@ -241,7 +241,7 @@ class TestComplexOracle:
     def reference(self):
         import scipy.linalg
 
-        h = complex_hamiltonian(self.GRID, self.MODEL, self.V0)
+        h = complex_hamiltonian(self.GRID.nodes, self.GRID.spacing, self.MODEL.well_width, self.V0)
         return h, scipy.linalg.eigh(h, subset_by_index=(0, self.K - 1))
 
     def test_hamiltonian_is_phase_conjugate(self):
@@ -361,23 +361,27 @@ class TestLevelsOnly:
 
 
 class TestResidual:
+    L = math.pi
+    GRID = MomentumGrid(100.0, 4096)
+
+    def residual(self, n, grid):
+        return residual_integral_equation(self.L, n, grid.nodes, grid.spacing)
+
+    def kernel(self):
+        return hard_wall_kernel(self.L, self.GRID.spacing, self.GRID.count)
+
     def test_analytic_eigenfunctions(self):
-        model = WellModel(well_width=math.pi)
-        grid = MomentumGrid(100.0, 4096)
         for n in range(1, 6):
-            assert residual_integral_equation(model, n, grid) < 1e-3
+            assert self.residual(n, self.GRID) < 1e-3
 
     def test_non_solution_has_large_residual(self):
         # a smooth normalized packet that is not an eigenfunction
-        model = WellModel(well_width=math.pi)
-        grid = MomentumGrid(100.0, 4096)
         import scipy.signal
 
-        p = grid.nodes
+        p = self.GRID.nodes
         phi = np.exp(-((p - 1.3) ** 2) / 2.0).astype(complex)
-        kernel = hard_wall_kernel(model, grid)
-        conv = scipy.signal.fftconvolve(kernel, phi, mode="valid")
-        res = phi - grid.spacing / (2j * math.pi) * conv
+        conv = scipy.signal.fftconvolve(self.kernel(), phi, mode="valid")
+        res = phi - self.GRID.spacing / (2j * math.pi) * conv
         rel = math.sqrt(float(np.sum(np.abs(res) ** 2) / np.sum(np.abs(phi) ** 2)))
         assert rel > 0.1
 
@@ -385,23 +389,18 @@ class TestResidual:
     def test_convolution_matches_fftconvolve(self, n):
         import scipy.signal
 
-        model = WellModel(well_width=math.pi)
-        grid = MomentumGrid(100.0, 4096)
-        phi = eigenfunction_momentum(model, n, grid.nodes)
-        kernel = hard_wall_kernel(model, grid)
+        phi = eigenfunction_momentum(self.L, n, self.GRID.nodes)
+        kernel = self.kernel()
         want = scipy.signal.fftconvolve(kernel, phi, mode="valid")
         got = convolve_valid(kernel, phi)
-        assert got.shape == want.shape == (grid.count,)
+        assert got.shape == want.shape == (self.GRID.count,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_residual_decreases_with_resolution(self):
-        model = WellModel(well_width=math.pi)
         coarse = MomentumGrid(40.0, 1024)
         fine = MomentumGrid(200.0, 4096)
         for n in (1, 3, 5):
-            assert residual_integral_equation(model, n, fine) < residual_integral_equation(
-                model, n, coarse
-            )
+            assert self.residual(n, fine) < self.residual(n, coarse)
 
 
 class TestExports:

@@ -20,7 +20,8 @@ from relwell import (
     gaussian_state,
 )
 from relwell.packets import TAIL_RUN, write_coefficients_csv
-from oracles import eigenfunction_position, gaussian_overlap_coefficients, reconstruct
+from oracles import reconstruct
+from references import eigenfunction_position, gaussian_overlap_coefficients
 
 MODEL = WellModel(well_width=125.0 * 2.0 * math.pi)
 L = MODEL.well_width
@@ -72,7 +73,7 @@ class TestGaussianState:
 class TestDecompose:
     def test_pure_eigenstate(self):
         grid = SpatialGrid(L, 512)
-        values = eigenfunction_position(MODEL, 3, grid.points).astype(complex)
+        values = eigenfunction_position(L, 3, grid.points).astype(complex)
         state = GridState(values, grid)
         coeffs = decompose(state, MODEL, n_max=16)
         assert abs(coeffs.coefficients[2] - 1.0) < 1e-12
@@ -244,8 +245,8 @@ class TestDominantLevel:
         expected = p0 * lw / math.pi
         assert abs(n0 - expected) <= 2
         # independent path: brute-force argmax of the closed-form overlaps
-        closed = gaussian_overlap_coefficients(spec, model, coeffs.n_max)
-        assert n0 == int(np.argmax(closed.weights())) + 1
+        closed = gaussian_overlap_coefficients(lw, spec.x0, spec.sigma, p0, coeffs.n_max)
+        assert n0 == int(np.argmax(np.abs(closed) ** 2)) + 1
         # the expectation <n> the sidecars report sits at the same level
         weights = coeffs.weights()
         assert abs(round(np.dot(coeffs.levels, weights) / weights.sum()) - expected) <= 2
@@ -259,12 +260,12 @@ class TestClosedFormOverlap:
     def test_matches_quadrature(self):
         grid = SpatialGrid(L, 2048)
         quad = decompose(gaussian_state(centered_packet(), grid, MODEL), MODEL)
-        closed = gaussian_overlap_coefficients(centered_packet(), MODEL, quad.n_max)
-        assert np.max(np.abs(quad.coefficients - closed.coefficients)) < 1e-10
+        closed = gaussian_overlap_coefficients(L, L / 2.0, L / 20.0, 0.0, quad.n_max)
+        assert np.max(np.abs(quad.coefficients - closed)) < 1e-10
 
     def test_norm_near_unity(self):
-        closed = gaussian_overlap_coefficients(centered_packet(), MODEL, 64)
-        assert closed.weights().sum() == pytest.approx(1.0, abs=1e-8)
+        closed = gaussian_overlap_coefficients(L, L / 2.0, L / 20.0, 0.0, 64)
+        assert np.sum(np.abs(closed) ** 2) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestCoefficientVector:

@@ -28,6 +28,7 @@ from relwell import (
 from relwell.grids import sine_transform, sine_workspace
 from relwell.spectral import density_stream, phases
 from oracles import reconstruct
+from references import eigenfunction_position, phase_factor, reduced_phase
 
 MODEL = WellModel(well_width=125.0 * 2.0 * math.pi)
 L = MODEL.well_width
@@ -79,12 +80,7 @@ class TestEvolve:
         raw = np.array([1.0 + 0.0j])
         t = 1.0e12
         rotated = evolve(CoefficientVector(raw, model), t).coefficients[0]
-        import mpmath as mp
-
-        mp.mp.dps = 40
-        theta = mp.mpf(energy(model, 1)) * t % (2 * mp.pi)
-        expected = complex(mp.cos(-theta), mp.sin(-theta))
-        assert abs(rotated - expected) < 1e-6
+        assert abs(rotated - phase_factor(energy(model, 1), t)) < 1e-6
 
 
 class TestPhaseKernel:
@@ -92,24 +88,16 @@ class TestPhaseKernel:
 
     MODEL = WellModel(well_width=math.pi)
 
-    def rotation(self, n, t):
-        """exp(-i E_n t) from a 40-digit reduction of the phase."""
-        import mpmath as mp
-
-        mp.mp.dps = 40
-        theta = mp.mpf(energy(self.MODEL, n)) * t % (2 * mp.pi)
-        return complex(mp.cos(-theta), mp.sin(-theta))
-
     @pytest.mark.parametrize("t", [1e3, 1e6, 1e9, 1e12])
     def test_phases(self, t):
         theta = phases(energy(self.MODEL, np.array([1])), t)[0]
-        assert abs(np.exp(-1j * theta) - self.rotation(1, t)) < 1e-6
+        assert abs(np.exp(-1j * theta) - phase_factor(energy(self.MODEL, 1), t)) < 1e-6
 
     @pytest.mark.parametrize("t", [1e3, 1e6, 1e9, 1e12])
     def test_autocorrelation(self, t):
         coeffs = CoefficientVector(np.array([1.0 + 0.0j]), self.MODEL)
         value = autocorrelation(coeffs, [t]).values[0]
-        assert abs(value - self.rotation(1, t)) < 1e-6
+        assert abs(value - phase_factor(energy(self.MODEL, 1), t)) < 1e-6
 
     @pytest.mark.parametrize("t", [1e3, 1e6, 1e9, 1e12])
     def test_density_rows(self, t):
@@ -121,7 +109,7 @@ class TestPhaseKernel:
         x = grid.points
         L = grid.well_width
         psi = sum(
-            a * self.rotation(n, t) * math.sqrt(2.0 / L) * np.sin(n * np.pi * x / L)
+            a * phase_factor(energy(self.MODEL, n), t) * eigenfunction_position(L, n, x)
             for n, a in zip((1, 2), raw)
         )
         assert np.max(np.abs(row - np.abs(psi) ** 2)) < 1e-6
@@ -139,12 +127,6 @@ class TestPhaseSweep:
     TIMES = np.geomspace(1e3, 1e14, 12)
 
     @staticmethod
-    def reduced(e, t):
-        """E t mod 2 pi at 40 digits."""
-        with mp.workdps(40):
-            return mp.fmod(mp.mpf(float(e)) * mp.mpf(float(t)), 2 * mp.pi)
-
-    @staticmethod
     def turn_distance(theta, exact):
         with mp.workdps(40):
             d = abs(mp.mpf(float(theta)) - exact)
@@ -158,7 +140,7 @@ class TestPhaseSweep:
         for t in self.TIMES:
             for e, theta in zip(energies, phases(energies, t)):
                 assert 0.0 <= theta < 2.0 * math.pi
-                worst = max(worst, self.turn_distance(theta, self.reduced(e, t)))
+                worst = max(worst, self.turn_distance(theta, reduced_phase(e, t)))
         assert worst < 1e-14
 
     @pytest.mark.parametrize("case", range(len(CASES)))
@@ -168,10 +150,7 @@ class TestPhaseSweep:
         for t in self.TIMES:
             rotated = evolve(CoefficientVector(raw, model), t).coefficients
             for n in levels:
-                theta = self.reduced(energy(model, n), t)
-                with mp.workdps(40):
-                    want = complex(mp.cos(theta), -mp.sin(theta))
-                assert abs(rotated[n - 1] - want) < 1e-14
+                assert abs(rotated[n - 1] - phase_factor(energy(model, n), t)) < 1e-14
 
     def test_extreme_inputs_stay_in_range(self):
         # two-products of operands near the float64 limits must not overflow
@@ -263,8 +242,7 @@ class TestReconstruct:
         raw = np.zeros(1, dtype=complex)
         raw[0] = 1.0
         state = reconstruct(CoefficientVector(raw, MODEL), grid)
-        target = math.sqrt(2.0 / L) * np.sin(np.pi * grid.points / L)
-        assert np.max(np.abs(state.values - target)) < 1e-12
+        assert np.max(np.abs(state.values - eigenfunction_position(L, 1, grid.points))) < 1e-12
 
     def test_inverse_of_decompose(self):
         coeffs, grid = fig2_coefficients(512)

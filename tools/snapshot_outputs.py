@@ -29,7 +29,7 @@ revival periods (exit 2).
 The tool holds every job to that contract: after the last job it exits
 non-zero and names each error path that left an output file or printed
 other than one stderr line, and each job that left behind a temporary
-``.<name>.tmp``, the name the CLI writes a file under until the run is
+``.*.tmp``, the name the CLI writes a file under until the run is
 complete.
 
 ``--against REV`` extracts REV's ``src`` with ``git archive`` into OUT,
