@@ -4,7 +4,7 @@ A run is described by a single JSON document with ``model``, ``packet``,
 ``engine``, ``times``, ``levels`` and ``output`` blocks; named presets cover
 the standard figure-class workloads.  Every engine computes in natural
 units, hbar = c = m = 1: the document's units enter once, in ResolvedConfig,
-and leave once, as each command hands its outputs to the writers.  Exit
+and leave once, in _write_outputs, which converts by one table.  Exit
 codes: 0 success, 2 validation, 3 numerical, 4 I/O.
 """
 
@@ -73,14 +73,31 @@ UNITS = {
     "energy^2": (2, 4, 0),  # of a variance of energies
     "per time": (1, 2, -1),  # m c^2 / hbar, which takes the document's times in
 }
-# the dimension of each sidecar value that has one, by key, in nested objects
-# too; every other value is a count, a name or dimensionless
-SIDECAR_DIMENSIONS = {
-    **dict.fromkeys(("well_width", "compton_wavelength"), "length"),
-    **dict.fromkeys(("t_classical", "t_revival", "t_super", "dt"), "time"),
-    **dict.fromkeys(("wall_height", "fourier_resolution", "mean", "asymptote_gap"), "energy"),
-    "p_max": "momentum",
-    "variance": "energy^2",
+# the dimension of each number an output holds, by output and column or
+# sidecar key (in nested objects too): a name of UNITS, or None.  A carpet's
+# csv and bin hold the same arrays, listed once as "the carpet"; its PGM is
+# normalized to its peak and has no unit.  Products convert in this order.
+DIMENSIONS = {
+    output: {name: dimension for dimension, names in entry.items() for name in names.split()}
+    for output, entry in {
+        "spectrum.csv": {"energy": "energy", None: "n"},
+        "spectrum_diag.csv": {"energy": "e_numeric e_analytic abs_error", None: "n rel_error"},
+        "the carpet": {"time": "t", "length": "x", "density": "density"},
+        "revivals.csv": {"time": "t_classical t_revival t_super", None: "n"},
+        "levels.csv": {"energy": "energy", None: "weight"},
+        "autocorr.csv": {"time": "t", None: "re_a im_a abs_a"},
+        "spacing.csv": {"energy": "spacing", None: "n"},
+        "coeffs.csv": {None: "n re_a im_a weight"},
+        "the sidecar": {
+            "length": "well_width compton_wavelength",
+            "time": "t_classical t_revival t_super dt",
+            "energy": "wall_height fourier_resolution mean asymptote_gap",
+            "momentum": "p_max",
+            "energy^2": "variance",
+            None: "n0 expectation_level gamma parseval_defect count rows columns "
+                  "strang_steps split_grid_size",
+        },
+    }.items()
 }
 
 
@@ -116,23 +133,15 @@ PRESETS: dict[str, dict] = {
         "levels": {"n_min": 1, "n_max": 1000},
         "output": {"basename": "fig1"},
     },
-    "fig2a": {
-        "model": {"well_width_in_compton": 125.0},
-        "packet": {"x0_over_L": 0.39, "sigma_over_L": 0.05, "p0_in_hbar_over_L": 0.0},
-        "times": {"t_max": 1.05, "samples": 256, "unit": "revival"},
-        "output": {"basename": "fig2a"},
-    },
-    "fig2b": {
-        "model": {"well_width_in_compton": 125.0},
-        "packet": {"x0_over_L": 2.0 / 3.0, "sigma_over_L": 0.05, "p0_in_hbar_over_L": 0.0},
-        "times": {"t_max": 1.05, "samples": 256, "unit": "revival"},
-        "output": {"basename": "fig2b"},
-    },
-    "fig2c": {
-        "model": {"well_width_in_compton": 125.0},
-        "packet": {"x0_over_L": 0.5, "sigma_over_L": 0.05, "p0_in_hbar_over_L": 0.0},
-        "times": {"t_max": 1.05, "samples": 256, "unit": "revival"},
-        "output": {"basename": "fig2c"},
+    # figure 2's three packets in the box of 125 Compton wavelengths
+    **{
+        f"fig2{tag}": {
+            "model": {"well_width_in_compton": 125.0},
+            "packet": {"x0_over_L": x0, "sigma_over_L": 0.05, "p0_in_hbar_over_L": 0.0},
+            "times": {"t_max": 1.05, "samples": 256, "unit": "revival"},
+            "output": {"basename": f"fig2{tag}"},
+        }
+        for tag, x0 in (("a", 0.39), ("b", 2.0 / 3.0), ("c", 0.5))
     },
     "fig3": {
         "model": {"well_width_in_compton": 1.0},
@@ -149,15 +158,14 @@ PRESETS: dict[str, dict] = {
         "times": {"t_max": 1.0, "samples": 512, "unit": "revival"},
         "output": {"basename": "fig4", "formats": ["csv", "pgm"]},
     },
-    "fig5a": {
-        "model": {"well_width_in_compton": 125.0},
-        "packet": {"x0_over_L": 2.0 / 3.0, "sigma_over_L": 0.05, "p0_in_hbar_over_L": 0.0},
-        "output": {"basename": "fig5a"},
-    },
-    "fig5b": {
-        "model": {"well_width_in_compton": 125.0},
-        "packet": {"x0_over_L": 0.5, "sigma_over_L": 0.05, "p0_in_hbar_over_L": 0.0},
-        "output": {"basename": "fig5b"},
+    # the coefficients of figure 2's packets b and c
+    **{
+        f"fig5{tag}": {
+            "model": {"well_width_in_compton": 125.0},
+            "packet": {"x0_over_L": x0, "sigma_over_L": 0.05, "p0_in_hbar_over_L": 0.0},
+            "output": {"basename": f"fig5{tag}"},
+        }
+        for tag, x0 in (("a", 2.0 / 3.0), ("b", 0.5))
     },
 }
 
@@ -234,6 +242,8 @@ def _check_document(document, command: str) -> None:
         raise ValueError("carpet supports the exact and split engines only")
     if command == "autocorr" and kind != "exact":
         raise ValueError("autocorr uses the exact engine")
+    if command == "spacing" and document["levels"]["n_max"] < 2:
+        raise ValueError("spacing needs levels.n_max >= 2")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -311,9 +321,7 @@ class ResolvedConfig:
         self.model = WellModel(width)
 
         packet_block = document["packet"]
-        lengths = {
-            "x0": packet_block["x0_over_L"] * width, "sigma": packet_block["sigma_over_L"] * width
-        }
+        lengths = {key: packet_block[f"{key}_over_L"] * width for key in ("x0", "sigma")}
         # a positive fraction of L below 1, as any packet the box takes has,
         # cannot overflow, but of a subnormal L it can underflow
         for key, value in lengths.items():
@@ -381,6 +389,11 @@ class _Staged(os.PathLike):
         return str(self.path)
 
 
+def _table(columns: dict) -> tuple:
+    """The product of a CSV of ``columns``, each headed by its name."""
+    return partial(write_table, header=tuple(columns), columns=tuple(columns.values())), columns
+
+
 def _write_outputs(
     outdir: Path, resolved: ResolvedConfig, command: str, summary: dict, products: dict
 ) -> None:
@@ -388,13 +401,36 @@ def _write_outputs(
     the sidecar ``<basename>_<command>.meta.json`` holding ``summary``, in the
     document's units: all of them, or none.
 
-    ``products`` maps a file suffix to the writer that takes that file's
-    path.  The sidecar is serialized before any file is touched, so a value
-    JSON cannot hold ends the run with nothing written.  Then the sidecar
-    this run replaces is removed, and each file is written under its
-    temporary name.  Only once every one is complete does each take its own
-    name, the sidecar last.  On any failure the temporaries are removed.
+    ``products`` maps a file suffix to its writer, which takes the file's
+    path, and the natural-unit arrays it writes, by column.  Before any file
+    is touched, each is converted in place, in DIMENSIONS' order, then each
+    sidecar value in its own, and the sidecar is serialized: a value past
+    range, or one JSON cannot hold, ends the run with nothing written.  Then
+    the sidecar this run replaces is removed and each file is written under
+    its temporary name, which it trades for its own, the sidecar last, once
+    every one is complete.  On any failure the temporaries are removed.
     """
+    # each array once, though a carpet's csv and bin share theirs
+    units, converted = resolved.units, set()
+    owners = {s: s if s in DIMENSIONS else f"the {s.partition('.')[0]}" for s in products}
+    for suffix in sorted(products, key=lambda suffix: list(DIMENSIONS).index(owners[suffix])):
+        for column, values in products[suffix][1].items():
+            dimension = DIMENSIONS[owners[suffix]][column]
+            if dimension is not None and id(values) not in converted:
+                converted.add(id(values))
+                _in_units(values, units[dimension], f"{owners[suffix]}'s {column}")
+
+    def in_units(values: dict) -> dict:
+        dimensions = DIMENSIONS["the sidecar"]
+        for key, value in values.items():
+            if isinstance(value, dict):
+                values[key] = in_units(dict(value))
+            elif isinstance(value, (int, float)) and dimensions[key] is not None:
+                if not math.isfinite(value):
+                    raise ArithmeticError(f"the sidecar's {key} leaves double range")
+                values[key] = _in_units(value, units[dimensions[key]], f"the sidecar's {key}")
+        return values
+
     paths = [outdir / f"{resolved.basename}_{suffix}" for suffix in products]
     sidecar = outdir / f"{resolved.basename}_{command}.meta.json"
     widths = {"well_width": resolved.model.well_width, "compton_wavelength": 2.0 * math.pi}
@@ -403,7 +439,7 @@ def _write_outputs(
         "version": __version__,
         "config": resolved.document,
         "files": [path.name for path in paths],
-        **_sidecar_values({**widths, **summary}, resolved.units),
+        **in_units({**widths, **summary}),
     }
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
@@ -412,7 +448,7 @@ def _write_outputs(
     staged = [_Staged(path) for path in (*paths, sidecar)]
     sidecar.unlink(missing_ok=True)
     try:
-        for write, target in zip(products.values(), staged):
+        for (write, _), target in zip(products.values(), staged):
             write(target)
         with open(staged[-1], "w") as fh:
             fh.write(text + "\n")
@@ -429,21 +465,6 @@ def _write_outputs(
         raise
 
 
-def _sidecar_values(values: dict, units: dict) -> dict:
-    """``values``, in nested objects too, with each one that SIDECAR_DIMENSIONS
-    gives a dimension in the document's units; ArithmeticError where it is not finite."""
-    converted = {}
-    for key, value in values.items():
-        if isinstance(value, dict):
-            value = _sidecar_values(value, units)
-        elif key in SIDECAR_DIMENSIONS:
-            if not math.isfinite(value):
-                raise ArithmeticError(f"the sidecar's {key} leaves double range")
-            value = _in_units(value, units[SIDECAR_DIMENSIONS[key]], f"the sidecar's {key}")
-        converted[key] = value
-    return converted
-
-
 def _revival_summary(resolved: ResolvedConfig, coeffs) -> dict:
     n0 = dominant_level(coeffs)
     rt = revival_times(resolved.model, n0)
@@ -452,10 +473,7 @@ def _revival_summary(resolved: ResolvedConfig, coeffs) -> dict:
     return {
         "n0": n0,
         "expectation_level": int(round(expectation)),
-        "t_classical": rt.t_classical,
-        "t_revival": rt.t_revival,
-        "t_super": rt.t_super,
-        "gamma": rt.gamma,
+        **vars(rt),  # t_classical, t_revival, t_super and gamma
         "parseval_defect": coeffs.metadata.get("parseval_defect"),
     }
 
@@ -464,11 +482,10 @@ def _revival_summary(resolved: ResolvedConfig, coeffs) -> dict:
 
 
 def cmd_spectrum(resolved: ResolvedConfig, outdir: Path) -> None:
-    model, engine, unit = resolved.model, resolved.engine, resolved.units["energy"]
+    model, engine = resolved.model, resolved.engine
     n_min, n_max = resolved.levels
     levels = np.arange(n_min, n_max + 1)
-    energies = _in_units(energy(model, levels), unit, "spectrum.csv's energy")
-    products = {"spectrum.csv": lambda path: write_table(path, ("n", "energy"), (levels, energies))}
+    products = {"spectrum.csv": _table({"n": levels, "energy": energy(model, levels)})}
     summary = {}
     if engine["kind"] == "diag":
         grid = default_grid(model, n_max, engine.get("momentum_points"), engine.get("p_max_in_mc"))
@@ -479,9 +496,8 @@ def cmd_spectrum(resolved: ResolvedConfig, outdir: Path) -> None:
         analytic = energy(model, np.arange(1, numeric.size + 1))
         error = np.abs(numeric - analytic)
         columns = (numeric, analytic, error, error / analytic)
-        for name, column in zip(("e_numeric", "e_analytic", "abs_error"), columns):
-            _in_units(column, unit, f"spectrum_diag.csv's {name}")
-        products["spectrum_diag.csv"] = partial(write_spectrum_csv, columns)
+        named = dict(zip(("e_numeric", "e_analytic", "abs_error", "rel_error"), columns))
+        products["spectrum_diag.csv"] = (partial(write_spectrum_csv, columns), named)
         summary["diag_metadata"] = {"wall_height": wall, "p_max": grid.p_max, "count": grid.count}
     _write_outputs(outdir, resolved, "spectrum", summary, products)
 
@@ -497,12 +513,8 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path) -> None:
         engine, model = resolved.engine, resolved.model
         wall, margin = engine.get("wall_height_in_mc2"), engine.get("wall_margin_over_L")
         config = default_config(
-            model,
-            n0=summary["n0"],
-            p0=resolved.packet.p0,
-            sigma=resolved.packet.sigma,
-            dt=engine.get("dt"),
-            grid_size=engine.get("grid_size"),
+            model, n0=summary["n0"], p0=resolved.packet.p0, sigma=resolved.packet.sigma,
+            dt=engine.get("dt"), grid_size=engine.get("grid_size"),
             wall_height=None if wall is None else float(wall),
             wall_margin=None if margin is None else margin * model.well_width,
         )
@@ -513,28 +525,22 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path) -> None:
                 f"the split engine would take {steps:.3g} steps on {config.grid_size} points; "
                 "lower times.t_max or use the exact engine"
             )
-        summary["dt"] = config.step_dt(t_max)
-        summary["strang_steps"] = steps
-        summary["split_grid_size"] = config.grid_size
-        summary["wall_height"] = config.wall_height
+        summary.update(dt=config.step_dt(t_max), strang_steps=steps,
+                       split_grid_size=config.grid_size, wall_height=config.wall_height)
     formats = resolved.document["output"]["formats"]
     if config is None and set(formats) == {"pgm"}:
         # the pixels alone: each row is quantized as it is synthesized, and
         # no float carpet is built
         shape = (times.size, grid.size)
         rows_at = lambda indices: density_stream(coeffs, grid, times[indices])
-        products = {"carpet.pgm": partial(write_density_pgm, rows_at, shape)}
+        products = {"carpet.pgm": (partial(write_density_pgm, rows_at, shape), {})}
     else:
         result = carpet(coeffs, grid, times, config=config)
         shape = result.density.shape
-        if {"csv", "bin"} & set(formats):
-            units = resolved.units
-            _in_units(result.times, units["time"], "the carpet's t")
-            _in_units(result.positions, units["length"], "the carpet's x")
-            _in_units(result.density, units["density"], "the carpet's density")
+        arrays = {"t": result.times, "x": result.positions, "density": result.density}
         writers = {"csv": write_carpet_csv, "bin": write_carpet_binary, "pgm": write_carpet_pgm}
         products = {
-            f"carpet.{suffix}": partial(write, result)
+            f"carpet.{suffix}": (partial(write, result), {} if suffix == "pgm" else arrays)
             for suffix, write in writers.items()
             if suffix in formats
         }
@@ -546,15 +552,13 @@ def cmd_carpet(resolved: ResolvedConfig, outdir: Path) -> None:
 def cmd_revivals(resolved: ResolvedConfig, outdir: Path) -> None:
     n_min, n_max = resolved.levels
     levels = np.arange(n_min, n_max + 1)
-    header = ("n", "t_classical", "t_revival", "t_super")
     rts = [revival_times(resolved.model, n) for n in levels.tolist()]
     coeffs, _ = resolved.coefficients()
     summary = _revival_summary(resolved, coeffs)
-    columns = [np.array([getattr(rt, name) for rt in rts]) for name in header[1:]]
-    for name, column in zip(header[1:], columns):
-        _in_units(column, resolved.units["time"], f"revivals.csv's {name}")
-    products = {"revivals.csv": lambda path: write_table(path, header, (levels, *columns))}
-    _write_outputs(outdir, resolved, "revivals", summary, products)
+    columns = {"n": levels}
+    for name in ("t_classical", "t_revival", "t_super"):
+        columns[name] = np.array([getattr(rt, name) for rt in rts])
+    _write_outputs(outdir, resolved, "revivals", summary, {"revivals.csv": _table(columns)})
 
 
 def cmd_autocorr(resolved: ResolvedConfig, outdir: Path) -> None:
@@ -562,35 +566,30 @@ def cmd_autocorr(resolved: ResolvedConfig, outdir: Path) -> None:
     summary = _revival_summary(resolved, coeffs)
     times = resolved.resolve_times(summary)
     series = autocorrelation(coeffs, times)
-    products = {"autocorr.csv": partial(write_autocorrelation_csv, series)}
+    products = {"autocorr.csv": (partial(write_autocorrelation_csv, series), {"t": series.times})}
     if times.size >= MIN_RECORD and times[-1] > 0:
         estimates = extract_levels(series)
         if not (math.isfinite(estimates.resolution) and np.isfinite(estimates.energies).all()):
             raise ValueError(
                 f"times.t_max of {times[-1]!r} is too short for a finite Fourier resolution"
             )
-        _in_units(estimates.energies, resolved.units["energy"], "levels.csv's energy")
-        products["levels.csv"] = lambda path: write_table(
-            path, ("energy", "weight"), (estimates.energies, estimates.weights)
-        )
+        products["levels.csv"] = _table({"energy": estimates.energies, "weight": estimates.weights})
         summary["fourier_resolution"] = estimates.resolution
-    _in_units(series.times, resolved.units["time"], "autocorr.csv's t")
     _write_outputs(outdir, resolved, "autocorr", summary, products)
 
 
 def cmd_spacing(resolved: ResolvedConfig, outdir: Path) -> None:
     _, n_max = resolved.levels
     stats = level_spacing(resolved.model, n_max)
-    _in_units(stats.spacings, resolved.units["energy"], "spacing.csv's spacing")
     summary = {key: getattr(stats, key) for key in ("mean", "variance", "asymptote_gap")}
-    products = {"spacing.csv": partial(write_spacing_csv, stats)}
+    products = {"spacing.csv": (partial(write_spacing_csv, stats), {"spacing": stats.spacings})}
     _write_outputs(outdir, resolved, "spacing", summary, products)
 
 
 def cmd_coeffs(resolved: ResolvedConfig, outdir: Path) -> None:
     coeffs, _ = resolved.coefficients()
     summary = _revival_summary(resolved, coeffs)
-    products = {"coeffs.csv": partial(write_coefficients_csv, coeffs)}
+    products = {"coeffs.csv": (partial(write_coefficients_csv, coeffs), {})}
     _write_outputs(outdir, resolved, "coeffs", summary, products)
 
 

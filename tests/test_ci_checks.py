@@ -23,13 +23,31 @@ def acceptance_log():
     return job.stdout
 
 
+def check(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ci_checks.py"), *map(str, args)],
+        capture_output=True, text=True,
+    )
+
+
 def check_acceptance(tmp_path, log):
     path = tmp_path / "tier1.log"
     path.write_text(log)
-    return subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ci_checks.py"), "acceptance", str(path)],
-        capture_output=True, text=True,
+    return check("acceptance", path)
+
+
+def importtime_log(tmp_path, *args):
+    """The exit code and the ``-X importtime`` stderr log of a relwell run, as
+    CI's numpy-only job records it from the installed script."""
+    code = "import sys; from relwell.cli import main; sys.exit(main(sys.argv[1:]))"
+    job = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", code, *args, "--out", "out"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True,
+        text=True,
     )
+    log = tmp_path / "run.log"
+    log.write_text(job.stderr)
+    return job.returncode, log
 
 
 class TestAcceptance:
@@ -49,3 +67,25 @@ class TestAcceptance:
         assert job.returncode == 1
         assert len(job.stdout.splitlines()) == 9
         assert job.stderr == "acceptance: criterion 7: no verdict, not one PASS\n"
+
+
+class TestImports:
+    def test_a_refused_document_loads_no_numpy(self, tmp_path):
+        (tmp_path / "negative.json").write_text('{"model": {"mass": -1.0}}')
+        code, log = importtime_log(tmp_path, "carpet", "--config", "negative.json")
+        assert code == 2
+        job = check("imports", "numpy", log)
+        assert (job.returncode, job.stderr) == (0, "")
+
+    def test_a_run_that_loads_numpy_fails(self, tmp_path):
+        code, log = importtime_log(tmp_path, "coeffs", "--preset", "default")
+        assert code == 0
+        job = check("imports", "numpy", log)
+        assert job.returncode == 1
+        (line,) = job.stderr.splitlines()
+        assert line.startswith(f"{log}: imports numpy: ")
+        assert "numpy.fft" in line.split(": ", 2)[2].split(", ")
+        # names match whole: no module is num, or in num's package
+        assert check("imports", "num", log).returncode == 0
+        # a log that lists no imports at all fails
+        assert check("imports", "numpy", ROOT / "README.md").stderr.endswith("lists no relwell.cli\n")

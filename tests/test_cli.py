@@ -102,8 +102,21 @@ def width_error(time):
     )
 
 
-# the first conversion under each command that leaves double range, where the
-# units put each dimensioned output past it
+# the carpet's formats, and the split engine, as cases of the carpet command:
+# the blocks each adds to a document
+CARPETS = {
+    "carpet-csv": {"output": {"formats": ["csv"]}},
+    "carpet-bin": {"output": {"formats": ["bin"]}},
+    "carpet-bin-pgm": {"output": {"formats": ["bin", "pgm"]}},
+    "carpet-pgm": {"output": {"formats": ["pgm"]}},
+    "carpet-split": {
+        "engine": {"kind": "split", "grid_size": 256}, "times": {"t_max": 0.05, "samples": 4}
+    },
+}
+
+# the first conversion under each command, or carpet case, that leaves double
+# range, where the units put each dimensioned output past it; a PGM has no
+# unit, so an image alone fails first on the sidecar
 UNIT_ERRORS = {
     "spectrum": unit_error("spectrum.csv's energy"),
     "carpet": unit_error("the carpet's t"),
@@ -111,6 +124,9 @@ UNIT_ERRORS = {
     "autocorr": unit_error("levels.csv's energy"),
     "spacing": unit_error("spacing.csv's spacing"),
     "coeffs": unit_error("the sidecar's t_classical"),
+    **dict.fromkeys(("carpet-csv", "carpet-bin", "carpet-bin-pgm"), unit_error("the carpet's t")),
+    "carpet-pgm": unit_error("the sidecar's t_classical"),
+    "carpet-split": unit_error("the carpet's t"),
 }
 
 # model values at the edge of double range, with the line each command ends
@@ -127,7 +143,7 @@ EXTREME_SCALES = [
         },
         ("light_speed", 1e300): {
             command: UNIT_ERRORS[command]
-            for command in ("spacing", "coeffs", "revivals", "autocorr", "spectrum")
+            for command in ("spacing", "coeffs", "revivals", "autocorr", "spectrum", *CARPETS)
         },
         ("hbar", 1e300): dict.fromkeys(("coeffs", "revivals", "autocorr")),
         ("well_width_in_compton", 1e-150): dict.fromkeys(
@@ -338,7 +354,9 @@ class TestValidation:
 
     @pytest.mark.parametrize("key, value, command, line", EXTREME_SCALES)
     def test_extreme_scales_end_in_their_line(self, tmp_path, capsys, key, value, command, line):
-        assert_ends_in(tmp_path, capsys, command, {"model": {key: value}}, line)
+        blocks = CARPETS.get(command, {})
+        document = {**blocks, "model": {key: value}}
+        assert_ends_in(tmp_path, capsys, command.partition("-")[0], document, line)
 
     @pytest.mark.parametrize(
         "model, lines",
@@ -493,6 +511,14 @@ class TestValidation:
         assert code == 3
         assert len(err) == 1 and err[0].startswith("numerical error:")
         assert "t_coeffs.meta.json" in err[0] and "int64" in err[0]
+
+    def test_diag_levels_are_checked_before_the_units(self, tmp_path, capsys):
+        # the diag grid is refused in natural units, before any output converts
+        document = {
+            "model": {"light_speed": 1e300}, "engine": {"kind": "diag", "momentum_points": 64}
+        }
+        code, err = run_refused(tmp_path, capsys, "spectrum", json.dumps(document))
+        assert (code, err) == (2, ["error: levels.n_max=100 exceeds engine.momentum_points=64"])
 
     @pytest.mark.parametrize(
         "command, engine, fields",
@@ -1192,11 +1218,12 @@ class TestColdStart:
             (["carpet", "--engine", "diag"], None,
              "carpet supports the exact and split engines only"),
             (["autocorr", "--engine", "split"], None, "autocorr uses the exact engine"),
+            (["spacing"], json.dumps({"levels": {"n_max": 1}}), "spacing needs levels.n_max >= 2"),
         ],
         ids=["t_max-string", "t_max-inf", "unknown-key", "unknown-kind", "unknown-preset",
              "unparsed-json", "threads-flag", "mass-negative", "t_max-negative",
              "samples-zero", "unit-unknown", "levels-reversed", "format-unknown",
-             "basename-path", "carpet-diag", "autocorr-split"],
+             "basename-path", "carpet-diag", "autocorr-split", "spacing-one-level"],
     )
     def test_malformed_input_exits_2_before_numpy(self, tmp_path, args, text, message):
         # a run refused for its command line or its document alone never
@@ -1302,6 +1329,29 @@ class TestReadme:
             [sys.executable, "-c", sketch], env=env, cwd=tmp_path, capture_output=True, text=True
         )
         assert job.returncode == 0, job.stderr
+
+    def test_units_lists_are_the_cli_table(self):
+        # the "Units" section lists each output's dimensioned numbers, with
+        # their units, and its dimensionless ones: relwell.cli.DIMENSIONS
+        units = {
+            "mc²": "energy", "ħ/(mc²)": "time", "ħ/(mc)": "length", "mc": "momentum",
+            "mc/ħ": "density", "(mc²)²": "energy^2",
+        }
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = {}
+        headings = {"Dimensioned outputs, with their units:": True,
+                    "Dimensionless outputs, equal in any units:": False}
+        for heading, dimensioned in headings.items():
+            block = text.split(f"\n{heading}\n", 1)[1].split("\n\n", 1)[0]
+            for bullet in block.replace("\n  ", " ").splitlines():
+                owner, rest = bullet.removeprefix("- ").split(": ", 1)
+                entry = listed.setdefault(owner.strip("`"), {})
+                for part in rest.split("; "):
+                    names, unit = part.rsplit(" in ", 1) if dimensioned else (part, None)
+                    for name in re.findall(r"`(\w+)`", names):
+                        assert name not in entry, (owner, name)
+                        entry[name] = units[unit] if dimensioned else None
+        assert listed == cli.DIMENSIONS
 
 
 # Per engine kind, the changes to DEFAULT_CONFIG that keep an example quick:

@@ -16,7 +16,7 @@ import struct
 import numpy as np
 import pytest
 
-from relwell.cli import main
+from relwell.cli import DIMENSIONS, main
 
 BASE = {
     "model": {"well_width_in_compton": 2.0},
@@ -228,3 +228,50 @@ def test_dimensionless_values_do_not_depend_on_the_units(tmp_path, unit_outputs,
             meta, other = json.loads(data), json.loads(got[name])
             for key in DIMENSIONLESS_SIDECAR & set(meta):
                 assert other[key] == meta[key], key
+
+
+def numeric_keys(values: dict) -> set:
+    """The keys of ``values``, in nested objects too, that hold a number."""
+    keys = set()
+    for key, value in values.items():
+        if isinstance(value, dict):
+            keys |= numeric_keys(value)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            keys.add(key)
+    return keys
+
+
+def numeric_columns(data: bytes) -> set:
+    """The columns of a CSV whose first row holds a number."""
+    header, first = data.decode().splitlines()[:2]
+    columns = set()
+    for column, cell in zip(header.split(","), first.split(",")):
+        try:
+            float(cell)
+        except ValueError:
+            continue
+        columns.add(column)
+    return columns
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_every_number_written_has_an_entry_in_the_cli_table(unit_outputs, run):
+    # each numeric column and sidecar value has a dimension, or None, in
+    # relwell.cli.DIMENSIONS, and it is the one this module scales it by; a
+    # carpet's csv and bin files share the entry "the carpet"
+    for name, data in unit_outputs[run].items():
+        suffix = name.partition("_")[2]
+        if suffix.endswith(".meta.json"):
+            meta = json.loads(data)
+            del meta["config"]
+            owner, names, units = "the sidecar", numeric_keys(meta), SIDECAR
+        elif suffix.endswith(".pgm"):
+            continue  # normalized to its peak: no unit
+        else:
+            owner = suffix if suffix in DIMENSIONS else f"the {suffix.partition('.')[0]}"
+            is_csv = suffix.endswith(".csv")
+            names = numeric_columns(data) if is_csv else {"t", "x", "density"}
+            units = COLUMNS
+        table = DIMENSIONS[owner]
+        assert names <= set(table), (name, sorted(names - set(table)))
+        assert {key: table[key] for key in names} == {key: units.get(key) for key in names}, name

@@ -1,12 +1,19 @@
 """The verdict logic of the CI workflow's steps, one check per subcommand.
 
     python tools/ci_checks.py acceptance LOG
+    python tools/ci_checks.py imports MODULE LOG...
 
 ``acceptance`` reads the log of a ``pytest -rP`` run that includes
 ``tests/test_acceptance.py``.  It prints every ``ACCEPTANCE`` verdict line
 and exits 1 unless criteria 1 to 10 each printed exactly one ``PASS`` line,
 so a criterion that was skipped, deselected or failed fails the step, and
 it names each criterion that fell short on stderr.
+
+``imports`` reads the stderr of runs under ``python -X importtime``.  It
+exits 1 if any log lists MODULE or a submodule of it, or lists no
+``relwell.cli``, so a log that holds no import list fails too; it names
+each such log on stderr.  Module names match exactly, not as a prefix:
+``numpy`` does not match ``numpydoc``.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from pathlib import Path
 # one verdict line of tests/test_acceptance.py's report()
 VERDICT = re.compile(r"ACCEPTANCE +(\d+) (PASS|FAIL): .*")
 CRITERIA = range(1, 11)
+# one module of an -X importtime list: "import time: self | cumulative | name"
+IMPORT = re.compile(r"import time: +\d+ \| +\d+ \| ")
 
 
 def acceptance(log: str) -> tuple[list[str], list[str]]:
@@ -35,14 +44,33 @@ def acceptance(log: str) -> tuple[list[str], list[str]]:
     return lines, problems
 
 
+def imports(module: str, log: str) -> list[str]:
+    """What fails an ``-X importtime`` log: ``module`` or a submodule of it
+    among the modules it lists, or no ``relwell.cli`` (empty when neither)."""
+    names = [line.rsplit("|", 1)[1].strip() for line in log.splitlines() if IMPORT.match(line)]
+    found = [name for name in names if name == module or name.startswith(f"{module}.")]
+    problems = [f"imports {module}: {', '.join(found)}"] if found else []
+    if "relwell.cli" not in names:
+        problems.append("lists no relwell.cli")
+    return problems
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 2 or argv[0] != "acceptance":
-        print("usage: ci_checks.py acceptance LOG", file=sys.stderr)
+    if len(argv) == 2 and argv[0] == "acceptance":
+        lines, problems = acceptance(Path(argv[1]).read_text(errors="replace"))
+        print(*lines, sep="\n")
+        problems = [f"acceptance: {problem}" for problem in problems]
+    elif len(argv) >= 3 and argv[0] == "imports":
+        problems = [
+            f"{log}: {problem}"
+            for log in argv[2:]
+            for problem in imports(argv[1], Path(log).read_text(errors="replace"))
+        ]
+    else:
+        print("usage: ci_checks.py acceptance LOG | imports MODULE LOG...", file=sys.stderr)
         return 2
-    lines, problems = acceptance(Path(argv[1]).read_text(errors="replace"))
-    print(*lines, sep="\n")
     for problem in problems:
-        print(f"acceptance: {problem}", file=sys.stderr)
+        print(problem, file=sys.stderr)
     return 1 if problems else 0
 
 
