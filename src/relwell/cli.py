@@ -240,6 +240,8 @@ def _check_document(document, command: str) -> None:
     kind = document["engine"]["kind"]
     if command == "carpet" and kind == "diag":
         raise ValueError("carpet supports the exact and split engines only")
+    if command == "carpet" and not formats:
+        raise ValueError("carpet needs at least one of output.formats")
     if command == "autocorr" and kind != "exact":
         raise ValueError("autocorr uses the exact engine")
     if command == "spacing" and document["levels"]["n_max"] < 2:

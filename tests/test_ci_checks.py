@@ -89,3 +89,24 @@ class TestImports:
         assert check("imports", "num", log).returncode == 0
         # a log that lists no imports at all fails
         assert check("imports", "numpy", ROOT / "README.md").stderr.endswith("lists no relwell.cli\n")
+
+
+class TestBench:
+    FAILED = "bench: not correct with 0 failed\n"
+
+    @pytest.mark.parametrize(
+        "line, stderr",
+        [
+            ('{"correct": true, "attempted": 9, "failed": 0}', ""),
+            ('{"correct": false, "attempted": 9, "failed": 0}', FAILED),
+            ('{"correct": true, "attempted": 9, "failed": 1}', FAILED),
+            ('{"correct": true, "attempted": 9, "fa', "bench: the last line is no verdict\n"),
+        ],
+        ids=["passing", "incorrect", "one-failed", "truncated"],
+    )
+    def test_the_last_line_decides(self, tmp_path, line, stderr):
+        log = tmp_path / "bench.log"
+        log.write_text(f"carpets: 1 passes, seed 1, 3 jobs attempted, 0 failed\n{line}\n")
+        job = check("bench", log)
+        assert (job.returncode, job.stderr) == (1 if stderr else 0, stderr)
+        assert job.stdout == ("" if "no verdict" in stderr else f"{line}\n")

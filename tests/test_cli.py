@@ -85,156 +85,71 @@ def snapshot_tool():
     return module
 
 
-def unit_error(name):
-    """The line of a run whose conversion of ``name`` to the document's units
-    leaves double range."""
-    return (
-        f"numerical error: {name} leaves double range in the units that "
-        "model.mass, model.light_speed, model.hbar set; bring them closer to 1"
-    )
+# the tool's table of error-path cases, each a job with the exit code and the
+# stderr line it must end in
+TOOL = snapshot_tool()
+CASES = {job.name: job for job in TOOL.CASES}
 
-
-def width_error(time):
-    """The line of a run whose revival ``time`` at level 1 leaves double range."""
-    return (
-        f"numerical error: the {time} of level 1 leaves double range; "
-        "bring model.well_width_in_compton closer to 1"
-    )
-
-
-# the carpet's formats, and the split engine, as cases of the carpet command:
-# the blocks each adds to a document
-CARPETS = {
-    "carpet-csv": {"output": {"formats": ["csv"]}},
-    "carpet-bin": {"output": {"formats": ["bin"]}},
-    "carpet-bin-pgm": {"output": {"formats": ["bin", "pgm"]}},
-    "carpet-pgm": {"output": {"formats": ["pgm"]}},
-    "carpet-split": {
-        "engine": {"kind": "split", "grid_size": 256}, "times": {"t_max": 0.05, "samples": 4}
-    },
-}
-
-# the first conversion under each command, or carpet case, that leaves double
-# range, where the units put each dimensioned output past it; a PGM has no
-# unit, so an image alone fails first on the sidecar
-UNIT_ERRORS = {
-    "spectrum": unit_error("spectrum.csv's energy"),
-    "carpet": unit_error("the carpet's t"),
-    "revivals": unit_error("revivals.csv's t_classical"),
-    "autocorr": unit_error("levels.csv's energy"),
-    "spacing": unit_error("spacing.csv's spacing"),
-    "coeffs": unit_error("the sidecar's t_classical"),
-    **dict.fromkeys(("carpet-csv", "carpet-bin", "carpet-bin-pgm"), unit_error("the carpet's t")),
-    "carpet-pgm": unit_error("the sidecar's t_classical"),
-    "carpet-split": unit_error("the carpet's t"),
-}
-
-# model values at the edge of double range, with the line each command ends
-# in, or None for a run that exits 0: in natural units an extreme mass or
-# hbar leaves each output in range, an extreme light speed does not, and an
-# extreme width puts a revival time past it
-EXTREME_SCALES = [
-    (key, value, command, line)
-    for (key, value), lines in {
-        ("mass", 1e-300): dict.fromkeys(("coeffs", "revivals", "autocorr")),
-        ("mass", 1e300): dict.fromkeys(("coeffs", "revivals", "autocorr", "carpet")),
-        ("light_speed", 1e-300): {
-            command: UNIT_ERRORS[command] for command in ("coeffs", "revivals", "autocorr")
-        },
-        ("light_speed", 1e300): {
-            command: UNIT_ERRORS[command]
-            for command in ("spacing", "coeffs", "revivals", "autocorr", "spectrum", *CARPETS)
-        },
-        ("hbar", 1e300): dict.fromkeys(("coeffs", "revivals", "autocorr")),
-        ("well_width_in_compton", 1e-150): dict.fromkeys(
-            ("coeffs", "revivals", "autocorr"), width_error("t_revival")
-        ),
-        ("well_width_in_compton", 1e-300): dict.fromkeys(
-            ("coeffs", "revivals", "autocorr"), width_error("t_classical")
-        ),
-        ("well_width_in_compton", 1e150): dict.fromkeys(
-            ("coeffs", "revivals", "autocorr"), width_error("t_revival")
-        ),
-        ("well_width_in_compton", 1e300): dict.fromkeys(
-            ("coeffs", "revivals", "autocorr"), width_error("t_classical")
-        ),
-    }.items()
+# each section of the table, as job name -> id, run by the test and under the
+# ids Tier-1 has reported its cases by; the cases no section names run by name
+EXTREME_IDS = {
+    f"{key}_{value:g}_{command}": f"{key}-{value:g}-{command}-{line}"
+    for (key, value), lines in TOOL.EXTREME_MODELS.items()
     for command, line in lines.items()
-]
-
-
-# documents whose model scales once put the packet or the revival times past
-# double range, with the line each command now ends in, or None for exit 0
-PAST_RANGE = {
-    # the derivatives of E(n) come out NaN, and so does each revival time
-    "revival-hbar": (
-        {"model": {"hbar": 3.03e83, "well_width_in_compton": 2.66e-311}},
-        {"revivals": width_error("t_classical")},
-    ),
-    "revival-mass": (
-        {"model": {"mass": 7.85e-114, "hbar": 2.82e-276, "well_width_in_compton": 6.20e154}},
-        dict.fromkeys(("carpet", "revivals", "autocorr", "coeffs"), width_error("t_classical")),
-    ),
-    # sigma = L / 20 underflowed to 0 in absolute units; in natural ones the
-    # width is past the revival times' range, and the light speed past that
-    # of the outputs
-    "sigma": (
-        {"model": {"well_width_in_compton": 2.25e-186, "light_speed": 4.55e137}},
-        {
-            **dict.fromkeys(("carpet", "revivals", "autocorr", "coeffs"), width_error("t_classical")),
-            "spectrum": UNIT_ERRORS["spectrum"],
-            "spacing": UNIT_ERRORS["spacing"],
-        },
-    ),
-    # so did x0 = L / 100, before sigma
-    "x0": (
-        {
-            "model": {"well_width_in_compton": 2.25e-186, "light_speed": 4.55e137},
-            "packet": {"x0_over_L": 0.01},
-        },
-        {"coeffs": width_error("t_classical")},
-    ),
-    # hbar / L overflowed in absolute units, and with it p0
-    "p0": (
-        {
-            "model": {"mass": 1e300, "well_width_in_compton": 1e-10},
-            "packet": {"p0_in_hbar_over_L": 1.0},
-        },
-        {"coeffs": None},
-    ),
 }
-
-# documents where a Python float power once raised OverflowError, with the
-# line each command now ends in, or None for exit 0
-POWERS_PAST_RANGE = {
-    # sigma = L / 20 near 3e300 in absolute units, an ordinary one in natural units
-    "sigma": ({"model": {"hbar": 1e300}}, dict.fromkeys(("coeffs", "revivals", "autocorr"))),
-    # c**2, which the units alone hold now
-    "light-speed": (
-        {"model": {"light_speed": 1e300}},
-        {command: UNIT_ERRORS[command] for command in ("spacing", "revivals", "spectrum")},
-    ),
-    # the powers in the closed form of E(n)'s derivatives
-    "derivative": (
-        {"model": {"well_width_in_compton": 1e-150}},
-        dict.fromkeys(("coeffs", "revivals", "autocorr"), width_error("t_revival")),
-    ),
+SCALE_IDS = {
+    "_".join(f"{key}_{value:g}" for key, value in model.items()) + f"_{command}":
+        f"{command}-{label}"
+    for label, (model, lines) in TOOL.SCALES_PAST_RANGE.items()
+    for command in lines
 }
+PAST_IDS = {
+    f"past_range_{name}_{command}": f"{name.replace('_', '-')}-{command}"
+    for name, (document, lines) in TOOL.PAST_RANGE.items()
+    for command in lines
+}
+# documents where a Python float power once raised OverflowError: sigma = L / 20
+# near 3e300 in absolute units, c**2, and the powers in E(n)'s derivatives
+POWER_IDS = {
+    f"{stem}_{command}": f"{label}-{command}"
+    for label, stem, commands in (
+        ("sigma", "hbar_1e+300", TOOL.REVIVAL_COMMANDS),
+        ("light-speed", "light_speed_1e+300", ("spacing", "revivals", "spectrum")),
+        ("derivative", "well_width_in_compton_1e-150", TOOL.REVIVAL_COMMANDS),
+    )
+    for command in commands
+}
+SIDECAR_IDS = {
+    f"infinite_sidecar_{key}_{value:g}_spacing": f"{key}-{value:g}-{line}"
+    for (key, value), line in TOOL.INFINITE_SIDECARS.items()
+}
+NESTED_IDS = {"deep_parse_spacing": "past-the-parser", "deep_formats_spacing": "past-the-merge"}
+SECTIONS = (EXTREME_IDS, SCALE_IDS, PAST_IDS, POWER_IDS, SIDECAR_IDS, NESTED_IDS)
+OTHER_IDS = {name: name for name in CASES if not any(name in ids for ids in SECTIONS)}
+
+
+def case_test(ids):
+    """A test that runs each case ``ids`` names in-process and holds it to its entry."""
+
+    @pytest.mark.parametrize("name", [pytest.param(name, id=id) for name, id in ids.items()])
+    def test(self, tmp_path, monkeypatch, capsys, name):
+        job = CASES[name]
+        monkeypatch.chdir(tmp_path)
+        code = main(TOOL.arguments(job, tmp_path))
+        assert TOOL.breaches(tmp_path, job, code, capsys.readouterr().err) == []
+
+    return test
 
 
 def assert_ends_in(tmp_path, capsys, command, document, line):
-    """Run ``command`` on ``document``: with ``line`` None it exits 0 in
-    silence; otherwise it exits 3 with that one stderr line and no file."""
+    """Run ``command`` on ``document``: it exits 3 with that one stderr line
+    and no file."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(document))
     out = tmp_path / "out"
     code = main([command, "--config", str(path), "--out", str(out)])
-    err = capsys.readouterr().err.strip().splitlines()
-    if line is None:
-        assert (code, err) == (0, [])
-    else:
-        assert (code, err) == (3, [line])
-        assert not out.exists() or list(out.iterdir()) == []
+    assert (code, capsys.readouterr().err.strip().splitlines()) == (3, [line])
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestValidation:
@@ -342,92 +257,14 @@ class TestValidation:
         reason = "Unable to allocate" if value == TOO_LARGE else f"{block}.{key}"
         assert len(err) == 1 and err[0].startswith("error:") and reason in err[0]
 
-    @pytest.mark.parametrize(
-        "text",
-        ["[" * 200_000, '{"output": {"formats": ' + "[" * 600 + "]" * 600 + "}}"],
-        ids=["past-the-parser", "past-the-merge"],
-    )
-    def test_config_nested_too_deeply_exits_2_without_files(self, tmp_path, capsys, text):
-        code, err = run_refused(tmp_path, capsys, "spacing", text)
-        assert code == 2
-        assert len(err) == 1 and err[0].startswith("error:")
-
-    @pytest.mark.parametrize("key, value, command, line", EXTREME_SCALES)
-    def test_extreme_scales_end_in_their_line(self, tmp_path, capsys, key, value, command, line):
-        blocks = CARPETS.get(command, {})
-        document = {**blocks, "model": {key: value}}
-        assert_ends_in(tmp_path, capsys, command.partition("-")[0], document, line)
-
-    @pytest.mark.parametrize(
-        "model, lines",
-        [
-            # m c^2 = 1e200 * (1e100)**2 overflows, and so does every output
-            ({"mass": 1e200, "light_speed": 1e100}, UNIT_ERRORS),
-            # m c overflows; coeffs' first sidecar length is past range too
-            (
-                {"mass": 1e200, "light_speed": 1e200},
-                {**UNIT_ERRORS, "coeffs": unit_error("the sidecar's well_width")},
-            ),
-            # m c is subnormal, so the Compton wavelength 2 pi hbar/(m c) overflows
-            (
-                {"mass": 1e-160, "light_speed": 1e-160},
-                {**UNIT_ERRORS, "coeffs": unit_error("the sidecar's well_width")},
-            ),
-            # the width in absolute units overflows, or underflows to 0: the
-            # natural width puts the revival times past range first
-            (
-                {"mass": 1e-20, "well_width_in_compton": 1e300},
-                {
-                    **dict.fromkeys(UNIT_ERRORS, width_error("t_classical")),
-                    "spectrum": unit_error("the sidecar's well_width"),
-                    "spacing": unit_error("the sidecar's well_width"),
-                },
-            ),
-            (
-                {"mass": 1e100, "well_width_in_compton": 1e-300},
-                {
-                    **dict.fromkeys(UNIT_ERRORS, width_error("t_classical")),
-                    "spectrum": UNIT_ERRORS["spectrum"],
-                    "spacing": UNIT_ERRORS["spacing"],
-                },
-            ),
-        ],
-        ids=["rest-energy", "momentum-scale", "compton-wavelength", "width-over", "width-under"],
-    )
-    @pytest.mark.parametrize(
-        "command", ["spectrum", "carpet", "revivals", "autocorr", "spacing", "coeffs"]
-    )
-    def test_scales_past_double_range_end_in_their_line(
-        self, tmp_path, capsys, command, model, lines
-    ):
-        assert_ends_in(tmp_path, capsys, command, {"model": model}, lines[command])
-
-    @pytest.mark.parametrize(
-        "document, command, line",
-        [
-            pytest.param(document, command, line, id=f"{name}-{command}")
-            for name, (document, lines) in PAST_RANGE.items()
-            for command, line in lines.items()
-        ],
-    )
-    def test_packet_and_revival_times_past_double_range_end_in_their_line(
-        self, tmp_path, capsys, document, command, line
-    ):
-        assert_ends_in(tmp_path, capsys, command, document, line)
-
-    @pytest.mark.parametrize(
-        "document, command, line",
-        [
-            pytest.param(document, command, line, id=f"{name}-{command}")
-            for name, (document, lines) in POWERS_PAST_RANGE.items()
-            for command, line in lines.items()
-        ],
-    )
-    def test_powers_past_double_range_name_their_quantity(
-        self, tmp_path, capsys, document, command, line
-    ):
-        # never the errno text of Python's OverflowError
-        assert_ends_in(tmp_path, capsys, command, document, line)
+    # the tool's table of error-path cases, one test per section
+    test_extreme_scales_end_in_their_line = case_test(EXTREME_IDS)
+    test_scales_past_double_range_end_in_their_line = case_test(SCALE_IDS)
+    test_packet_and_revival_times_past_double_range_end_in_their_line = case_test(PAST_IDS)
+    test_powers_past_double_range_name_their_quantity = case_test(POWER_IDS)
+    test_non_finite_sidecar_exits_3_without_files = case_test(SIDECAR_IDS)
+    test_config_nested_too_deeply_exits_2_without_files = case_test(NESTED_IDS)
+    test_each_case_ends_in_its_line = case_test(OTHER_IDS)
 
     @pytest.mark.parametrize(
         "document, command",
@@ -461,43 +298,15 @@ class TestValidation:
             "times": {"t_max": 1e300 if key == "t_max" else 0.05, "unit": "natural"},
         }
         block = "times" if key == "t_max" else "engine"
-        assert_ends_in(tmp_path, capsys, "carpet", document, unit_error(f"{block}.{key}"))
+        assert_ends_in(tmp_path, capsys, "carpet", document, TOOL.unit_error(f"{block}.{key}"))
 
     def test_one_stderr_line_in_a_fresh_interpreter(self, tmp_path):
         # pytest records numpy's warnings itself, so only a fresh interpreter
         # shows the stderr a user gets: here the packet's samples overflow on
         # the way to a revival time past double range
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"model": {"well_width_in_compton": 1e300}}))
+        job = CASES["well_width_in_compton_1e+300_coeffs"]
         env = dict(os.environ, PYTHONPATH=str(Path(relwell.__file__).parents[1]))
-        argv = ["coeffs", "--config", str(config), "--out", str(tmp_path / "out")]
-        job = subprocess.run(
-            [sys.executable, "-m", "relwell.cli", *argv], env=env, capture_output=True, text=True
-        )
-        assert job.returncode == 3
-        assert job.stderr.splitlines() == [width_error("t_classical")]
-
-    @pytest.mark.parametrize(
-        "key, value, name",
-        [
-            # (m c^2)^2 = 1e600 takes the variance past double range
-            ("mass", 1e300, unit_error("the sidecar's variance")),
-            ("light_speed", 1e150, unit_error("the sidecar's variance")),
-            # the natural spacings are finite, but the squares of their rounding are not
-            (
-                "well_width_in_compton",
-                1e-300,
-                "the sidecar's variance leaves double range; "
-                "bring model.well_width_in_compton closer to 1",
-            ),
-        ],
-    )
-    def test_non_finite_sidecar_exits_3_without_files(self, tmp_path, capsys, key, value, name):
-        # the spacing table is finite, but a sidecar value is not
-        code, err = run_refused(tmp_path, capsys, "spacing", json.dumps({"model": {key: value}}))
-        assert code == 3
-        assert len(err) == 1 and err[0].startswith("numerical error:")
-        assert name in err[0]
+        assert TOOL.run(job, tmp_path, env) == (3, [])
 
     def test_sidecar_value_json_lacks_exits_3_without_files(self, tmp_path, monkeypatch, capsys):
         # an int64 is no int: written as its str, it would read back as a string
@@ -900,21 +709,37 @@ class TestAllOrNothing:
         assert len(os.fsencode(names[1])) == limit
 
     def test_snapshot_tool_names_jobs_that_break_the_contract(self, tmp_path):
-        snapshot = snapshot_tool()
+        job = TOOL.Job("t", ["carpet"], "{}", 3, "numerical error: x")
         (tmp_path / "config.json").write_text("{}")
-        assert snapshot.breaches(tmp_path, 3, "numerical error: x\n") == []
+        assert TOOL.breaches(tmp_path, job, 3, "numerical error: x\n") == []
+        # another line than the entry's, even one both trees would print
+        assert TOOL.breaches(tmp_path, job, 3, "numerical error: y\n") == [
+            "exited 3 with 'numerical error: y', not 3 with 'numerical error: x'"
+        ]
         (tmp_path / "t_carpet.pgm").write_bytes(b"P5")
         (tmp_path / ".t_carpet.csv.tmp").write_bytes(b"")
-        assert snapshot.breaches(tmp_path, 0, "") == ["left the temporary .t_carpet.csv.tmp"]
-        assert snapshot.breaches(tmp_path, 4, "a\nb\n") == [
+        assert TOOL.breaches(tmp_path, job._replace(code=0, line=None), 0, "") == [
+            "left the temporary .t_carpet.csv.tmp"
+        ]
+        assert TOOL.breaches(tmp_path, job._replace(code=4), 4, "a\nb\n") == [
             "left the temporary .t_carpet.csv.tmp",
             "exited 4 and left .t_carpet.csv.tmp, t_carpet.pgm",
-            "exited 4 with 2 stderr lines",
+            "exited 4 with 'a\\nb', not 4 with 'numerical error: x'",
         ]
 
+    def test_every_job_has_one_name_and_its_entry(self):
+        # a name twice would crash the tool at its directory; a case without its
+        # code and line, or outside every in-process section, would go unchecked
+        names = [job.name for job in TOOL.JOBS]
+        assert len(set(names)) == len(names)
+        prefixes = {0: None, 2: "error: ", 3: "numerical error: ", 4: "i/o error: "}
+        for job in TOOL.JOBS:
+            prefix = prefixes[job.code]
+            assert job.line is None if prefix is None else job.line.startswith(prefix), job.name
+        assert all((job.code, job.line) == (0, None) for job in TOOL.OUTPUTS)
+        assert set().union(*SECTIONS, OTHER_IDS) == set(CASES)
 
     def test_snapshot_comparison_names_each_difference(self, tmp_path):
-        snapshot = snapshot_tool()
         base, head = tmp_path / "base", tmp_path / "head"
 
         def job(root, name, files):
@@ -928,14 +753,14 @@ class TestAllOrNothing:
             job(root, "cell", {"t.csv": b"n,x\n1," + cell + b"\n2,1\n"})
             job(root, "bin", {"t.bin": header + struct.pack("<2d", 1.0, density)})
             job(root, "code", {"exit_code.txt": code})
-        assert snapshot.compare(base, head) == [
+        assert TOOL.compare(base, head) == [
             "bin/t.bin: 1 values; largest deviation 0.5 absolute, 0.25 relative",
             "cell/t.csv: 1 values; largest deviation 0.25 absolute, 1 relative",
             "code/exit_code.txt: '0' -> '3'",
         ]
         (head / "code" / "stderr.txt").write_text("numerical error: x\n")
-        assert snapshot.compare(base, head)[-1] == "code/stderr.txt: only in head"
-        assert snapshot.compare(base, base) == []
+        assert TOOL.compare(base, head)[-1] == "code/stderr.txt: only in head"
+        assert TOOL.compare(base, base) == []
 
 
 class TestRevivals:
@@ -1166,6 +991,16 @@ def fresh_python(code, cwd=None):
     )
 
 
+# the tool's cases TestColdStart runs with numpy made unimportable, by id
+COLD_CASES = {
+    "refused_mass_carpet": "mass-negative", "refused_t_max_carpet": "t_max-negative",
+    "refused_samples_carpet": "samples-zero", "refused_unit_carpet": "unit-unknown",
+    "refused_levels_carpet": "levels-reversed", "refused_formats_carpet": "format-unknown",
+    "refused_no_formats_carpet": "formats-empty", "refused_basename_carpet": "basename-path",
+    "refused_diag_carpet": "carpet-diag", "refused_split_autocorr": "autocorr-split",
+}
+
+
 class TestColdStart:
     def test_cli_import_loads_no_scipy(self):
         # relwell's runtime is numpy alone, and numpy itself loads only when a
@@ -1194,7 +1029,7 @@ class TestColdStart:
         assert missing == "AttributeError"
 
     @pytest.mark.parametrize(
-        "args, text, message",
+        "args, text, line",
         [
             (["carpet"], json.dumps({"times": {"t_max": "1"}}), None),
             (["carpet"], json.dumps({"times": {"t_max": math.inf}}), None),
@@ -1203,29 +1038,15 @@ class TestColdStart:
             (["carpet", "--preset", "fig9"], None, None),
             (["carpet"], '{"times": ', None),
             (["carpet", "--threads", "2"], None, None),
-            (["carpet"], json.dumps({"model": {"mass": -1.0}}), "model.mass must be positive"),
-            (["carpet"], json.dumps({"times": {"t_max": -1.0}}),
-             "times.t_max must be nonnegative"),
-            (["carpet"], json.dumps({"times": {"samples": 0}}), "times.samples must be positive"),
-            (["carpet"], json.dumps({"times": {"unit": "days"}}),
-             "times.unit must be natural, classical or revival"),
-            (["carpet"], json.dumps({"levels": {"n_min": 5, "n_max": 2}}),
-             "levels.n_min/n_max must satisfy 1 <= n_min <= n_max"),
-            (["carpet"], json.dumps({"output": {"formats": ["svg"]}}),
-             "unknown output formats: ['svg']"),
-            (["carpet"], json.dumps({"output": {"basename": "a/b"}}),
-             "output.basename must be a non-empty file name without a path"),
-            (["carpet", "--engine", "diag"], None,
-             "carpet supports the exact and split engines only"),
-            (["autocorr", "--engine", "split"], None, "autocorr uses the exact engine"),
-            (["spacing"], json.dumps({"levels": {"n_max": 1}}), "spacing needs levels.n_max >= 2"),
+            # the tool's cases refused for one value or for their engine
+            *((CASES[name].args, CASES[name].config, CASES[name].line) for name in COLD_CASES),
+            (["spacing"], json.dumps({"levels": {"n_max": 1}}),
+             "error: spacing needs levels.n_max >= 2"),
         ],
         ids=["t_max-string", "t_max-inf", "unknown-key", "unknown-kind", "unknown-preset",
-             "unparsed-json", "threads-flag", "mass-negative", "t_max-negative",
-             "samples-zero", "unit-unknown", "levels-reversed", "format-unknown",
-             "basename-path", "carpet-diag", "autocorr-split", "spacing-one-level"],
+             "unparsed-json", "threads-flag", *COLD_CASES.values(), "spacing-one-level"],
     )
-    def test_malformed_input_exits_2_before_numpy(self, tmp_path, args, text, message):
+    def test_malformed_input_exits_2_before_numpy(self, tmp_path, args, text, line):
         # a run refused for its command line or its document alone never
         # loads numpy: with numpy made unimportable it still exits 2
         if text is not None:
@@ -1244,8 +1065,8 @@ class TestColdStart:
             assert "unrecognized arguments: --threads" in err[-1]
         else:
             assert len(err) == 1 and err[0].startswith("error:"), job.stderr
-        if message is not None:
-            assert err == [f"error: {message}"]
+        if line is not None:
+            assert err == [line]
 
     def test_resolved_config_loads_its_numerics(self):
         # a library caller builds a ResolvedConfig with no prior main call

@@ -2,6 +2,7 @@
 
     python tools/ci_checks.py acceptance LOG
     python tools/ci_checks.py imports MODULE LOG...
+    python tools/ci_checks.py bench LOG
 
 ``acceptance`` reads the log of a ``pytest -rP`` run that includes
 ``tests/test_acceptance.py``.  It prints every ``ACCEPTANCE`` verdict line
@@ -14,10 +15,16 @@ exits 1 if any log lists MODULE or a submodule of it, or lists no
 ``relwell.cli``, so a log that holds no import list fails too; it names
 each such log on stderr.  Module names match exactly, not as a prefix:
 ``numpy`` does not match ``numpydoc``.
+
+``bench`` reads the output of ``bench/run.py``, whose last line is its
+verdict as JSON.  It prints the verdict's ``correct``, ``attempted`` and
+``failed`` and exits 1 unless ``correct`` is true and ``failed`` is 0, or
+when the last line is missing or is no such verdict.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -55,6 +62,18 @@ def imports(module: str, log: str) -> list[str]:
     return problems
 
 
+def bench(log: str) -> tuple[dict, list[str]]:
+    """The verdict on the log's last line, and how it falls short of
+    ``correct`` true with 0 failed (empty when it does not)."""
+    try:
+        last = json.loads(log.splitlines()[-1])
+        verdict = {key: last[key] for key in ("correct", "attempted", "failed")}
+    except (IndexError, ValueError, KeyError, TypeError):
+        return {}, ["the last line is no verdict"]
+    passed = verdict["correct"] is True and verdict["failed"] == 0
+    return verdict, [] if passed else ["not correct with 0 failed"]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "acceptance":
         lines, problems = acceptance(Path(argv[1]).read_text(errors="replace"))
@@ -66,8 +85,14 @@ def main(argv: list[str]) -> int:
             for log in argv[2:]
             for problem in imports(argv[1], Path(log).read_text(errors="replace"))
         ]
+    elif len(argv) == 2 and argv[0] == "bench":
+        verdict, problems = bench(Path(argv[1]).read_text(errors="replace"))
+        if verdict:
+            print(json.dumps(verdict))
+        problems = [f"bench: {problem}" for problem in problems]
     else:
-        print("usage: ci_checks.py acceptance LOG | imports MODULE LOG...", file=sys.stderr)
+        print("usage: ci_checks.py acceptance LOG | imports MODULE LOG... | bench LOG",
+              file=sys.stderr)
         return 2
     for problem in problems:
         print(problem, file=sys.stderr)

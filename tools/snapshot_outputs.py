@@ -7,39 +7,30 @@ each leaves behind; or run them against two trees and compare.
 Each job runs ``python -m relwell.cli --out .`` in a fresh interpreter with
 ``PYTHONPATH=SRC``, inside its own directory ``OUT/<job>/``, which receives
 the job's config as ``config.json`` if it has one, its output files, its
-stderr as ``stderr.txt`` and its exit code as ``exit_code.txt``.  The first
-67 jobs are every preset under every command, ``spectrum --engine diag`` on
-every preset, two split-engine carpets at N = 256 in all three carpet
-formats (a 16-row one that steps and a 32-row one that powers the Strang
-step), a split carpet whose grid size ``default_config`` picks, and fig4's
-carpet with the PGM image alone; all use m = c = hbar = 1.  The other 97
-run documents at extreme scales or in other units, and the error paths.
-Of those, 21 write outputs: ten at an extreme mass or hbar, whose outputs
-stay in double range, and the documents with m = 2^-900 and m = 3 under
-every command but m = 2^-900's ``spacing``.  The rest must end in one
-stderr line and no output file: two configs nested too deeply (exit 2),
-extreme scales whose revival times or unit conversions leave double range
-(exit 3), ``spacing`` runs whose sidecar would hold a value past it (exit
-3), a diag ``spectrum`` asking for more levels than it has momentum points
-(exit 2), a ``--config`` that does not exist or is a directory (exit 4),
-seven carpets refused for one value of their document, a carpet and an
-autocorrelation asked of an engine they do not run, a split carpet over the
-work limit, and a carpet and an autocorrelation whose ``t_max`` overflows in
-revival periods (exit 2).
-The tool holds every job to that contract: after the last job it exits
-non-zero and names each error path that left an output file or printed
-other than one stderr line, and each job that left behind a temporary
-``.*.tmp``, the name the CLI writes a file under until the run is
-complete.
+stderr as ``stderr.txt`` and its exit code as ``exit_code.txt``.  The jobs
+run on as many workers as the CPU affinity grants, each a thread waiting on
+one subprocess in the tool's own environment, and print in a fixed order.
+OUTPUTS holds 67 jobs at m = c = hbar = 1: every preset under every command
+and ``spectrum --engine diag`` on every preset, two split carpets at N = 256
+(one that steps, one that powers the Strang step), one whose grid size the
+engine picks, and fig4's carpet with the PGM image alone.  CASES is the
+table of error-path cases, 111 jobs, each with the exit code and the one
+stderr line it must end in, or None for a silent exit 0; Tier-1 runs each
+in-process (``tests/test_cli.py``).  After the last job the tool exits
+non-zero and names each job that ended in another exit code or stderr than
+its entry, each error path that left an output file, and each job that left
+a temporary ``.*.tmp``, the name the CLI writes a file under until the run
+is complete.
 
-``--against REV`` extracts REV's ``src`` with ``git archive`` into OUT,
-snapshots it into ``OUT/base`` and this repository's ``src`` into
-``OUT/head``, both at OPENBLAS_NUM_THREADS=1 (the powered carpets' bits
-depend on the BLAS thread count), and prints each file that differs: an
-exit code or stderr with both texts, a CSV or bin file with its largest
-absolute and relative deviation.  It exits 1 on any difference.
-All 164 jobs run one at a time in 41-44 s, with about 165 MB of output, on a
-2-vCPU Intel Xeon host; ``--against`` takes twice that.
+``--against REV`` snapshots REV's ``src``, extracted into OUT, into
+``OUT/base`` and this repository's into ``OUT/head``, both at
+OPENBLAS_NUM_THREADS=1 (the powered carpets' bits depend on the BLAS thread
+count); it prints each file that differs, an exit code or stderr with both
+texts and a CSV or bin file with its largest absolute and relative
+deviation, and exits 1 on any difference.  Only the head is held to the
+table: an output changed on purpose differs from the base.  On two workers
+of a 2-vCPU Intel Xeon host the 178 jobs take about 20 s and write about
+165 MB; ``--against`` takes 44 s.
 """
 
 from __future__ import annotations
@@ -52,7 +43,9 @@ import re
 import struct
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 # the repository this tool belongs to, whose src the --against mode runs
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,6 +60,19 @@ CARPET_HEADER = "<4sIQQdddd"
 COMMANDS = ("spectrum", "carpet", "revivals", "autocorr", "spacing", "coeffs")
 PRESETS = ("default", "fig1", "fig2a", "fig2b", "fig2c", "fig3", "fig4", "fig5a", "fig5b")
 
+
+class Job(NamedTuple):
+    """One CLI run: its directory name, its arguments before --out, its
+    config text, and the exit code and one stderr line it must end in, or
+    None for a silent exit 0."""
+
+    name: str
+    args: list[str]
+    config: str | None = None
+    code: int = 0
+    line: str | None = None
+
+
 # the wall-phase cap pi/(8 V0) lowers dt to 3.9e-5: 1273 Strang steps with
 # sample times about 85 steps apart, which the split engine steps
 SPLIT_CARPET = {
@@ -79,39 +85,11 @@ SPLIT_CARPET = {
 # 20000 Strang steps at the capped dt, with sample times 645 or 646 steps
 # apart, which the split engine crosses by a power of the one-step unitary
 SPLIT_POWERED_CARPET = {
-    "model": {"well_width_in_compton": 2.0},
-    "packet": {"x0_over_L": 0.5, "sigma_over_L": 0.0625, "p0_in_hbar_over_L": 0.0},
+    **SPLIT_CARPET,
     "engine": {"kind": "split", "grid_size": 256},
     "times": {"t_max": 0.7853981633974483, "samples": 32, "unit": "natural"},
     "output": {"basename": "split32", "formats": ["csv", "bin", "pgm"]},
 }
-
-
-# model values at the edge of double range, and the commands run on them:
-# an extreme mass or hbar leaves every output in range (exit 0); an extreme
-# light speed takes a unit conversion past it, an extreme width a revival
-# time (exit 3)
-EXTREME_MODELS = {
-    ("mass", 1e-300): ("coeffs", "revivals", "autocorr"),
-    ("mass", 1e300): ("coeffs", "revivals", "autocorr", "carpet"),
-    ("light_speed", 1e-300): ("coeffs", "revivals", "autocorr"),
-    ("light_speed", 1e300): ("spacing", "coeffs", "revivals", "autocorr", "spectrum"),
-    ("hbar", 1e300): ("coeffs", "revivals", "autocorr"),
-    ("well_width_in_compton", 1e-150): ("coeffs", "revivals", "autocorr"),
-    ("well_width_in_compton", 1e-300): ("coeffs", "revivals", "autocorr"),
-    ("well_width_in_compton", 1e150): ("coeffs", "revivals", "autocorr"),
-    ("well_width_in_compton", 1e300): ("coeffs", "revivals", "autocorr"),
-}
-# model scales past double range, run under every command: m c overflows, or
-# is subnormal so that the Compton wavelength overflows, and a unit
-# conversion leaves double range; or the width in absolute units overflows
-# or underflows, and a unit conversion or a revival time does (exit 3)
-SCALES_PAST_RANGE = (
-    {"mass": 1e200, "light_speed": 1e200},
-    {"mass": 1e-160, "light_speed": 1e-160},
-    {"mass": 1e-20, "well_width_in_compton": 1e300},
-    {"mass": 1e100, "well_width_in_compton": 1e-300},
-)
 # fig4's preset with the image alone: its peak comes in row 259 of 512, so the
 # PGM writer quantizes the rows before it a second time
 FIG4_PGM_CARPET = {
@@ -127,140 +105,292 @@ AUTO_SPLIT_CARPET = {
     "packet": {"x0_over_L": 0.5, "sigma_over_L": 0.02, "p0_in_hbar_over_L": 100.0},
     "engine": {"kind": "split"},
 }
+
+OUTPUTS = [
+    *(Job(f"{preset}_{command}", [command, "--preset", preset])
+      for preset in PRESETS for command in COMMANDS),
+    *(Job(f"{preset}_spectrum_diag", ["spectrum", "--preset", preset, "--engine", "diag"])
+      for preset in PRESETS),
+    Job("split16_carpet", ["carpet"], json.dumps(SPLIT_CARPET)),
+    Job("split32_carpet", ["carpet"], json.dumps(SPLIT_POWERED_CARPET)),
+    Job("fig4_pgm_carpet", ["carpet"], json.dumps(FIG4_PGM_CARPET)),
+    Job("auto_split_carpet", ["carpet"], json.dumps(AUTO_SPLIT_CARPET)),
+]
+
+
+def unit_error(name: str) -> str:
+    """The line of a run whose conversion of ``name`` to the document's units
+    leaves double range."""
+    return (
+        f"numerical error: {name} leaves double range in the units that "
+        "model.mass, model.light_speed, model.hbar set; bring them closer to 1"
+    )
+
+
+def width_error(time: str) -> str:
+    """The line of a run whose revival ``time`` at level 1 leaves double range."""
+    return (
+        f"numerical error: the {time} of level 1 leaves double range; "
+        "bring model.well_width_in_compton closer to 1"
+    )
+
+
+# the carpet's formats, and the split engine, as cases of the carpet command:
+# the blocks each adds to a document
+CARPETS = {
+    "carpet-csv": {"output": {"formats": ["csv"]}},
+    "carpet-bin": {"output": {"formats": ["bin"]}},
+    "carpet-bin-pgm": {"output": {"formats": ["bin", "pgm"]}},
+    "carpet-pgm": {"output": {"formats": ["pgm"]}},
+    "carpet-split": {
+        "engine": {"kind": "split", "grid_size": 256}, "times": {"t_max": 0.05, "samples": 4}
+    },
+}
+# the first conversion under each command, or carpet case, that leaves double
+# range, where the units put each dimensioned output past it; a PGM has no
+# unit, so an image alone fails first on the sidecar
+UNIT_ERRORS = {
+    "spectrum": unit_error("spectrum.csv's energy"),
+    "carpet": unit_error("the carpet's t"),
+    "revivals": unit_error("revivals.csv's t_classical"),
+    "autocorr": unit_error("levels.csv's energy"),
+    "spacing": unit_error("spacing.csv's spacing"),
+    "coeffs": unit_error("the sidecar's t_classical"),
+    **dict.fromkeys(("carpet-csv", "carpet-bin", "carpet-bin-pgm"), unit_error("the carpet's t")),
+    "carpet-pgm": unit_error("the sidecar's t_classical"),
+    "carpet-split": unit_error("the carpet's t"),
+}
+# the commands run at most extreme model values; each command's line where its
+# outputs' units leave double range, and where the revival times do
+REVIVAL_COMMANDS = ("coeffs", "revivals", "autocorr")
+PAST_UNITS = {command: UNIT_ERRORS[command] for command in COMMANDS}
+PAST_WIDTH = dict.fromkeys(COMMANDS, width_error("t_classical"))
+SIDECAR_WIDTH = unit_error("the sidecar's well_width")
+
+# In the tables below each document maps the commands, or carpet cases, run
+# on it to the line each ends in with exit 3, or to None for a silent exit 0.
+
+# model values at the edge of double range: in natural units an extreme mass
+# or hbar leaves each output in range, an extreme light speed does not, and an
+# extreme width puts a revival time past it
+EXTREME_MODELS = {
+    ("mass", 1e-300): dict.fromkeys(REVIVAL_COMMANDS),
+    ("mass", 1e300): dict.fromkeys((*REVIVAL_COMMANDS, "carpet")),
+    ("light_speed", 1e-300): {command: UNIT_ERRORS[command] for command in REVIVAL_COMMANDS},
+    ("light_speed", 1e300): {
+        command: UNIT_ERRORS[command]
+        for command in ("spacing", "coeffs", "revivals", "autocorr", "spectrum", *CARPETS)
+    },
+    ("hbar", 1e300): dict.fromkeys(REVIVAL_COMMANDS),
+    ("well_width_in_compton", 1e-150): dict.fromkeys(REVIVAL_COMMANDS, width_error("t_revival")),
+    ("well_width_in_compton", 1e-300): dict.fromkeys(REVIVAL_COMMANDS, width_error("t_classical")),
+    ("well_width_in_compton", 1e150): dict.fromkeys(REVIVAL_COMMANDS, width_error("t_revival")),
+    ("well_width_in_compton", 1e300): dict.fromkeys(REVIVAL_COMMANDS, width_error("t_classical")),
+}
+# model scales past double range, under every command
+SCALES_PAST_RANGE = {
+    # m c^2 = 1e200 * (1e100)**2 overflows, and so does every output
+    "rest-energy": ({"mass": 1e200, "light_speed": 1e100}, PAST_UNITS),
+    # m c overflows; coeffs' first sidecar length is past range too
+    "momentum-scale": (
+        {"mass": 1e200, "light_speed": 1e200},
+        {**PAST_UNITS, "coeffs": SIDECAR_WIDTH},
+    ),
+    # m c is subnormal, so the Compton wavelength 2 pi hbar/(m c) overflows
+    "compton-wavelength": (
+        {"mass": 1e-160, "light_speed": 1e-160},
+        {**PAST_UNITS, "coeffs": SIDECAR_WIDTH},
+    ),
+    # the width in absolute units overflows, or underflows to 0: the natural
+    # width puts the revival times past range first
+    "width-over": (
+        {"mass": 1e-20, "well_width_in_compton": 1e300},
+        {**PAST_WIDTH, "spectrum": SIDECAR_WIDTH, "spacing": SIDECAR_WIDTH},
+    ),
+    "width-under": (
+        {"mass": 1e100, "well_width_in_compton": 1e-300},
+        {**PAST_WIDTH, "spectrum": UNIT_ERRORS["spectrum"], "spacing": UNIT_ERRORS["spacing"]},
+    ),
+}
 # documents whose model scales once put the packet or the revival times past
-# double range, with the commands run on them; each exits 3, at a revival
-# time or a unit conversion past it
+# double range
 PAST_RANGE = {
     # the derivatives of E(n) come out NaN, and so does each revival time
     "revival_hbar": (
-        {"model": {"hbar": 3.03e83, "well_width_in_compton": 2.66e-311}}, ("revivals",)
+        {"model": {"hbar": 3.03e83, "well_width_in_compton": 2.66e-311}},
+        {"revivals": width_error("t_classical")},
     ),
     "revival_mass": (
         {"model": {"mass": 7.85e-114, "hbar": 2.82e-276, "well_width_in_compton": 6.20e154}},
-        ("carpet", "revivals", "autocorr", "coeffs"),
+        dict.fromkeys(("carpet", "revivals", "autocorr", "coeffs"), width_error("t_classical")),
     ),
-    # sigma = L / 20 underflowed to 0 in absolute units
+    # sigma = L / 20 underflowed to 0 in absolute units; in natural ones the
+    # width is past the revival times' range, and the light speed past that
+    # of the outputs
     "sigma": (
-        {"model": {"well_width_in_compton": 2.25e-186, "light_speed": 4.55e137}}, COMMANDS
+        {"model": {"well_width_in_compton": 2.25e-186, "light_speed": 4.55e137}},
+        {**PAST_WIDTH, "spectrum": UNIT_ERRORS["spectrum"], "spacing": UNIT_ERRORS["spacing"]},
     ),
+    # so did x0 = L / 100, before sigma
+    "x0": (
+        {
+            "model": {"well_width_in_compton": 2.25e-186, "light_speed": 4.55e137},
+            "packet": {"x0_over_L": 0.01},
+        },
+        {"coeffs": width_error("t_classical")},
+    ),
+    # hbar / L overflowed in absolute units, and with it p0
+    "p0": (
+        {
+            "model": {"mass": 1e300, "well_width_in_compton": 1e-10},
+            "packet": {"p0_in_hbar_over_L": 1.0},
+        },
+        {"coeffs": None},
+    ),
+}
+# documents in other units than m = c = hbar = 1: at m = 2^-900 every output
+# but spacing's variance, in (m c^2)^2 = 2^-1800, stays in double range, and at
+# m = 3 each dimensionless output equals the unit document's
+OTHER_UNITS = {
+    "mass_2^-900": (
+        {"model": {"mass": 2.0**-900}},
+        {**dict.fromkeys(COMMANDS), "spacing": unit_error("the sidecar's variance")},
+    ),
+    "mass_3": ({"model": {"mass": 3.0}}, dict.fromkeys(COMMANDS)),
 }
 # model values that give spacing's sidecar a value past double range: the
 # variance in (m c^2)^2 for an extreme mass or light speed, and the natural
-# mean spacing itself for a tiny width (exit 3)
-INFINITE_SIDECARS = (("mass", 1e300), ("light_speed", 1e150), ("well_width_in_compton", 1e-300))
-# documents in other units than m = c = hbar = 1, run under every command: at
-# m = 2^-900 every output but spacing's variance, in (m c^2)^2 = 2^-1800,
-# stays in double range, and at m = 3 each dimensionless output equals the
-# unit document's
-OTHER_UNITS = {"mass_2^-900": {"model": {"mass": 2.0**-900}}, "mass_3": {"model": {"mass": 3.0}}}
-# documents whose values alone refuse a carpet, before numpy loads
+# mean spacing itself for a tiny width
+INFINITE_SIDECARS = {
+    ("mass", 1e300): unit_error("the sidecar's variance"),
+    ("light_speed", 1e150): unit_error("the sidecar's variance"),
+    ("well_width_in_compton", 1e-300): (
+        "numerical error: the sidecar's variance leaves double range; "
+        "bring model.well_width_in_compton closer to 1"
+    ),
+}
+# documents whose values alone refuse a carpet, before numpy loads (exit 2)
 REFUSED_VALUES = {
-    "mass": {"model": {"mass": -1.0}},
-    "t_max": {"times": {"t_max": -1.0}},
-    "samples": {"times": {"samples": 0}},
-    "unit": {"times": {"unit": "days"}},
-    "levels": {"levels": {"n_min": 5, "n_max": 2}},
-    "formats": {"output": {"formats": ["svg"]}},
-    "basename": {"output": {"basename": "a/b"}},
+    "mass": ({"model": {"mass": -1.0}}, "model.mass must be positive"),
+    "t_max": ({"times": {"t_max": -1.0}}, "times.t_max must be nonnegative"),
+    "samples": ({"times": {"samples": 0}}, "times.samples must be positive"),
+    "unit": ({"times": {"unit": "days"}}, "times.unit must be natural, classical or revival"),
+    "levels": ({"levels": {"n_min": 5, "n_max": 2}},
+               "levels.n_min/n_max must satisfy 1 <= n_min <= n_max"),
+    "formats": ({"output": {"formats": ["svg"]}}, "unknown output formats: ['svg']"),
+    "no_formats": ({"output": {"formats": []}}, "carpet needs at least one of output.formats"),
+    "basename": ({"output": {"basename": "a/b"}},
+                 "output.basename must be a non-empty file name without a path"),
 }
 
 
-def jobs() -> list[tuple[str, list[str], str | None]]:
-    """(directory name, CLI arguments before --out, config text) for every job."""
-    listed = [
-        (f"{preset}_{command}", [command, "--preset", preset], None)
-        for preset in PRESETS
-        for command in COMMANDS
+def _cases(stem: str, document: dict, lines: dict) -> list[Job]:
+    """A job of ``document`` for each command, or carpet case, of ``lines``."""
+    return [
+        Job(f"{stem}_{command}", [command.partition("-")[0]],
+            json.dumps({**CARPETS.get(command, {}), **document}), 0 if line is None else 3, line)
+        for command, line in lines.items()
     ]
-    listed += [
-        (f"{preset}_spectrum_diag", ["spectrum", "--preset", preset, "--engine", "diag"], None)
-        for preset in PRESETS
-    ]
-    listed.append(("split16_carpet", ["carpet"], json.dumps(SPLIT_CARPET)))
-    listed.append(("split32_carpet", ["carpet"], json.dumps(SPLIT_POWERED_CARPET)))
-    listed.append(("fig4_pgm_carpet", ["carpet"], json.dumps(FIG4_PGM_CARPET)))
-    listed.append(("auto_split_carpet", ["carpet"], json.dumps(AUTO_SPLIT_CARPET)))
-    listed.append(("deep_parse_spacing", ["spacing"], "[" * 200_000))
-    formats = "[" * 600 + "]" * 600
-    listed.append(("deep_formats_spacing", ["spacing"], f'{{"output": {{"formats": {formats}}}}}'))
-    for (key, value), commands in EXTREME_MODELS.items():
-        config = json.dumps({"model": {key: value}})
-        listed += [(f"{key}_{value:g}_{command}", [command], config) for command in commands]
-    for model in SCALES_PAST_RANGE:
-        config = json.dumps({"model": model})
-        stem = "_".join(f"{key}_{value:g}" for key, value in model.items())
-        listed += [(f"{stem}_{command}", [command], config) for command in COMMANDS]
-    for name, (document, commands) in PAST_RANGE.items():
-        config = json.dumps(document)
-        listed += [(f"past_range_{name}_{command}", [command], config) for command in commands]
-    for stem, document in OTHER_UNITS.items():
-        config = json.dumps(document)
-        listed += [(f"{stem}_{command}", [command], config) for command in COMMANDS]
-    for key, value in INFINITE_SIDECARS:
-        config = json.dumps({"model": {key: value}})
-        listed.append((f"infinite_sidecar_{key}_{value:g}_spacing", ["spacing"], config))
+
+
+CASES = [
+    *(job for (key, value), lines in EXTREME_MODELS.items()
+      for job in _cases(f"{key}_{value:g}", {"model": {key: value}}, lines)),
+    *(job for model, lines in SCALES_PAST_RANGE.values()
+      for job in _cases("_".join(f"{key}_{value:g}" for key, value in model.items()),
+                        {"model": model}, lines)),
+    *(job for name, (document, lines) in PAST_RANGE.items()
+      for job in _cases(f"past_range_{name}", document, lines)),
+    *(job for stem, (document, lines) in OTHER_UNITS.items()
+      for job in _cases(stem, document, lines)),
+    *(job for (key, value), line in INFINITE_SIDECARS.items()
+      for job in _cases(f"infinite_sidecar_{key}_{value:g}", {"model": {key: value}},
+                        {"spacing": line})),
+    # configs nested too deeply for the parser, and for the merge
+    Job("deep_parse_spacing", ["spacing"], "[" * 200_000, 2,
+        "error: config.json is nested too deeply to parse"),
+    Job("deep_formats_spacing", ["spacing"],
+        '{"output": {"formats": ' + "[" * 600 + "]" * 600 + "}}", 2,
+        "error: output.formats must be a list of names"),
     # the default levels.n_max of 100 is more than 64 momentum points hold
-    config = json.dumps({"engine": {"kind": "diag", "momentum_points": 64}})
-    listed.append(("diag_levels_spectrum", ["spectrum"], config))
+    Job("diag_levels_spectrum", ["spectrum"],
+        json.dumps({"engine": {"kind": "diag", "momentum_points": 64}}), 2,
+        "error: levels.n_max=100 exceeds engine.momentum_points=64"),
     # a --config the CLI cannot read: the i/o error names the relative path
-    listed.append(("missing_config_spacing", ["spacing", "--config", "missing.json"], None))
-    listed.append(("directory_config_spacing", ["spacing", "--config", "."], None))
-    for name, document in REFUSED_VALUES.items():
-        listed.append((f"refused_{name}_carpet", ["carpet"], json.dumps(document)))
+    Job("missing_config_spacing", ["spacing", "--config", "missing.json"], None, 4,
+        "i/o error: [Errno 2] No such file or directory: 'missing.json'"),
+    Job("directory_config_spacing", ["spacing", "--config", "."], None, 4,
+        "i/o error: [Errno 21] Is a directory: '.'"),
+    *(Job(f"refused_{name}_carpet", ["carpet"], json.dumps(document), 2, f"error: {message}")
+      for name, (document, message) in REFUSED_VALUES.items()),
     # an engine the command does not run
-    listed.append(("refused_diag_carpet", ["carpet", "--engine", "diag"], None))
-    listed.append(("refused_split_autocorr", ["autocorr", "--engine", "split"], None))
+    Job("refused_diag_carpet", ["carpet", "--engine", "diag"], None, 2,
+        "error: carpet supports the exact and split engines only"),
+    Job("refused_split_autocorr", ["autocorr", "--engine", "split"], None, 2,
+        "error: autocorr uses the exact engine"),
     # more split steps than the work limit allows
-    args = ["carpet", "--preset", "fig2c", "--engine", "split"]
-    listed.append(("refused_split_budget_carpet", args, None))
+    Job("refused_split_budget_carpet", ["carpet", "--preset", "fig2c", "--engine", "split"],
+        None, 2, "error: the split engine would take 2.1e+10 steps on 256 points; "
+        "lower times.t_max or use the exact engine"),
     # t_max times the revival period overflows
-    config = json.dumps({"times": {"t_max": 1e308, "unit": "revival"}})
-    for command in ("carpet", "autocorr"):
-        listed.append((f"overflowing_t_max_{command}", [command], config))
-    return listed
+    *(Job(f"overflowing_t_max_{command}", [command],
+          json.dumps({"times": {"t_max": 1e308, "unit": "revival"}}), 2,
+          "error: times.t_max of 1e+308 revival periods overflows")
+      for command in ("carpet", "autocorr")),
+]
+JOBS = OUTPUTS + CASES
 
 
-def breaches(jobdir: Path, returncode: int, stderr: str) -> list[str]:
-    """How a finished job breaks the contract of the module docstring: a
-    temporary left behind by any job, or an error path that left an output
-    file or printed other than one stderr line."""
+def breaches(jobdir: Path, job: Job, returncode: int, stderr: str) -> list[str]:
+    """How a finished job breaks its entry: a temporary left behind, an error
+    path that left an output file, or another exit code or stderr."""
     names = sorted(path.name for path in jobdir.iterdir())
     found = [f"left the temporary {name}" for name in names if TEMPORARY.fullmatch(name)]
-    if returncode != 0:
-        outputs = [name for name in names if name not in JOB_FILES]
-        if outputs:
-            found.append(f"exited {returncode} and left {', '.join(outputs)}")
-        lines = len(stderr.splitlines())
-        if lines != 1:
-            found.append(f"exited {returncode} with {lines} stderr lines")
+    outputs = [name for name in names if name not in JOB_FILES]
+    if returncode != 0 and outputs:
+        found.append(f"exited {returncode} and left {', '.join(outputs)}")
+    if (returncode, stderr.splitlines()) != (job.code, [] if job.line is None else [job.line]):
+        found.append(
+            f"exited {returncode} with {stderr.rstrip()!r}, not {job.code} with {job.line or ''!r}"
+        )
     return found
+
+
+def arguments(job: Job, jobdir: Path) -> list[str]:
+    """Write ``job``'s config, if it has one, into ``jobdir``; return the CLI
+    arguments that run the job there."""
+    if job.config is None:
+        return [*job.args, "--out", "."]
+    (jobdir / "config.json").write_text(job.config)
+    return [*job.args, "--config", "config.json", "--out", "."]
+
+
+def run(job: Job, out: Path, env: dict) -> tuple[int, list[str]]:
+    """Run ``job`` in its directory under ``out``; return its exit code and
+    how it breaks its entry."""
+    jobdir = out / job.name
+    jobdir.mkdir()
+    # run inside the job's directory, so that no message names OUT
+    done = subprocess.run(
+        [sys.executable, "-m", "relwell.cli", *arguments(job, jobdir)],
+        cwd=jobdir, env=env, capture_output=True, text=True,
+    )
+    found = breaches(jobdir, job, done.returncode, done.stderr)
+    (jobdir / "stderr.txt").write_text(done.stderr)
+    (jobdir / "exit_code.txt").write_text(f"{done.returncode}\n")
+    return done.returncode, found
 
 
 def snapshot(src: Path, out: Path) -> list[str]:
     """Run every job against the relwell sources under ``src`` into ``out``,
-    which must not exist; return how the jobs break the contract."""
+    which must not exist; return how the jobs break their entries."""
     out.mkdir(parents=True, exist_ok=False)
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     failed = []
-    for name, args, config in jobs():
-        jobdir = out / name
-        jobdir.mkdir()
-        if config is not None:
-            (jobdir / "config.json").write_text(config)
-            args = [*args, "--config", "config.json"]
-        # run inside the job's directory, so that no message names OUT
-        job = subprocess.run(
-            [sys.executable, "-m", "relwell.cli", *args, "--out", "."],
-            cwd=jobdir,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        found = breaches(jobdir, job.returncode, job.stderr)
-        (jobdir / "stderr.txt").write_text(job.stderr)
-        (jobdir / "exit_code.txt").write_text(f"{job.returncode}\n")
-        print(f"{name}: exit {job.returncode}", flush=True)
-        failed += [f"{name}: {breach}" for breach in found]
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        for job, (code, found) in zip(JOBS, pool.map(lambda job: run(job, out, env), JOBS)):
+            print(f"{job.name}: exit {code}", flush=True)
+            failed += [f"{job.name}: {breach}" for breach in found]
     return failed
 
 
@@ -329,7 +459,9 @@ def main() -> None:
         )
         subprocess.run(["tar", "-x", "-C", str(out)], input=archive.stdout, check=True)
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        failed = snapshot(out / "src", out / "base") + snapshot(ROOT / "src", out / "head")
+        # the table describes the head: the base may differ on purpose
+        snapshot(out / "src", out / "base")
+        failed = snapshot(ROOT / "src", out / "head")
         differences = compare(out / "base", out / "head")
         print("\n".join([f"{len(differences)} files differ from {rev}", *differences]))
         if failed:
