@@ -138,6 +138,38 @@ def sine_transform(part: np.ndarray, workspace, scale: float = 1.0, out=None) ->
     return np.multiply(spectrum.imag[1 : n + 1], -scale, out=out)
 
 
+def _sine_workspace_ii(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The buffers of a length-m DST-II, m even: the reordered vector, m
+    doubles, its real FFT, m/2 + 1 complex values, and the twiddles
+    exp(-i pi k / 2m), k = 0..m/2.  ``_sine_transform_ii`` refills the first
+    two on every call."""
+    twiddles = np.exp(np.arange(m // 2 + 1) * (-0.5j * np.pi / m))
+    return np.empty(m), np.empty(m // 2 + 1, dtype=np.complex128), twiddles
+
+
+def _sine_transform_ii(part: np.ndarray, workspace, scale: float, out: np.ndarray) -> np.ndarray:
+    """``scale`` times the DST-II of the real vector ``part``, zero-padded to
+    the length m of ``workspace``: X_k = sum_j x_j sin(pi (2j + 1)(k + 1) / 2m),
+    k = 0..m-1, written to ``out``.
+
+    Makhoul's route (IEEE TASSP 28(1), 1980): X_k is the DCT-II of
+    (-1)^j x_j at m-1-k, and that DCT-II is one m-point real FFT V of the
+    even entries followed by the odd ones reversed, turned by the twiddles:
+    with Z_k = exp(-i pi k / 2m) V_k, X_{m-1-k} = Re Z_k and X_{k-1} = -Im Z_k.
+    """
+    reordered, spectrum, twiddles = workspace
+    m, half = reordered.size, reordered.size // 2
+    even, odd = part[0::2], part[1::2]
+    reordered[: even.size] = even
+    reordered[even.size : m - odd.size] = 0.0
+    np.negative(odd[::-1], out=reordered[m - odd.size :])
+    np.fft.rfft(reordered, out=spectrum)
+    spectrum *= twiddles
+    np.multiply(spectrum.imag[1:], -scale, out=out[:half])
+    np.multiply(spectrum.real[half - 1 :: -1], scale, out=out[half:])
+    return out
+
+
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's constant for float64
 
 

@@ -13,6 +13,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .grids import SpatialGrid, _two_product, sine_transform, sine_workspace
+from .grids import _sine_transform_ii, _sine_workspace_ii
 from .model import energy
 from .packets import CoefficientVector
 
@@ -105,30 +106,47 @@ def _synthesized(coeffs: CoefficientVector, grid: SpatialGrid, times: list):
     """Yield the density at each time in one reused row whose walls hold zeros.
 
     Each row is evolved as ``evolve`` does, from frequencies computed once,
-    and synthesized by one inverse DST-I of each part, through one transform
-    workspace that every row reuses; its density is written straight into
-    the row.
+    and synthesized by one inverse transform of each part, through one
+    transform workspace that every row reuses; its density is written
+    straight into the row.  A packet whose even levels are all exactly zero
+    is even about L/2, and so is each odd level's sine mode: on a grid of 4k
+    intervals its odd levels fix x_1..x_{N/2} through one DST-II of N/2
+    points, and the rest of the row is their mirror image.  Every other
+    packet takes one DST-I over the whole interior.
     """
     row = np.zeros(grid.size)
-    # the unnormalized DST-I sums 2 a_n sin(n pi i / N)
-    scale = 0.5 * math.sqrt(2.0 / grid.well_width)
-    workspace = sine_workspace(grid.nyquist_level)
+    n, amplitudes = grid.intervals, coeffs.coefficients
+    mirrored = n % 4 == 0 and not amplitudes[1::2].any()
+    if mirrored:
+        amplitudes = amplitudes[0::2]
+        # the DST-II sums a_n sin(n pi i / N) over the odd n, with no factor 2
+        scale, transform = math.sqrt(2.0 / grid.well_width), _sine_transform_ii
+        workspace = _sine_workspace_ii(n // 2)
+        interior = row[1 : n // 2 + 1]
+        psi = np.empty(n // 2, dtype=np.complex128)
+    else:
+        # the unnormalized DST-I sums 2 a_n sin(n pi i / N)
+        scale, transform = 0.5 * math.sqrt(2.0 / grid.well_width), sine_transform
+        workspace = sine_workspace(grid.nyquist_level)
+        interior = row[1:-1]
+        # slots 1..n of the spectrum, where each transform leaves its result
+        psi = workspace[1][1:n]
     # after the large buffers: computed before them, the frequencies'
     # temporaries left fig3 16 MB more resident through the row loop
-    frequencies = _frequencies(energy(coeffs.model, coeffs.levels))
-    # slots 1..n of the spectrum, where each transform leaves its result
-    psi = workspace[1][1 : grid.intervals]
-    interior = row[1:-1]
+    frequencies = _frequencies(energy(coeffs.model, coeffs.levels[:: 2 if mirrored else 1]))
     for t in times:
-        a = _rotated(coeffs.coefficients, frequencies, t)
+        a = _rotated(amplitudes, frequencies, t)
         # the real part waits in the row while the imaginary part's
-        # transform overwrites the spectrum with its own result
-        sine_transform(a.real, workspace, scale, out=interior)
-        sine_transform(a.imag, workspace, scale, out=psi.imag)
+        # transform writes its own result; in the DST-I workspace that
+        # overwrites the spectrum
+        transform(a.real, workspace, scale, out=interior)
+        transform(a.imag, workspace, scale, out=psi.imag)
         psi.real = interior
         # the complex abs, which rounds differently from np.hypot of the parts
         np.abs(psi, out=interior)
         np.square(interior, out=interior)
+        if mirrored:
+            row[n // 2 + 1 : n] = row[n // 2 - 1 : 0 : -1]
         yield row
 
 
@@ -136,8 +154,12 @@ def density_stream(coeffs: CoefficientVector, grid: SpatialGrid, times) -> Itera
     """|psi(x, t)|^2 at each of ``times``, yielded in time order through one
     reused row: each is valid until the next is drawn.  Here
     psi(x_i) = sum_n a_n(t) sqrt(2/L) sin(n pi x_i / L), zero on the walls.
-    The arguments are checked on the call, and the stream holds one float
-    row, two complex rows and a few per-level arrays."""
+    The arguments are checked on the call.  The stream holds one float row,
+    a transform workspace and a few per-level arrays.  The DST-I's workspace
+    is two complex rows.  A parity-even packet's, on 4k intervals, is a
+    complex half row, the DST-II's reordered half row, its half spectrum
+    and twiddles, together 1.25 complex rows, and its per-level arrays hold
+    the odd levels alone."""
     if grid.well_width != coeffs.model.well_width:
         raise ValueError("grid and model disagree on the well width")
     if coeffs.n_max > grid.nyquist_level:

@@ -77,7 +77,8 @@ def momentum_eigenpairs(
 def reconstruct(coeffs: CoefficientVector, grid: SpatialGrid) -> GridState:
     """psi(x_i) = sum_n a_n sqrt(2/L) sin(n pi x_i / L) at every grid point,
     zero on the walls, by one inverse DST-I of each part: the synthesis that
-    ``density_rows`` runs for each of its rows."""
+    ``density_rows`` runs for each row, unless the even levels are all
+    exactly zero on a grid of 4k intervals."""
     if grid.well_width != coeffs.model.well_width:
         raise ValueError("grid and model disagree on the well width")
     if coeffs.n_max > grid.nyquist_level:

@@ -1,5 +1,6 @@
-"""tools/ci_checks.py on logs that real runs produced."""
+"""tools/ci_checks.py on logs and files that real runs produced."""
 
+import json
 import os
 import subprocess
 import sys
@@ -110,3 +111,33 @@ class TestBench:
         job = check("bench", log)
         assert (job.returncode, job.stderr) == (1 if stderr else 0, stderr)
         assert job.stdout == ("" if "no verdict" in stderr else f"{line}\n")
+
+
+class TestSame:
+    # a small diag spectrum, written as CI's numpy-only job writes the default
+    # one: with every BLAS thread count unset, and with OpenBLAS's pinned
+    DIAG = {"engine": {"kind": "diag", "momentum_points": 256}}
+    THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def spectrum(self, tmp_path, name, document, **pins):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(document))
+        env = {key: value for key, value in os.environ.items() if key not in self.THREADS}
+        job = subprocess.run(
+            [sys.executable, "-m", "relwell.cli", "spectrum", "--config", config, "--out", name],
+            cwd=tmp_path, env=dict(env, PYTHONPATH=str(ROOT / "src"), **pins),
+            capture_output=True, text=True,
+        )
+        assert job.returncode == 0, job.stderr
+        return tmp_path / name / "run_spectrum_diag.csv"
+
+    def test_identical_spectra_pass_and_different_ones_fail(self, tmp_path):
+        unset = self.spectrum(tmp_path, "unset", self.DIAG)
+        pinned = self.spectrum(tmp_path, "pinned", self.DIAG, OPENBLAS_NUM_THREADS="1")
+        wider = {**self.DIAG, "model": {"well_width_in_compton": 11.0}}
+        other = self.spectrum(tmp_path, "other", wider, OPENBLAS_NUM_THREADS="1")
+        job = check("same", unset, pinned)
+        assert (job.returncode, job.stdout, job.stderr) == (0, "", "")
+        job = check("same", pinned, other)
+        assert (job.returncode, job.stdout) == (1, "")
+        assert job.stderr.startswith(f"{pinned} and {other}: differ from byte ")

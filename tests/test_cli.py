@@ -762,6 +762,23 @@ class TestAllOrNothing:
         assert TOOL.compare(base, head)[-1] == "code/stderr.txt: only in head"
         assert TOOL.compare(base, base) == []
 
+    def test_snapshot_jobs_run_at_one_thread_whatever_the_caller_set(self, tmp_path, monkeypatch):
+        # the powered carpets' bits depend on the BLAS thread count
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "4")
+        envs = []
+
+        def run(job, out, env):
+            envs.append(env)
+            return 0, []
+
+        monkeypatch.setattr(TOOL, "JOBS", TOOL.JOBS[:2])
+        monkeypatch.setattr(TOOL, "run", run)
+        assert TOOL.snapshot(tmp_path / "src", tmp_path / "out") == []
+        pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        assert [[env[name] for name in pins] for env in envs] == [["1", "1", "1"]] * 2
+
 
 class TestRevivals:
     def test_identity_column_check(self, tmp_path):

@@ -25,7 +25,7 @@ from relwell import (
     reconstruct_at,
     revival_times,
 )
-from relwell.grids import sine_transform, sine_workspace
+from relwell.grids import _sine_transform_ii, _sine_workspace_ii, sine_transform, sine_workspace
 from relwell.spectral import density_stream, phases
 from oracles import reconstruct
 from references import eigenfunction_position, phase_factor, reduced_phase
@@ -236,6 +236,28 @@ class TestSineTransform:
             sine_transform(np.ones(5), sine_workspace(4))
 
 
+class TestSineTransformII:
+    """The DST-II through one m/2-point real FFT against scipy.fft.dst(type=2),
+    which carries a factor 2, to the rounding of a sum of |x|."""
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 1024, 4096])
+    def test_matches_scipy(self, m):
+        from scipy.fft import dst
+
+        # a reused workspace forgets a longer earlier part: a short part
+        # transforms as the m-point vector that holds it
+        rng = np.random.default_rng(m)
+        workspace = _sine_workspace_ii(m)
+        for k in (m, 1, m // 2 + 1, m - 1):
+            part = rng.standard_normal(k)
+            padded = np.zeros(m)
+            padded[:k] = part
+            out = np.empty(m, dtype=np.complex128)
+            _sine_transform_ii(part, workspace, 0.3, out=out.imag)
+            error = np.max(np.abs(out.imag - 0.15 * dst(padded, type=2)))
+            assert error <= 16 * np.finfo(float).eps * 0.3 * np.sum(np.abs(part))
+
+
 class TestReconstruct:
     def test_single_mode(self):
         grid = SpatialGrid(L, 256)
@@ -350,22 +372,28 @@ class TestDensity:
             density_rows(CoefficientVector(raw, MODEL), SpatialGrid(2.0 * L, 1024), [0.0])
 
     def test_workspace_is_a_few_rows(self):
-        # 64 rows on 2^16 intervals: the output, the stream's float row, a
-        # transform workspace of two complex rows, and one evolve of 4000 levels
+        # 64 rows on 2^16 intervals: the output, the stream's float row, the
+        # transform workspace and one evolve of 4000 levels.  The DST-I's
+        # workspace is two complex rows; a parity-even packet's DST-II of
+        # N/2 points holds a complex half row, its reordered half row, its
+        # half spectrum and the twiddles, together under one complex row
         grid = SpatialGrid(L, 1 << 16)
         rng = np.random.default_rng(3)
         raw = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
-        coeffs = CoefficientVector(raw, MODEL)
+        even = raw.copy()
+        even[1::2] = 0.0
         times = np.linspace(0.0, 100.0, 64)
-        density_rows(coeffs, grid, times[:1])  # load the FFT before tracing
-        tracemalloc.start()
-        try:
-            rows = density_rows(coeffs, grid, times)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         complex_row = 16 * (grid.intervals + 1)
-        assert peak <= rows.nbytes + 3 * complex_row
+        for amplitudes in (raw, even):
+            coeffs = CoefficientVector(amplitudes, MODEL)
+            density_rows(coeffs, grid, times[:1])  # load the FFT before tracing
+            tracemalloc.start()
+            try:
+                rows = density_rows(coeffs, grid, times)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= rows.nbytes + 3 * complex_row
 
     def test_norm_conserved_under_evolution(self):
         coeffs, grid = fig2_coefficients(512)
@@ -373,6 +401,48 @@ class TestDensity:
         for t in (0.0, 0.37 * t_rev, 5.0 * t_rev):
             state = reconstruct(evolve(coeffs, t), grid)
             assert abs(state.norm_squared() - 1.0) < 1e-10
+
+
+class TestMirroredRows:
+    """A packet whose even levels are exactly zero is even about L/2: on a
+    grid of 4k intervals its rows come from the odd levels on half the grid,
+    and every other packet keeps the full DST-I's bits."""
+
+    EPS = np.finfo(float).eps
+    TIMES = [0.0, 17.3, 9910.0]
+
+    @staticmethod
+    def odd_levels(n_max, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal(n_max) + 1j * rng.standard_normal(n_max)
+        raw[1::2] = 0.0
+        return raw
+
+    def full_rows(self, coeffs, grid):
+        return [reconstruct(evolve(coeffs, t), grid).density() for t in self.TIMES]
+
+    @pytest.mark.parametrize("intervals", [4, 8, 1024, 1 << 16])
+    def test_rows_agree_with_the_full_transform(self, intervals):
+        grid = SpatialGrid(L, intervals)
+        for n_max in (intervals - 1, 3):
+            coeffs = CoefficientVector(self.odd_levels(n_max, intervals), MODEL)
+            rows = density_rows(coeffs, grid, self.TIMES)
+            for row, full in zip(rows, self.full_rows(coeffs, grid)):
+                # within a few roundings of the peak; about 8 eps was seen
+                assert np.max(np.abs(row - full)) <= 16 * self.EPS * np.max(full)
+                assert np.array_equal(row, row[::-1])
+                assert row[0] == row[-1] == 0.0
+
+    @pytest.mark.parametrize(
+        "intervals, even_level", [(1024, 1e-300), (1026, 0.0)], ids=["tiny-even-level", "4k+2"]
+    )
+    def test_other_packets_keep_the_full_transform(self, intervals, even_level):
+        raw = self.odd_levels(1000, 5)
+        raw[5] = even_level  # level 6
+        coeffs, grid = CoefficientVector(raw, MODEL), SpatialGrid(L, intervals)
+        rows = density_rows(coeffs, grid, self.TIMES)
+        for row, full in zip(rows, self.full_rows(coeffs, grid)):
+            assert np.array_equal(row.view(np.uint64), full.view(np.uint64))
 
 
 class TestAutocorrelationPeaks:

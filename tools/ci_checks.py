@@ -3,6 +3,7 @@
     python tools/ci_checks.py acceptance LOG
     python tools/ci_checks.py imports MODULE LOG...
     python tools/ci_checks.py bench LOG
+    python tools/ci_checks.py same FILE FILE
 
 ``acceptance`` reads the log of a ``pytest -rP`` run that includes
 ``tests/test_acceptance.py``.  It prints every ``ACCEPTANCE`` verdict line
@@ -20,6 +21,10 @@ each such log on stderr.  Module names match exactly, not as a prefix:
 verdict as JSON.  It prints the verdict's ``correct``, ``attempted`` and
 ``failed`` and exits 1 unless ``correct`` is true and ``failed`` is 0, or
 when the last line is missing or is no such verdict.
+
+``same`` compares two files byte for byte, as ``cmp`` does.  It exits 1
+unless they are identical, and names the first byte at which they differ
+on stderr.
 """
 
 from __future__ import annotations
@@ -74,6 +79,16 @@ def bench(log: str) -> tuple[dict, list[str]]:
     return verdict, [] if passed else ["not correct with 0 failed"]
 
 
+def same(first: bytes, second: bytes) -> list[str]:
+    """Where two files' bytes part: the first byte that differs or that only
+    the longer one holds (empty when they are identical)."""
+    if first == second:
+        return []
+    pairs = zip(first, second)
+    at = next((i for i, (a, b) in enumerate(pairs) if a != b), min(len(first), len(second)))
+    return [f"differ from byte {at + 1}"]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "acceptance":
         lines, problems = acceptance(Path(argv[1]).read_text(errors="replace"))
@@ -90,9 +105,12 @@ def main(argv: list[str]) -> int:
         if verdict:
             print(json.dumps(verdict))
         problems = [f"bench: {problem}" for problem in problems]
+    elif len(argv) == 3 and argv[0] == "same":
+        first, second = (Path(name).read_bytes() for name in argv[1:])
+        problems = [f"{argv[1]} and {argv[2]}: {problem}" for problem in same(first, second)]
     else:
-        print("usage: ci_checks.py acceptance LOG | imports MODULE LOG... | bench LOG",
-              file=sys.stderr)
+        print("usage: ci_checks.py acceptance LOG | imports MODULE LOG... | bench LOG"
+              " | same FILE FILE", file=sys.stderr)
         return 2
     for problem in problems:
         print(problem, file=sys.stderr)

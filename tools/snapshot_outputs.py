@@ -9,7 +9,8 @@ Each job runs ``python -m relwell.cli --out .`` in a fresh interpreter with
 the job's config as ``config.json`` if it has one, its output files, its
 stderr as ``stderr.txt`` and its exit code as ``exit_code.txt``.  The jobs
 run on as many workers as the CPU affinity grants, each a thread waiting on
-one subprocess in the tool's own environment, and print in a fixed order.
+one subprocess in the tool's own environment with the thread counts pinned
+(below), and print in a fixed order.
 OUTPUTS holds 67 jobs at m = c = hbar = 1: every preset under every command
 and ``spectrum --engine diag`` on every preset, two split carpets at N = 256
 (one that steps, one that powers the Strang step), one whose grid size the
@@ -22,15 +23,18 @@ its entry, each error path that left an output file, and each job that left
 a temporary ``.*.tmp``, the name the CLI writes a file under until the run
 is complete.
 
+Every job runs with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS set to 1, whatever the caller set: the powered carpets' bits
+depend on the BLAS thread count.
+
 ``--against REV`` snapshots REV's ``src``, extracted into OUT, into
-``OUT/base`` and this repository's into ``OUT/head``, both at
-OPENBLAS_NUM_THREADS=1 (the powered carpets' bits depend on the BLAS thread
-count); it prints each file that differs, an exit code or stderr with both
-texts and a CSV or bin file with its largest absolute and relative
-deviation, and exits 1 on any difference.  Only the head is held to the
-table: an output changed on purpose differs from the base.  On two workers
-of a 2-vCPU Intel Xeon host the 178 jobs take about 20 s and write about
-165 MB; ``--against`` takes 44 s.
+``OUT/base`` and this repository's into ``OUT/head``; it prints each file
+that differs, an exit code or stderr with both texts and a CSV or bin file
+with its largest absolute and relative deviation, and exits 1 on any
+difference.  Only the head is held to the table: an output changed on
+purpose differs from the base.  On two workers of a 2-vCPU Intel Xeon host
+the 178 jobs take about 20 s and write about 165 MB; ``--against`` takes
+44 s.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # what a job's directory holds besides the job's own outputs
 JOB_FILES = {"config.json", "stderr.txt", "exit_code.txt"}
+# each job's thread counts, whatever the caller's environment holds
+THREAD_PINS = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 # the name the CLI writes a file under until the run is complete
 TEMPORARY = re.compile(r"\..+\.tmp")
 # a bin carpet's header: magic, version, rows, columns, t0, t1, x0, x1
@@ -385,7 +391,7 @@ def snapshot(src: Path, out: Path) -> list[str]:
     """Run every job against the relwell sources under ``src`` into ``out``,
     which must not exist; return how the jobs break their entries."""
     out.mkdir(parents=True, exist_ok=False)
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), **THREAD_PINS)
     failed = []
     with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
         for job, (code, found) in zip(JOBS, pool.map(lambda job: run(job, out, env), JOBS)):
@@ -452,13 +458,11 @@ def main() -> None:
     if len(sys.argv) == 4 and sys.argv[1] == "--against":
         rev, out = sys.argv[2], Path(sys.argv[3])
         out.mkdir(parents=True, exist_ok=False)
-        # the revision's sources beside the snapshots; both trees run at one
-        # BLAS thread, on which the powered carpets' bits depend
+        # the revision's sources beside the snapshots
         archive = subprocess.run(
             ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True
         )
         subprocess.run(["tar", "-x", "-C", str(out)], input=archive.stdout, check=True)
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
         # the table describes the head: the base may differ on purpose
         snapshot(out / "src", out / "base")
         failed = snapshot(ROOT / "src", out / "head")
